@@ -2,8 +2,8 @@
 // figure workload it freezes the rounded instance at the PTAS's converged
 // target makespan and times the table fill — optimized (Jobs-sorted pruned
 // scan, odometer decoding, cached level index) against the legacy seed path
-// (full configuration scan, division decoding), plus the adaptive
-// barrier-pool path (FillAuto) — across worker counts and level modes.
+// (full configuration scan, division decoding), plus the production fill
+// (FillAutoCtx) — across worker counts and level modes.
 // Results print as a table and, with -json, land in BENCH_dp.json for
 // regression tracking; -baseline diffs the run against a committed
 // BENCH_dp.json and fails on regressions beyond -baseline-threshold.
@@ -279,9 +279,9 @@ sweep:
 						if workers <= 1 {
 							continue
 						}
-						// Adaptive path: FillAuto on a persistent barrier
-						// pool, the production default through the solver
-						// facade. Measured immediately after the sequential
+						// Production path: FillAutoCtx, the default through
+						// the solver facade, handed a barrier pool it does
+						// not use. Measured immediately after the sequential
 						// reference cells — its speedup_vs_seq column divides
 						// the two, so keeping them adjacent in time stops
 						// host-load drift from contaminating the ratio.

@@ -9,7 +9,8 @@
 // the paper's practical improvement; LS reproduces the original
 // Hochbaum–Shmoys rule). With Workers > 1 the DP table is filled level by
 // level over its anti-diagonals by a pool of goroutines, which is the
-// paper's shared-memory parallelization.
+// paper's shared-memory parallelization, unless Options.AutoFill selects the
+// one-thread production fill.
 package core
 
 import (
@@ -108,16 +109,16 @@ type Options struct {
 	// Workers != 1. An extension/ablation; results are identical.
 	Dataflow bool
 	// AdaptiveFill lets the driver fall back to the sequential fill for
-	// tables too small to amortize per-level barriers, even when
-	// Workers > 1. The EXPERIMENTS.md ablations show paper-scale tables
-	// (sigma < ~10^4) are barrier-bound; this is the practical default a
-	// production caller wants (the solver facade enables it).
+	// tables too small to amortize per-level barriers when the paper's
+	// parallel fill runs (Workers > 1 without AutoFill). The EXPERIMENTS.md
+	// ablations show paper-scale tables (sigma < ~10^4) are barrier-bound.
 	AdaptiveFill bool
-	// AutoFill routes parallel fills through dp.FillAutoCtx on a persistent
-	// barrier pool instead of the per-level Pool dispatch: narrow levels run
-	// inline, runs of mid-width levels fuse into one dispatch, and only wide
-	// levels fan out. Ignored when Workers == 1 or Dataflow is set. Stats.Auto
-	// reports how levels were routed. The solver facade enables it by default.
+	// AutoFill makes fills with Workers > 1 run dp.FillAutoCtx, the
+	// production fill: the one-thread config-outer run-length sweep on every
+	// table, which beat the 2-worker level-parallel fills on every probe
+	// table measured (ALGORITHM.md section 10). No pool is started. Ignored
+	// when Workers == 1 or Dataflow is set. Stats.Auto counts the levels
+	// filled. The solver facade enables it by default.
 	AutoFill bool
 	// TimeLimit aborts the solve with ErrTimeLimit when exceeded. It is a
 	// back-compat shim over context deadlines: Solve installs it via
@@ -141,9 +142,8 @@ type Options struct {
 	// across Solve calls. When nil and Workers != 1, Solve creates and
 	// closes its own pool.
 	Pool *par.Pool
-	// BarrierPool optionally supplies an externally managed barrier pool for
-	// AutoFill, reused across Solve calls. When nil and AutoFill applies,
-	// Solve creates and closes its own.
+	// BarrierPool is accepted and not used: the AutoFill path no longer
+	// dispatches on a barrier pool, and Solve never starts one.
 	BarrierPool *par.BarrierPool
 	// Sparsify enables the sparsified DP pipeline (the ptas-sparse registry
 	// algorithm): geometric grouping of the rounded size classes (see
@@ -249,9 +249,9 @@ type Stats struct {
 	TotalEntriesFilled int64
 	// FillTime is the wall-clock time spent inside DP table fills.
 	FillTime time.Duration
-	// Auto accumulates, over all bisection probes, how the adaptive fill
-	// routed anti-diagonal levels (inline / fused / dedicated parallel
-	// rounds). All-zero unless Options.AutoFill applied.
+	// Auto accumulates, over all bisection probes, how dp.FillAutoCtx ran
+	// the anti-diagonal levels: all inline on the caller. All-zero unless
+	// Options.AutoFill applied.
 	Auto dp.AutoStats
 	// UsedLPTFallback reports that plain LPT beat the PTAS construction on
 	// this instance and its schedule was returned instead. The fallback
@@ -389,24 +389,16 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 	}
 	stats.LB0, stats.UB0 = lbT, ubT
 
-	var (
-		pool  *par.Pool
-		bpool *par.BarrierPool
-	)
+	// AutoFill runs dp.FillAutoCtx, which fills on the calling goroutine, so
+	// only the paper's parallel fills need a pool.
+	var pool *par.Pool
 	workers := par.Normalize(opts.Workers)
-	if workers > 1 {
-		if opts.AutoFill && !opts.Dataflow {
-			bpool = opts.BarrierPool
-			if bpool == nil {
-				bpool = par.NewBarrierPool(workers)
-				defer bpool.Close()
-			}
-		} else {
-			pool = opts.Pool
-			if pool == nil {
-				pool = par.NewPool(workers)
-				defer pool.Close()
-			}
+	auto := workers > 1 && opts.AutoFill && !opts.Dataflow
+	if workers > 1 && !auto {
+		pool = opts.Pool
+		if pool == nil {
+			pool = par.NewPool(workers)
+			defer pool.Close()
 		}
 	}
 
@@ -449,7 +441,7 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 		if err := cancel.Check(ctx); err != nil {
 			return nil, nil, false, err
 		}
-		res, err := runAttempt(ctx, in, k, T, opts, pool, bpool)
+		res, err := runAttempt(ctx, in, k, T, opts, pool, auto)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -593,7 +585,7 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 			stats.ConfigsEnumerated = finalTable.SparseStats.Enumerated
 			stats.ConfigsAfterSparsification = finalTable.SparseStats.Retained
 		}
-		fallback, err := sparseVerify(ctx, in, k, T, sched, opts, stats, pool, bpool)
+		fallback, err := sparseVerify(ctx, in, k, T, sched, opts, stats, pool, auto)
 		if err != nil {
 			return degrade(err)
 		}
@@ -643,12 +635,12 @@ func sparseFaithfulFallback(ctx context.Context, in *pcmax.Instance, opts Option
 //
 // Returns whether the caller must fall back to a faithful re-solve. Only
 // cancellation-grade errors are returned.
-func sparseVerify(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, sched *pcmax.Schedule, opts Options, stats *Stats, pool *par.Pool, bpool *par.BarrierPool) (fallback bool, err error) {
+func sparseVerify(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, sched *pcmax.Schedule, opts Options, stats *Stats, pool *par.Pool, auto bool) (fallback bool, err error) {
 	certified := T <= stats.LB0
 	if !certified {
 		fopts := opts
 		fopts.Sparsify = false
-		res, aerr := runAttempt(ctx, in, k, T-1, fopts, pool, bpool)
+		res, aerr := runAttempt(ctx, in, k, T-1, fopts, pool, auto)
 		switch {
 		case errors.Is(aerr, dp.ErrTableTooLarge):
 			// Faithful verification doesn't fit; keep the sparse result,

@@ -47,17 +47,17 @@ type attemptResult struct {
 	tbl      *dp.Table // nil when the probe has no long jobs
 	feasible bool
 	fill     time.Duration
-	auto     dp.AutoStats // level routing, when the adaptive fill ran
+	auto     dp.AutoStats // level routing, when the production fill ran
 }
 
-// runAttempt builds and fills the DP table for target T. With a non-nil
-// bpool the fill runs adaptively on the barrier pool (dp.FillAutoCtx); with
-// a non-nil pool it runs on the pool's workers (the paper's Parallel DP);
-// otherwise it runs sequentially per opts.SeqFill. It touches no shared
-// state, so concurrent calls with pool == bpool == nil are safe. The fill
-// honors ctx cooperatively: a mid-fill cancellation surfaces as the
-// structured cancel error within the fills' check granularity.
-func runAttempt(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, opts Options, pool *par.Pool, bpool *par.BarrierPool) (attemptResult, error) {
+// runAttempt builds and fills the DP table for target T. With auto set the
+// production fill runs (dp.FillAutoCtx); with a non-nil pool the fill runs
+// on the pool's workers (the paper's Parallel DP); otherwise it runs
+// sequentially per opts.SeqFill. It touches no shared state, so concurrent
+// calls with a nil pool are safe. The fill honors ctx cooperatively: a
+// mid-fill cancellation surfaces as the structured cancel error within the
+// fills' check granularity.
+func runAttempt(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, opts Options, pool *par.Pool, auto bool) (attemptResult, error) {
 	sp, err := newSplit(in, k, T)
 	if err != nil {
 		return attemptResult{}, err
@@ -84,8 +84,8 @@ func runAttempt(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, op
 	}
 	t0 := time.Now()
 	switch {
-	case bpool != nil:
-		err = tbl.FillAutoCtx(ctx, bpool)
+	case auto:
+		err = tbl.FillAutoCtx(ctx, nil)
 	case useParallel && opts.Dataflow:
 		err = tbl.FillDataflowCtx(ctx, pool.Workers())
 	case useParallel:
@@ -132,7 +132,7 @@ func speculativeBisection(ctx context.Context, in *pcmax.Instance, k int, lbT, u
 		for i, T := range targets {
 			go func(i int, T pcmax.Time) {
 				defer wg.Done()
-				results[i], errs[i] = runAttempt(ctx, in, k, T, opts, nil, nil)
+				results[i], errs[i] = runAttempt(ctx, in, k, T, opts, nil, false)
 			}(i, T)
 		}
 		wg.Wait()

@@ -8,19 +8,11 @@ import (
 
 	"repro/internal/cancel"
 	"repro/internal/par"
-	"repro/pcmax"
 )
 
-// bigTableSpec is bigTable's instance triple, for cached builds.
-func bigTableSpec() ([]pcmax.Time, []int, pcmax.Time) {
-	return []pcmax.Time{1, 2, 3, 4, 5}, []int{7, 7, 7, 7, 8}, 15
-}
-
-// TestFillAutoStatsRouting forces each calibration regime and checks that
-// AutoStats reports the routing truthfully: a hardware-clamped (or tiny)
-// fill counts every level inline, a forced-parallel fill uses all three
-// arms on a table whose level widths span the grain thresholds, and the
-// counters always sum to NPrime.
+// TestFillAutoStatsRouting checks that AutoStats reports the routing
+// truthfully: with or without a barrier pool, a completed fill counts every
+// level inline and matches the sequential fill.
 func TestFillAutoStatsRouting(t *testing.T) {
 	ref := bigTable(t)
 	ref.FillSequential()
@@ -28,48 +20,25 @@ func TestFillAutoStatsRouting(t *testing.T) {
 	bp := par.NewBarrierPool(4)
 	defer bp.Close()
 
-	t.Run("clamped-sequential", func(t *testing.T) {
-		restore := AutoTuneForTest(1, 1<<17, 64, 4096)
-		defer restore()
-		tbl := bigTable(t)
-		if err := tbl.FillAutoCtx(context.Background(), bp); err != nil {
-			t.Fatal(err)
-		}
-		s := tbl.AutoStats
-		if s.LevelsInline != tbl.NPrime || s.LevelsFused != 0 || s.LevelsParallel != 0 {
-			t.Fatalf("clamped fill routed %+v, want all %d levels inline", s, tbl.NPrime)
-		}
-		optEqual(t, "clamped FillAuto", tbl.Opt, ref.Opt)
-	})
-
-	t.Run("forced-parallel", func(t *testing.T) {
-		restore := AutoTuneForTest(8, 1, 8, 64)
-		defer restore()
-		tbl := bigTable(t)
-		if err := tbl.FillAutoCtx(context.Background(), bp); err != nil {
-			t.Fatal(err)
-		}
-		s := tbl.AutoStats
-		if s.LevelsInline+s.LevelsFused+s.LevelsParallel != tbl.NPrime {
-			t.Fatalf("AutoStats %+v does not sum to NPrime=%d", s, tbl.NPrime)
-		}
-		// bigTable's level widths run from 5 up into the thousands, so every
-		// regime of the forced calibration must be populated.
-		if s.LevelsInline == 0 || s.LevelsFused == 0 || s.LevelsParallel == 0 {
-			t.Fatalf("forced calibration left an arm unused: %+v", s)
-		}
-		optEqual(t, "forced FillAuto", tbl.Opt, ref.Opt)
-	})
-
-	t.Run("nil-pool", func(t *testing.T) {
-		tbl := bigTable(t)
-		tbl.FillAuto(nil)
-		s := tbl.AutoStats
-		if s.LevelsInline != tbl.NPrime || s.LevelsFused != 0 || s.LevelsParallel != 0 {
-			t.Fatalf("nil-pool fill routed %+v, want sequential cutover", s)
-		}
-		optEqual(t, "nil-pool FillAuto", tbl.Opt, ref.Opt)
-	})
+	for _, tc := range []struct {
+		name string
+		bp   *par.BarrierPool
+	}{
+		{"barrier-pool", bp},
+		{"nil-pool", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := bigTable(t)
+			if err := tbl.FillAutoCtx(context.Background(), tc.bp); err != nil {
+				t.Fatal(err)
+			}
+			s := tbl.AutoStats
+			if s.LevelsInline != tbl.NPrime || s.LevelsFused != 0 || s.LevelsParallel != 0 {
+				t.Fatalf("fill routed %+v, want all %d levels inline", s, tbl.NPrime)
+			}
+			optEqual(t, "FillAutoCtx", tbl.Opt, ref.Opt)
+		})
+	}
 }
 
 // TestFillAutoCancelAndRecover mirrors the other fills' cancellation
@@ -79,8 +48,6 @@ func TestFillAutoCancelAndRecover(t *testing.T) {
 	ref := bigTable(t)
 	ref.FillSequential()
 
-	restore := AutoTuneForTest(8, 1, 8, 64)
-	defer restore()
 	bp := par.NewBarrierPool(4)
 	defer bp.Close()
 
@@ -97,33 +64,27 @@ func TestFillAutoCancelAndRecover(t *testing.T) {
 	optEqual(t, "recovered FillAuto", tbl.Opt, ref.Opt)
 }
 
-// TestFillAutoMidFillCancel cancels after the fill has started (via a
-// context canceled by the first dispatched bodies) and checks the unfilled
-// contract holds mid-flight too.
+// TestFillAutoMidFillCancel cancels after the fill has started (the entry
+// check sees a live context, the kernel's first poll a dead one) and checks
+// that the abort lands within one poll stride and leaves the table unfilled.
 func TestFillAutoMidFillCancel(t *testing.T) {
-	restore := AutoTuneForTest(8, 1, 8, 64)
-	defer restore()
-	bp := par.NewBarrierPool(4)
-	defer bp.Close()
-
 	tbl := bigTable(t)
-	ctx, cancelFn := context.WithCancel(context.Background())
-	cancelFn()
-	err := tbl.FillAutoCtx(ctx, bp)
-	if !errors.Is(err, cancel.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
+	err := tbl.FillAutoCtx(newTrippingCtx(), nil)
+	var cerr *cancel.Error
+	if !errors.As(err, &cerr) || !errors.Is(err, cancel.ErrCanceled) {
+		t.Fatalf("want a *cancel.Error matching ErrCanceled, got %v", err)
 	}
-	// The pool survives the canceled fill for unrelated rounds.
-	var n int
-	bp.For(1, func(int) { n++ })
-	if n != 1 {
-		t.Fatalf("barrier pool unusable after canceled fill")
+	if cerr.EntriesFilled <= 0 || cerr.EntriesFilled > fillCheckEvery {
+		t.Fatalf("EntriesFilled = %d, want the first poll stride (0, %d]", cerr.EntriesFilled, fillCheckEvery)
+	}
+	if _, err := tbl.OptValue(); !errors.Is(err, ErrNotFilled) {
+		t.Fatalf("canceled fill left table readable: %v", err)
 	}
 }
 
 // trippingCtx is live for its first Done poll and canceled from the second
-// onward: FillAutoCtx's entry check passes, and the fill it routed to dies
-// at its own next poll — a deterministic mid-cutover cancellation.
+// onward: FillAutoCtx's entry check passes, and the fill kernel dies at its
+// own first poll — a deterministic mid-fill cancellation.
 type trippingCtx struct {
 	context.Context
 	polls atomic.Int32
@@ -150,25 +111,18 @@ func (c *trippingCtx) Err() error {
 	return nil
 }
 
-// TestFillAutoCanceledCutoverReportsNoInlineLevels pins the stats contract on
-// the sequential-cutover arms: a fill that dies inside the cut-over
-// FillSequentialCtx must not claim its levels completed inline.
+// TestFillAutoCanceledCutoverReportsNoInlineLevels pins the stats contract:
+// a fill that dies inside the kernel must not claim its levels completed
+// inline, with or without a pool.
 func TestFillAutoCanceledCutoverReportsNoInlineLevels(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		seqWork int64
-		pool    bool
+		name string
+		pool bool
 	}{
-		// bp == nil routes to the first cutover arm regardless of table size.
-		{"nil-pool", 1 << 17, false},
-		// A real pool with the hardware clamp forced to one core exercises
-		// the parts < 2 fallback arm (seqWork 1 keeps the small-table arm
-		// from swallowing the case first).
-		{"hardware-clamped", 1, true},
+		{"nil-pool", false},
+		{"barrier-pool", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			restore := AutoTuneForTest(1, tc.seqWork, 64, 4096)
-			defer restore()
 			var bp *par.BarrierPool
 			if tc.pool {
 				bp = par.NewBarrierPool(4)
@@ -179,33 +133,8 @@ func TestFillAutoCanceledCutoverReportsNoInlineLevels(t *testing.T) {
 				t.Fatalf("want ErrCanceled, got %v", err)
 			}
 			if s := tbl.AutoStats; s != (AutoStats{}) {
-				t.Fatalf("canceled cutover fill reported stats %+v, want zero", s)
+				t.Fatalf("canceled fill reported stats %+v, want zero", s)
 			}
 		})
-	}
-}
-
-// TestFillAutoReusesCachedLevelIndex checks FillAuto participates in the
-// same level-index cache as the parallel fill: two fills over one cache must
-// record a level-index hit.
-func TestFillAutoReusesCachedLevelIndex(t *testing.T) {
-	restore := AutoTuneForTest(8, 1, 8, 64)
-	defer restore()
-	bp := par.NewBarrierPool(4)
-	defer bp.Close()
-
-	cache := NewCache()
-	sizes, counts, T := bigTableSpec()
-	for round := 0; round < 2; round++ {
-		tbl, err := NewCached(sizes, counts, T, 0, 0, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tbl.FillAutoCtx(context.Background(), bp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := cache.Stats(); st.LevelHits == 0 {
-		t.Fatalf("FillAuto never hit the level-index cache: %+v", st)
 	}
 }

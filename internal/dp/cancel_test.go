@@ -117,6 +117,28 @@ func TestFillCancelReportsPartialProgress(t *testing.T) {
 	}
 }
 
+// TestFillSequentialCancelSplitsLongRuns pins the config-outer kernel's poll
+// stride on runs longer than it: in a one-class table every configuration's
+// pass is a single run spanning almost the whole table, so the kernel must
+// split the run to poll within fillCheckEvery relaxations of a dead context.
+func TestFillSequentialCancelSplitsLongRuns(t *testing.T) {
+	tbl, err := New([]pcmax.Time{1}, []int{3 * fillCheckEvery}, 3, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tbl.FillSequentialCtx(canceledCtx())
+	var cerr *cancel.Error
+	if !errors.As(err, &cerr) || !errors.Is(err, cancel.ErrCanceled) {
+		t.Fatalf("want a *cancel.Error matching ErrCanceled, got %v", err)
+	}
+	if cerr.EntriesFilled > fillCheckEvery {
+		t.Fatalf("EntriesFilled = %d: the abort overran the %d-relaxation poll stride", cerr.EntriesFilled, fillCheckEvery)
+	}
+	if _, err := tbl.OptValue(); !errors.Is(err, ErrNotFilled) {
+		t.Fatalf("canceled fill left the table usable: OptValue error = %v", err)
+	}
+}
+
 func TestNilAndBackgroundContextFillsComplete(t *testing.T) {
 	// The ctx-less shims delegate with context.Background(); both they and
 	// an explicit Background ctx must fill to completion.

@@ -1,13 +1,15 @@
 package dp
 
 // Differential coverage for the optimized fill pipeline: every fill variant
-// (sequential, recursive, parallel in both level modes under all three
-// scheduling strategies, dataflow; shared configs and per-entry enumeration;
-// legacy and optimized scan paths; cached and uncached builds) must produce
-// the same Opt table and the same reconstruction as a seed-faithful oracle
-// on a population of random instances.
+// (sequential, production FillAutoCtx, recursive, parallel in both level
+// modes under all three scheduling strategies, dataflow; shared configs and
+// per-entry enumeration; legacy and optimized scan paths; cached and
+// uncached builds) must produce the same Opt table and the same
+// reconstruction as a seed-faithful oracle on a population of random
+// instances plus fixed instances of the config-outer kernel's run shapes.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -80,17 +82,45 @@ func machinesEqual(t *testing.T, label string, got, want [][]int32) {
 	}
 }
 
+// diffInput is one (sizes, counts, T) instance of the differential harness.
+type diffInput struct {
+	name   string
+	sizes  []pcmax.Time
+	counts []int
+	T      pcmax.Time
+}
+
+// runShapeInputs are fixed instances for the run shapes of the config-outer
+// kernel that the random population may miss.
+var runShapeInputs = []diffInput{
+	// d = 1: every configuration's pass is a single run over the table.
+	{"d=1", []pcmax.Time{3}, []int{7}, 10},
+	// Classes with count 0 have radix 1 and never end a configuration.
+	{"zero-count-classes", []pcmax.Time{2, 3, 5, 7}, []int{0, 3, 0, 2}, 14},
+	// Configurations using only the last class relax stride-1 runs that
+	// overlap their own source, one run per point of classes before it.
+	{"last-class-only", []pcmax.Time{4, 5}, []int{2, 6}, 10},
+	// Configurations using only the first class relax one run over the
+	// whole sub-table that overlaps its source by less than its length.
+	{"first-class-only", []pcmax.Time{2, 9, 11}, []int{6, 2, 1}, 12},
+	// d >= 9: deep odometers over the classes before a run.
+	{"d=10", []pcmax.Time{5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, []int{2, 1, 0, 1, 1, 2, 1, 0, 1, 2}, 19},
+}
+
 func TestDifferentialAllFillVariants(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
-	bpool := par.NewBarrierPool(4)
-	defer bpool.Close()
 	cache := NewCache()
 
 	const instances = 50
+	var inputs []diffInput
 	for seed := uint64(1); seed <= instances; seed++ {
-		src := rng.New(seed)
-		sizes, counts, T := randomInstance(src)
+		sizes, counts, T := randomInstance(rng.New(seed))
+		inputs = append(inputs, diffInput{fmt.Sprintf("seed %d", seed), sizes, counts, T})
+	}
+	inputs = append(inputs, runShapeInputs...)
+	for _, in := range inputs {
+		label, sizes, counts, T := in.name, in.sizes, in.counts, in.T
 		mk := func() *Table {
 			tbl, err := New(sizes, counts, T, 0, 0)
 			if err != nil {
@@ -102,20 +132,20 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 		ref := mk()
 		oracle := fillOracle(ref)
 		ref.FillSequential()
-		optEqual(t, fmt.Sprintf("seed %d: FillSequential vs oracle", seed), ref.Opt, oracle)
+		optEqual(t, label+": FillSequential vs oracle", ref.Opt, oracle)
 		refMachines, err := ref.Reconstruct()
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 
-		check := func(label string, tbl *Table) {
+		check := func(name string, tbl *Table) {
 			t.Helper()
-			optEqual(t, fmt.Sprintf("seed %d: %s", seed, label), tbl.Opt, oracle)
+			optEqual(t, label+": "+name, tbl.Opt, oracle)
 			machines, err := tbl.Reconstruct()
 			if err != nil {
-				t.Fatalf("seed %d: %s: %v", seed, label, err)
+				t.Fatalf("%s: %s: %v", label, name, err)
 			}
-			machinesEqual(t, fmt.Sprintf("seed %d: %s", seed, label), machines, refMachines)
+			machinesEqual(t, label+": "+name, machines, refMachines)
 		}
 
 		// Legacy scan path (the ablation baseline) must agree entry for entry.
@@ -130,14 +160,14 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 		rec.FillRecursive()
 		for i := range rec.Opt {
 			if rec.Opt[i] != unset && rec.Opt[i] != oracle[i] {
-				t.Fatalf("seed %d: FillRecursive Opt[%d] = %d, want %d", seed, i, rec.Opt[i], oracle[i])
+				t.Fatalf("%s: FillRecursive Opt[%d] = %d, want %d", label, i, rec.Opt[i], oracle[i])
 			}
 		}
 		recMachines, err := rec.Reconstruct()
 		if err != nil {
-			t.Fatalf("seed %d: recursive: %v", seed, err)
+			t.Fatalf("%s: recursive: %v", label, err)
 		}
-		machinesEqual(t, fmt.Sprintf("seed %d: FillRecursive", seed), recMachines, refMachines)
+		machinesEqual(t, label+": FillRecursive", recMachines, refMachines)
 
 		// Parallel fills: both level modes x all three strategies, shared
 		// and per-entry enumeration, plus the legacy path per mode.
@@ -163,22 +193,12 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 		df.FillDataflow(4)
 		check("FillDataflow", df)
 
-		// Adaptive fill, default calibration: on small tables (or clamped
-		// hardware) this is the sequential-cutover arm of FillAuto.
+		// Production fill.
 		ad := mk()
-		ad.FillAuto(bpool)
-		check("FillAuto/default", ad)
-
-		// Adaptive fill with the calibration forced so these small tables
-		// exercise the inline, fused-batch and wide barrier-pool arms.
-		restore := AutoTuneForTest(8, 1, 2, 8)
-		af := mk()
-		af.FillAuto(bpool)
-		restore()
-		check("FillAuto/forced", af)
-		if s := af.AutoStats; s.LevelsInline+s.LevelsFused+s.LevelsParallel != af.NPrime {
-			t.Fatalf("seed %d: AutoStats %+v does not sum to NPrime=%d", seed, s, af.NPrime)
+		if err := ad.FillAutoCtx(context.Background(), nil); err != nil {
+			t.Fatalf("%s: FillAutoCtx: %v", label, err)
 		}
+		check("FillAutoCtx", ad)
 
 		// Cached builds: two rounds through one cache so the second fill
 		// exercises the shared config set and level-index hit paths.
@@ -203,8 +223,6 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 // two-word table (8 < d <= 16), and the exact one-word boundary d = 8. Every
 // fill variant must still match the unpruned oracle bit for bit.
 func TestDifferentialPackedBoundaries(t *testing.T) {
-	bpool := par.NewBarrierPool(4)
-	defer bpool.Close()
 	pool := par.NewPool(4)
 	defer pool.Close()
 
@@ -248,12 +266,6 @@ func TestDifferentialPackedBoundaries(t *testing.T) {
 			p := mk()
 			p.FillParallel(pool, LevelBuckets, par.Dynamic)
 			optEqual(t, "FillParallel", p.Opt, oracle)
-
-			restore := AutoTuneForTest(8, 1, 2, 8)
-			a := mk()
-			a.FillAuto(bpool)
-			restore()
-			optEqual(t, "FillAuto/forced", a.Opt, oracle)
 		})
 	}
 }

@@ -15,8 +15,10 @@
 //
 // Three fill strategies are provided:
 //
-//   - FillSequential: bottom-up in index order (every dependency of entry i
-//     has a smaller index, so a single left-to-right sweep is valid).
+//   - FillSequential: bottom-up (every dependency of entry i has a smaller
+//     index). The default path is the config-outer sweep: each configuration
+//     relaxes its sub-lattice as contiguous runs of the table, in ascending
+//     order (fillConfigOuter). It is also the production fill, FillAutoCtx.
 //   - FillRecursive: top-down memoized recursion starting from the last
 //     entry, faithful to the paper's Algorithm 2 description ("starts from
 //     the last entry of the DP-table and recursively computes the other
@@ -159,9 +161,9 @@ type Table struct {
 	// either way.
 	LegacyFill bool
 
-	// AutoStats reports how FillAuto routed the anti-diagonal levels; it is
-	// meaningful only after a FillAuto/FillAutoCtx call (other fill variants
-	// leave it untouched).
+	// AutoStats reports how FillAutoCtx ran the anti-diagonal levels; it is
+	// meaningful only after a FillAutoCtx call (other fill variants leave it
+	// untouched).
 	AutoStats AutoStats
 
 	// Mode records which enumerator built Configs.
@@ -706,7 +708,19 @@ const fillHuge = int32(1) << 30
 // the mixed-radix lattice: the final values are the (unique) shortest
 // distances of the recurrence, so the table is bit-identical to the
 // entry-ordered sweep — but no entry ever pays a fits check or an index
-// decode, and the passes are pure strided array traffic.
+// decode.
+//
+// The pass is run-length encoded. Let j1 be c's last non-zero class: every
+// later class spans its full range 0..n_j, and class j1 spans
+// 0..n_j1-c_j1, so for each point of an odometer over classes 0..j1-1 the
+// pass is one contiguous run of (n_j1-c_j1+1)*Stride[j1] entries. Stepping
+// class j1-1 moves a run by Stride[j1-1], so the runs of one odometer point
+// over classes 0..j1-2 are evenly spaced and relaxRuns relaxes them in one
+// call: the odometer steps once per such row of runs instead of once per
+// relaxation. Runs are visited in the same ascending order as the per-entry
+// walk, so every table is bit-identical to it. A cancelable ctx is polled
+// every fillCheckEvery relaxations: a row or run longer than the remaining
+// budget is split where the budget runs out.
 func (t *Table) fillConfigOuter(ctx context.Context) error {
 	opt := t.Opt
 	for i := range opt {
@@ -715,66 +729,62 @@ func (t *Table) fillConfigOuter(ctx context.Context) error {
 	opt[0] = 0
 	s := t.set
 	d := s.D
-	w := make([]int32, d)   // odometer over the sub-lattice, w = v - c
-	lim := make([]int32, d) // per-dimension odometer limits, Counts[j] - c_j
+	w := make([]int32, d)   // odometer over classes 0..j1-2, w = v - c
+	lim := make([]int32, d) // per-class odometer limits, Counts[j] - c_j
 	done := ctxDone(ctx)
 	budget := int64(fillCheckEvery)
 	var relaxed int64
 	for ci := 0; ci < s.N; ci++ {
 		row := s.Counts[ci*d : ci*d+d]
-		for j, c := range row {
-			lim[j] = int32(t.Counts[j]) - c
+		j1 := d - 1
+		for j1 > 0 && row[j1] == 0 {
+			j1--
+		}
+		for j := 0; j < j1; j++ {
+			lim[j] = int32(t.Counts[j]) - row[j]
 			w[j] = 0
 		}
 		off := s.Offsets[ci]
-		idx := off
-		if done == nil {
-			// Uninterruptible hot path: identical to the instrumented loop
-			// below minus the amortized countdown, so callers without a
-			// cancelable context pay nothing for the plumbing.
-			for {
-				if o := opt[idx-off] + 1; o < opt[idx] {
-					opt[idx] = o
-				}
-				j := d - 1
-				for ; j >= 0; j-- {
-					if w[j] < lim[j] {
-						w[j]++
-						idx += t.Stride[j]
-						break
-					}
-					idx -= int64(w[j]) * t.Stride[j]
-					w[j] = 0
-				}
-				if j < 0 {
-					break
-				}
-			}
-			continue
+		runLen := int64(int32(t.Counts[j1])-row[j1]+1) * t.Stride[j1]
+		runs, gap := int64(1), int64(0)
+		if j1 > 0 {
+			runs, gap = int64(lim[j1-1])+1, t.Stride[j1-1]
 		}
+		base := off
 		for {
-			if o := opt[idx-off] + 1; o < opt[idx] {
-				opt[idx] = o
-			}
-			if budget--; budget <= 0 {
-				select {
-				case <-done:
-					err := cancel.From(ctx)
-					err.EntriesFilled = relaxed
-					return err
-				default:
+			if work := runs * runLen; done == nil || work < budget {
+				relaxRuns(opt, base, off, runLen, gap, runs)
+				relaxed += work
+				budget -= work
+			} else {
+				for r := int64(0); r < runs; r++ {
+					lo := base + r*gap
+					for hi := lo + runLen; lo < hi; {
+						n := min(hi-lo, budget)
+						relaxRuns(opt, lo, off, n, 0, 1)
+						lo += n
+						relaxed += n
+						if budget -= n; budget <= 0 {
+							select {
+							case <-done:
+								err := cancel.From(ctx)
+								err.EntriesFilled = relaxed
+								return err
+							default:
+							}
+							budget = fillCheckEvery
+						}
+					}
 				}
-				relaxed += fillCheckEvery
-				budget = fillCheckEvery
 			}
-			j := d - 1
+			j := j1 - 2
 			for ; j >= 0; j-- {
 				if w[j] < lim[j] {
 					w[j]++
-					idx += t.Stride[j]
+					base += t.Stride[j]
 					break
 				}
-				idx -= int64(w[j]) * t.Stride[j]
+				base -= int64(w[j]) * t.Stride[j]
 				w[j] = 0
 			}
 			if j < 0 {
@@ -784,6 +794,31 @@ func (t *Table) fillConfigOuter(ctx context.Context) error {
 	}
 	t.filled = true
 	return nil
+}
+
+// relaxRuns is the config-outer kernel: for each of runs runs of runLen
+// entries, starting at lo and gap apart, it relaxes
+// Opt[i] = min(Opt[i], Opt[i-off]+1) in ascending i. The source run may
+// overlap its destination (off < runLen); the ascending order is what lets
+// repeated uses of the configuration chain within one run.
+//
+//lint:hotpath the config-outer relaxation, one call per row of runs of the fill
+func relaxRuns(opt []int32, lo, off, runLen, gap, runs int64) {
+	for ; runs > 0; runs-- {
+		hi := lo + runLen
+		if off < 0 || lo < off || hi < lo || hi > int64(len(opt)) {
+			return // never taken: the fill keeps every run and its source inside Opt
+		}
+		dst := opt[lo:hi]
+		src := opt[lo-off : hi-off]
+		if len(src) != len(dst) {
+			return // never taken: both runs hold hi-lo entries
+		}
+		for i, o := range src {
+			dst[i] = min(dst[i], o+1)
+		}
+		lo += gap
+	}
 }
 
 // FillRecursive computes the table top-down with memoization, starting from

@@ -1,9 +1,9 @@
 package dp_test
 
-// External differential suite: proves FillAuto (and the barrier-pool path
-// under it) bit-identical to FillSequential on rounded instances from all
-// six workload families of the paper's evaluation. It lives outside package
-// dp because deriving the rounded (sizes, counts, T) triples uses
+// External differential suite: proves the production fill FillAutoCtx
+// bit-identical to FillSequential on rounded instances from all six
+// workload families of the paper's evaluation. It lives outside package dp
+// because deriving the rounded (sizes, counts, T) triples uses
 // internal/core, which imports dp.
 
 import (
@@ -18,10 +18,6 @@ import (
 func TestFillAutoBitIdenticalAcrossWorkloadFamilies(t *testing.T) {
 	bp := par.NewBarrierPool(4)
 	defer bp.Close()
-	// Forced calibration: exercise the inline, fused and wide barrier arms
-	// regardless of the host's core count.
-	restore := dp.AutoTuneForTest(8, 1, 8, 64)
-	defer restore()
 
 	for _, fam := range workload.Families {
 		fam := fam
@@ -61,21 +57,8 @@ func TestFillAutoBitIdenticalAcrossWorkloadFamilies(t *testing.T) {
 					t.Fatalf("family %v: Opt[%d] = %d, want %d", fam, i, auto.Opt[i], ref.Opt[i])
 				}
 			}
-			s := auto.AutoStats
-			if s.LevelsInline+s.LevelsFused+s.LevelsParallel != auto.NPrime {
-				t.Fatalf("family %v: AutoStats %+v does not sum to NPrime=%d", fam, s, auto.NPrime)
-			}
-			// If any level is wide enough for the forced calibration, the
-			// fill must actually have dispatched to the barrier pool.
-			wide := false
-			for _, q := range dp.LevelSizes(counts) {
-				if q >= 8 {
-					wide = true
-				}
-			}
-			if wide && s.LevelsFused+s.LevelsParallel == 0 {
-				t.Fatalf("family %v: forced calibration never dispatched (stats %+v, sigma=%d)",
-					fam, s, auto.Sigma)
+			if s := auto.AutoStats; s.LevelsInline != auto.NPrime || s.LevelsFused+s.LevelsParallel != 0 {
+				t.Fatalf("family %v: AutoStats %+v, want all %d levels inline", fam, s, auto.NPrime)
 			}
 		})
 	}

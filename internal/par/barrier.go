@@ -1,10 +1,10 @@
 package par
 
-// The barrier pool is the low-overhead dispatch substrate behind the DP's
-// adaptive fill (dp.FillAuto): a level-synchronous computation runs thousands
-// of tiny parallel-for rounds, and the per-round cost of Pool — a WaitGroup
-// Add/Wait pair, a mutex-serialized channel send per worker and a scheduler
-// wakeup per worker — dominates the actual work on paper-scale tables (see
+// The barrier pool is a low-overhead dispatch substrate for level-synchronous
+// computations such as the paper's DP fill: they run thousands of tiny
+// parallel-for rounds, and the per-round cost of Pool — a WaitGroup Add/Wait
+// pair, a mutex-serialized channel send per worker and a scheduler wakeup
+// per worker — dominates the actual work on paper-scale tables (see
 // BenchmarkDispatchOverhead). BarrierPool removes that round-trip:
 //
 //   - Workers stay resident and synchronize on a sense-reversing barrier: the
@@ -124,6 +124,10 @@ type BarrierPool struct {
 	// ctxPads are the per-worker cancellation countdowns of the Ctx
 	// variants, allocated once (rounds are sequential, so reuse is safe).
 	ctxPads []pad
+
+	// residents counts the resident goroutines still running; Close waits
+	// for it to drain.
+	residents sync.WaitGroup
 }
 
 // NewBarrierPool starts workers-1 resident goroutines (GOMAXPROCS if
@@ -146,6 +150,7 @@ func NewBarrierPool(workers int) *BarrierPool {
 	b.cursors[1] = make([]cursorPad, workers)
 	for w := 1; w < workers; w++ {
 		b.wake[w] = make(chan struct{}, 1)
+		b.residents.Add(1)
 		go b.resident(w)
 	}
 	return b
@@ -154,23 +159,25 @@ func NewBarrierPool(workers int) *BarrierPool {
 // Workers reports the pool size (including the participating caller).
 func (b *BarrierPool) Workers() int { return b.workers }
 
-// Close releases the resident workers. It is idempotent and safe to call
-// concurrently with itself and with an in-flight round: a dispatched round
-// drains normally (workers check for new rounds before the closed flag), a
-// round dispatched after Close panics with "For on closed BarrierPool".
+// Close releases the resident workers and returns once they have exited.
+// It is idempotent and safe to call concurrently with itself and with an
+// in-flight round: a dispatched round drains normally (workers check for
+// new rounds before the closed flag), a round dispatched after Close panics
+// with "For on closed BarrierPool". It must not be called from inside a
+// round's body, whose resident would then wait for itself.
 func (b *BarrierPool) Close() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	b.closedA.Store(true)
-	for w := 1; w < b.workers; w++ {
-		if b.parked[w].Swap(false) {
-			b.wake[w] <- struct{}{}
+	if !b.closed {
+		b.closed = true
+		b.closedA.Store(true)
+		for w := 1; w < b.workers; w++ {
+			if b.parked[w].Swap(false) {
+				b.wake[w] <- struct{}{}
+			}
 		}
 	}
+	b.mu.Unlock()
+	b.residents.Wait()
 }
 
 // staticLo returns the start of participant w's static range over [0, n).
@@ -182,6 +189,7 @@ func staticLo(w, parts, n int) int64 {
 // to change, participate if inside the round's participant set, hand the
 // caller its completion token when last to arrive, exit on Close.
 func (b *BarrierPool) resident(w int) {
+	defer b.residents.Done()
 	var last uint64
 	for {
 		r := b.round.Load()

@@ -47,6 +47,12 @@ go run ./cmd/schedlint -suppressions ./...
 
 go test -shuffle=on -timeout 10m ./...
 
+# The benchmark (cmd/schedperf) is its own module, wired to this tree by a
+# replace directive, so the root `go test ./...` never builds it. Its smoke
+# test runs every workload briefly; a library change that breaks the
+# benchmark's build or its output checks fails here.
+go -C cmd/schedperf test -timeout 5m ./...
+
 # Fuzz smoke over both instance parsers: five seconds of random streams each
 # against the accept->validate->round-trip invariants of pcmax.FuzzReadText
 # and pcmax.FuzzReadJSON (the corpora include near-MaxInt64 values, so the

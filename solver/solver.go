@@ -107,8 +107,10 @@ type PTASOptions struct {
 	// small additive slack; see ALGORITHM.md §2). The paper evaluates 0.3.
 	Epsilon float64
 	// Workers is the number of parallel DP workers. 1 runs the sequential
-	// PTAS; values below 1 select GOMAXPROCS. The parallel and sequential
-	// variants produce identical schedules.
+	// PTAS; values below 1 select GOMAXPROCS. With AdaptiveFill set and
+	// PaperFaithful unset (the defaults) every fill runs on one goroutine
+	// whatever Workers is. The parallel and sequential variants produce
+	// identical schedules.
 	Workers int
 	// ShortJobsLS switches the short-job placement from the paper's LPT
 	// rule to the original Hochbaum–Shmoys LS rule.
@@ -131,13 +133,14 @@ type PTASOptions struct {
 	// beyond the paper; it preserves the (1+eps) guarantee. When set,
 	// Workers is ignored for the fill.
 	SpeculativeProbes int
-	// AdaptiveFill routes parallel fills through the adaptive path: tables
-	// too small to amortize any coordination run sequentially even with
-	// Workers > 1, and larger tables run dp.FillAutoCtx on a persistent
-	// barrier pool — narrow levels inline on the caller, runs of mid-width
-	// levels fused into one dispatch, only wide levels fanned out.
-	// PTASStats.Auto reports the routing. DefaultPTASOptions enables it;
-	// disable (or set PaperFaithful) for paper-faithful per-level timing.
+	// AdaptiveFill makes solves with Workers > 1 run dp.FillAutoCtx, the
+	// production fill: the one-thread config-outer run-length sweep on every
+	// table, which beat the 2-worker level-parallel fills on every probe
+	// table measured on a 2-core host. PTASStats.Auto reports the levels
+	// filled. With PaperFaithful set it only lets tables too small to
+	// amortize per-level barriers skip the paper's parallel fill.
+	// DefaultPTASOptions enables it; disable (or set PaperFaithful) for
+	// paper-faithful per-level timing.
 	AdaptiveFill bool
 	// TimeLimit aborts the solve when exceeded.
 	//
@@ -188,10 +191,11 @@ type PTASStats struct {
 
 	TotalEntriesFilled int64
 	FillTime           time.Duration
-	// Auto reports, across all bisection probes, how the adaptive fill
-	// routed DP anti-diagonal levels: inline on the caller, fused into
-	// batched dispatches, or fanned out as dedicated parallel rounds.
-	// All-zero unless AdaptiveFill ran the barrier-pool path.
+	// Auto reports, across all bisection probes, how the production fill
+	// ran the DP anti-diagonal levels: all inline on the caller, so
+	// LevelsFused and LevelsParallel stay zero. All-zero unless
+	// AdaptiveFill ran the production fill (Workers > 1, not
+	// PaperFaithful).
 	Auto dp.AutoStats
 	// UsedLPTFallback reports that plain LPT beat the PTAS construction and
 	// its (never worse) schedule was returned.
@@ -223,8 +227,8 @@ type PTASStats struct {
 	SparseFallback bool
 }
 
-// PTAS runs the (1+eps)-approximation scheme, parallel when
-// opts.Workers != 1.
+// PTAS runs the (1+eps)-approximation scheme, with the paper's parallel DP
+// when opts.Workers != 1 and the production fill is off (see AdaptiveFill).
 //
 // When ctx is canceled (or its deadline — or the deprecated TimeLimit shim —
 // expires) mid-solve, PTAS degrades gracefully: it returns plain LPT's
