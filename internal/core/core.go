@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/cancel"
@@ -346,19 +345,30 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 	if err != nil {
 		return nil, nil, err
 	}
+	if in.N() == 0 {
+		return pcmax.NewSchedule(in.M, 0), &Stats{K: k}, nil
+	}
+	return solve(ctx, in, in.SortedIndex(), k, opts)
+}
+
+// solve is Solve on a validated, non-empty instance whose LPT order
+// (in.SortedIndex()) is already known. The order is computed once per
+// instance and shared by the LPT bounds, every probe's split, the
+// unrounding and the short-job pack, and by the faithful re-solve a sparse
+// fallback runs.
+func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Options) (*pcmax.Schedule, *Stats, error) {
 	stats := &Stats{K: k}
 	n, m := in.N(), in.M
-	if n == 0 {
-		return pcmax.NewSchedule(m, 0), stats, nil
-	}
 
 	// Paper Lines 2-3: bounds on the optimal makespan — tightened by an LPT
 	// run ("LPT revisited": inverting LPT's approximation guarantees turns
 	// its makespan W into a lower bound, and W itself is an upper bound that
 	// is never worse than equation (2)). The schedule is kept for the
-	// LPT-fallback comparison and the graceful-degradation path, so the
-	// tightening costs one O(n log n) pass.
-	lptSched := listsched.LPT(in)
+	// LPT-fallback comparison, the graceful-degradation path and an
+	// all-short converged split, whose LPT pack it already is; greedy
+	// assignment over the shared order is listsched.LPT job for job.
+	lptSched := pcmax.NewSchedule(m, n)
+	listsched.AssignGreedy(in, lptSched, order)
 	lptMS := lptSched.Makespan(in)
 	lbT := in.LowerBound()
 	if b := lb.FromLPT(in, lptSched); b > lbT {
@@ -441,7 +451,7 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 		if err := cancel.Check(ctx); err != nil {
 			return nil, nil, false, err
 		}
-		res, err := runAttempt(ctx, in, k, T, opts, pool, auto)
+		res, err := runAttempt(ctx, in, order, k, T, opts, pool, auto)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -467,7 +477,7 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 		finalTable *dp.Table
 	)
 	if opts.SpeculativeProbes > 1 {
-		sp, tbl, T, err := speculativeBisection(ctx, in, k, lbT, ubT, opts, stats)
+		sp, tbl, T, err := speculativeBisection(ctx, in, order, k, lbT, ubT, opts, stats)
 		if err != nil {
 			return degrade(err)
 		}
@@ -508,20 +518,20 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 				// when no probe ever succeeded and T is the initial upper
 				// bracket). Over-pruning is a detected condition, not an
 				// invariant violation: re-solve faithfully.
-				return sparseFaithfulFallback(ctx, in, opts, stats)
+				return sparseFaithfulFallback(ctx, in, order, k, opts, stats)
 			}
 			return nil, nil, fmt.Errorf("%w: converged T=%d is infeasible", ErrInternal, T)
 		}
 		finalSplit, finalTable = sp, tbl
 	}
-	stats.LongJobs = finalSplit.longJobs()
-	stats.ShortJobs = len(finalSplit.short)
+	stats.LongJobs = finalSplit.nLong
+	stats.ShortJobs = n - finalSplit.nLong
 	stats.RoundingUnit = finalSplit.u
 	stats.SizeClasses = len(finalSplit.sizes)
 
 	// Paper Lines 31-40: reconstruct the long-job schedule and replace the
 	// rounded jobs with the original ones.
-	sched := pcmax.NewSchedule(m, n)
+	var sched *pcmax.Schedule
 	if finalTable != nil {
 		stats.TableEntries = finalTable.Sigma
 		stats.Configs = len(finalTable.Configs)
@@ -533,10 +543,8 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 			return nil, nil, fmt.Errorf("%w: reconstruction used %d machines for m=%d", ErrInternal, len(machines), m)
 		}
 		stats.MachinesUsed = len(machines)
-		remaining := make([][]int, len(finalSplit.buckets))
-		for c := range remaining {
-			remaining[c] = finalSplit.buckets[c]
-		}
+		sched = pcmax.NewSchedule(m, n)
+		remaining := finalSplit.buckets(in)
 		for r, cfg := range machines {
 			for c, cnt := range cfg {
 				for x := int32(0); x < cnt; x++ {
@@ -556,12 +564,17 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 		}
 	}
 
-	// Paper Lines 41-51: extend the schedule with the short jobs.
-	order := append([]int(nil), finalSplit.short...)
-	if opts.ShortRule == ShortLPT {
-		sortJobsDesc(in, order)
+	// Paper Lines 41-51: extend the schedule with the short jobs. With no
+	// long job and the LPT rule, that packs the whole order onto empty
+	// machines: the LPT schedule the bounds already built.
+	if sched == nil && opts.ShortRule == ShortLPT {
+		sched = lptSched
+	} else {
+		if sched == nil {
+			sched = pcmax.NewSchedule(m, n)
+		}
+		listsched.AssignGreedy(in, sched, finalSplit.short(in, opts.ShortRule))
 	}
-	listsched.AssignGreedy(in, sched, order)
 
 	if err := sched.Validate(in); err != nil {
 		return nil, nil, fmt.Errorf("%w: produced invalid schedule: %v", ErrInternal, err)
@@ -570,11 +583,9 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 	// Optionally return the better of the construction and plain LPT.
 	// Deterministic (strict improvement only), guarantee-preserving in both
 	// directions.
-	if opts.LPTFallback {
-		if lptMS < sched.Makespan(in) {
-			sched = lptSched
-			stats.UsedLPTFallback = true
-		}
+	if opts.LPTFallback && sched != lptSched && lptMS < sched.Makespan(in) {
+		sched = lptSched
+		stats.UsedLPTFallback = true
 	}
 
 	// Sparse mode surrenders per-probe exactness (grouping under-estimates
@@ -585,12 +596,12 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 			stats.ConfigsEnumerated = finalTable.SparseStats.Enumerated
 			stats.ConfigsAfterSparsification = finalTable.SparseStats.Retained
 		}
-		fallback, err := sparseVerify(ctx, in, k, T, sched, opts, stats, pool, auto)
+		fallback, err := sparseVerify(ctx, in, order, k, T, sched, opts, stats, pool, auto)
 		if err != nil {
 			return degrade(err)
 		}
 		if fallback {
-			return sparseFaithfulFallback(ctx, in, opts, stats)
+			return sparseFaithfulFallback(ctx, in, order, k, opts, stats)
 		}
 	}
 	return sched, stats, nil
@@ -602,10 +613,10 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 // target). The returned stats are the faithful solve's, flagged with
 // SparseFallback and carrying the abandoned sparse attempt's enumeration
 // counts and fill time.
-func sparseFaithfulFallback(ctx context.Context, in *pcmax.Instance, opts Options, stats *Stats) (*pcmax.Schedule, *Stats, error) {
+func sparseFaithfulFallback(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Options, stats *Stats) (*pcmax.Schedule, *Stats, error) {
 	fopts := opts
 	fopts.Sparsify = false
-	fsched, fstats, ferr := Solve(ctx, in, fopts)
+	fsched, fstats, ferr := solve(ctx, in, order, k, fopts)
 	if fstats != nil {
 		fstats.SparseFallback = true
 		fstats.ConfigsEnumerated = stats.ConfigsEnumerated
@@ -635,12 +646,12 @@ func sparseFaithfulFallback(ctx context.Context, in *pcmax.Instance, opts Option
 //
 // Returns whether the caller must fall back to a faithful re-solve. Only
 // cancellation-grade errors are returned.
-func sparseVerify(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, sched *pcmax.Schedule, opts Options, stats *Stats, pool *par.Pool, auto bool) (fallback bool, err error) {
+func sparseVerify(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, sched *pcmax.Schedule, opts Options, stats *Stats, pool *par.Pool, auto bool) (fallback bool, err error) {
 	certified := T <= stats.LB0
 	if !certified {
 		fopts := opts
 		fopts.Sparsify = false
-		res, aerr := runAttempt(ctx, in, k, T-1, fopts, pool, auto)
+		res, aerr := runAttempt(ctx, in, order, k, T-1, fopts, pool, auto)
 		switch {
 		case errors.Is(aerr, dp.ErrTableTooLarge):
 			// Faithful verification doesn't fit; keep the sparse result,
@@ -663,16 +674,4 @@ func sparseVerify(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, 
 		return true, nil
 	}
 	return false, nil
-}
-
-// sortJobsDesc orders job indices by non-increasing processing time, ties by
-// index (stable and deterministic).
-func sortJobsDesc(in *pcmax.Instance, order []int) {
-	sort.SliceStable(order, func(a, b int) bool {
-		ta, tb := in.Times[order[a]], in.Times[order[b]]
-		if ta != tb {
-			return ta > tb
-		}
-		return order[a] < order[b]
-	})
 }

@@ -376,16 +376,17 @@ func TestSplitInvariantsProperty(t *testing.T) {
 			times[j] = pcmax.Time(1 + src.Int64n(int64(T))) // every job <= T
 		}
 		in := &pcmax.Instance{M: 3, Times: times}
-		sp, err := newSplit(in, k, T)
+		sp, err := newSplit(in, in.SortedIndex(), k, T)
 		if err != nil {
 			return false
 		}
+		short, buckets := sp.order[sp.nLong:], sp.buckets(in)
 		// Partition is exact.
-		total := len(sp.short)
-		for _, b := range sp.buckets {
+		total := len(short)
+		for _, b := range buckets {
 			total += len(b)
 		}
-		if total != n {
+		if total != n || len(sp.order) != n {
 			return false
 		}
 		// Short jobs satisfy t < k*u (the integer-robust threshold; see
@@ -396,12 +397,12 @@ func TestSplitInvariantsProperty(t *testing.T) {
 			return false
 		}
 		threshold := pcmax.Time(k) * u
-		for _, j := range sp.short {
+		for _, j := range short {
 			if in.Times[j] >= threshold {
 				return false
 			}
 		}
-		for c, b := range sp.buckets {
+		for c, b := range buckets {
 			size := sp.sizes[c]
 			// Classes sit on the grid within [k*u, k^2*u]: exactly the
 			// invariant the (1+1/k)T long-load bound needs.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/pcmax"
@@ -30,53 +32,63 @@ import (
 //     k*u - 1 <= T/k + k long, which keeps the short-job LPT argument intact
 //     up to the same +k additive slop (absorbed by the driver's LPT
 //     fallback; see core.Solve).
+//
+// Every probe of a solve splits the same job order: the instance's jobs by
+// non-increasing time, ties by index (pcmax.Instance.SortedIndex, the LPT
+// order), sorted once per solve. The long jobs are then the prefix
+// order[:nLong], each rounding class is a run inside it (classes descend
+// along the order, so class runs sit back to back), and the short jobs are
+// the suffix order[nLong:], already in the LPT rule's order. A split costs a
+// binary search per class boundary, not a pass over the jobs; the unrounding
+// buckets are built once, at the converged target (see buckets).
 type split struct {
 	k int
 	T pcmax.Time
 	u pcmax.Time // rounding unit ceil(T/k^2)
 
-	short []int // indices of short jobs, in input order
+	order []int // every job in LPT order, shared read-only by all probes
+	nLong int   // order[:nLong] are the long jobs
 
-	// Per distinct rounded size, ascending by size:
-	sizes   []pcmax.Time // rounded size i*u
-	counts  []int        // n_i
-	buckets [][]int      // original long-job indices of the class
+	// Per distinct rounded size, ascending by size. Size c's jobs are the run
+	// of order that ends where the runs of the smaller sizes begin:
+	// order[nLong-cum(c)-counts[c] : nLong-cum(c)], cum(c) summing counts[:c].
+	sizes  []pcmax.Time // rounded size i*u (the group floor after group)
+	counts []int        // n_i
 }
 
-// newSplit partitions and rounds the instance's jobs for target T.
-func newSplit(in *pcmax.Instance, k int, T pcmax.Time) (*split, error) {
+// newSplit partitions and rounds the instance's jobs for target T; order
+// must be in.SortedIndex().
+func newSplit(in *pcmax.Instance, order []int, k int, T pcmax.Time) (*split, error) {
 	k2 := pcmax.Time(k) * pcmax.Time(k)
 	sp := &split{
-		k: k,
-		T: T,
-		u: (T + k2 - 1) / k2,
+		k:     k,
+		T:     T,
+		u:     (T + k2 - 1) / k2,
+		order: order,
 	}
+	times := in.Times
 	threshold := pcmax.Time(k) * sp.u
-	byClass := make(map[pcmax.Time][]int)
-	for j, t := range in.Times {
-		if t < threshold {
-			sp.short = append(sp.short, j)
-			continue
-		}
-		if t > T {
-			return nil, fmt.Errorf("core: internal error: job %d (t=%d) exceeds target T=%d", j, t, T)
-		}
-		i := t / sp.u
+	sp.nLong = sort.Search(len(order), func(x int) bool { return times[order[x]] < threshold })
+	if sp.nLong == 0 {
+		return sp, nil
+	}
+	if j := order[0]; times[j] > T {
+		return nil, fmt.Errorf("core: internal error: job %d (t=%d) exceeds target T=%d", j, times[j], T)
+	}
+	// Walk the class runs from the smallest long job up: the run of class i
+	// starts at the first position whose time is below (i+1)*u.
+	for end := sp.nLong; end > 0; {
+		j := order[end-1]
+		i := times[j] / sp.u
 		if i < pcmax.Time(k) || i > k2 {
 			return nil, fmt.Errorf("core: internal error: job %d (t=%d) rounds to class %d outside [%d,%d] at T=%d u=%d",
-				j, t, i, k, k2, T, sp.u)
+				j, times[j], i, k, k2, T, sp.u)
 		}
-		byClass[i] = append(byClass[i], j)
-	}
-	classes := make([]pcmax.Time, 0, len(byClass))
-	for i := range byClass {
-		classes = append(classes, i)
-	}
-	sort.Slice(classes, func(a, b int) bool { return classes[a] < classes[b] })
-	for _, i := range classes {
+		next := (i + 1) * sp.u
+		start := sort.Search(end, func(x int) bool { return times[order[x]] < next })
 		sp.sizes = append(sp.sizes, i*sp.u)
-		sp.counts = append(sp.counts, len(byClass[i]))
-		sp.buckets = append(sp.buckets, byClass[i])
+		sp.counts = append(sp.counts, end-start)
+		end = start
 	}
 	return sp, nil
 }
@@ -85,7 +97,8 @@ func newSplit(in *pcmax.Instance, k int, T pcmax.Time) (*split, error) {
 // distinct rounded sizes and per-class counts the DP table would be built
 // over at target makespan T with k = ceil(1/eps). Benchmark harnesses
 // (bench_test.go, cmd/schedbench) use it to isolate the DP fill a solve
-// performs at its converged target.
+// performs at its converged target. Each call sorts the instance (Solve
+// sorts once and splits every probe over that order).
 func RoundedClasses(in *pcmax.Instance, k int, T pcmax.Time) (sizes []pcmax.Time, counts []int, err error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
@@ -93,7 +106,7 @@ func RoundedClasses(in *pcmax.Instance, k int, T pcmax.Time) (sizes []pcmax.Time
 	if k < 1 {
 		return nil, nil, fmt.Errorf("core: k=%d < 1", k)
 	}
-	sp, err := newSplit(in, k, T)
+	sp, err := newSplit(in, in.SortedIndex(), k, T)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,7 +124,7 @@ func SparseRoundedClasses(in *pcmax.Instance, k int, T pcmax.Time, delta float64
 	if k < 1 {
 		return nil, nil, fmt.Errorf("core: k=%d < 1", k)
 	}
-	sp, err := newSplit(in, k, T)
+	sp, err := newSplit(in, in.SortedIndex(), k, T)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -128,40 +141,67 @@ func SparseRoundedClasses(in *pcmax.Instance, k int, T pcmax.Time, delta float64
 // given T; the under-estimation is bounded by delta per job and is enforced
 // a posteriori by the driver's quality gate (core.Solve certifies the
 // converged target and measures the construction before returning it).
-// Merged classes pool their unrounding buckets, so reconstruction is
-// unchanged. delta <= 0 is a no-op.
+// Merged classes are adjacent runs of the order, so a group is one run and
+// reconstruction is unchanged (see buckets). delta <= 0 is a no-op.
 func (sp *split) group(delta float64) {
 	if delta <= 0 || len(sp.sizes) < 2 {
 		return
 	}
 	var (
-		sizes   []pcmax.Time
-		counts  []int
-		buckets [][]int
+		sizes  []pcmax.Time
+		counts []int
 	)
 	i := 0
 	for i < len(sp.sizes) {
 		base := sp.sizes[i]
 		limit := pcmax.Time(float64(base) * (1 + delta))
 		count := 0
-		var bucket []int
 		for i < len(sp.sizes) && sp.sizes[i] <= limit {
 			count += sp.counts[i]
-			bucket = append(bucket, sp.buckets[i]...)
 			i++
 		}
 		sizes = append(sizes, base)
 		counts = append(counts, count)
-		buckets = append(buckets, bucket)
 	}
-	sp.sizes, sp.counts, sp.buckets = sizes, counts, buckets
+	sp.sizes, sp.counts = sizes, counts
 }
 
-// longJobs returns the number of long jobs.
-func (sp *split) longJobs() int {
-	n := 0
-	for _, c := range sp.counts {
-		n += c
+// buckets returns, per size, the long jobs unrounding assigns to it, in the
+// order it consumes them: input order within a rounding class, and a merged
+// group's classes concatenated in ascending size. Each size's run of the
+// order is copied and sorted by (class, index), which is exactly that order.
+func (sp *split) buckets(in *pcmax.Instance) [][]int {
+	long := make([]int, sp.nLong)
+	out := make([][]int, len(sp.counts))
+	pos, end := 0, sp.nLong
+	for c, cnt := range sp.counts {
+		bucket := long[pos : pos+cnt]
+		copy(bucket, sp.order[end-cnt:end])
+		slices.SortFunc(bucket, func(a, b int) int {
+			if r := cmp.Compare(in.Times[a]/sp.u, in.Times[b]/sp.u); r != 0 {
+				return r
+			}
+			return cmp.Compare(a, b)
+		})
+		out[c] = bucket
+		pos += cnt
+		end -= cnt
 	}
-	return n
+	return out
+}
+
+// short returns the short jobs in the given rule's order: the order's
+// suffix for LPT, a filter of input order for LS.
+func (sp *split) short(in *pcmax.Instance, rule ShortRule) []int {
+	if rule != ShortLS {
+		return sp.order[sp.nLong:]
+	}
+	threshold := pcmax.Time(sp.k) * sp.u
+	short := make([]int, 0, len(sp.order)-sp.nLong)
+	for j, t := range in.Times {
+		if t < threshold {
+			short = append(short, j)
+		}
+	}
+	return short
 }

@@ -57,8 +57,8 @@ type attemptResult struct {
 // calls with a nil pool are safe. The fill honors ctx cooperatively: a
 // mid-fill cancellation surfaces as the structured cancel error within the
 // fills' check granularity.
-func runAttempt(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, opts Options, pool *par.Pool, auto bool) (attemptResult, error) {
-	sp, err := newSplit(in, k, T)
+func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, opts Options, pool *par.Pool, auto bool) (attemptResult, error) {
+	sp, err := newSplit(in, order, k, T)
 	if err != nil {
 		return attemptResult{}, err
 	}
@@ -113,7 +113,7 @@ func runAttempt(ctx context.Context, in *pcmax.Instance, k int, T pcmax.Time, op
 // concurrent probes per round and returns the final split/table at the
 // converged target (which it also returns). The caller re-attempts the
 // converged T itself when the returned split does not match.
-func speculativeBisection(ctx context.Context, in *pcmax.Instance, k int, lbT, ubT pcmax.Time, opts Options, stats *Stats) (*split, *dp.Table, pcmax.Time, error) {
+func speculativeBisection(ctx context.Context, in *pcmax.Instance, order []int, k int, lbT, ubT pcmax.Time, opts Options, stats *Stats) (*split, *dp.Table, pcmax.Time, error) {
 	probes := opts.SpeculativeProbes
 	var (
 		finalSplit *split
@@ -132,7 +132,7 @@ func speculativeBisection(ctx context.Context, in *pcmax.Instance, k int, lbT, u
 		for i, T := range targets {
 			go func(i int, T pcmax.Time) {
 				defer wg.Done()
-				results[i], errs[i] = runAttempt(ctx, in, k, T, opts, nil, false)
+				results[i], errs[i] = runAttempt(ctx, in, order, k, T, opts, nil, false)
 			}(i, T)
 		}
 		wg.Wait()

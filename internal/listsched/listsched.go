@@ -14,64 +14,80 @@ package listsched
 
 import "repro/pcmax"
 
-// machineHeap is a binary min-heap of machines keyed by (load, index).
-type machineHeap struct {
-	load []pcmax.Time
-	idx  []int
+// machine is one heap slot: a machine's load and its index.
+type machine struct {
+	load pcmax.Time
+	idx  int
 }
 
-func newMachineHeap(loads []pcmax.Time) *machineHeap {
-	h := &machineHeap{
-		load: append([]pcmax.Time(nil), loads...),
-		idx:  make([]int, len(loads)),
+// before orders heap slots by (load, index). Indices are distinct, so the
+// order is total and the least-loaded, lowest-index machine is unique.
+func (a machine) before(b machine) bool {
+	if a.load != b.load {
+		return a.load < b.load
 	}
-	for i := range h.idx {
-		h.idx[i] = i
-	}
-	// Heapify: sift down from the last internal node.
-	for i := len(h.idx)/2 - 1; i >= 0; i-- {
-		h.down(i)
+	return a.idx < b.idx
+}
+
+// machineHeap is a binary min-heap of machines keyed by (load, index), one
+// slot per machine in a single slice.
+type machineHeap []machine
+
+// newMachineHeap returns m empty machines in index order. Callers add
+// existing loads with h[i].load += t and then call init.
+func newMachineHeap(m int) machineHeap {
+	h := make(machineHeap, m)
+	for i := range h {
+		h[i].idx = i
 	}
 	return h
 }
 
-func (h *machineHeap) less(a, b int) bool {
-	if h.load[a] != h.load[b] {
-		return h.load[a] < h.load[b]
+// init establishes the heap order: sift down from the last internal node.
+func (h machineHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return h.idx[a] < h.idx[b]
 }
 
-func (h *machineHeap) swap(a, b int) {
-	h.load[a], h.load[b] = h.load[b], h.load[a]
-	h.idx[a], h.idx[b] = h.idx[b], h.idx[a]
-}
-
-func (h *machineHeap) down(i int) {
-	n := len(h.idx)
+// down sifts slot i toward the leaves, moving smaller children up into the
+// hole instead of swapping at every level.
+func (h machineHeap) down(i int) {
+	x := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !h[c].before(x) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = x
 }
 
 // assign places job time t on the least-loaded machine and returns its index.
-func (h *machineHeap) assign(t pcmax.Time) int {
-	mi := h.idx[0]
-	h.load[0] += t
+func (h machineHeap) assign(t pcmax.Time) int {
+	mi := h[0].idx
+	h[0].load += t
 	h.down(0)
 	return mi
+}
+
+// max returns the largest machine load.
+func (h machineHeap) max() pcmax.Time {
+	var ms pcmax.Time
+	for _, s := range h {
+		if s.load > ms {
+			ms = s.load
+		}
+	}
+	return ms
 }
 
 // AssignGreedy appends the jobs listed in order (indices into in.Times) to
@@ -80,7 +96,13 @@ func (h *machineHeap) assign(t pcmax.Time) int {
 // primitive shared by LS, LPT and the PTAS short-job phase (paper Lines
 // 41-51, which extend the long-job schedule).
 func AssignGreedy(in *pcmax.Instance, sched *pcmax.Schedule, order []int) {
-	h := newMachineHeap(sched.Loads(in))
+	h := newMachineHeap(sched.M)
+	for j, mi := range sched.Assignment {
+		if mi >= 0 && mi < sched.M && j < len(in.Times) {
+			h[mi].load += in.Times[j]
+		}
+	}
+	h.init()
 	for _, j := range order {
 		sched.Assignment[j] = h.assign(in.Times[j])
 	}

@@ -1,7 +1,8 @@
 package listsched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/pcmax"
 )
@@ -18,26 +19,47 @@ import (
 // bisection, and when the delta is small it is frequently already within the
 // (1+eps) certificate of the updated lower bound — the caller decides by
 // comparing against its bound (see solver.Session). The returned schedule is
-// always complete and valid; Repair never returns nil. keep must have length
-// in.N(); entries outside [0, M) are treated as -1.
+// always complete and valid; Repair never returns nil. keep normally has
+// length in.N(): entries outside [0, M) are treated as -1, jobs past the end
+// of a shorter keep are placed like added jobs, and entries past in.N() are
+// ignored. keep itself is not modified.
 func Repair(in *pcmax.Instance, keep []int) *pcmax.Schedule {
-	n, m := in.N(), in.M
-	sched := pcmax.NewSchedule(m, n)
-	var loose []int
-	for j := 0; j < n; j++ {
-		if j < len(keep) && keep[j] >= 0 && keep[j] < m {
-			sched.Assignment[j] = keep[j]
+	sched := pcmax.NewSchedule(in.M, in.N())
+	copy(sched.Assignment, keep)
+	RepairInPlace(in, sched.Assignment)
+	return sched
+}
+
+// RepairInPlace is Repair on an assignment the caller owns: assign holds one
+// entry per job of in, entries in [0, M) stay, and every other job is placed
+// by the same LPT-ordered greedy pass, its entry overwritten with the machine
+// it lands on. It returns the repaired makespan (the largest machine load),
+// so the caller needs no rescan, and allocates only the machine heap and the
+// list of unplaced jobs. Unlike Repair, assign must hold exactly in.N()
+// entries.
+func RepairInPlace(in *pcmax.Instance, assign []int) pcmax.Time {
+	h := newMachineHeap(in.M)
+	var buf [8]int
+	loose := buf[:0]
+	for j, mi := range assign {
+		if mi >= 0 && mi < in.M {
+			h[mi].load += in.Times[j]
 		} else {
 			loose = append(loose, j)
 		}
 	}
-	sort.SliceStable(loose, func(a, b int) bool {
-		ta, tb := in.Times[loose[a]], in.Times[loose[b]]
-		if ta != tb {
-			return ta > tb
+	if len(loose) == 0 {
+		return h.max()
+	}
+	slices.SortFunc(loose, func(a, b int) int {
+		if c := cmp.Compare(in.Times[b], in.Times[a]); c != 0 {
+			return c
 		}
-		return loose[a] < loose[b]
+		return cmp.Compare(a, b)
 	})
-	AssignGreedy(in, sched, loose)
-	return sched
+	h.init()
+	for _, j := range loose {
+		assign[j] = h.assign(in.Times[j])
+	}
+	return h.max()
 }

@@ -3,6 +3,7 @@ package listsched
 import (
 	"testing"
 
+	"repro/internal/rng"
 	"repro/pcmax"
 )
 
@@ -72,5 +73,44 @@ func TestRepairEmptyInstance(t *testing.T) {
 	sched := Repair(in, nil)
 	if got := len(sched.Assignment); got != 0 {
 		t.Fatalf("empty repair produced %d assignments", got)
+	}
+}
+
+// TestRepairInPlaceMatchesRepair checks the in-place form against Repair on
+// random instances and keep-maps (kept, loose and out-of-range entries): a
+// complete, valid schedule that keeps every in-range entry, the same
+// assignment written into the caller's slice, and a returned makespan equal
+// to the repaired schedule's.
+func TestRepairInPlaceMatchesRepair(t *testing.T) {
+	src := rng.New(77)
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + src.Intn(8)
+		n := src.Intn(40)
+		times := make([]pcmax.Time, n)
+		keep := make([]int, n)
+		for j := range times {
+			times[j] = pcmax.Time(1 + src.Int64n(50))
+			keep[j] = src.Intn(m+3) - 2 // -2..m: loose, kept, or out of range
+		}
+		in := &pcmax.Instance{M: m, Times: times}
+		want := Repair(in, keep)
+		if err := want.Validate(in); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for j, mi := range keep {
+			if mi >= 0 && mi < m && want.Assignment[j] != mi {
+				t.Fatalf("trial %d: kept job %d moved from %d to %d", trial, j, mi, want.Assignment[j])
+			}
+		}
+		assign := append([]int(nil), keep...)
+		ms := RepairInPlace(in, assign)
+		for j := range assign {
+			if assign[j] != want.Assignment[j] {
+				t.Fatalf("trial %d job %d: in place -> %d, Repair -> %d", trial, j, assign[j], want.Assignment[j])
+			}
+		}
+		if got := want.Makespan(in); ms != got {
+			t.Fatalf("trial %d: RepairInPlace makespan %d, schedule's %d", trial, ms, got)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package pcmax
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -131,6 +133,49 @@ func FuzzReadJSON(f *testing.F) {
 		}
 		if got, want := back.Variant(), in.Variant(); got != want {
 			t.Fatalf("variant changed across round trip: %v -> %v", want, got)
+		}
+	})
+}
+
+// FuzzSortedIndex checks SortedIndex's radix sort against the comparison
+// sort it must reproduce (sortedIndexOracle) on arbitrary job times. The
+// first byte picks how many low bits of each value to keep, so narrow ranges
+// full of ties and full-width values (negative ones included: SortedIndex
+// needs no validated instance) both occur; each following 8 bytes are one
+// value, little-endian.
+func FuzzSortedIndex(f *testing.F) {
+	word := func(vs ...uint64) []byte {
+		out := []byte{64}
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, v)
+		}
+		return out
+	}
+	f.Add([]byte{})
+	f.Add(word(5))
+	f.Add(word(3, 9, 1, 9, 5))
+	f.Add(word(4, 4, 4, 4))
+	f.Add(word(1, uint64(MaxTimeValue), 1, uint64(MaxTimeValue)-1))
+	f.Add(word(1, 1+1<<16, 1+2<<16, 1))
+	f.Add(word(1<<63, 1<<63-1, 0, 1<<63, 1))
+	f.Add(append([]byte{4}, word(17, 33, 2, 250, 18, 1, 16)[1:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		keep := uint(data[0] % 65)
+		data = data[1:]
+		times := make([]Time, len(data)/8)
+		for i := range times {
+			v := binary.LittleEndian.Uint64(data[8*i:])
+			if keep < 64 {
+				v &= 1<<keep - 1
+			}
+			times[i] = Time(v)
+		}
+		in := &Instance{M: 1, Times: times}
+		if got, want := in.SortedIndex(), sortedIndexOracle(times); !slices.Equal(got, want) {
+			t.Fatalf("SortedIndex(%v) = %v, want %v", times, got, want)
 		}
 	})
 }

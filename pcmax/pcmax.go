@@ -10,7 +10,6 @@ package pcmax
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Time is the unit of processing time. The model follows the paper and
@@ -140,12 +139,23 @@ func (in *Instance) LowerBound() Time {
 	if in.M < 1 {
 		return 0
 	}
-	sum := in.TotalTime()
+	sum, mx := in.sumMax()
 	lb := (sum + Time(in.M) - 1) / Time(in.M)
-	if mx := in.MaxTime(); mx > lb {
+	if mx > lb {
 		lb = mx
 	}
 	return lb
+}
+
+// sumMax returns TotalTime and MaxTime from one pass over the jobs.
+func (in *Instance) sumMax() (sum, max Time) {
+	for _, t := range in.Times {
+		sum += t
+		if t > max {
+			max = t
+		}
+	}
+	return sum, max
 }
 
 // UpperBound returns the paper's equation (2) upper bound on the optimal
@@ -154,8 +164,8 @@ func (in *Instance) UpperBound() Time {
 	if in.M < 1 {
 		return 0
 	}
-	sum := in.TotalTime()
-	return (sum+Time(in.M)-1)/Time(in.M) + in.MaxTime()
+	sum, mx := in.sumMax()
+	return (sum+Time(in.M)-1)/Time(in.M) + mx
 }
 
 // Clone returns a deep copy of the instance, including the optional variant
@@ -180,19 +190,67 @@ func (in *Instance) Clone() *Instance {
 }
 
 // SortedIndex returns job indices ordered by non-increasing processing time,
-// breaking ties by job index for determinism. The instance is not modified.
+// breaking ties by job index for determinism: the LPT order. The PTAS driver
+// computes it once per solve and shares it between the LPT bounds, every
+// bisection probe's long/short split and the short-job pack, so it is a
+// stable LSD radix sort on the key maxT - t rather than a comparison sort:
+// one counting pass per byte of the largest key (a byte every key shares is
+// skipped), O(n) extra words and no comparisons. All-equal times and n <= 1
+// return the identity. The instance is not modified.
 func (in *Instance) SortedIndex() []int {
-	idx := make([]int, len(in.Times))
+	n := len(in.Times)
+	idx := make([]int, n)
 	for j := range idx {
 		idx[j] = j
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ta, tb := in.Times[idx[a]], in.Times[idx[b]]
-		if ta != tb {
-			return ta > tb
+	if n < 2 {
+		return idx
+	}
+	maxT, minT := in.Times[0], in.Times[0]
+	for _, t := range in.Times[1:] {
+		if t > maxT {
+			maxT = t
 		}
-		return idx[a] < idx[b]
-	})
+		if t < minT {
+			minT = t
+		}
+	}
+	// Unsigned differences are exact for any pair of int64 values, so the
+	// keys need no validated instance.
+	span := uint64(maxT) - uint64(minT)
+	if span == 0 {
+		return idx
+	}
+	keys := make([]uint64, n)
+	for j, t := range in.Times {
+		keys[j] = uint64(maxT) - uint64(t)
+	}
+	tmpKeys := make([]uint64, n)
+	tmpIdx := make([]int, n)
+	var count [256]int
+	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
+		clear(count[:])
+		for _, key := range keys {
+			count[byte(key>>shift)]++
+		}
+		if count[byte(keys[0]>>shift)] == n {
+			continue
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for i, key := range keys {
+			d := byte(key >> shift)
+			p := count[d]
+			count[d]++
+			tmpKeys[p] = key
+			tmpIdx[p] = idx[i]
+		}
+		keys, tmpKeys = tmpKeys, keys
+		idx, tmpIdx = tmpIdx, idx
+	}
 	return idx
 }
 

@@ -1,8 +1,10 @@
 package pcmax
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +171,17 @@ func TestSortedIndexDoesNotMutate(t *testing.T) {
 	}
 }
 
+// sortedIndexOracle is the comparison sort SortedIndex's radix sort must
+// reproduce: job indices by non-increasing time, ties by index.
+func sortedIndexOracle(times []Time) []int {
+	idx := make([]int, len(times))
+	for j := range idx {
+		idx[j] = j
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(times[b], times[a]) })
+	return idx
+}
+
 func TestSortedIndexIsPermutationProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		times := make([]Time, len(raw))
@@ -192,9 +205,45 @@ func TestSortedIndexIsPermutationProperty(t *testing.T) {
 			}
 			prev = times[j]
 		}
-		return true
+		return slices.Equal(idx, sortedIndexOracle(times))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+
+	// Equality with the comparison sort on values spanning 1..MaxTimeValue:
+	// keys up to 50 bits take several radix passes. The shift narrows the
+	// range so ties and every pass count in between also occur.
+	wide := func(raw []uint64, shift uint8) bool {
+		times := make([]Time, len(raw))
+		for i, r := range raw {
+			times[i] = 1 + Time((r>>(shift%64))%uint64(MaxTimeValue))
+		}
+		in := &Instance{M: 1, Times: times}
+		return slices.Equal(in.SortedIndex(), sortedIndexOracle(times))
+	}
+	if err := quick.Check(wide, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+
+	fixed := map[string][]Time{
+		"n=0":       {},
+		"n=1":       {7},
+		"all equal": {4, 4, 4, 4, 4},
+		"extremes":  {1, MaxTimeValue, 1, MaxTimeValue, MaxTimeValue - 1, 2},
+		// Keys differing only in their third byte: the passes over the two
+		// shared low bytes are skipped.
+		"shared low bytes": {1, 1 + 1<<16, 1 + 2<<16, 1, 1 + 1<<16},
+	}
+	many := make([]Time, 3000)
+	for j := range many {
+		many[j] = Time(j*7919%613) + 1
+	}
+	fixed["n=3000 with ties"] = many
+	for name, times := range fixed {
+		in := &Instance{M: 1, Times: times}
+		if got, want := in.SortedIndex(), sortedIndexOracle(times); !slices.Equal(got, want) {
+			t.Errorf("%s: SortedIndex = %v, want %v", name, got, want)
+		}
 	}
 }

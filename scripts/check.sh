@@ -61,6 +61,11 @@ go -C cmd/schedperf test -timeout 5m ./...
 go test -timeout 5m -run '^$' -fuzz 'FuzzReadText' -fuzztime 5s ./pcmax
 go test -timeout 5m -run '^$' -fuzz 'FuzzReadJSON' -fuzztime 5s ./pcmax
 
+# Fuzz smoke over the LPT order every solve shares: five seconds of random
+# job times, full-width and narrow, against the comparison sort
+# pcmax.SortedIndex's radix sort must reproduce (pcmax.FuzzSortedIndex).
+go test -timeout 5m -run '^$' -fuzz 'FuzzSortedIndex' -fuzztime 5s ./pcmax
+
 # internal/lint rides along in the race pass: its loader and runner fan out
 # over the worker pool and must stay clean under the detector.
 # internal/trsched joins it: the variant solver shares the configuration

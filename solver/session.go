@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -121,10 +122,10 @@ type SessionCounters struct {
 // order:
 //
 //  1. LPT repair — pull removed jobs, keep every surviving assignment,
-//     place added jobs greedily (listsched.Repair). Accepted outright when
-//     the repaired makespan is within (1+eps) of the updated certified
-//     lower bound: the certificate then proves the (1+eps)·OPT guarantee
-//     with no bisection at all.
+//     place added jobs greedily (listsched.RepairInPlace). Accepted
+//     outright when the repaired makespan is within (1+eps) of the updated
+//     certified lower bound: the certificate then proves the (1+eps)·OPT
+//     guarantee with no bisection at all.
 //  2. Warm-started bisection — core.Solve seeded with
 //     [shifted lower bound, repaired makespan] via core.Options.WarmBracket,
 //     shrinking the probe count to the delta-shifted range; the session
@@ -266,9 +267,10 @@ func (s *Session) SolveDelta(ctx context.Context, add []pcmax.Time, remove []int
 	// Fast path 1: LPT repair. Always built — its makespan is the warm
 	// upper bracket either way — but only *accepted* without a bisection
 	// when the delta is small enough and the certificate holds:
-	// repairMS <= (1+eps)·newLB <= (1+eps)·OPT.
-	repaired := listsched.Repair(next, keep)
-	repairMS := repaired.Makespan(next)
+	// repairMS <= (1+eps)·newLB <= (1+eps)·OPT. keep is this call's own
+	// slice, so the repair fills it in place.
+	repairMS := listsched.RepairInPlace(next, keep)
+	repaired := &pcmax.Schedule{M: next.M, Assignment: keep}
 	st.RepairMakespan = repairMS
 	eps := s.opts.PTAS.Epsilon
 	if s.repairAllowed(len(add)+len(remove), next.N()) &&
@@ -318,33 +320,41 @@ func (s *Session) SolveDelta(ctx context.Context, add []pcmax.Time, remove []int
 // Callers hold s.mu; the session is not modified.
 func (s *Session) applyDelta(add []pcmax.Time, remove []int) (*pcmax.Instance, []int, pcmax.Time, error) {
 	n := s.in.N()
-	drop := make([]bool, n)
 	var removedTotal pcmax.Time
 	for _, j := range remove {
 		if j < 0 || j >= n {
 			return nil, nil, 0, fmt.Errorf("%w: removal index %d out of range [0,%d)", ErrBadDelta, j, n)
 		}
-		if drop[j] {
-			return nil, nil, 0, fmt.Errorf("%w: removal index %d repeated", ErrBadDelta, j)
-		}
-		drop[j] = true
 		removedTotal += s.in.Times[j]
+	}
+	// Removals are few; sorting a copy finds repeats and lets the survivors
+	// be copied run by run.
+	drop := remove
+	if len(drop) > 1 {
+		drop = slices.Clone(remove)
+		slices.Sort(drop)
+	}
+	for i := 1; i < len(drop); i++ {
+		if drop[i] == drop[i-1] {
+			return nil, nil, 0, fmt.Errorf("%w: removal index %d repeated", ErrBadDelta, drop[i])
+		}
 	}
 	for i, t := range add {
 		if t <= 0 {
 			return nil, nil, 0, fmt.Errorf("%w: added job %d has non-positive time %d", ErrBadDelta, i, t)
 		}
 	}
-	times := make([]pcmax.Time, 0, n-len(remove)+len(add))
-	keep := make([]int, 0, n-len(remove)+len(add))
-	for j := 0; j < n; j++ {
-		if drop[j] {
-			continue
-		}
-		times = append(times, s.in.Times[j])
-		keep = append(keep, s.sched.Assignment[j])
+	size := n - len(remove) + len(add)
+	times := make([]pcmax.Time, 0, size)
+	keep := make([]int, 0, size)
+	from := 0
+	for _, j := range drop {
+		times = append(times, s.in.Times[from:j]...)
+		keep = append(keep, s.sched.Assignment[from:j]...)
+		from = j + 1
 	}
-	times = append(times, add...)
+	times = append(append(times, s.in.Times[from:]...), add...)
+	keep = append(keep, s.sched.Assignment[from:]...)
 	for range add {
 		keep = append(keep, -1)
 	}

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -92,7 +93,9 @@ func TestSessionRejectsVariantInstances(t *testing.T) {
 
 func TestSessionBadDeltasLeaveStateUntouched(t *testing.T) {
 	in := sessionInstance(t, workload.U1_100, 5, 30, 2)
-	s, err := NewSession(DefaultSessionOptions())
+	opts := DefaultSessionOptions()
+	opts.RepairFraction = -1 // a delta that gets past validation reaches the warm solve
+	s, err := NewSession(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,29 +106,38 @@ func TestSessionBadDeltasLeaveStateUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	beforeLB := s.LowerBound()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	bad := []struct {
 		name   string
+		ctx    context.Context
 		add    []pcmax.Time
 		remove []int
+		want   error
 	}{
-		{"out of range", nil, []int{30}},
-		{"negative index", nil, []int{-1}},
-		{"repeated index", nil, []int{3, 3}},
-		{"non-positive time", []pcmax.Time{0}, nil},
+		{"out of range", context.Background(), nil, []int{30}, ErrBadDelta},
+		{"negative index", context.Background(), nil, []int{-1}, ErrBadDelta},
+		{"repeated index", context.Background(), nil, []int{3, 3}, ErrBadDelta},
+		{"non-positive time", context.Background(), []pcmax.Time{0}, nil, ErrBadDelta},
+		// These two fail only after the mutated instance was built and its
+		// keep-map repaired in place.
+		{"time over the cap", context.Background(), []pcmax.Time{pcmax.MaxTimeValue + 1}, []int{0}, ErrBadDelta},
+		{"canceled warm solve", canceled, []pcmax.Time{77, 78}, []int{1, 5}, ErrCanceled},
 	}
 	for _, c := range bad {
-		if _, _, err := s.SolveDelta(context.Background(), c.add, c.remove); !errors.Is(err, ErrBadDelta) {
-			t.Fatalf("%s: err = %v, want ErrBadDelta", c.name, err)
+		if _, _, err := s.SolveDelta(c.ctx, c.add, c.remove); !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 	after, afterMS, err := s.Schedule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if afterMS != beforeMS || len(after.Assignment) != len(before.Assignment) {
+	if afterMS != beforeMS || !slices.Equal(after.Assignment, before.Assignment) || s.LowerBound() != beforeLB {
 		t.Fatal("failed delta mutated the session state")
 	}
-	if s.Instance().N() != in.N() {
+	if !slices.Equal(s.Instance().Times, in.Times) {
 		t.Fatal("failed delta mutated the session instance")
 	}
 }
