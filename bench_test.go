@@ -44,8 +44,8 @@ func speedupInstance(b *testing.B, fam workload.Family, m, n int) *pcmax.Instanc
 }
 
 // benchFigure runs the paper's speedup-figure workload (fig 2, 3 or 4):
-// the parallel PTAS per family per core count, the sequential PTAS, and the
-// IP baseline.
+// the paper's parallel PTAS per family per core count, the sequential PTAS
+// (the production fill), and the IP baseline.
 func benchFigure(b *testing.B, m, n int) {
 	for _, fam := range workload.SpeedupFamilies {
 		in := speedupInstance(b, fam, m, n)
@@ -62,7 +62,7 @@ func benchFigure(b *testing.B, m, n int) {
 				defer pool.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: c, Pool: pool}); err != nil {
+					if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: c, Pool: pool, PaperFaithful: true}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -98,7 +98,7 @@ func BenchmarkFig5Ratios(b *testing.B) {
 		}
 		b.Run(ri.ID+"/parPTAS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: 2}); err != nil {
+				if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: 2, PaperFaithful: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -129,22 +129,47 @@ func ablationInstance(b *testing.B) *pcmax.Instance {
 	return speedupInstance(b, workload.Um_2m1, 20, 41)
 }
 
+// ablationTable returns an empty DP table over the ablation instance's
+// rounded long jobs at the target its bisection converges on. The fill
+// ablations time it through dp directly: core.Solve picks its fills with
+// the one Options.PaperFaithful switch.
+func ablationTable(b *testing.B) *dp.Table {
+	b.Helper()
+	in := ablationInstance(b)
+	_, st, err := core.Solve(context.Background(), in, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sizes, counts, err := core.RoundedClasses(in, st.K, st.FinalT)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := dp.New(sizes, counts, st.FinalT, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tbl
+}
+
+// benchFill runs fill b.N times.
+func benchFill(b *testing.B, fill func(context.Context) error) {
+	for i := 0; i < b.N; i++ {
+		if err := fill(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationLevelMode compares the paper-faithful per-level full
 // table scan with the bucketed level index.
 func BenchmarkAblationLevelMode(b *testing.B) {
-	in := ablationInstance(b)
+	tbl := ablationTable(b)
 	for _, mode := range []dp.LevelMode{dp.LevelBuckets, dp.LevelScan} {
 		b.Run(mode.String(), func(b *testing.B) {
 			pool := par.NewPool(4)
 			defer pool.Close()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Solve(context.Background(), in, core.Options{
-					Epsilon: 0.3, Workers: 4, Pool: pool, LevelMode: mode,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchFill(b, func(ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool, mode, par.RoundRobin) })
 		})
 	}
 }
@@ -152,19 +177,15 @@ func BenchmarkAblationLevelMode(b *testing.B) {
 // BenchmarkAblationParFor compares the three level-scheduling strategies
 // (OpenMP static,1 / static / dynamic equivalents).
 func BenchmarkAblationParFor(b *testing.B) {
-	in := ablationInstance(b)
+	tbl := ablationTable(b)
 	for _, strategy := range par.Strategies {
 		b.Run(strategy.String(), func(b *testing.B) {
 			pool := par.NewPool(4)
 			defer pool.Close()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Solve(context.Background(), in, core.Options{
-					Epsilon: 0.3, Workers: 4, Pool: pool, Strategy: strategy,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchFill(b, func(ctx context.Context) error {
+				return tbl.FillParallelCtx(ctx, pool, dp.LevelBuckets, strategy)
+			})
 		})
 	}
 }
@@ -187,34 +208,25 @@ func BenchmarkAblationShortRule(b *testing.B) {
 // BenchmarkAblationSeqFill compares the bottom-up sweep with the
 // paper-faithful memoized recursion (Algorithm 2).
 func BenchmarkAblationSeqFill(b *testing.B) {
-	in := ablationInstance(b)
-	for fill, name := range map[core.SeqFill]string{core.SeqBottomUp: "bottom-up", core.SeqRecursive: "recursive"} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, SeqFill: fill}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	tbl := ablationTable(b)
+	b.Run("bottom-up", func(b *testing.B) { benchFill(b, tbl.FillSequentialCtx) })
+	b.Run("recursive", func(b *testing.B) { benchFill(b, tbl.FillRecursiveCtx) })
 }
 
 // BenchmarkAblationConfigEnum compares the shared filtered configuration
 // list against the paper-faithful per-entry re-enumeration (Algorithm 3
-// Line 17).
+// Line 17), both under the memoized recursion so that only the enumeration
+// differs.
 func BenchmarkAblationConfigEnum(b *testing.B) {
-	in := ablationInstance(b)
+	tbl := ablationTable(b)
 	for _, perEntry := range []bool{false, true} {
 		name := "shared"
 		if perEntry {
 			name = "per-entry"
 		}
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, PerEntryConfigs: perEntry}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			tbl.PerEntryEnum = perEntry
+			benchFill(b, tbl.FillRecursiveCtx)
 		})
 	}
 }
@@ -266,68 +278,13 @@ func BenchmarkDPFillScaling(b *testing.B) {
 						b.Fatal(err)
 					}
 					if workers == 1 {
-						tbl.FillSequential()
+						err = tbl.FillSequentialCtx(context.Background())
 					} else {
-						tbl.FillParallel(pool, dp.LevelBuckets, par.RoundRobin)
+						err = tbl.FillParallelCtx(context.Background(), pool, dp.LevelBuckets, par.RoundRobin)
 					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkDPFillPruned compares the optimized fill path (Jobs-sorted pruned
-// configuration scan, odometer decoding, config-outer sequential sweep)
-// against the seed path (LegacyFill: division decode, full configuration
-// scan) on the rounded tables the Fig. 2-4 workloads actually produce. The
-// differential tests prove both paths fill bit-identical tables, so ns/op is
-// the only difference. `cmd/schedbench dp -json` captures the same grid in
-// BENCH_dp.json.
-func BenchmarkDPFillPruned(b *testing.B) {
-	shapes := []struct {
-		name string
-		m, n int
-		fam  workload.Family
-	}{
-		{"fig2", 20, 100, workload.U1_100},
-		{"fig3", 10, 50, workload.U1_100},
-		{"fig4", 10, 30, workload.U1_10n},
-	}
-	for _, shape := range shapes {
-		in := speedupInstance(b, shape.fam, shape.m, shape.n)
-		_, st, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sizes, counts, err := core.RoundedClasses(in, st.K, st.FinalT)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(sizes) == 0 {
-			continue
-		}
-		tbl, err := dp.New(sizes, counts, st.FinalT, 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, legacy := range []bool{false, true} {
-			path := "optimized"
-			if legacy {
-				path = "legacy"
-			}
-			b.Run(fmt.Sprintf("%s/%v/seq/%s", shape.name, shape.fam, path), func(b *testing.B) {
-				tbl.LegacyFill = legacy
-				for i := 0; i < b.N; i++ {
-					tbl.FillSequential()
-				}
-			})
-			b.Run(fmt.Sprintf("%s/%v/buckets-4/%s", shape.name, shape.fam, path), func(b *testing.B) {
-				pool := par.NewPool(4)
-				defer pool.Close()
-				tbl.LegacyFill = legacy
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tbl.FillParallel(pool, dp.LevelBuckets, par.RoundRobin)
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -436,32 +393,6 @@ func BenchmarkExactTriplets(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationDataflow compares the paper's level-synchronous parallel
-// fill against the barrier-free dataflow fill.
-func BenchmarkAblationDataflow(b *testing.B) {
-	in := ablationInstance(b)
-	b.Run("level-sync", func(b *testing.B) {
-		pool := par.NewPool(4)
-		defer pool.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: 4, Pool: pool}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dataflow", func(b *testing.B) {
-		pool := par.NewPool(4)
-		defer pool.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: 4, Pool: pool, Dataflow: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationMultiFitHeuristic compares the FFD and BFD inner packing

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	psched -algo ptas -eps 0.3 -workers 4 instance.txt
+//	psched -algo ptas -eps 0.3 instance.txt
 //	psched -algo ptas -deadline 100ms instance.txt
 //
 // Algorithms are dispatched through the solver registry with variant
@@ -49,7 +49,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	var (
 		algo     = fs.String("algo", "ptas", "algorithm name from the solver registry, all (comparison table), or auto (pick by instance variant)")
 		eps      = fs.Float64("eps", 0.3, "PTAS relative error")
-		workers  = fs.Int("workers", 0, "PTAS workers (0 = all cores, 1 = sequential)")
 		ratio    = fs.Bool("ratio", false, "also solve exactly and print the actual approximation ratio")
 		gantt    = fs.Bool("gantt", false, "print the per-machine job lists")
 		asJSON   = fs.Bool("json", false, "emit the schedule as JSON instead of text")
@@ -93,7 +92,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	opts := solver.Options{Exact: solver.ExactOptions{TimeLimit: *timeout}}
 	opts.PTAS = solver.DefaultPTASOptions()
 	opts.PTAS.Epsilon = *eps
-	opts.PTAS.Workers = *workers
 	opts.TR = solver.TROptions{Epsilon: *eps}
 
 	if *algo == "all" {

@@ -1,9 +1,8 @@
 // The dp subcommand micro-benchmarks the DP fill path in isolation: for each
 // figure workload it freezes the rounded instance at the PTAS's converged
-// target makespan and times the table fill — optimized (Jobs-sorted pruned
-// scan, odometer decoding, cached level index) against the legacy seed path
-// (full configuration scan, division decoding), plus the production fill
-// (FillAutoCtx) — across worker counts and level modes.
+// target makespan and times the table fill — the sequential sweep, the
+// production fill (FillAutoCtx) and the paper's level-synchronous parallel
+// fill in both level modes — across worker counts.
 // Results print as a table and, with -json, land in BENCH_dp.json for
 // regression tracking; -baseline diffs the run against a committed
 // BENCH_dp.json and fails on regressions beyond -baseline-threshold.
@@ -50,7 +49,7 @@ type dpRecord struct {
 	Enum      string  `json:"enum"` // "faithful" or "sparse" enumeration
 	Workers   int     `json:"workers"`
 	LevelMode string  `json:"level_mode"`
-	Path      string  `json:"path"` // "optimized", "legacy", "auto" or "solve"
+	Path      string  `json:"path"` // "optimized", "auto" or "solve"
 	NsPerOp   int64   `json:"ns_per_op"`
 	Entries   int64   `json:"table_entries"`
 	Configs   int     `json:"configs"`
@@ -62,7 +61,6 @@ type dpRecord struct {
 	// enumeration can reach).
 	ConfigsSparse   int     `json:"configs_sparse,omitempty"`
 	ConfigReduction float64 `json:"config_reduction,omitempty"`
-	Speedup         float64 `json:"speedup_vs_legacy,omitempty"`
 	// SpeedupSeq is ns/op of the 1-worker optimized sequential fill of the
 	// same (workload, family) divided by this record's ns/op — the paper's
 	// speedup axis, with the sequential fill as the T(1) reference.
@@ -236,9 +234,9 @@ sweep:
 					}
 				}
 
-				// The full fill-path matrix (legacy/optimized/auto across
-				// worker counts) runs on the primary eps only; the extra arm
-				// exists for the faithful-vs-sparse comparison.
+				// The full fill-path matrix (sequential, auto and parallel
+				// across worker counts) runs on the primary eps only; the
+				// extra arm exists for the faithful-vs-sparse comparison.
 				if faithfulSt != nil && primary {
 					st := faithfulSt
 					sizes, counts, err := core.RoundedClasses(in, st.K, st.FinalT)
@@ -254,7 +252,6 @@ sweep:
 					}
 
 					measure := func(workers int, mode, path string, fill func() error) bool {
-						tbl.LegacyFill = path == "legacy"
 						ns, err := measureFill(fill, cfg.Windows)
 						if err != nil {
 							benchErr = err
@@ -271,7 +268,7 @@ sweep:
 					// report as buckets for a stable key.
 					bkt := dp.LevelBuckets.String()
 					seq := func() error { return tbl.FillSequentialCtx(ctx) }
-					if !measure(1, bkt, "legacy", seq) || !measure(1, bkt, "optimized", seq) {
+					if !measure(1, bkt, "optimized", seq) {
 						break sweep
 					}
 
@@ -280,23 +277,20 @@ sweep:
 							continue
 						}
 						// Production path: FillAutoCtx, the default through
-						// the solver facade, handed a barrier pool it does
-						// not use. Measured immediately after the sequential
-						// reference cells — its speedup_vs_seq column divides
-						// the two, so keeping them adjacent in time stops
-						// host-load drift from contaminating the ratio.
-						bpool := par.NewBarrierPool(workers)
-						afill := func() error { return tbl.FillAutoCtx(ctx, bpool) }
-						ok := measure(workers, "auto", "auto", afill)
-						bpool.Close()
-						if !ok {
+						// the solver facade, which fills on the calling
+						// goroutine whatever the worker count. Measured
+						// immediately after the sequential reference cell —
+						// its speedup_vs_seq column divides the two, so
+						// keeping them adjacent in time stops host-load drift
+						// from contaminating the ratio.
+						if !measure(workers, "auto", "auto", func() error { return tbl.FillAutoCtx(ctx, nil) }) {
 							break sweep
 						}
 
 						pool := par.NewPool(workers)
 						for _, mode := range []dp.LevelMode{dp.LevelBuckets, dp.LevelScan} {
 							fill := func() error { return tbl.FillParallelCtx(ctx, pool, mode, par.RoundRobin) }
-							if !measure(workers, mode.String(), "optimized", fill) || !measure(workers, mode.String(), "legacy", fill) {
+							if !measure(workers, mode.String(), "optimized", fill) {
 								pool.Close()
 								break sweep
 							}
@@ -514,18 +508,11 @@ func compareBaseline(records []dpRecord, path string, threshold float64) error {
 	return nil
 }
 
-// attachSpeedups fills Speedup on each optimized record from its matching
-// legacy measurement, SpeedupSeq on every parallel/auto record from the
+// attachSpeedups fills SpeedupSeq on every parallel/auto record from the
 // 1-worker optimized sequential fill of the same workload, and
 // SpeedupFaithful on every sparse record from the faithful cell of the same
 // (workload, family, eps, path).
 func attachSpeedups(records []dpRecord) {
-	type key struct {
-		w, f, mode string
-		workers    int
-		eps        float64
-	}
-	legacy := make(map[key]int64)
 	type seqKey struct {
 		w, f string
 		eps  float64
@@ -539,9 +526,6 @@ func attachSpeedups(records []dpRecord) {
 	for _, r := range records {
 		if r.Enum == "sparse" {
 			continue
-		}
-		if r.Path == "legacy" {
-			legacy[key{r.Workload, r.Family, r.LevelMode, r.Workers, r.Eps}] = r.NsPerOp
 		}
 		if r.Path == "optimized" && r.Workers == 1 {
 			seq[seqKey{r.Workload, r.Family, r.Eps}] = r.NsPerOp
@@ -561,12 +545,7 @@ func attachSpeedups(records []dpRecord) {
 			}
 			continue
 		}
-		if r.Path == "optimized" {
-			if base, ok := legacy[key{r.Workload, r.Family, r.LevelMode, r.Workers, r.Eps}]; ok {
-				r.Speedup = float64(base) / float64(r.NsPerOp)
-			}
-		}
-		if r.Workers > 1 && r.Path != "legacy" {
+		if r.Workers > 1 {
 			if base, ok := seq[seqKey{r.Workload, r.Family, r.Eps}]; ok {
 				r.SpeedupSeq = float64(base) / float64(r.NsPerOp)
 			}
@@ -575,13 +554,10 @@ func attachSpeedups(records []dpRecord) {
 }
 
 func renderDPRecords(records []dpRecord) {
-	fmt.Printf("%-6s %-11s %4s %-8s %3s %4s %8s %-8s %-7s %-5s %-9s %12s %8s %8s %8s\n",
-		"fig", "family", "eps", "enum", "wrk", "mode", "entries", "configs", "cfg-sp", "red", "path", "ns/op", "vs-lgcy", "vs-seq", "vs-fthl")
+	fmt.Printf("%-6s %-11s %4s %-8s %3s %4s %8s %-8s %-7s %-5s %-9s %12s %8s %8s\n",
+		"fig", "family", "eps", "enum", "wrk", "mode", "entries", "configs", "cfg-sp", "red", "path", "ns/op", "vs-seq", "vs-fthl")
 	for _, r := range records {
-		speedup, vseq, vf, csp, red := "", "", "", "", ""
-		if r.Speedup > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.Speedup)
-		}
+		vseq, vf, csp, red := "", "", "", ""
 		if r.SpeedupSeq > 0 {
 			vseq = fmt.Sprintf("%.2fx", r.SpeedupSeq)
 		}
@@ -592,9 +568,9 @@ func renderDPRecords(records []dpRecord) {
 			csp = fmt.Sprintf("%d", r.ConfigsSparse)
 			red = fmt.Sprintf("%.1fx", r.ConfigReduction)
 		}
-		fmt.Printf("%-6s %-11s %4g %-8s %3d %4s %8d %-8d %-7s %-5s %-9s %12d %8s %8s %8s\n",
+		fmt.Printf("%-6s %-11s %4g %-8s %3d %4s %8d %-8d %-7s %-5s %-9s %12d %8s %8s\n",
 			r.Workload, r.Family, r.Eps, r.Enum, r.Workers, shortMode(r.LevelMode), r.Entries, r.Configs,
-			csp, red, r.Path, r.NsPerOp, speedup, vseq, vf)
+			csp, red, r.Path, r.NsPerOp, vseq, vf)
 	}
 }
 

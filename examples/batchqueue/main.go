@@ -55,10 +55,9 @@ func main() {
 		}
 		fmt.Printf("exact assignment (optimal: %v, %d search nodes)\n", res.Optimal, res.Nodes)
 	} else {
-		// Big queue: the parallel PTAS with a 10%% guarantee.
+		// Big queue: the PTAS with a 10%% guarantee.
 		opts := solver.DefaultPTASOptions()
 		opts.Epsilon = 0.1
-		opts.Workers = 0
 		sched, _, err = solver.PTAS(context.Background(), in, opts)
 		if err != nil {
 			log.Fatal(err)

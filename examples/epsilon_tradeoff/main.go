@@ -36,7 +36,6 @@ func main() {
 	for _, eps := range []float64{1.0, 0.5, 0.4, 0.3, 0.25, 0.2} {
 		opts := solver.DefaultPTASOptions()
 		opts.Epsilon = eps
-		opts.Workers = 0
 		start := time.Now()
 		sched, st, err := solver.PTAS(context.Background(), in, opts)
 		if err != nil {

@@ -55,7 +55,6 @@ func main() {
 		// here: every triplet job is "long", so k^2 grows straight into the
 		// DP's dimensionality.)
 		opts := solver.DefaultPTASOptions()
-		opts.Workers = 0
 		start = time.Now()
 		sched, _, err := solver.PTAS(context.Background(), in, opts)
 		if err != nil {

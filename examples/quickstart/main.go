@@ -20,11 +20,9 @@ func main() {
 	fmt.Println(in)
 	fmt.Printf("lower bound on the optimal makespan: %d\n\n", in.LowerBound())
 
-	// The parallel PTAS: (1+eps)-approximation, DP parallelized over all
-	// cores (Workers: 0 selects GOMAXPROCS).
+	// The PTAS: (1+eps)-approximation.
 	opts := solver.DefaultPTASOptions()
 	opts.Epsilon = 0.2
-	opts.Workers = 0
 	sched, st, err := solver.PTAS(context.Background(), in, opts)
 	if err != nil {
 		log.Fatal(err)

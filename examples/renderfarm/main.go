@@ -61,7 +61,6 @@ func main() {
 
 	opts := solver.DefaultPTASOptions()
 	opts.Epsilon = 0.1 // tight schedule: spend more planning time
-	opts.Workers = 0   // all cores
 	ptas, st, err := solver.PTAS(context.Background(), in, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -8,7 +8,7 @@
 // The package distinguishes two ways a solve ends early:
 //
 //   - ErrDeadline: the context's deadline passed (context.DeadlineExceeded),
-//     including deadlines installed by the legacy TimeLimit option shims.
+//     including deadlines installed by the exact solvers' TimeLimit shims.
 //   - ErrCanceled: every other cancellation (an explicit CancelFunc, a parent
 //     context dying, ...).
 //
@@ -96,7 +96,8 @@ func Check(ctx context.Context) error {
 
 // WithTimeout installs d as a context deadline when d > 0 and returns the
 // context unchanged (with a no-op CancelFunc) otherwise. It is the shim that
-// converts the legacy TimeLimit option fields into context deadlines.
+// converts the exact solvers' legacy TimeLimit option fields into context
+// deadlines.
 func WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		//lint:ignore ctxfirst canonical nil-ctx normalization at the API boundary, not a minted root for new work

@@ -4,78 +4,33 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/par"
+	"repro/internal/dp"
 	"repro/internal/workload"
 )
 
-// TestAutoFillMatchesSequential checks the AutoFill route end to end: same
-// schedule as the sequential reference, and Stats.Auto accounts for every
-// anti-diagonal level the bisection filled.
+// TestAutoFillMatchesSequential checks the production fill end to end: at
+// any worker count it produces the paper's sequential Algorithm 2 schedule,
+// and Stats.Auto accounts for every anti-diagonal level the bisection
+// filled, while a PaperFaithful solve reports none.
 func TestAutoFillMatchesSequential(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 8, N: 60, Seed: 11})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
+	ref, refSt, err := Solve(context.Background(), in, Options{Epsilon: 0.3, PaperFaithful: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AutoFill: true})
-	if err != nil {
-		t.Fatal(err)
+	if refSt.Auto != (dp.AutoStats{}) {
+		t.Fatalf("paper-faithful solve reported production-fill levels: %+v", refSt.Auto)
 	}
-	if got.Makespan(in) != ref.Makespan(in) {
-		t.Fatalf("AutoFill makespan %d != sequential %d", got.Makespan(in), ref.Makespan(in))
-	}
-	total := st.Auto.LevelsInline + st.Auto.LevelsFused + st.Auto.LevelsParallel
-	if total == 0 {
-		t.Fatalf("Stats.Auto empty after an AutoFill solve: %+v", st.Auto)
-	}
-}
-
-// TestAutoFillExternalBarrierPool reuses one caller-owned barrier pool
-// across several solves, mirroring the external Pool contract.
-func TestAutoFillExternalBarrierPool(t *testing.T) {
-	bp := par.NewBarrierPool(4)
-	defer bp.Close()
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 6, N: 40, Seed: 3})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, st, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AutoFill: true, BarrierPool: bp})
+	for _, workers := range []int{1, 4} {
+		got, st, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: workers})
 		if err != nil {
-			t.Fatalf("reuse %d: %v", i, err)
+			t.Fatal(err)
 		}
 		if got.Makespan(in) != ref.Makespan(in) {
-			t.Fatalf("reuse %d: makespan %d != %d", i, got.Makespan(in), ref.Makespan(in))
+			t.Fatalf("workers=%d: production makespan %d != Algorithm 2's %d", workers, got.Makespan(in), ref.Makespan(in))
 		}
-		if st.Auto.LevelsInline+st.Auto.LevelsFused+st.Auto.LevelsParallel == 0 {
-			t.Fatalf("reuse %d: Stats.Auto empty", i)
+		if st.Auto.LevelsInline == 0 || st.Auto.LevelsFused+st.Auto.LevelsParallel != 0 {
+			t.Fatalf("workers=%d: Stats.Auto %+v, want every level inline", workers, st.Auto)
 		}
-	}
-	// The caller's pool must survive the solves.
-	var n int
-	bp.For(1, func(int) { n++ })
-	if n != 1 {
-		t.Fatal("barrier pool unusable after solves")
-	}
-}
-
-// TestAutoFillIgnoredWithDataflow pins the precedence: Dataflow keeps its
-// dedicated fill even when AutoFill is requested.
-func TestAutoFillIgnoredWithDataflow(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_10, M: 5, N: 30, Seed: 7})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AutoFill: true, Dataflow: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan(in) != ref.Makespan(in) {
-		t.Fatalf("makespan %d != %d", got.Makespan(in), ref.Makespan(in))
-	}
-	if st.Auto.LevelsInline+st.Auto.LevelsFused+st.Auto.LevelsParallel != 0 {
-		t.Fatalf("Dataflow solve reported adaptive routing: %+v", st.Auto)
 	}
 }

@@ -7,10 +7,11 @@
 // reconstructs the long-job schedule at the final T, replaces rounded jobs
 // by the original ones, and packs the short jobs greedily (LPT by default,
 // the paper's practical improvement; LS reproduces the original
-// Hochbaum–Shmoys rule). With Workers > 1 the DP table is filled level by
-// level over its anti-diagonals by a pool of goroutines, which is the
-// paper's shared-memory parallelization, unless Options.AutoFill selects the
-// one-thread production fill.
+// Hochbaum–Shmoys rule). Every DP table is filled by the one-thread
+// production fill (dp.FillAutoCtx) unless Options.PaperFaithful selects the
+// paper's own algorithms: the recursive Algorithm 2 at Workers == 1, and at
+// Workers > 1 the Parallel DP of Algorithm 3, which fills the table level by
+// level over its anti-diagonals on a pool of goroutines.
 package core
 
 import (
@@ -52,80 +53,32 @@ func (r ShortRule) String() string {
 	}
 }
 
-// SeqFill selects the sequential DP fill variant used when Workers == 1.
-type SeqFill int
-
-const (
-	// SeqBottomUp sweeps the table in index order (fastest).
-	SeqBottomUp SeqFill = iota
-	// SeqRecursive is the paper-faithful memoized recursion (Algorithm 2).
-	SeqRecursive
-)
-
-// String names the fill variant.
-func (f SeqFill) String() string {
-	switch f {
-	case SeqBottomUp:
-		return "bottom-up"
-	case SeqRecursive:
-		return "recursive"
-	default:
-		return fmt.Sprintf("SeqFill(%d)", int(f))
-	}
-}
-
 // Options configures one Solve call. The zero value is not valid because
 // Epsilon must be positive; DefaultOptions gives the paper's configuration.
 type Options struct {
 	// Epsilon is the relative error; the algorithm is a (1+Epsilon)
 	// approximation. The paper's experiments use 0.3.
 	Epsilon float64
-	// Workers is the number of DP workers P. 1 runs the sequential PTAS;
-	// values below 1 select GOMAXPROCS.
+	// Workers is the number of DP workers P of the paper's Parallel DP
+	// (PaperFaithful); values below 1 select GOMAXPROCS. The production fill
+	// runs on the calling goroutine whatever Workers is.
 	Workers int
-	// Strategy schedules level entries onto workers (default RoundRobin,
-	// the paper's round-robin assignment).
-	Strategy par.Strategy
-	// LevelMode selects anti-diagonal discovery (default LevelBuckets;
-	// LevelScan is the paper-faithful full scan per level).
-	LevelMode dp.LevelMode
+	// PaperFaithful fills every DP table with the paper's algorithms
+	// instead of the production fill (dp.FillAutoCtx): the recursive
+	// Algorithm 2 (dp.FillRecursiveCtx) at Workers == 1 and the Parallel DP
+	// of Algorithm 3 (dp.FillParallelCtx with the full level scan and the
+	// round-robin assignment) on Workers pool goroutines otherwise, both
+	// re-enumerating each entry's configuration set (Algorithm 3 Line 17).
+	// Schedules are identical either way; only the time differs.
+	PaperFaithful bool
 	// ShortRule selects the short-job placement rule (default ShortLPT).
 	ShortRule ShortRule
-	// SeqFill selects the sequential fill variant (default SeqBottomUp).
-	SeqFill SeqFill
-	// PerEntryConfigs re-enumerates each table entry's configuration set
-	// instead of filtering a shared list (paper-faithful Algorithm 3
-	// Line 17; slower, for fidelity runs and ablations).
-	PerEntryConfigs bool
 	// SpeculativeProbes, when > 1, parallelizes the bisection itself: each
 	// round evaluates that many target makespans T concurrently (each with
 	// a sequential DP fill) and narrows the interval by all results. This
 	// is an extension beyond the paper, which parallelizes within one DP
 	// fill; see speculative.go. Values <= 1 use the paper's bisection.
 	SpeculativeProbes int
-	// Dataflow replaces the paper's level-synchronous parallel fill with
-	// the barrier-free dependency-counter fill (dp.FillDataflow) when
-	// Workers != 1. An extension/ablation; results are identical.
-	Dataflow bool
-	// AdaptiveFill lets the driver fall back to the sequential fill for
-	// tables too small to amortize per-level barriers when the paper's
-	// parallel fill runs (Workers > 1 without AutoFill). The EXPERIMENTS.md
-	// ablations show paper-scale tables (sigma < ~10^4) are barrier-bound.
-	AdaptiveFill bool
-	// AutoFill makes fills with Workers > 1 run dp.FillAutoCtx, the
-	// production fill: the one-thread config-outer run-length sweep on every
-	// table, which beat the 2-worker level-parallel fills on every probe
-	// table measured (ALGORITHM.md section 10). No pool is started. Ignored
-	// when Workers == 1 or Dataflow is set. Stats.Auto counts the levels
-	// filled. The solver facade enables it by default.
-	AutoFill bool
-	// TimeLimit aborts the solve with ErrTimeLimit when exceeded. It is a
-	// back-compat shim over context deadlines: Solve installs it via
-	// context.WithTimeout on the caller's ctx, so the abort lands inside a
-	// running DP fill (within the fills' cooperative-check granularity), not
-	// just between bisection probes. <= 0 disables. New callers should pass
-	// a context with a deadline instead.
-	TimeLimit time.Duration
 	// LPTFallback returns plain LPT's schedule when it beats the PTAS
 	// construction. It never hurts, and it caps the guarantee at LPT's
 	// 4/3 - 1/(3m), which absorbs the +k additive slop of integer rounding
@@ -137,13 +90,10 @@ type Options struct {
 	MaxTableEntries int64
 	// MaxConfigs caps configuration enumeration; <= 0 uses the conf default.
 	MaxConfigs int
-	// Pool optionally supplies an externally managed worker pool, reused
-	// across Solve calls. When nil and Workers != 1, Solve creates and
-	// closes its own pool.
+	// Pool optionally supplies an externally managed worker pool for the
+	// paper's Parallel DP, reused across Solve calls. When nil, a
+	// PaperFaithful solve with Workers != 1 creates and closes its own.
 	Pool *par.Pool
-	// BarrierPool is accepted and not used: the AutoFill path no longer
-	// dispatches on a barrier pool, and Solve never starts one.
-	BarrierPool *par.BarrierPool
 	// Sparsify enables the sparsified DP pipeline (the ptas-sparse registry
 	// algorithm): geometric grouping of the rounded size classes (see
 	// split.group) shrinks the table's index space, and the sparse
@@ -249,8 +199,8 @@ type Stats struct {
 	// FillTime is the wall-clock time spent inside DP table fills.
 	FillTime time.Duration
 	// Auto accumulates, over all bisection probes, how dp.FillAutoCtx ran
-	// the anti-diagonal levels: all inline on the caller. All-zero unless
-	// Options.AutoFill applied.
+	// the anti-diagonal levels: all inline on the caller. All-zero under
+	// Options.PaperFaithful.
 	Auto dp.AutoStats
 	// UsedLPTFallback reports that plain LPT beat the PTAS construction on
 	// this instance and its schedule was returned instead. The fallback
@@ -295,12 +245,6 @@ var (
 	ErrEpsilonTooSmall = errors.New("core: epsilon too small (k exceeds limit)")
 	ErrInternal        = errors.New("core: internal invariant violated")
 )
-
-// ErrTimeLimit is a deprecated alias for cancel.ErrDeadline, kept so
-// pre-context callers testing errors.Is(err, core.ErrTimeLimit) keep working
-// now that TimeLimit is a context-deadline shim. It also matches
-// cancel.ErrCanceled (a deadline is one kind of cancellation).
-var ErrTimeLimit = cancel.ErrDeadline
 
 // maxK bounds k = ceil(1/eps); beyond this the DP table cannot possibly fit
 // any entry budget, so fail fast with a clear error.
@@ -399,12 +343,10 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 	}
 	stats.LB0, stats.UB0 = lbT, ubT
 
-	// AutoFill runs dp.FillAutoCtx, which fills on the calling goroutine, so
-	// only the paper's parallel fills need a pool.
+	// The production fill runs on the calling goroutine, so only the
+	// paper's Parallel DP needs a pool.
 	var pool *par.Pool
-	workers := par.Normalize(opts.Workers)
-	auto := workers > 1 && opts.AutoFill && !opts.Dataflow
-	if workers > 1 && !auto {
+	if workers := par.Normalize(opts.Workers); opts.PaperFaithful && workers > 1 {
 		pool = opts.Pool
 		if pool == nil {
 			pool = par.NewPool(workers)
@@ -423,11 +365,6 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 	// and store the delta on the way out.
 	cacheBefore := opts.Cache.Stats()
 	defer func() { stats.Cache = opts.Cache.Stats().Sub(cacheBefore) }()
-
-	// The legacy TimeLimit option becomes a context deadline, so the DP
-	// fills' cooperative checks honor it mid-fill.
-	ctx, cancelTL := cancel.WithTimeout(ctx, opts.TimeLimit)
-	defer cancelTL()
 
 	// degrade converts a cancellation into the graceful-fallback result:
 	// plain LPT's schedule (valid, no PTAS guarantee), the partial stats,
@@ -451,14 +388,12 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 		if err := cancel.Check(ctx); err != nil {
 			return nil, nil, false, err
 		}
-		res, err := runAttempt(ctx, in, order, k, T, opts, pool, auto)
+		res, err := runAttempt(ctx, in, order, k, T, opts, pool)
 		if err != nil {
 			return nil, nil, false, err
 		}
 		stats.FillTime += res.fill
 		stats.Auto.LevelsInline += res.auto.LevelsInline
-		stats.Auto.LevelsFused += res.auto.LevelsFused
-		stats.Auto.LevelsParallel += res.auto.LevelsParallel
 		if res.tbl != nil {
 			stats.TotalEntriesFilled += res.tbl.Sigma
 			if opts.Profile != nil {
@@ -596,7 +531,7 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 			stats.ConfigsEnumerated = finalTable.SparseStats.Enumerated
 			stats.ConfigsAfterSparsification = finalTable.SparseStats.Retained
 		}
-		fallback, err := sparseVerify(ctx, in, order, k, T, sched, opts, stats, pool, auto)
+		fallback, err := sparseVerify(ctx, in, order, k, T, sched, opts, stats, pool)
 		if err != nil {
 			return degrade(err)
 		}
@@ -646,12 +581,12 @@ func sparseFaithfulFallback(ctx context.Context, in *pcmax.Instance, order []int
 //
 // Returns whether the caller must fall back to a faithful re-solve. Only
 // cancellation-grade errors are returned.
-func sparseVerify(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, sched *pcmax.Schedule, opts Options, stats *Stats, pool *par.Pool, auto bool) (fallback bool, err error) {
+func sparseVerify(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, sched *pcmax.Schedule, opts Options, stats *Stats, pool *par.Pool) (fallback bool, err error) {
 	certified := T <= stats.LB0
 	if !certified {
 		fopts := opts
 		fopts.Sparsify = false
-		res, aerr := runAttempt(ctx, in, order, k, T-1, fopts, pool, auto)
+		res, aerr := runAttempt(ctx, in, order, k, T-1, fopts, pool)
 		switch {
 		case errors.Is(aerr, dp.ErrTableTooLarge):
 			// Faithful verification doesn't fit; keep the sparse result,

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/cancel"
 	"repro/internal/dp"
 	"repro/internal/exact"
 	"repro/internal/par"
@@ -262,13 +263,10 @@ func TestPaperFaithfulVariantsIdenticalMakespan(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := []Options{
-		{Epsilon: 0.3, SeqFill: SeqRecursive},
-		{Epsilon: 0.3, PerEntryConfigs: true},
-		{Epsilon: 0.3, SeqFill: SeqRecursive, PerEntryConfigs: true},
-		{Epsilon: 0.3, Workers: 3, LevelMode: dp.LevelScan},
-		{Epsilon: 0.3, Workers: 3, LevelMode: dp.LevelScan, PerEntryConfigs: true},
-		{Epsilon: 0.3, Workers: 5, Strategy: par.Chunked},
-		{Epsilon: 0.3, Workers: 5, Strategy: par.Dynamic},
+		{Epsilon: 0.3, PaperFaithful: true},
+		{Epsilon: 0.3, Workers: 3, PaperFaithful: true},
+		{Epsilon: 0.3, Workers: 5, PaperFaithful: true},
+		{Epsilon: 0.3, Workers: 5},
 	}
 	for i, opts := range variants {
 		got, _, err := Solve(context.Background(), in, opts)
@@ -290,7 +288,7 @@ func TestExternalPoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, Pool: pool})
+		got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, Pool: pool, PaperFaithful: true})
 		if err != nil {
 			t.Fatalf("reuse %d: %v", i, err)
 		}
@@ -442,32 +440,32 @@ func TestOptionStringsAndDefaults(t *testing.T) {
 	if ShortRule(9).String() == "" {
 		t.Fatal("unknown short rule should render")
 	}
-	if SeqBottomUp.String() != "bottom-up" || SeqRecursive.String() != "recursive" {
-		t.Fatal("fill names changed")
-	}
-	if SeqFill(9).String() == "" {
-		t.Fatal("unknown fill should render")
-	}
 	def := DefaultOptions()
 	if def.Epsilon != 0.3 || def.Workers != 1 {
 		t.Fatalf("defaults = %+v, want the paper's configuration", def)
 	}
 }
 
+// TestTimeLimit bounds solves with a context deadline, the one way to
+// limit a solve's time.
 func TestTimeLimit(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 8, N: 60, Seed: 2})
+	solveWithin := func(d time.Duration, opts Options) error {
+		ctx, cancelFn := context.WithTimeout(context.Background(), d)
+		defer cancelFn()
+		_, _, err := Solve(ctx, in, opts)
+		return err
+	}
 	// A zero-duration-ish limit must trip before the first probe.
-	_, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, TimeLimit: time.Nanosecond})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("want ErrTimeLimit, got %v", err)
+	if err := solveWithin(time.Nanosecond, Options{Epsilon: 0.3}); !errors.Is(err, cancel.ErrDeadline) {
+		t.Fatalf("want ErrDeadline, got %v", err)
 	}
 	// A generous limit must not interfere.
-	if _, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, TimeLimit: time.Minute}); err != nil {
+	if err := solveWithin(time.Minute, Options{Epsilon: 0.3}); err != nil {
 		t.Fatalf("generous limit failed: %v", err)
 	}
 	// Speculative path honours the limit too.
-	_, _, err = Solve(context.Background(), in, Options{Epsilon: 0.3, SpeculativeProbes: 4, TimeLimit: time.Nanosecond})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("speculative: want ErrTimeLimit, got %v", err)
+	if err := solveWithin(time.Nanosecond, Options{Epsilon: 0.3, SpeculativeProbes: 4}); !errors.Is(err, cancel.ErrDeadline) {
+		t.Fatalf("speculative: want ErrDeadline, got %v", err)
 	}
 }

@@ -83,7 +83,7 @@ func TestParallelUnroundingIdenticalAssignments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 6})
+	parallel, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 6, PaperFaithful: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSpeculativeWithPaperFaithful(t *testing.T) {
 	}
 	got, _, err := Solve(context.Background(), in, Options{
 		Epsilon: 0.3, SpeculativeProbes: 3,
-		PerEntryConfigs: true, SeqFill: SeqRecursive,
+		PaperFaithful: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,43 +131,26 @@ func TestSpeculativeWithPaperFaithful(t *testing.T) {
 	}
 }
 
-// TestDataflowFillThroughDriver checks the barrier-free fill end to end.
-func TestDataflowFillThroughDriver(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.Um_2m1, M: 10, N: 21, Seed: 23})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, Dataflow: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range ref.Assignment {
-		if ref.Assignment[j] != got.Assignment[j] {
-			t.Fatalf("job %d differs under dataflow fill", j)
-		}
-	}
-}
-
-// TestAdaptiveFillIdenticalResults verifies the adaptive policy never
-// changes the computed schedule, only which fill engine ran.
+// TestAdaptiveFillIdenticalResults verifies the fill switch never changes
+// the computed schedule, only which fill engine ran: the production fill
+// and the paper's Parallel DP agree on small and large tables.
 func TestAdaptiveFillIdenticalResults(t *testing.T) {
 	for _, spec := range []workload.Spec{
-		{Family: workload.U1_100, M: 8, N: 50, Seed: 3},  // small tables: falls back
-		{Family: workload.Um_2m1, M: 20, N: 41, Seed: 3}, // large tables: stays parallel
+		{Family: workload.U1_100, M: 8, N: 50, Seed: 3},  // small tables
+		{Family: workload.Um_2m1, M: 20, N: 41, Seed: 3}, // large tables
 	} {
 		in := workload.MustGenerate(spec)
-		ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4})
+		ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, PaperFaithful: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, AdaptiveFill: true})
+		got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range ref.Assignment {
 			if ref.Assignment[j] != got.Assignment[j] {
-				t.Fatalf("%v: job %d differs under adaptive fill", spec.Family, j)
+				t.Fatalf("%v: job %d differs between the production and the paper's fill", spec.Family, j)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func TestSmokePaperScale(t *testing.T) {
 			}
 			seqDur := time.Since(t0)
 			t0 = time.Now()
-			parSched, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: runtime.GOMAXPROCS(0)})
+			parSched, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: runtime.GOMAXPROCS(0), PaperFaithful: true})
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
 			}

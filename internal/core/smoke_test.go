@@ -41,7 +41,7 @@ func TestSmokePTASAgainstBruteForce(t *testing.T) {
 				t.Fatalf("trial %d eps=%v m=%d times=%v: makespan %d > (1+eps)*opt (opt=%d)",
 					trial, eps, m, times, ms, opt)
 			}
-			parSched, _, err := Solve(context.Background(), in, Options{Epsilon: eps, Workers: 4})
+			parSched, _, err := Solve(context.Background(), in, Options{Epsilon: eps, Workers: 4, PaperFaithful: true})
 			if err != nil {
 				t.Fatalf("trial %d eps=%v: parallel solve: %v", trial, eps, err)
 			}

@@ -35,12 +35,6 @@ import (
 //     construction simply wins: the search settles on it immediately, and
 //     its T is below OPT, preserving the (1+eps) guarantee.
 
-// adaptiveFillThreshold is the sigma*|C| work level below which the
-// sequential fill beats the level-synchronous parallel fill (the per-level
-// barrier costs more than the level's work; see EXPERIMENTS.md fig2/fig3
-// analysis and BenchmarkPoolRound).
-const adaptiveFillThreshold = 1 << 17
-
 // attemptResult carries one probe's outcome.
 type attemptResult struct {
 	sp       *split
@@ -50,14 +44,14 @@ type attemptResult struct {
 	auto     dp.AutoStats // level routing, when the production fill ran
 }
 
-// runAttempt builds and fills the DP table for target T. With auto set the
-// production fill runs (dp.FillAutoCtx); with a non-nil pool the fill runs
-// on the pool's workers (the paper's Parallel DP); otherwise it runs
-// sequentially per opts.SeqFill. It touches no shared state, so concurrent
-// calls with a nil pool are safe. The fill honors ctx cooperatively: a
-// mid-fill cancellation surfaces as the structured cancel error within the
-// fills' check granularity.
-func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, opts Options, pool *par.Pool, auto bool) (attemptResult, error) {
+// runAttempt builds and fills the DP table for target T. The production
+// fill (dp.FillAutoCtx) runs unless opts.PaperFaithful is set; then the
+// paper's Parallel DP runs on the pool's workers when pool is non-nil, and
+// its recursive Algorithm 2 otherwise. It touches no shared state, so
+// concurrent calls with a nil pool are safe. The fill honors ctx
+// cooperatively: a mid-fill cancellation surfaces as the structured cancel
+// error within the fills' check granularity.
+func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, opts Options, pool *par.Pool) (attemptResult, error) {
 	sp, err := newSplit(in, order, k, T)
 	if err != nil {
 		return attemptResult{}, err
@@ -77,26 +71,15 @@ func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T p
 	if err != nil {
 		return attemptResult{}, err
 	}
-	tbl.PerEntryEnum = opts.PerEntryConfigs
-	useParallel := pool != nil
-	if useParallel && opts.AdaptiveFill && tbl.Sigma*int64(len(tbl.Configs)) < adaptiveFillThreshold {
-		useParallel = false
-	}
+	tbl.PerEntryEnum = opts.PaperFaithful
 	t0 := time.Now()
 	switch {
-	case auto:
+	case !opts.PaperFaithful:
 		err = tbl.FillAutoCtx(ctx, nil)
-	case useParallel && opts.Dataflow:
-		err = tbl.FillDataflowCtx(ctx, pool.Workers())
-	case useParallel:
-		err = tbl.FillParallelCtx(ctx, pool, opts.LevelMode, opts.Strategy)
+	case pool != nil:
+		err = tbl.FillParallelCtx(ctx, pool, dp.LevelScan, par.RoundRobin)
 	default:
-		switch opts.SeqFill {
-		case SeqRecursive:
-			err = tbl.FillRecursiveCtx(ctx)
-		default:
-			err = tbl.FillSequentialCtx(ctx)
-		}
+		err = tbl.FillRecursiveCtx(ctx)
 	}
 	fill := time.Since(t0)
 	if err != nil {
@@ -132,7 +115,7 @@ func speculativeBisection(ctx context.Context, in *pcmax.Instance, order []int, 
 		for i, T := range targets {
 			go func(i int, T pcmax.Time) {
 				defer wg.Done()
-				results[i], errs[i] = runAttempt(ctx, in, order, k, T, opts, nil, false)
+				results[i], errs[i] = runAttempt(ctx, in, order, k, T, opts, nil)
 			}(i, T)
 		}
 		wg.Wait()
@@ -141,6 +124,7 @@ func speculativeBisection(ctx context.Context, in *pcmax.Instance, order []int, 
 				return nil, nil, 0, errs[i]
 			}
 			stats.FillTime += results[i].fill
+			stats.Auto.LevelsInline += results[i].auto.LevelsInline
 			if results[i].tbl != nil {
 				stats.TotalEntriesFilled += results[i].tbl.Sigma
 			}

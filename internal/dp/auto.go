@@ -3,10 +3,10 @@ package dp
 // The production fill (see ALGORITHM.md section 10). The paper's
 // level-synchronous Parallel DP pays one dispatch round per anti-diagonal,
 // and even routed level by level onto a persistent barrier pool (inline,
-// fused and wide arms) its 2-worker fill was no faster than one worker on a
-// 2-core host. The config-outer run-length sweep (fillConfigOuter) beat it
-// on every probe table measured, so FillAutoCtx runs that one kernel on
-// every table, on the calling goroutine.
+// fused and wide arms, since deleted) its 2-worker fill was no faster than
+// one worker on a 2-core host. The config-outer run-length sweep
+// (fillConfigOuter) beat it on every probe table measured, so FillAutoCtx
+// runs that one kernel on every table, on the calling goroutine.
 
 import (
 	"context"
@@ -23,19 +23,17 @@ type AutoStats struct {
 	// level of a completed FillAutoCtx fill, since it runs the one-thread
 	// config-outer kernel.
 	LevelsInline int
-	// LevelsFused counts levels executed inside a fused multi-level batch
-	// dispatch on a barrier pool. FillAutoCtx no longer dispatches, so it
-	// stays zero.
-	LevelsFused int
-	// LevelsParallel counts levels run as dedicated dispatch rounds on a
-	// barrier pool. FillAutoCtx no longer dispatches, so it stays zero.
+	// LevelsFused and LevelsParallel counted levels the deleted barrier-pool
+	// routing dispatched. FillAutoCtx never dispatches, so both stay zero;
+	// they remain because callers outside this module still read them.
+	LevelsFused    int
 	LevelsParallel int
 }
 
 // FillAutoCtx computes the table with the production fill: the config-outer
 // run-length sweep of FillSequentialCtx on the calling goroutine, for every
-// table size and pool. bp is not used; the signature keeps the pool
-// parameter for callers that own one. t.AutoStats records every level
+// table size. bp is not used and may be nil; the parameter remains because
+// callers outside this module still pass a pool. t.AutoStats records every level
 // inline once the fill completes. Cancellation follows FillSequentialCtx: a
 // dead ctx aborts before the fill starts or within fillCheckEvery
 // relaxations of it, leaving the table unfilled and AutoStats zero, and

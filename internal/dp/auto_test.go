@@ -15,7 +15,7 @@ import (
 // level inline and matches the sequential fill.
 func TestFillAutoStatsRouting(t *testing.T) {
 	ref := bigTable(t)
-	ref.FillSequential()
+	fillSeq(t, ref)
 
 	bp := par.NewBarrierPool(4)
 	defer bp.Close()
@@ -46,7 +46,7 @@ func TestFillAutoStatsRouting(t *testing.T) {
 // error, and a later fill on the same table succeeds bit-identically.
 func TestFillAutoCancelAndRecover(t *testing.T) {
 	ref := bigTable(t)
-	ref.FillSequential()
+	fillSeq(t, ref)
 
 	bp := par.NewBarrierPool(4)
 	defer bp.Close()

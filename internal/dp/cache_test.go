@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestCachedTablesFillIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.FillSequential()
+	fillSeq(t, ref)
 
 	pool := par.NewPool(3)
 	defer pool.Close()
@@ -57,7 +58,7 @@ func TestCachedTablesFillIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl.FillParallel(pool, LevelBuckets, par.Dynamic)
+		fillPar(t, tbl, pool, LevelBuckets, par.Dynamic)
 		for i := range tbl.Opt {
 			if tbl.Opt[i] != ref.Opt[i] {
 				t.Fatalf("round %d entry %d = %d, want %d", round, i, tbl.Opt[i], ref.Opt[i])
@@ -85,7 +86,9 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				tbl.FillSequential()
+				if err := tbl.FillSequentialCtx(context.Background()); err != nil {
+					panic(err)
+				}
 				if _, err := tbl.OptValue(); err != nil {
 					panic(err)
 				}
@@ -108,7 +111,7 @@ func TestCacheEvictionKeepsWorking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl.FillSequential()
+		fillSeq(t, tbl)
 		if opt, err := tbl.OptValue(); err != nil || opt < 1 {
 			t.Fatalf("T=%d: opt=%d err=%v", T, opt, err)
 		}
@@ -189,8 +192,8 @@ func TestCacheCanonicalTablesFillIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.FillSequential()
-	ref.FillSequential()
+	fillSeq(t, tbl)
+	fillSeq(t, ref)
 	for i := range tbl.Opt {
 		if tbl.Opt[i] != ref.Opt[i] {
 			t.Fatalf("entry %d = %d, want %d", i, tbl.Opt[i], ref.Opt[i])

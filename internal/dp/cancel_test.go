@@ -41,7 +41,7 @@ func canceledCtx() context.Context {
 
 func TestFillVariantsCancelAndRecover(t *testing.T) {
 	ref := bigTable(t)
-	ref.FillSequential()
+	fillSeq(t, ref)
 	want, err := ref.OptValue()
 	if err != nil {
 		t.Fatal(err)
@@ -55,10 +55,6 @@ func TestFillVariantsCancelAndRecover(t *testing.T) {
 		fill func(tbl *Table, ctx context.Context) error
 	}{
 		{"sequential", func(tbl *Table, ctx context.Context) error { return tbl.FillSequentialCtx(ctx) }},
-		{"sequential-legacy", func(tbl *Table, ctx context.Context) error {
-			tbl.LegacyFill = true
-			return tbl.FillSequentialCtx(ctx)
-		}},
 		{"recursive", func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }},
 		{"parallel-buckets", func(tbl *Table, ctx context.Context) error {
 			return tbl.FillParallelCtx(ctx, pool, LevelBuckets, par.RoundRobin)
@@ -66,7 +62,6 @@ func TestFillVariantsCancelAndRecover(t *testing.T) {
 		{"parallel-scan", func(tbl *Table, ctx context.Context) error {
 			return tbl.FillParallelCtx(ctx, pool, LevelScan, par.RoundRobin)
 		}},
-		{"dataflow", func(tbl *Table, ctx context.Context) error { return tbl.FillDataflowCtx(ctx, 3) }},
 	}
 
 	for _, v := range variants {
@@ -140,12 +135,14 @@ func TestFillSequentialCancelSplitsLongRuns(t *testing.T) {
 }
 
 func TestNilAndBackgroundContextFillsComplete(t *testing.T) {
-	// The ctx-less shims delegate with context.Background(); both they and
-	// an explicit Background ctx must fill to completion.
+	// A nil ctx never cancels, like Background: both must fill to
+	// completion, with identical tables.
 	a := bigTable(t)
-	a.FillSequential()
+	if err := a.FillSequentialCtx(nil); err != nil {
+		t.Fatalf("nil-ctx fill: %v", err)
+	}
 	if _, err := a.OptValue(); err != nil {
-		t.Fatalf("shim fill left table unfilled: %v", err)
+		t.Fatalf("nil-ctx fill left table unfilled: %v", err)
 	}
 	b := bigTable(t)
 	if err := b.FillSequentialCtx(context.Background()); err != nil {
@@ -153,7 +150,7 @@ func TestNilAndBackgroundContextFillsComplete(t *testing.T) {
 	}
 	for i := range a.Opt {
 		if a.Opt[i] != b.Opt[i] {
-			t.Fatalf("shim and ctx fills differ at %d", i)
+			t.Fatalf("nil-ctx and Background fills differ at %d", i)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package dp
 
 // Differential coverage for the optimized fill pipeline: every fill variant
 // (sequential, production FillAutoCtx, recursive, parallel in both level
-// modes under all three scheduling strategies, dataflow; shared configs and
-// per-entry enumeration; legacy and optimized scan paths; cached and
-// uncached builds) must produce the same Opt table and the same
-// reconstruction as a seed-faithful oracle on a population of random
-// instances plus fixed instances of the config-outer kernel's run shapes.
+// modes under all three scheduling strategies; shared configs and per-entry
+// enumeration; cached and uncached builds) must produce the same Opt table
+// and the same reconstruction as a seed-faithful oracle on a population of
+// random instances plus fixed instances of the config-outer kernel's run
+// shapes.
 
 import (
 	"context"
@@ -21,7 +21,7 @@ import (
 )
 
 // fillOracle computes the Opt table exactly as the seed implementation's
-// FillSequential did: division decode per entry and an unpruned scan of the
+// sequential fill did: division decode per entry and an unpruned scan of the
 // full configuration list. It is the reference all optimized paths must
 // match bit for bit.
 func fillOracle(t *Table) []int32 {
@@ -131,7 +131,7 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 
 		ref := mk()
 		oracle := fillOracle(ref)
-		ref.FillSequential()
+		fillSeq(t, ref)
 		optEqual(t, label+": FillSequential vs oracle", ref.Opt, oracle)
 		refMachines, err := ref.Reconstruct()
 		if err != nil {
@@ -148,16 +148,16 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 			machinesEqual(t, label+": "+name, machines, refMachines)
 		}
 
-		// Legacy scan path (the ablation baseline) must agree entry for entry.
-		leg := mk()
-		leg.LegacyFill = true
-		leg.FillSequential()
-		check("legacy FillSequential", leg)
+		// Per-entry enumeration's entry-ordered sweep.
+		ps := mk()
+		ps.PerEntryEnum = true
+		fillSeq(t, ps)
+		check("FillSequential/per-entry", ps)
 
 		// Recursive fill leaves unreachable entries unset; compare the
 		// computed subset plus the reconstruction.
 		rec := mk()
-		rec.FillRecursive()
+		fillRec(t, rec)
 		for i := range rec.Opt {
 			if rec.Opt[i] != unset && rec.Opt[i] != oracle[i] {
 				t.Fatalf("%s: FillRecursive Opt[%d] = %d, want %d", label, i, rec.Opt[i], oracle[i])
@@ -170,28 +170,19 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 		machinesEqual(t, label+": FillRecursive", recMachines, refMachines)
 
 		// Parallel fills: both level modes x all three strategies, shared
-		// and per-entry enumeration, plus the legacy path per mode.
+		// and per-entry enumeration.
 		for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
 			for _, strategy := range par.Strategies {
 				p := mk()
-				p.FillParallel(pool, mode, strategy)
+				fillPar(t, p, pool, mode, strategy)
 				check(fmt.Sprintf("FillParallel/%v/%v", mode, strategy), p)
 
 				pe := mk()
 				pe.PerEntryEnum = true
-				pe.FillParallel(pool, mode, strategy)
+				fillPar(t, pe, pool, mode, strategy)
 				check(fmt.Sprintf("FillParallel/%v/%v/per-entry", mode, strategy), pe)
 			}
-			pl := mk()
-			pl.LegacyFill = true
-			pl.FillParallel(pool, mode, par.RoundRobin)
-			check(fmt.Sprintf("FillParallel/%v/legacy", mode), pl)
 		}
-
-		// Dataflow fill.
-		df := mk()
-		df.FillDataflow(4)
-		check("FillDataflow", df)
 
 		// Production fill.
 		ad := mk()
@@ -207,7 +198,7 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ct.FillParallel(pool, LevelBuckets, par.Dynamic)
+			fillPar(t, ct, pool, LevelBuckets, par.Dynamic)
 			check(fmt.Sprintf("cached round %d", round), ct)
 		}
 	}
@@ -255,16 +246,19 @@ func TestDifferentialPackedBoundaries(t *testing.T) {
 				t.Fatalf("packW = %d (packed=%v), want %d", ref.packW, ref.packed != nil, tc.packW)
 			}
 			oracle := fillOracle(ref)
-			ref.FillSequential()
+			fillSeq(t, ref)
 			optEqual(t, "FillSequential vs oracle", ref.Opt, oracle)
 
-			leg := mk()
-			leg.LegacyFill = true
-			leg.FillSequential()
-			optEqual(t, "legacy FillSequential", leg.Opt, oracle)
+			rec := mk()
+			fillRec(t, rec)
+			for i, o := range rec.Opt {
+				if o != unset && o != oracle[i] {
+					t.Fatalf("FillRecursive Opt[%d] = %d, want %d", i, o, oracle[i])
+				}
+			}
 
 			p := mk()
-			p.FillParallel(pool, LevelBuckets, par.Dynamic)
+			fillPar(t, p, pool, LevelBuckets, par.Dynamic)
 			optEqual(t, "FillParallel", p.Opt, oracle)
 		})
 	}
@@ -284,7 +278,7 @@ func TestReconstructManyConfigs(t *testing.T) {
 	if len(tbl.Configs) < 400 {
 		t.Fatalf("want a config-heavy table, got %d configs", len(tbl.Configs))
 	}
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	machines, err := tbl.Reconstruct()
 	if err != nil {
 		t.Fatal(err)

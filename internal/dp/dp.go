@@ -15,15 +15,16 @@
 //
 // Three fill strategies are provided:
 //
-//   - FillSequential: bottom-up (every dependency of entry i has a smaller
-//     index). The default path is the config-outer sweep: each configuration
-//     relaxes its sub-lattice as contiguous runs of the table, in ascending
-//     order (fillConfigOuter). It is also the production fill, FillAutoCtx.
-//   - FillRecursive: top-down memoized recursion starting from the last
+//   - FillSequentialCtx: bottom-up (every dependency of entry i has a
+//     smaller index). The default path is the config-outer sweep: each
+//     configuration relaxes its sub-lattice as contiguous runs of the table,
+//     in ascending order (fillConfigOuter). It is also the production fill,
+//     FillAutoCtx.
+//   - FillRecursiveCtx: top-down memoized recursion starting from the last
 //     entry, faithful to the paper's Algorithm 2 description ("starts from
 //     the last entry of the DP-table and recursively computes the other
 //     entries until it ends up at the first element").
-//   - FillParallel: the paper's Algorithm 3. Entries on the same
+//   - FillParallelCtx: the paper's Algorithm 3. Entries on the same
 //     anti-diagonal (equal digit sum, the paper's d_i values) are mutually
 //     independent; levels l = 0..n' run sequentially with a barrier, entries
 //     within a level run on P workers.
@@ -44,9 +45,6 @@
 //     mixed-radix counters — the sequential sweep and the level/bucket index
 //     construction advance digit vectors in amortized O(1), and the parallel
 //     fill decodes once per worker chunk and advances from there.
-//
-// The LegacyFill switch restores the unpruned, division-decoded fill for
-// ablation benchmarks (the "seed path" in BENCH_dp.json).
 package dp
 
 import (
@@ -151,15 +149,12 @@ type Table struct {
 	// the entry's own vector, instead of filtering the shared Configs list.
 	// This is faithful to the paper's Algorithm 3 Line 17 ("C_{v^i} <- all
 	// machine configurations of vector v^i") and considerably slower; it
-	// exists for fidelity runs and ablation benchmarks.
+	// exists for fidelity runs and ablation benchmarks. It applies to
+	// EnumFaithful tables only: the per-entry search regenerates the
+	// faithful configuration set, so on an EnumSparse table it could reach
+	// an OPT through configurations the table pruned, which Reconstruct,
+	// walking Configs, cannot explain. Sparse tables ignore it.
 	PerEntryEnum bool
-
-	// LegacyFill restores the pre-optimization fill path — full
-	// configuration scans (no level pruning, per-Config heap slices) and
-	// division-based digit decoding — for ablation benchmarks against the
-	// seed implementation. Opt tables and reconstructions are identical
-	// either way.
-	LegacyFill bool
 
 	// AutoStats reports how FillAutoCtx ran the anti-diagonal levels; it is
 	// meaningful only after a FillAutoCtx call (other fill variants leave it
@@ -332,17 +327,9 @@ func (t *Table) digits(idx int64, dst []int32) []int32 {
 	return dst
 }
 
-// levelOf returns the digit sum (anti-diagonal index) of an entry by
-// division; the optimized paths use odometer advancement instead.
-func (t *Table) levelOf(idx int64) int32 {
-	var s int32
-	rem := idx
-	for i := range t.Stride {
-		s += int32(rem / t.Stride[i])
-		rem %= t.Stride[i]
-	}
-	return s
-}
+// perEntry reports whether the fills re-enumerate each entry's
+// configuration set: PerEntryEnum on an EnumFaithful table.
+func (t *Table) perEntry() bool { return t.PerEntryEnum && t.Mode == EnumFaithful }
 
 // sumDigits returns the digit sum (anti-diagonal level) of a decoded vector.
 func sumDigits(v []int32) int32 {
@@ -405,8 +392,7 @@ func (t *Table) advanceOne(v []int32) int32 {
 
 // decoder incrementally decodes ascending entry indices for one worker: the
 // first index (and any backward jump) pays a full division decode, every
-// later index is reached by mixed-radix advancement. With LegacyFill it
-// degrades to a division decode per entry, reproducing the seed path.
+// later index is reached by mixed-radix advancement.
 type decoder struct {
 	t    *Table
 	v    []int32
@@ -431,7 +417,7 @@ func (dc *decoder) reset() { dc.last = -1 }
 func (dc *decoder) at(idx int64) []int32 {
 	t := dc.t
 	switch {
-	case t.LegacyFill || dc.last < 0 || idx < dc.last:
+	case dc.last < 0 || idx < dc.last:
 		t.digits(idx, dc.v)
 	case idx > dc.last:
 		t.advance(dc.v, idx-dc.last)
@@ -445,9 +431,9 @@ func (dc *decoder) at(idx int64) []int32 {
 // must be final.
 //
 //lint:hotpath the DP recurrence kernel, millions of calls per probe
-//lint:hbimpl wavefront ordering: every dependency read Opt[idx-Offset] targets a strictly smaller digit sum, and the fill loops separate levels with a full dispatch (or in-degree) barrier, so each read is ordered after its write by the level boundary
+//lint:hbimpl wavefront ordering: every dependency read Opt[idx-Offset] targets a strictly smaller digit sum, and the fill loops separate levels with a full dispatch barrier, so each read is ordered after its write by the level boundary
 func (t *Table) computeEntry(idx int64, v []int32, level int32) {
-	if t.PerEntryEnum {
+	if t.perEntry() {
 		t.computeEntryPerEnum(idx, v)
 		return
 	}
@@ -455,21 +441,6 @@ func (t *Table) computeEntry(idx int64, v []int32, level int32) {
 	opt := t.Opt
 	if idx < 0 || idx >= int64(len(opt)) {
 		return // never taken: the fill loops keep idx inside [0, Sigma)
-	}
-	if t.LegacyFill {
-		cfgs := t.Configs
-		for ci := range cfgs {
-			c := &cfgs[ci]
-			if conf.Fits(c.Counts, v) {
-				if o := idx - c.Offset; o >= 0 && o < int64(len(opt)) {
-					if e := opt[o]; e < best {
-						best = e
-					}
-				}
-			}
-		}
-		opt[idx] = best + 1
-		return
 	}
 	if t.packed != nil {
 		t.computeEntryPacked(idx, v, level)
@@ -623,7 +594,7 @@ func (t *Table) computeEntryPerEnum(idx int64, v []int32) {
 // many entry relaxations of the context dying, so a mid-fill abort costs
 // microseconds, not the rest of the fill. It is amortized over a countdown
 // counter — contexts that can never be canceled (nil Done channel) skip the
-// checks entirely, keeping the uninterruptible shims overhead-free.
+// checks entirely.
 const fillCheckEvery = 1 << 15
 
 // ctxDone returns the context's done channel, or nil when the context can
@@ -636,23 +607,16 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// FillSequential computes every entry bottom-up with no cancellation point;
-// it is the uninterruptible shim over FillSequentialCtx kept for callers
-// (benchmarks, ablations) that have no deadline to honor.
-//
-//lint:ignore ctxfirst deprecated uninterruptible shim; by contract its callers have no context to propagate
-func (t *Table) FillSequential() { _ = t.FillSequentialCtx(context.Background()) }
-
 // FillSequentialCtx computes every entry bottom-up, checking ctx every
 // fillCheckEvery entries. The default path runs the configuration-outer
-// relaxation sweep (fillConfigOuter); LegacyFill and PerEntryEnum keep the
+// relaxation sweep (fillConfigOuter); per-entry enumeration keeps the
 // entry-ordered recurrence sweep, where the digit vector and its level ride
 // an odometer increment so no entry pays a division decode. On cancellation
 // the table is left unfilled (Opt holds partial garbage) and the structured
 // cancel error is returned; an uncanceled fill returns nil and produces a
 // table bit-identical to every other fill variant.
 func (t *Table) FillSequentialCtx(ctx context.Context) error {
-	if !t.LegacyFill && !t.PerEntryEnum {
+	if !t.perEntry() {
 		return t.fillConfigOuter(ctx)
 	}
 	done := ctxDone(ctx)
@@ -821,20 +785,14 @@ func relaxRuns(opt []int32, lo, off, runLen, gap, runs int64) {
 	}
 }
 
-// FillRecursive computes the table top-down with memoization, starting from
-// the last entry, exactly as the paper describes the sequential Algorithm 2.
-// Only entries reachable from N by configuration subtractions are computed;
-// unreachable entries keep an internal "unset" marker that OptValue and
-// Reconstruct never observe. It is the uninterruptible shim over
-// FillRecursiveCtx.
-//
-//lint:ignore ctxfirst deprecated uninterruptible shim; by contract its callers have no context to propagate
-func (t *Table) FillRecursive() { _ = t.FillRecursiveCtx(context.Background()) }
-
-// FillRecursiveCtx is FillRecursive with cooperative cancellation: the
-// memoized recursion polls ctx every fillCheckEvery entries, and on
-// cancellation unwinds immediately, leaves the table unfilled (memoized
-// values are partial garbage) and returns the structured cancel error.
+// FillRecursiveCtx computes the table top-down with memoization, starting
+// from the last entry, exactly as the paper describes the sequential
+// Algorithm 2. Only entries reachable from N by configuration subtractions
+// are computed; unreachable entries keep an internal "unset" marker that
+// OptValue and Reconstruct never observe. The memoized recursion polls ctx
+// every fillCheckEvery entries, and on cancellation unwinds immediately,
+// leaves the table unfilled (memoized values are partial garbage) and
+// returns the structured cancel error.
 func (t *Table) FillRecursiveCtx(ctx context.Context) error {
 	for i := range t.Opt {
 		t.Opt[i] = unset
@@ -878,8 +836,7 @@ func (t *Table) solveRec(idx int64) int32 {
 	t.recEntries++
 	v := t.digits(idx, make([]int32, len(t.Stride)))
 	best := int32(math.MaxInt32)
-	switch {
-	case t.PerEntryEnum:
+	if t.perEntry() {
 		d := len(t.Sizes)
 		var rec func(dim int, weight pcmax.Time, off int64, jobs int32)
 		rec = func(dim int, weight pcmax.Time, off int64, jobs int32) {
@@ -900,16 +857,7 @@ func (t *Table) solveRec(idx int64) int32 {
 			}
 		}
 		rec(0, 0, 0, 0)
-	case t.LegacyFill:
-		for ci := range t.Configs {
-			c := &t.Configs[ci]
-			if conf.Fits(c.Counts, v) {
-				if o := t.solveRec(idx - c.Offset); o < best {
-					best = o
-				}
-			}
-		}
-	default:
+	} else {
 		s := t.set
 		bound := int(s.Bounds.Upto(sumDigits(v)))
 		for ci := 0; ci < bound; ci++ {
@@ -925,17 +873,10 @@ func (t *Table) solveRec(idx int64) int32 {
 }
 
 // fillLevels writes the digit sum of every entry into levels, using the
-// given parallel-for (a pool or barrier-pool dispatch, or an inline loop)
-// over workers workers. The optimized path splits the table into contiguous
-// chunks, pays one division decode per chunk and advances an odometer inside
-// it; LegacyFill reproduces the seed's division decode per entry.
+// given parallel-for over workers workers. It splits the table into
+// contiguous chunks, pays one division decode per chunk and advances an
+// odometer inside it.
 func (t *Table) fillLevels(pfor func(n int, body func(i int)), workers int, levels []int32) {
-	if t.LegacyFill {
-		pfor(int(t.Sigma), func(i int) {
-			levels[i] = t.levelOf(int64(i))
-		})
-		return
-	}
 	chunkLen := t.Sigma / int64(8*workers)
 	if chunkLen < 1024 {
 		chunkLen = 1024
@@ -992,19 +933,12 @@ func (t *Table) buildLevelIndex(pfor func(n int, body func(i int)), workers int)
 	return &levelIndex{order: order, start: start}
 }
 
-// FillParallel computes the table with the paper's Parallel DP (Algorithm 3)
-// on the given worker pool: level d_i = l entries in parallel, levels in
-// sequence. The pool may be reused across calls and bisection iterations. It
-// is the uninterruptible shim over FillParallelCtx.
-func (t *Table) FillParallel(pool *par.Pool, mode LevelMode, strategy par.Strategy) {
-	//lint:ignore ctxfirst deprecated uninterruptible shim; by contract its callers have no context to propagate
-	_ = t.FillParallelCtx(context.Background(), pool, mode, strategy)
-}
-
-// FillParallelCtx is FillParallel with cooperative cancellation: ctx is
-// checked between anti-diagonal levels and, through the pool's ForWorkerCtx,
-// every cancelCheckEvery entries inside each level, so an abort lands within
-// one level's residual work. Workers stop claiming entries, the level barrier
+// FillParallelCtx computes the table with the paper's Parallel DP
+// (Algorithm 3) on the given worker pool: level d_i = l entries in
+// parallel, levels in sequence. The pool may be reused across calls and
+// bisection iterations. ctx is checked between anti-diagonal levels and,
+// through the pool's ForWorkerCtx, every cancelCheckEvery entries inside
+// each level, so an abort lands within one level's residual work. Workers stop claiming entries, the level barrier
 // still completes (no leaked goroutines, the pool stays reusable) and the
 // structured cancel error is returned with the table left unfilled. It
 // panics on a LevelMode outside the declared constants, which is a
@@ -1051,7 +985,7 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool, mode LevelM
 			return err
 		}
 		var li *levelIndex
-		if t.cache != nil && !t.LegacyFill {
+		if t.cache != nil {
 			li = t.cache.levelIndexFor(t.Counts, func() *levelIndex {
 				return t.buildLevelIndex(pfor, pool.Workers())
 			})

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,29 @@ import (
 	"repro/internal/rng"
 	"repro/pcmax"
 )
+
+// fillSeq, fillRec and fillPar run a fill on a context that never cancels,
+// so only a broken fill makes them fail.
+func fillSeq(t testing.TB, tbl *Table) {
+	t.Helper()
+	if err := tbl.FillSequentialCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fillRec(t testing.TB, tbl *Table) {
+	t.Helper()
+	if err := tbl.FillRecursiveCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func fillPar(t testing.TB, tbl *Table, pool *par.Pool, mode LevelMode, strategy par.Strategy) {
+	t.Helper()
+	if err := tbl.FillParallelCtx(context.Background(), pool, mode, strategy); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // paperTable builds the paper's Section III example: sizes (6, 11), counts
 // N = (2, 3), target makespan T = 30.
@@ -39,7 +63,7 @@ func TestPaperExampleDimensions(t *testing.T) {
 
 func TestPaperExampleOptValues(t *testing.T) {
 	tbl := paperTable(t)
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	// Hand-checked values: a machine holds at most (1,2)=28, (2,1)=23,
 	// (0,2)=22 etc. OPT(2,3) needs 2 machines: (1,2)+(1,1).
 	cases := map[[2]int]int32{
@@ -64,10 +88,10 @@ func TestPaperExampleOptValues(t *testing.T) {
 
 func TestAllFillsAgreeOnPaperExample(t *testing.T) {
 	ref := paperTable(t)
-	ref.FillSequential()
+	fillSeq(t, ref)
 
 	rec := paperTable(t)
-	rec.FillRecursive()
+	fillRec(t, rec)
 	if rec.Opt[rec.Sigma-1] != ref.Opt[ref.Sigma-1] {
 		t.Fatalf("recursive OPT %d != sequential %d", rec.Opt[rec.Sigma-1], ref.Opt[ref.Sigma-1])
 	}
@@ -77,7 +101,7 @@ func TestAllFillsAgreeOnPaperExample(t *testing.T) {
 	for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
 		for _, strategy := range par.Strategies {
 			tbl := paperTable(t)
-			tbl.FillParallel(pool, mode, strategy)
+			fillPar(t, tbl, pool, mode, strategy)
 			for i := range tbl.Opt {
 				if tbl.Opt[i] != ref.Opt[i] {
 					t.Fatalf("mode %v strategy %v: entry %d = %d, want %d",
@@ -90,11 +114,11 @@ func TestAllFillsAgreeOnPaperExample(t *testing.T) {
 
 func TestPerEntryEnumMatchesShared(t *testing.T) {
 	ref := paperTable(t)
-	ref.FillSequential()
+	fillSeq(t, ref)
 
 	tbl := paperTable(t)
 	tbl.PerEntryEnum = true
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	for i := range tbl.Opt {
 		if tbl.Opt[i] != ref.Opt[i] {
 			t.Fatalf("per-entry enum entry %d = %d, want %d", i, tbl.Opt[i], ref.Opt[i])
@@ -103,7 +127,7 @@ func TestPerEntryEnumMatchesShared(t *testing.T) {
 
 	rec := paperTable(t)
 	rec.PerEntryEnum = true
-	rec.FillRecursive()
+	fillRec(t, rec)
 	if rec.Opt[rec.Sigma-1] != ref.Opt[ref.Sigma-1] {
 		t.Fatalf("per-entry recursive OPT %d != %d", rec.Opt[rec.Sigma-1], ref.Opt[ref.Sigma-1])
 	}
@@ -112,7 +136,7 @@ func TestPerEntryEnumMatchesShared(t *testing.T) {
 	defer pool.Close()
 	ptbl := paperTable(t)
 	ptbl.PerEntryEnum = true
-	ptbl.FillParallel(pool, LevelBuckets, par.RoundRobin)
+	fillPar(t, ptbl, pool, LevelBuckets, par.RoundRobin)
 	for i := range ptbl.Opt {
 		if ptbl.Opt[i] != ref.Opt[i] {
 			t.Fatalf("per-entry parallel entry %d = %d, want %d", i, ptbl.Opt[i], ref.Opt[i])
@@ -122,7 +146,7 @@ func TestPerEntryEnumMatchesShared(t *testing.T) {
 
 func TestReconstructPaperExample(t *testing.T) {
 	tbl := paperTable(t)
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	machines, err := tbl.Reconstruct()
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +172,7 @@ func TestReconstructPaperExample(t *testing.T) {
 
 func TestReconstructAfterRecursiveFill(t *testing.T) {
 	tbl := paperTable(t)
-	tbl.FillRecursive()
+	fillRec(t, tbl)
 	machines, err := tbl.Reconstruct()
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +200,7 @@ func TestEmptyTable(t *testing.T) {
 	if tbl.Sigma != 1 {
 		t.Fatalf("sigma = %d, want 1", tbl.Sigma)
 	}
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	opt, err := tbl.OptValue()
 	if err != nil || opt != 0 {
 		t.Fatalf("OPT = %d, %v; want 0", opt, err)
@@ -192,7 +216,7 @@ func TestEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl2.FillParallel(pool, LevelBuckets, par.RoundRobin)
+	fillPar(t, tbl2, pool, LevelBuckets, par.RoundRobin)
 	if opt, err := tbl2.OptValue(); err != nil || opt != 0 {
 		t.Fatalf("parallel empty table OPT = %d, %v", opt, err)
 	}
@@ -295,17 +319,17 @@ func TestAllFillsAgreeOnRandomTablesProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		ref := randomTable(src)
-		ref.FillSequential()
+		fillSeq(t, ref)
 
 		rec := cloneEmpty(ref)
-		rec.FillRecursive()
+		fillRec(t, rec)
 		if rec.Opt[rec.Sigma-1] != ref.Opt[ref.Sigma-1] {
 			return false
 		}
 
 		for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
 			p := cloneEmpty(ref)
-			p.FillParallel(pool, mode, par.Dynamic)
+			fillPar(t, p, pool, mode, par.Dynamic)
 			for i := range p.Opt {
 				if p.Opt[i] != ref.Opt[i] {
 					return false
@@ -315,7 +339,7 @@ func TestAllFillsAgreeOnRandomTablesProperty(t *testing.T) {
 
 		pe := cloneEmpty(ref)
 		pe.PerEntryEnum = true
-		pe.FillSequential()
+		fillSeq(t, pe)
 		for i := range pe.Opt {
 			if pe.Opt[i] != ref.Opt[i] {
 				return false
@@ -332,7 +356,7 @@ func TestReconstructValidityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		tbl := randomTable(src)
-		tbl.FillSequential()
+		fillSeq(t, tbl)
 		machines, err := tbl.Reconstruct()
 		if err != nil {
 			return false
@@ -370,7 +394,7 @@ func TestOptMatchesGreedySingleSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	opt, err := tbl.OptValue()
 	if err != nil {
 		t.Fatal(err)

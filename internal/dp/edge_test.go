@@ -17,7 +17,7 @@ func TestZeroCountClass(t *testing.T) {
 	if tbl.Sigma != 4 {
 		t.Fatalf("sigma = %d, want 4", tbl.Sigma)
 	}
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	opt, err := tbl.OptValue()
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestAllZeroCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	if opt, _ := tbl.OptValue(); opt != 0 {
 		t.Fatalf("OPT = %d, want 0", opt)
 	}
@@ -52,7 +52,7 @@ func TestSingleEntryPerLevel(t *testing.T) {
 	}
 	pool := par.NewPool(8)
 	defer pool.Close()
-	tbl.FillParallel(pool, LevelBuckets, par.RoundRobin)
+	fillPar(t, tbl, pool, LevelBuckets, par.RoundRobin)
 	opt, err := tbl.OptValue()
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestTightCapacityOneJobPerMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	if opt, _ := tbl.OptValue(); opt != 5 {
 		t.Fatalf("OPT = %d, want 5", opt)
 	}
@@ -91,10 +91,10 @@ func TestManyDimensionsSmallCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.FillSequential()
+	fillSeq(t, ref)
 	pool := par.NewPool(3)
 	defer pool.Close()
-	tbl.FillParallel(pool, LevelScan, par.Dynamic)
+	fillPar(t, tbl, pool, LevelScan, par.Dynamic)
 	for i := range tbl.Opt {
 		if tbl.Opt[i] != ref.Opt[i] {
 			t.Fatalf("entry %d differs", i)

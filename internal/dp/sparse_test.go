@@ -69,7 +69,7 @@ func TestSparseTableStaysFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.FillSequential()
+	fillSeq(t, ref)
 	refOpt, err := ref.OptValue()
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestSparseTableStaysFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.FillSequential()
+	fillSeq(t, tbl)
 	opt, err := tbl.OptValue()
 	if err != nil {
 		t.Fatal(err)

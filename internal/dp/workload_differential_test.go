@@ -46,7 +46,9 @@ func TestFillAutoBitIdenticalAcrossWorkloadFamilies(t *testing.T) {
 				return tbl
 			}
 			ref := mk()
-			ref.FillSequential()
+			if err := ref.FillSequentialCtx(t.Context()); err != nil {
+				t.Fatal(err)
+			}
 
 			auto := mk()
 			if err := auto.FillAutoCtx(t.Context(), bp); err != nil {

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/exact"
-	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/pcmax"
@@ -34,10 +32,10 @@ type AblationResult struct {
 // cfg.Reps instances of the LPT-adversarial family at m=20 (whose DP tables
 // are the largest among the paper's instance shapes):
 //
-//   - anti-diagonal discovery: level buckets vs the paper's full scans
-//   - level scheduling: round-robin vs chunked vs dynamic
-//   - sequential fill: bottom-up sweep vs paper's memoized recursion
-//   - configuration sets: shared filtered list vs per-entry re-enumeration
+//   - DP fill at 1 and at 4 workers: the production fill vs the paper's
+//     algorithms (core.Options.PaperFaithful: Algorithm 2 at 1 worker, the
+//     Parallel DP of Algorithm 3 at 4, both with per-entry configuration
+//     enumeration)
 //   - short-job rule: LPT (paper) vs LS (original Hochbaum–Shmoys)
 //   - bisection: sequential vs speculative multi-probe
 //   - exact-solver incumbent: LPT+MultiFit vs LPT only
@@ -56,10 +54,10 @@ func (cfg Config) RunAblations(ctx context.Context) (*AblationResult, error) {
 		instances[rep] = in
 	}
 
-	// The ablation variants toggle internal core knobs (level modes, fill
-	// strategies, ...) the public registry options deliberately don't
-	// expose, so this driver calls core.Solve directly — still under the
-	// per-algorithm timeout, with timed-out cells logged and skipped.
+	// The ablation variants toggle internal core knobs (the short-job rule,
+	// ...) the public registry options deliberately don't expose, so this
+	// driver calls core.Solve directly — still under the per-algorithm
+	// timeout, with timed-out cells logged and skipped.
 	solveVariant := func(group, variant string, opts core.Options) error {
 		var total float64
 		var worst pcmax.Time
@@ -89,31 +87,14 @@ func (cfg Config) RunAblations(ctx context.Context) (*AblationResult, error) {
 	}
 
 	eps := cfg.Epsilon
-	for _, mode := range []dp.LevelMode{dp.LevelBuckets, dp.LevelScan} {
-		if err := solveVariant("level discovery (4 workers)", mode.String(),
-			core.Options{Epsilon: eps, Workers: 4, LevelMode: mode}); err != nil {
+	for _, workers := range []int{1, 4} {
+		group := fmt.Sprintf("DP fill (%d workers)", workers)
+		if err := solveVariant(group, "production",
+			core.Options{Epsilon: eps, Workers: workers}); err != nil {
 			return nil, err
 		}
-	}
-	for _, strategy := range par.Strategies {
-		if err := solveVariant("level scheduling (4 workers)", strategy.String(),
-			core.Options{Epsilon: eps, Workers: 4, Strategy: strategy}); err != nil {
-			return nil, err
-		}
-	}
-	for fill, name := range map[core.SeqFill]string{core.SeqBottomUp: "bottom-up", core.SeqRecursive: "recursive (paper)"} {
-		if err := solveVariant("sequential fill", name,
-			core.Options{Epsilon: eps, SeqFill: fill}); err != nil {
-			return nil, err
-		}
-	}
-	for _, perEntry := range []bool{false, true} {
-		name := "shared list"
-		if perEntry {
-			name = "per-entry (paper)"
-		}
-		if err := solveVariant("configuration enumeration", name,
-			core.Options{Epsilon: eps, PerEntryConfigs: perEntry}); err != nil {
+		if err := solveVariant(group, "paper",
+			core.Options{Epsilon: eps, Workers: workers, PaperFaithful: true}); err != nil {
 			return nil, err
 		}
 	}

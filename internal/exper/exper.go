@@ -52,8 +52,11 @@ type Config struct {
 	BarrierNs float64
 	// WallClock also measures real parallel runs per core count.
 	WallClock bool
-	// PaperFaithful switches the PTAS to the presentation-faithful DP
-	// variants (per-entry configuration enumeration, level scans).
+	// PaperFaithful switches the PTAS to the paper's own DP fills (the
+	// recursive Algorithm 2 at 1 worker, the Parallel DP of Algorithm 3
+	// with level scans otherwise, both with per-entry configuration
+	// enumeration). Without it every run, wall-clock ones included, uses
+	// the one-thread production fill.
 	PaperFaithful bool
 	// SkipIP skips the exact baselines entirely (used by the scaled
 	// speedup experiment, which studies DP scaling, not IP times).
@@ -183,7 +186,7 @@ func (cfg *Config) measure(ctx context.Context, in *pcmax.Instance) (*measuremen
 	// an internal instrumentation knob the public options don't expose. It
 	// still runs under the per-algorithm timeout.
 	profile := &simsched.Profile{}
-	copts := core.Options{Epsilon: cfg.Epsilon, Workers: 1, Profile: profile, PerEntryConfigs: cfg.PaperFaithful}
+	copts := core.Options{Epsilon: cfg.Epsilon, Workers: 1, Profile: profile, PaperFaithful: cfg.PaperFaithful}
 	seqCtx, cancelSeq := cfg.algoCtx(ctx)
 	t0 := time.Now()
 	seqSched, seqStats, err := core.Solve(seqCtx, in, copts)

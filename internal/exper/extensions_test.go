@@ -64,8 +64,7 @@ func TestRunAblationsSmall(t *testing.T) {
 		}
 	}
 	for _, g := range []string{
-		"level discovery (4 workers)", "level scheduling (4 workers)",
-		"sequential fill", "configuration enumeration", "short-job rule",
+		"DP fill (1 workers)", "DP fill (4 workers)", "short-job rule",
 		"bisection", "exact incumbent",
 	} {
 		if groups[g] < 2 {

@@ -4,15 +4,15 @@ package lint
 // (ALGORITHM.md §16). A parallel region is code that may execute on a
 // goroutine other than its spawner: the body of a `go` statement (a function
 // literal or a statically resolved callee) or a closure dispatched onto one
-// of the repo's worker pools (`par.Pool`/`par.BarrierPool` For/ForWorker/
-// ForBatch and their Ctx variants — recognized structurally as methods of a
-// type declared in a package named "par", so the testdata fixtures can model
-// them without importing the real substrate).
+// of the repo's worker pool (`par.Pool` For/ForWorker and their Ctx
+// variants — recognized structurally as methods of a type declared in a
+// package named "par", so the testdata fixtures can model them without
+// importing the real substrate).
 //
 // The happens-before edges modeled here are the ones the repo's concurrency
 // idioms actually use:
 //
-//   - Pool dispatch is synchronous: For/ForWorker/ForBatch return only after
+//   - Pool dispatch is synchronous: For/ForWorker return only after
 //     the internal barrier, so the spawner never runs concurrently with the
 //     dispatched closure. The only hazard is the closure racing with its own
 //     sibling instances (SelfParallel).
@@ -66,7 +66,7 @@ type ParRegion struct {
 	CalleeFn   *types.Func
 	CalleePkg  *Package
 	CalleeDecl *ast.FuncDecl
-	// Worker is the worker-id parameter of a ForWorker/ForBatch closure: the
+	// Worker is the worker-id parameter of a ForWorker closure: the
 	// index the interval engine must prove per-worker writes use.
 	Worker *types.Var
 	// Dist are the instance-distinguishing parameters: values that differ
@@ -114,7 +114,6 @@ func (r *ParRegion) BodyPkg() *Package {
 var dispatchArity = map[string]int{
 	"For": -1, "ForCtx": -1,
 	"ForWorker": 0, "ForWorkerCtx": 0,
-	"ForBatch": 0, "ForBatchCtx": 0,
 }
 
 // isPoolDispatch reports whether the call is a worker-pool dispatch: a

@@ -7,20 +7,18 @@ import (
 )
 
 // MutexByValue is the copylocks check specialized to the parallel substrate:
-// internal/par's Pool (which owns a mutex and the worker feed channels), the
-// BarrierPool (whose sense-reversing round word, arrival counter and parked
-// flags are atomics a copy would fork) and the cache-line-padded counter and
-// cursor types must never be copied or embedded by value. Copying a Pool
-// forks its closed/mutex state — exactly the class of bug behind the PR-1
-// Close/For race — copying a BarrierPool detaches it from its resident
-// workers, and copying a padded counter silently destroys the false-sharing
-// layout the type exists for. The guarded set is derived from types, not
-// names: any struct declared in internal/par that holds a sync/sync-atomic
-// value or a blank padding array, which covers the barrier-pool types
-// automatically.
+// internal/par's Pool (which owns a mutex, a WaitGroup over its workers and
+// the worker feed channels) and the cache-line-padded counter type must
+// never be copied or embedded by value. Copying a Pool forks its
+// closed/mutex state — exactly the class of bug behind the PR-1 Close/For
+// race — and detaches the copy from its workers, and copying a padded
+// counter silently destroys the false-sharing layout the type exists for.
+// The guarded set is derived from types, not names: any struct declared in
+// internal/par that holds a sync/sync-atomic value or a blank padding array,
+// which covers any new substrate type automatically.
 var MutexByValue = &Analyzer{
 	Name: "mutexbyvalue",
-	Doc:  "internal/par's pool, barrier-pool and padded counter types must be handled by pointer, never copied or embedded by value",
+	Doc:  "internal/par's pool and padded counter types must be handled by pointer, never copied or embedded by value",
 	Run:  runMutexByValue,
 }
 

@@ -42,53 +42,6 @@ func BenchmarkForStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchOverhead compares the per-round dispatch cost of the
-// legacy Pool (WaitGroup + mutex + channel send per worker) against the
-// BarrierPool (sense-reversing barrier, resident spinning workers) across the
-// level widths the DP actually dispatches: tiny (8), the fusion threshold
-// region (64), and a genuinely wide level (4096).
-func BenchmarkDispatchOverhead(b *testing.B) {
-	const workers = 4
-	var sink atomic.Int64
-	body := func(w, i int) {
-		if i == 0 {
-			sink.Add(1)
-		}
-	}
-	for _, n := range []int{8, 64, 4096} {
-		b.Run(fmt.Sprintf("pool/n=%d", n), func(b *testing.B) {
-			p := NewPool(workers)
-			defer p.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.ForWorker(n, RoundRobin, 0, body)
-			}
-		})
-		b.Run(fmt.Sprintf("barrier/n=%d", n), func(b *testing.B) {
-			p := NewBarrierPool(workers)
-			defer p.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.ForWorker(n, body)
-			}
-		})
-		b.Run(fmt.Sprintf("barrier-batch8/n=%d", n), func(b *testing.B) {
-			// Eight fused segments per dispatch, n iterations total, as the
-			// adaptive fill issues for runs of small DP levels.
-			p := NewBarrierPool(workers)
-			defer p.Close()
-			segs := make([]int, 8)
-			for s := range segs {
-				segs[s] = n / len(segs)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.ForBatch(segs, func(w, s, i int) { body(w, i) })
-			}
-		})
-	}
-}
-
 // BenchmarkOneShotFor measures the convenience wrapper's pool start-up cost
 // relative to a persistent pool.
 func BenchmarkOneShotFor(b *testing.B) {

@@ -89,6 +89,9 @@ type round struct {
 type Pool struct {
 	workers int
 	feeds   []chan round
+	// running counts the worker goroutines still running; Close waits for
+	// it to drain.
+	running sync.WaitGroup
 
 	// mu serializes round dispatch against Close (and Close against
 	// itself); closed is only read/written under mu.
@@ -103,6 +106,7 @@ type Pool struct {
 func NewPool(workers int) *Pool {
 	workers = Normalize(workers)
 	p := &Pool{workers: workers, feeds: make([]chan round, workers)}
+	p.running.Add(workers)
 	for w := 0; w < workers; w++ {
 		p.feeds[w] = make(chan round)
 		go p.worker(w)
@@ -113,24 +117,26 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close terminates the worker goroutines. Close is idempotent and safe to
-// call concurrently with itself and with an in-flight For/ForWorker round:
-// a round that already dispatched drains normally (its workers exit after
-// finishing), a round that has not yet dispatched panics with "For on
-// closed Pool".
+// Close terminates the worker goroutines and returns once they have exited.
+// Close is idempotent and safe to call concurrently with itself and with an
+// in-flight For/ForWorker round: a round that already dispatched drains
+// normally (its workers exit after finishing it), a round that has not yet
+// dispatched panics with "For on closed Pool". It must not be called from
+// inside a round's body, whose worker would then wait for itself.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
+	if !p.closed {
+		p.closed = true
+		for _, ch := range p.feeds {
+			close(ch)
+		}
 	}
-	p.closed = true
-	for _, ch := range p.feeds {
-		close(ch)
-	}
+	p.mu.Unlock()
+	p.running.Wait()
 }
 
 func (p *Pool) worker(w int) {
+	defer p.running.Done()
 	for r := range p.feeds[w] {
 		p.run(w, r)
 	}
@@ -312,3 +318,14 @@ func For(workers, n int, strategy Strategy, body func(i int)) {
 	defer p.Close()
 	p.For(n, strategy, body)
 }
+
+// BarrierPool is a deprecated alias of Pool, kept for callers that still
+// spell the old name.
+//
+// Deprecated: use Pool.
+type BarrierPool = Pool
+
+// NewBarrierPool is a deprecated alias of NewPool.
+//
+// Deprecated: use NewPool.
+func NewBarrierPool(workers int) *BarrierPool { return NewPool(workers) }

@@ -35,10 +35,20 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestPoolForCoversEveryIndexOnce(t *testing.T) {
+// The contract tests below take the pool constructor, so each runs twice:
+// once through NewPool and once, as a TestBarrier* test, through the
+// deprecated NewBarrierPool alias, which callers outside this module still
+// use and which must keep every guarantee the deleted barrier pool gave.
+
+func TestPoolForCoversEveryIndexOnce(t *testing.T) { testForCoversEveryIndexOnce(t, NewPool) }
+func TestBarrierForCoversEveryIndexOnce(t *testing.T) {
+	testForCoversEveryIndexOnce(t, NewBarrierPool)
+}
+
+func testForCoversEveryIndexOnce(t *testing.T, newPool func(int) *Pool) {
 	for _, strategy := range Strategies {
 		for _, workers := range []int{1, 2, 5, 16} {
-			p := NewPool(workers)
+			p := newPool(workers)
 			for _, n := range []int{0, 1, 7, 256} {
 				coverageCheck(t, n, func(mark func(int)) {
 					p.For(n, strategy, mark)
@@ -49,8 +59,13 @@ func TestPoolForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestPoolReusedAcrossManyRounds(t *testing.T) {
-	p := NewPool(4)
+func TestPoolReusedAcrossManyRounds(t *testing.T) { testReusedAcrossManyRounds(t, NewPool) }
+func TestBarrierPoolReusedAcrossManyRounds(t *testing.T) {
+	testReusedAcrossManyRounds(t, NewBarrierPool)
+}
+
+func testReusedAcrossManyRounds(t *testing.T, newPool func(int) *Pool) {
+	p := newPool(4)
 	defer p.Close()
 	var total atomic.Int64
 	const rounds, n = 500, 37
@@ -62,9 +77,12 @@ func TestPoolReusedAcrossManyRounds(t *testing.T) {
 	}
 }
 
-func TestForWorkerIDsInRange(t *testing.T) {
+func TestForWorkerIDsInRange(t *testing.T)        { testForWorkerIDsInRange(t, NewPool) }
+func TestBarrierForWorkerIDsInRange(t *testing.T) { testForWorkerIDsInRange(t, NewBarrierPool) }
+
+func testForWorkerIDsInRange(t *testing.T, newPool func(int) *Pool) {
 	for _, strategy := range Strategies {
-		p := NewPool(5)
+		p := newPool(5)
 		var bad atomic.Int64
 		p.ForWorker(1000, strategy, 0, func(w, i int) {
 			if w < 0 || w >= 5 {
@@ -79,10 +97,17 @@ func TestForWorkerIDsInRange(t *testing.T) {
 }
 
 func TestPoolSmallRoundUsesOnlyNeededWorkers(t *testing.T) {
+	testSmallRoundUsesOnlyNeededWorkers(t, NewPool)
+}
+func TestBarrierSmallRoundUsesOnlyNeededWorkers(t *testing.T) {
+	testSmallRoundUsesOnlyNeededWorkers(t, NewBarrierPool)
+}
+
+func testSmallRoundUsesOnlyNeededWorkers(t *testing.T, newPool func(int) *Pool) {
 	// n < workers dispatches to just the first n workers: ids stay below n
 	// and coverage is exact (the idle tail never wakes).
 	for _, strategy := range Strategies {
-		p := NewPool(8)
+		p := newPool(8)
 		for _, n := range []int{2, 3, 7} {
 			var bad atomic.Int64
 			coverageCheck(t, n, func(mark func(int)) {
@@ -102,9 +127,16 @@ func TestPoolSmallRoundUsesOnlyNeededWorkers(t *testing.T) {
 }
 
 func TestPoolSingleIterationRunsInlineOnCaller(t *testing.T) {
+	testSingleIterationRunsInlineOnCaller(t, NewPool)
+}
+func TestBarrierSingleIterationRunsInlineOnCaller(t *testing.T) {
+	testSingleIterationRunsInlineOnCaller(t, NewBarrierPool)
+}
+
+func testSingleIterationRunsInlineOnCaller(t *testing.T, newPool func(int) *Pool) {
 	// n == 1 must run on the calling goroutine: an unsynchronized local
 	// write would be a reported race otherwise (run with -race).
-	p := NewPool(4)
+	p := newPool(4)
 	defer p.Close()
 	ran := 0
 	p.ForWorker(1, Dynamic, 0, func(w, i int) {
@@ -172,7 +204,14 @@ func TestDynamicGrainRespected(t *testing.T) {
 }
 
 func TestBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
-	p := NewPool(3)
+	testBodyPanicPropagatesAndPoolSurvives(t, NewPool)
+}
+func TestBarrierBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
+	testBodyPanicPropagatesAndPoolSurvives(t, NewBarrierPool)
+}
+
+func testBodyPanicPropagatesAndPoolSurvives(t *testing.T, newPool func(int) *Pool) {
+	p := newPool(3)
 	defer p.Close()
 	func() {
 		defer func() {
@@ -192,15 +231,22 @@ func TestBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
 	})
 }
 
-func TestForOnClosedPoolPanics(t *testing.T) {
-	p := NewPool(2)
+func TestForOnClosedPoolPanics(t *testing.T)    { testForOnClosedPanics(t, NewPool) }
+func TestBarrierForOnClosedPanics(t *testing.T) { testForOnClosedPanics(t, NewBarrierPool) }
+
+func testForOnClosedPanics(t *testing.T, newPool func(int) *Pool) {
+	p := newPool(2)
 	p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("For on closed pool did not panic")
-		}
-	}()
-	p.For(1, RoundRobin, func(int) {})
+	for _, n := range []int{0, 1, 10} {
+		func() {
+			defer func() {
+				if r := recover(); r != "par: For on closed Pool" {
+					t.Fatalf("For(%d) on closed pool: recover = %v", n, r)
+				}
+			}()
+			p.For(n, RoundRobin, func(int) {})
+		}()
+	}
 }
 
 func TestCloseIdempotent(t *testing.T) {
@@ -209,10 +255,18 @@ func TestCloseIdempotent(t *testing.T) {
 	p.Close() // must not panic
 }
 
-func TestCloseConcurrentlyIdempotent(t *testing.T) {
+func TestCloseConcurrentlyIdempotent(t *testing.T) { testCloseConcurrentlyIdempotent(t, NewPool) }
+func TestBarrierCloseIdempotentAndConcurrent(t *testing.T) {
+	p := NewBarrierPool(2)
+	p.Close()
+	p.Close() // must not panic
+	testCloseConcurrentlyIdempotent(t, NewBarrierPool)
+}
+
+func testCloseConcurrentlyIdempotent(t *testing.T, newPool func(int) *Pool) {
 	// Many goroutines racing Close must close the feeds exactly once.
 	for rep := 0; rep < 50; rep++ {
-		p := NewPool(3)
+		p := newPool(3)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -231,8 +285,13 @@ func TestCloseConcurrentlyIdempotent(t *testing.T) {
 // dispatched before Close won the mutex) or panics with the descriptive
 // "For on closed Pool" — never the runtime's "send on closed channel".
 func TestCloseDuringRoundsNeverSendsOnClosedChannel(t *testing.T) {
+	testCloseDuringRounds(t, NewPool)
+}
+func TestBarrierCloseDuringRoundsDrains(t *testing.T) { testCloseDuringRounds(t, NewBarrierPool) }
+
+func testCloseDuringRounds(t *testing.T, newPool func(int) *Pool) {
 	for rep := 0; rep < 100; rep++ {
-		p := NewPool(2)
+		p := newPool(2)
 		roundsDone := make(chan any, 1)
 		go func() {
 			var recovered any
@@ -287,10 +346,15 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-func TestNoDataRacesUnderSharedWrites(t *testing.T) {
+func TestNoDataRacesUnderSharedWrites(t *testing.T) { testSharedWritesPublished(t, NewPool) }
+func TestBarrierSharedWritesPublishedByBarrier(t *testing.T) {
+	testSharedWritesPublished(t, NewBarrierPool)
+}
+
+func testSharedWritesPublished(t *testing.T, newPool func(int) *Pool) {
 	// Run with -race: each index writes its own slot; the WaitGroup barrier
 	// must publish all writes to the caller.
-	p := NewPool(8)
+	p := newPool(8)
 	defer p.Close()
 	out := make([]int, 4096)
 	p.For(len(out), Dynamic, func(i int) { out[i] = i * i })
@@ -317,33 +381,83 @@ func TestSequentialOneWorkerOrder(t *testing.T) {
 	}
 }
 
-func TestCloseStopsWorkerGoroutines(t *testing.T) {
+// closeWithin closes p and fails the test unless Close, which returns only
+// once every worker goroutine of p has exited, returns within 5 s.
+func closeWithin(t *testing.T, p *Pool) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting for its worker goroutines after 5s")
+	}
+}
+
+func TestCloseStopsWorkerGoroutines(t *testing.T) { testCloseStopsWorkers(t, NewPool) }
+func TestBarrierCloseStopsResidentGoroutines(t *testing.T) {
+	testCloseStopsWorkers(t, NewBarrierPool)
+}
+
+// testCloseStopsWorkers checks that Close returns once its pool's workers
+// have exited, whether they were idle or just back from a round: right after
+// the last Close the goroutine count is back at its baseline, give or take
+// the closeWithin helpers still winding down.
+func testCloseStopsWorkers(t *testing.T, newPool func(int) *Pool) {
 	before := runtime.NumGoroutine()
 	pools := make([]*Pool, 8)
 	for i := range pools {
-		pools[i] = NewPool(8)
+		pools[i] = newPool(8)
 	}
-	during := runtime.NumGoroutine()
-	if during < before+32 {
+	if during := runtime.NumGoroutine(); during < before+32 {
 		t.Fatalf("expected worker goroutines to start: before=%d during=%d", before, during)
 	}
-	for _, p := range pools {
-		p.Close()
-	}
-	// Workers exit asynchronously after Close; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+4 {
-			return
+	for i, p := range pools {
+		if i%2 == 0 {
+			p.For(1024, Dynamic, func(int) {})
 		}
-		time.Sleep(10 * time.Millisecond)
+		closeWithin(t, p)
 	}
-	t.Fatalf("goroutines leaked: before=%d now=%d", before, runtime.NumGoroutine())
+	if now := runtime.NumGoroutine(); now > before+len(pools) {
+		t.Fatalf("worker goroutines outlived Close: before=%d now=%d", before, now)
+	}
+}
+
+// TestBarrierCallerParkHandoffAcrossRounds checks that every dispatch
+// returns only after all bodies of its round ran, also when the workers
+// other than worker 0 finish long after it.
+func TestBarrierCallerParkHandoffAcrossRounds(t *testing.T) {
+	p := NewBarrierPool(4)
+	defer p.Close()
+	const rounds, n = 300, 8
+	var ran atomic.Int64
+	for r := 0; r < rounds; r++ {
+		ran.Store(0)
+		p.ForWorker(n, RoundRobin, 0, func(w, i int) {
+			if w != 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			ran.Add(1)
+		})
+		if got := ran.Load(); got != n {
+			t.Fatalf("round %d: dispatch returned after %d of %d bodies", r, got, n)
+		}
+	}
 }
 
 func TestForCtxCoversEveryIndexWhenNotCanceled(t *testing.T) {
+	testForCtxCoversEveryIndex(t, NewPool)
+}
+func TestBarrierForCtxCoversEveryIndexWhenNotCanceled(t *testing.T) {
+	testForCtxCoversEveryIndex(t, NewBarrierPool)
+}
+
+func testForCtxCoversEveryIndex(t *testing.T, newPool func(int) *Pool) {
 	for _, strategy := range Strategies {
-		p := NewPool(4)
+		p := newPool(4)
 		for _, n := range []int{0, 1, 7, 1024} {
 			coverageCheck(t, n, func(mark func(int)) {
 				if err := p.ForCtx(context.Background(), n, strategy, mark); err != nil {
@@ -355,8 +469,13 @@ func TestForCtxCoversEveryIndexWhenNotCanceled(t *testing.T) {
 	}
 }
 
-func TestForCtxNilContextBehavesLikeFor(t *testing.T) {
-	p := NewPool(3)
+func TestForCtxNilContextBehavesLikeFor(t *testing.T) { testForCtxNilContext(t, NewPool) }
+func TestBarrierForCtxNilContextBehavesLikeFor(t *testing.T) {
+	testForCtxNilContext(t, NewBarrierPool)
+}
+
+func testForCtxNilContext(t *testing.T, newPool func(int) *Pool) {
+	p := newPool(3)
 	defer p.Close()
 	coverageCheck(t, 100, func(mark func(int)) {
 		if err := p.ForCtx(nil, 100, Chunked, mark); err != nil {
@@ -365,9 +484,14 @@ func TestForCtxNilContextBehavesLikeFor(t *testing.T) {
 	})
 }
 
-func TestForCtxStopsOnCancel(t *testing.T) {
+func TestForCtxStopsOnCancel(t *testing.T) { testForCtxStopsOnCancel(t, NewPool) }
+func TestBarrierForCtxStopsOnCancelMidRound(t *testing.T) {
+	testForCtxStopsOnCancel(t, NewBarrierPool)
+}
+
+func testForCtxStopsOnCancel(t *testing.T, newPool func(int) *Pool) {
 	for _, strategy := range Strategies {
-		p := NewPool(4)
+		p := newPool(4)
 		ctx, cancelFn := context.WithCancel(context.Background())
 		var ran atomic.Int64
 		const n = 1 << 20
@@ -392,7 +516,14 @@ func TestForCtxStopsOnCancel(t *testing.T) {
 }
 
 func TestForCtxAlreadyCanceledRunsNothing(t *testing.T) {
-	p := NewPool(4)
+	testForCtxAlreadyCanceled(t, NewPool)
+}
+func TestBarrierForCtxAlreadyCanceledRunsNothing(t *testing.T) {
+	testForCtxAlreadyCanceled(t, NewBarrierPool)
+}
+
+func testForCtxAlreadyCanceled(t *testing.T, newPool func(int) *Pool) {
+	p := newPool(4)
 	defer p.Close()
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
@@ -406,13 +537,19 @@ func TestForCtxAlreadyCanceledRunsNothing(t *testing.T) {
 	}
 }
 
-// TestCanceledForCtxLeaksNoGoroutines is the abort-leak regression guard: a
-// round canceled mid-flight must still complete its barrier, and closing the
-// pool afterwards must return the goroutine count to its baseline.
-func TestCanceledForCtxLeaksNoGoroutines(t *testing.T) {
+func TestCanceledForCtxLeaksNoGoroutines(t *testing.T) { testCanceledRoundsLeakNothing(t, NewPool) }
+func TestBarrierCanceledRoundsLeakNoGoroutines(t *testing.T) {
+	testCanceledRoundsLeakNothing(t, NewBarrierPool)
+}
+
+// testCanceledRoundsLeakNothing is the abort-leak regression guard: a round
+// canceled mid-flight must still complete its barrier, and Close must then
+// return, with every worker exited, within 5 s.
+func testCanceledRoundsLeakNothing(t *testing.T, newPool func(int) *Pool) {
 	before := runtime.NumGoroutine()
-	for trial := 0; trial < 10; trial++ {
-		p := NewPool(8)
+	const trials = 10
+	for trial := 0; trial < trials; trial++ {
+		p := newPool(8)
 		ctx, cancelFn := context.WithCancel(context.Background())
 		var ran atomic.Int64
 		_ = p.ForCtx(ctx, 1<<18, Dynamic, func(i int) {
@@ -420,15 +557,10 @@ func TestCanceledForCtxLeaksNoGoroutines(t *testing.T) {
 				cancelFn()
 			}
 		})
-		p.Close()
+		closeWithin(t, p)
 		cancelFn()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if now := runtime.NumGoroutine(); now > before+trials {
+		t.Fatalf("goroutines leaked after canceled rounds: before=%d now=%d", before, now)
 	}
-	t.Fatalf("goroutines leaked after canceled rounds: before=%d now=%d", before, runtime.NumGoroutine())
 }

@@ -66,6 +66,12 @@ go test -timeout 5m -run '^$' -fuzz 'FuzzReadJSON' -fuzztime 5s ./pcmax
 # pcmax.SortedIndex's radix sort must reproduce (pcmax.FuzzSortedIndex).
 go test -timeout 5m -run '^$' -fuzz 'FuzzSortedIndex' -fuzztime 5s ./pcmax
 
+# Differential fuzz smoke over the fill switch: five seconds of random small
+# instances (m <= 4, n <= 10), each solved with the production fill and with
+# the paper's Algorithms 2 and 3 (internal/core.FuzzSolve), which must agree
+# on the schedule and stats and meet exact.BruteForce's optimum.
+go test -timeout 5m -run '^$' -fuzz 'FuzzSolve' -fuzztime 5s ./internal/core
+
 # internal/lint rides along in the race pass: its loader and runner fan out
 # over the worker pool and must stay clean under the detector.
 # internal/trsched joins it: the variant solver shares the configuration
@@ -78,8 +84,3 @@ go test -race -timeout 15m ./internal/par ./internal/dp ./internal/exact ./inter
 # streams, concurrent mutators and readers on one Session) must hold under
 # the race detector.
 go test -race -timeout 10m -run 'Session' ./solver
-
-# Dedicated stress pass over the barrier pool: its park/wake, panic and
-# cancellation handoffs are the trickiest lock-free code in the tree, so run
-# the Barrier suite twice more under the race detector.
-go test -race -timeout 5m -count=2 -run 'Barrier' ./internal/par

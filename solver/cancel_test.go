@@ -123,18 +123,6 @@ func TestPTASDeadlineError(t *testing.T) {
 	}
 }
 
-func TestPTASTimeLimitShim(t *testing.T) {
-	in, opts := slowInstance(t)
-	opts.TimeLimit = 50 * time.Millisecond
-	sched, _, err := solver.PTAS(context.Background(), in, opts)
-	if !errors.Is(err, solver.ErrDeadline) {
-		t.Fatalf("TimeLimit shim error %v does not match solver.ErrDeadline", err)
-	}
-	if sched == nil {
-		t.Fatal("want fallback schedule from the TimeLimit shim")
-	}
-}
-
 func TestRegistryCoversAllAlgorithms(t *testing.T) {
 	want := []string{"brute", "exact", "ip", "lpt", "ls", "multifit", "ptas", "ptas-sparse", "ptas-tr", "sahni"}
 	got := solver.Names()

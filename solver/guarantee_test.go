@@ -120,3 +120,43 @@ func TestSparseNeverWorseThanFaithfulGuarantee(t *testing.T) {
 		t.Fatalf("suite covered only %d instances", count)
 	}
 }
+
+// TestSparsePaperFaithfulMatchesProduction is the regression test for
+// sparse solves under PaperFaithful. Per-entry enumeration regenerates the
+// faithful configuration set, so on a sparse table it reached OPTs through
+// configurations the table had pruned, and reconstruction, which walks the
+// table's own configurations, failed ("no configuration explains OPT").
+// Sparse tables now ignore per-entry enumeration: across the six families
+// on three small fig shapes, the paper's fills must return the production
+// fill's schedule, job for job.
+func TestSparsePaperFaithfulMatchesProduction(t *testing.T) {
+	shapes := []struct{ m, n int }{{4, 16}, {5, 20}, {6, 30}}
+	for _, fam := range workload.Families {
+		for seed := uint64(1); seed <= 6; seed++ {
+			for _, sh := range shapes {
+				in := workload.MustGenerate(workload.Spec{Family: fam, M: sh.m, N: sh.n, Seed: seed})
+				opts := solver.DefaultPTASOptions()
+				opts.Sparsify = true
+				ref, _, err := solver.PTAS(context.Background(), in, opts)
+				if err != nil {
+					t.Fatalf("%v m=%d n=%d seed=%d: %v", fam, sh.m, sh.n, seed, err)
+				}
+				for _, workers := range []int{1, 3} {
+					pf := opts
+					pf.PaperFaithful = true
+					pf.Workers = workers
+					got, _, err := solver.PTAS(context.Background(), in, pf)
+					if err != nil {
+						t.Fatalf("%v m=%d n=%d seed=%d workers=%d: paper-faithful: %v", fam, sh.m, sh.n, seed, workers, err)
+					}
+					for j := range ref.Assignment {
+						if got.Assignment[j] != ref.Assignment[j] {
+							t.Fatalf("%v m=%d n=%d seed=%d workers=%d: job %d on machine %d, production %d",
+								fam, sh.m, sh.n, seed, workers, j, got.Assignment[j], ref.Assignment[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -12,8 +12,8 @@ import (
 
 // Options aggregates the per-algorithm option structs for registry dispatch.
 // Only the struct matching the selected algorithm is consulted; the zero
-// value is usable for every algorithm (PTAS falls back to
-// DefaultPTASOptions when Options.PTAS.Epsilon is unset).
+// value is usable for every algorithm (PTAS takes DefaultPTASOptions'
+// epsilon when Options.PTAS.Epsilon is unset).
 type Options struct {
 	PTAS  PTASOptions
 	Exact ExactOptions
@@ -125,14 +125,12 @@ func (a algo) Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcm
 }
 
 // ptasOptions resolves the effective PTAS options for registry dispatch: a
-// zero Epsilon selects the library defaults so the zero Options value works.
+// zero Epsilon selects the default epsilon so the zero Options value works;
+// every other option is the caller's.
 func ptasOptions(opts Options) PTASOptions {
 	p := opts.PTAS
 	if p.Epsilon == 0 {
-		def := DefaultPTASOptions()
-		def.Workers = p.Workers
-		def.TimeLimit = p.TimeLimit
-		p = def
+		p.Epsilon = DefaultPTASOptions().Epsilon
 	}
 	return p
 }

@@ -221,8 +221,7 @@ func (s *Session) commit(next *pcmax.Instance, sched *pcmax.Schedule, cst *core.
 	s.ms = sched.Makespan(next)
 	s.certLB = certLB
 	s.counters.Solves++
-	pst := PTASStats(*cst)
-	st.PTAS = &pst
+	st.PTAS = cst
 	st.Makespan = s.ms
 	st.LowerBound = certLB
 	st.N = next.N()

@@ -22,8 +22,9 @@
 // interrupted solve returns an error matching ErrCanceled (and ErrDeadline
 // when a deadline caused it); PTAS additionally degrades gracefully,
 // returning plain LPT's schedule next to the error so callers still get a
-// valid (if unguaranteed) answer. The legacy TimeLimit option fields remain
-// as thin shims over context deadlines and are deprecated in favor of ctx.
+// valid (if unguaranteed) answer. The exact solvers' legacy TimeLimit option
+// fields remain as thin shims over context deadlines and are deprecated in
+// favor of ctx.
 //
 // The named-dispatch layer lives in registry.go: every algorithm is also
 // reachable through Registry by name via the uniform Algorithm interface.
@@ -35,11 +36,9 @@ import (
 
 	"repro/internal/cancel"
 	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/exact"
 	"repro/internal/listsched"
 	"repro/internal/multifit"
-	"repro/internal/par"
 	"repro/internal/sahni"
 	"repro/pcmax"
 )
@@ -50,7 +49,8 @@ var (
 	// ErrCanceled matches every context-interrupted solve.
 	ErrCanceled = cancel.ErrCanceled
 	// ErrDeadline matches solves interrupted by a context deadline
-	// (including legacy TimeLimit shims); it wraps ErrCanceled.
+	// (including the exact solvers' legacy TimeLimit shims); it wraps
+	// ErrCanceled.
 	ErrDeadline = cancel.ErrDeadline
 )
 
@@ -106,19 +106,20 @@ type PTASOptions struct {
 	// on the default LPT fallback — integer rounding otherwise leaves a
 	// small additive slack; see ALGORITHM.md §2). The paper evaluates 0.3.
 	Epsilon float64
-	// Workers is the number of parallel DP workers. 1 runs the sequential
-	// PTAS; values below 1 select GOMAXPROCS. With AdaptiveFill set and
-	// PaperFaithful unset (the defaults) every fill runs on one goroutine
-	// whatever Workers is. The parallel and sequential variants produce
-	// identical schedules.
+	// Workers is the number of workers of the paper's Parallel DP, which
+	// runs under PaperFaithful; values below 1 select GOMAXPROCS. The
+	// default production fill runs on one goroutine whatever Workers is.
+	// Every variant produces the same schedule.
 	Workers int
 	// ShortJobsLS switches the short-job placement from the paper's LPT
 	// rule to the original Hochbaum–Shmoys LS rule.
 	ShortJobsLS bool
-	// PaperFaithful selects the presentation-faithful variants: the
-	// recursive memoized sequential DP (paper Algorithm 2) and per-level
-	// full table scans in the parallel DP (paper Algorithm 3). The default
-	// uses the optimized equivalents (bottom-up sweep, level buckets).
+	// PaperFaithful fills every DP table with the paper's own algorithms,
+	// with per-entry configuration enumeration: the recursive memoized DP
+	// (Algorithm 2) at Workers == 1, and the Parallel DP (Algorithm 3) with
+	// per-level full table scans otherwise. The default runs the production
+	// fill, the one-thread config-outer sweep. Schedules are identical;
+	// only the time differs.
 	PaperFaithful bool
 	// MaxTableEntries caps the DP table size; <= 0 uses the library default
 	// (1<<25 entries). The PTAS fails with a descriptive error when an
@@ -133,24 +134,6 @@ type PTASOptions struct {
 	// beyond the paper; it preserves the (1+eps) guarantee. When set,
 	// Workers is ignored for the fill.
 	SpeculativeProbes int
-	// AdaptiveFill makes solves with Workers > 1 run dp.FillAutoCtx, the
-	// production fill: the one-thread config-outer run-length sweep on every
-	// table, which beat the 2-worker level-parallel fills on every probe
-	// table measured on a 2-core host. PTASStats.Auto reports the levels
-	// filled. With PaperFaithful set it only lets tables too small to
-	// amortize per-level barriers skip the paper's parallel fill.
-	// DefaultPTASOptions enables it; disable (or set PaperFaithful) for
-	// paper-faithful per-level timing.
-	AdaptiveFill bool
-	// TimeLimit aborts the solve when exceeded.
-	//
-	// Deprecated: TimeLimit is a back-compat shim over context deadlines —
-	// it is applied via context.WithTimeout on the caller's ctx, so the
-	// abort now lands inside a running DP fill, not just between bisection
-	// probes. New callers should pass a deadline on ctx instead; <= 0
-	// disables. Small epsilons can take super-exponential time, so
-	// production callers should bound the solve one way or the other.
-	TimeLimit time.Duration
 	// NoLPTFallback disables returning plain LPT's schedule when it beats
 	// the PTAS construction. The fallback (on by default through
 	// DefaultPTASOptions) never hurts and is what makes the stated
@@ -169,82 +152,30 @@ type PTASOptions struct {
 }
 
 // DefaultPTASOptions mirrors the paper's experimental configuration:
-// eps = 0.3 and sequential execution.
+// eps = 0.3 and sequential execution. Small epsilons can take
+// super-exponential time, so production callers should bound the solve
+// with a context deadline.
 func DefaultPTASOptions() PTASOptions {
-	return PTASOptions{Epsilon: 0.3, Workers: 1, AdaptiveFill: true}
+	return PTASOptions{Epsilon: 0.3, Workers: 1}
 }
 
-// PTASStats reports what one PTAS run did (bisection iterations, final
-// target makespan, table dimensions, ...).
-type PTASStats struct {
-	K          int
-	Iterations int
-	LB0, UB0   pcmax.Time
-	FinalT     pcmax.Time
-
-	LongJobs, ShortJobs int
-	RoundingUnit        pcmax.Time
-	SizeClasses         int
-	TableEntries        int64
-	Configs             int
-	MachinesUsed        int
-
-	TotalEntriesFilled int64
-	FillTime           time.Duration
-	// Auto reports, across all bisection probes, how the production fill
-	// ran the DP anti-diagonal levels: all inline on the caller, so
-	// LevelsFused and LevelsParallel stay zero. All-zero unless
-	// AdaptiveFill ran the production fill (Workers > 1, not
-	// PaperFaithful).
-	Auto dp.AutoStats
-	// UsedLPTFallback reports that plain LPT beat the PTAS construction and
-	// its (never worse) schedule was returned.
-	UsedLPTFallback bool
-	// WarmStart reports that the solve started from a warm bracket (a
-	// Session re-solve) consistent with the fresh bounds; LB0/UB0 then hold
-	// the tightened interval.
-	WarmStart bool
-	// Cache reports DP-cache traffic for this solve alone: how often the
-	// bisection reused configuration enumerations and level-bucket indexes
-	// (within the solve, and across solves on a Session's shared cache).
-	Cache dp.CacheStats
-
-	// Sparse-pipeline observability (PTASOptions.Sparsify / the ptas-sparse
-	// registry algorithm); all zero on faithful runs.
-
-	// ConfigsEnumerated counts the feasible configurations the sparse
-	// enumerator visited at the converged target (after grouping, before
-	// pruning); ConfigsAfterSparsification counts the ones it retained.
-	// Their ratio is the configuration-set reduction of the final table.
-	ConfigsEnumerated          int
-	ConfigsAfterSparsification int
-	// SparseCertified reports that the converged target was proven <= OPT
-	// (so the schedule carries the full (1+eps) guarantee); false only when
-	// the faithful verification table exceeded the entry budget.
-	SparseCertified bool
-	// SparseFallback reports that the sparse run failed verification and
-	// the result came from a transparent faithful re-solve.
-	SparseFallback bool
-}
+// PTASStats reports what one PTAS run did: bisection iterations, final
+// target makespan, table dimensions, fill time, which fallbacks fired. It is
+// the driver's own statistics record; see core.Stats for every field.
+type PTASStats = core.Stats
 
 // PTAS runs the (1+eps)-approximation scheme, with the paper's parallel DP
-// when opts.Workers != 1 and the production fill is off (see AdaptiveFill).
+// when opts.PaperFaithful is set and opts.Workers != 1.
 //
-// When ctx is canceled (or its deadline — or the deprecated TimeLimit shim —
-// expires) mid-solve, PTAS degrades gracefully: it returns plain LPT's
-// schedule (non-nil, valid, without the (1+eps) guarantee), the partial
-// stats, and an error matching ErrCanceled/ErrDeadline that carries the
-// progress made (see Interruption).
+// When ctx is canceled (or its deadline expires) mid-solve, PTAS degrades
+// gracefully: it returns plain LPT's schedule (non-nil, valid, without the
+// (1+eps) guarantee), the partial stats, and an error matching
+// ErrCanceled/ErrDeadline that carries the progress made (see
+// Interruption).
 func PTAS(ctx context.Context, in *pcmax.Instance, opts PTASOptions) (*pcmax.Schedule, *PTASStats, error) {
-	sched, st, err := core.Solve(ctx, in, coreOptions(opts))
-	var pst *PTASStats
-	if st != nil {
-		p := PTASStats(*st)
-		pst = &p
-	}
 	// On cancellation core.Solve already degraded to the LPT fallback
 	// schedule; pass it through next to the structured error.
-	return sched, pst, err
+	return core.Solve(ctx, in, coreOptions(opts))
 }
 
 // coreOptions maps the public PTAS options onto the internal driver's
@@ -255,13 +186,10 @@ func coreOptions(opts PTASOptions) core.Options {
 	copts := core.Options{
 		Epsilon:           opts.Epsilon,
 		Workers:           opts.Workers,
+		PaperFaithful:     opts.PaperFaithful,
 		MaxTableEntries:   opts.MaxTableEntries,
 		MaxConfigs:        opts.MaxConfigs,
-		Strategy:          par.RoundRobin,
 		SpeculativeProbes: opts.SpeculativeProbes,
-		AdaptiveFill:      opts.AdaptiveFill,
-		AutoFill:          opts.AdaptiveFill && !opts.PaperFaithful,
-		TimeLimit:         opts.TimeLimit,
 		LPTFallback:       !opts.NoLPTFallback,
 		Sparsify:          opts.Sparsify,
 	}
@@ -270,11 +198,6 @@ func coreOptions(opts PTASOptions) core.Options {
 	}
 	if opts.ShortJobsLS {
 		copts.ShortRule = core.ShortLS
-	}
-	if opts.PaperFaithful {
-		copts.SeqFill = core.SeqRecursive
-		copts.LevelMode = dp.LevelScan
-		copts.PerEntryConfigs = true
 	}
 	return copts
 }

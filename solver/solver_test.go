@@ -2,10 +2,12 @@ package solver_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/dp"
 	"repro/internal/rng"
 	"repro/internal/workload"
 	"repro/pcmax"
@@ -117,9 +119,9 @@ func TestPTASVariantsAgree(t *testing.T) {
 }
 
 func TestPTASAdaptiveFillReportsRouting(t *testing.T) {
-	// The default options route parallel solves through the adaptive fill;
-	// the schedule must match the sequential reference and PTASStats.Auto
-	// must account for the levels filled.
+	// Every default solve runs the production fill, whatever Workers is:
+	// the schedules agree and PTASStats.Auto accounts for the levels
+	// filled.
 	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 8, N: 60, Seed: 11})
 	seq := solver.DefaultPTASOptions()
 	ref, refSt, err := solver.PTAS(context.Background(), in, seq)
@@ -129,6 +131,9 @@ func TestPTASAdaptiveFillReportsRouting(t *testing.T) {
 	if refSt.TotalEntriesFilled == 0 {
 		t.Fatal("instance has no long jobs; pick a seed whose solve fills DP tables")
 	}
+	if refSt.Auto.LevelsInline == 0 {
+		t.Fatalf("PTASStats.Auto empty after a 1-worker solve: %+v", refSt.Auto)
+	}
 	par := solver.DefaultPTASOptions()
 	par.Workers = 4
 	got, st, err := solver.PTAS(context.Background(), in, par)
@@ -136,12 +141,13 @@ func TestPTASAdaptiveFillReportsRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Makespan(in) != ref.Makespan(in) {
-		t.Fatalf("adaptive makespan %d != sequential %d", got.Makespan(in), ref.Makespan(in))
+		t.Fatalf("4-worker makespan %d != 1-worker %d", got.Makespan(in), ref.Makespan(in))
 	}
-	if st.Auto.LevelsInline+st.Auto.LevelsFused+st.Auto.LevelsParallel == 0 {
-		t.Fatalf("PTASStats.Auto empty after an adaptive parallel solve: %+v", st.Auto)
+	if st.Auto != refSt.Auto {
+		t.Fatalf("PTASStats.Auto %+v at 4 workers, %+v at 1: the production fill ignores Workers", st.Auto, refSt.Auto)
 	}
-	// PaperFaithful keeps the paper's per-level dispatch: no adaptive stats.
+	// PaperFaithful runs the paper's per-level dispatch: no production
+	// fill levels.
 	pf := solver.DefaultPTASOptions()
 	pf.Workers = 4
 	pf.PaperFaithful = true
@@ -162,6 +168,20 @@ func TestPTASShortJobsLSMayDifferButIsValid(t *testing.T) {
 	}
 	if err := s.Validate(in); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegistryKeepsPTASOptionsWithDefaultEpsilon is the regression test for
+// the registry's zero-Epsilon defaulting, which used to replace the caller's
+// PTAS options wholesale and keep only Workers: a table budget of one entry
+// must fail the solve whether or not Epsilon is set.
+func TestRegistryKeepsPTASOptionsWithDefaultEpsilon(t *testing.T) {
+	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 8, N: 60, Seed: 11})
+	for _, eps := range []float64{0, 0.3} {
+		opts := solver.Options{PTAS: solver.PTASOptions{Epsilon: eps, MaxTableEntries: 1}}
+		if _, _, err := solver.Solve(context.Background(), "ptas", in, opts); !errors.Is(err, dp.ErrTableTooLarge) {
+			t.Fatalf("eps=%v: want dp.ErrTableTooLarge, got %v", eps, err)
+		}
 	}
 }
 
