@@ -58,11 +58,8 @@ func benchFigure(b *testing.B, m, n int) {
 		})
 		for _, c := range benchCores[1:] {
 			b.Run(fmt.Sprintf("parPTAS/%v/workers=%d", fam, c), func(b *testing.B) {
-				pool := par.NewPool(c)
-				defer pool.Close()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: c, Pool: pool, PaperFaithful: true}); err != nil {
+					if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, Workers: c, PaperFaithful: true}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -160,36 +157,6 @@ func benchFill(b *testing.B, fill func(context.Context) error) {
 	}
 }
 
-// BenchmarkAblationLevelMode compares the paper-faithful per-level full
-// table scan with the bucketed level index.
-func BenchmarkAblationLevelMode(b *testing.B) {
-	tbl := ablationTable(b)
-	for _, mode := range []dp.LevelMode{dp.LevelBuckets, dp.LevelScan} {
-		b.Run(mode.String(), func(b *testing.B) {
-			pool := par.NewPool(4)
-			defer pool.Close()
-			b.ResetTimer()
-			benchFill(b, func(ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool, mode, par.RoundRobin) })
-		})
-	}
-}
-
-// BenchmarkAblationParFor compares the three level-scheduling strategies
-// (OpenMP static,1 / static / dynamic equivalents).
-func BenchmarkAblationParFor(b *testing.B) {
-	tbl := ablationTable(b)
-	for _, strategy := range par.Strategies {
-		b.Run(strategy.String(), func(b *testing.B) {
-			pool := par.NewPool(4)
-			defer pool.Close()
-			b.ResetTimer()
-			benchFill(b, func(ctx context.Context) error {
-				return tbl.FillParallelCtx(ctx, pool, dp.LevelBuckets, strategy)
-			})
-		})
-	}
-}
-
 // BenchmarkAblationShortRule compares the paper's LPT short-job placement
 // against the original Hochbaum–Shmoys LS rule.
 func BenchmarkAblationShortRule(b *testing.B) {
@@ -280,7 +247,7 @@ func BenchmarkDPFillScaling(b *testing.B) {
 					if workers == 1 {
 						err = tbl.FillSequentialCtx(context.Background())
 					} else {
-						err = tbl.FillParallelCtx(context.Background(), pool, dp.LevelBuckets, par.RoundRobin)
+						err = tbl.FillParallelCtx(context.Background(), pool)
 					}
 					if err != nil {
 						b.Fatal(err)

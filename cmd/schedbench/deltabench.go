@@ -4,10 +4,12 @@
 // SolveDelta against a cold solver.PTAS of the identical mutated instance.
 // The speedup_vs_cold column is a same-run ratio — both sides run in this
 // process seconds apart, so host speed cancels out — and -gate-speedup
-// enforces a floor on it, exactly like the dp subcommand's gate. Every warm
-// result is cross-checked against the cold solve's (1+eps) certificate
-// in-line; a violation fails the run. Results print as a table and, with
-// -json, land in BENCH_delta.json.
+// enforces a floor on it, exactly like the dp subcommand's gate. Each stream
+// is replayed deltaReplays times and every step keeps its fastest warm and
+// its fastest cold time. Every warm result of every replay is cross-checked
+// against the cold solve's (1+eps) certificate in-line; a violation fails
+// the run. Results print as a table and, with -json, land in
+// BENCH_delta.json.
 package main
 
 import (
@@ -36,8 +38,9 @@ type deltaRecord struct {
 	N        int     `json:"n"`
 	Eps      float64 `json:"eps"`
 	Steps    int     `json:"steps"`
-	// WarmNs and ColdNs are mean ns per re-solve across the stream: warm is
-	// Session.SolveDelta, cold is solver.PTAS on the same mutated instance.
+	// WarmNs and ColdNs are mean ns per re-solve across the stream, each
+	// step at its fastest over the replays: warm is Session.SolveDelta, cold
+	// is solver.PTAS on the same mutated instance.
 	WarmNs int64 `json:"warm_ns_per_op"`
 	ColdNs int64 `json:"cold_ns_per_op"`
 	// SpeedupCold is ColdNs/WarmNs — same-run and host-invariant, the number
@@ -79,20 +82,6 @@ sweep:
 				benchErr = err
 				break sweep
 			}
-			if cfg.MinSpeedup > 0 && rec.SpeedupCold < cfg.MinSpeedup {
-				// The stream is deterministic (same seed, same mutations), so a
-				// re-run measures identical work; one retry absorbs transient
-				// host load before the gate judges the stream. Keep the faster
-				// measurement, the standard best-of-N hygiene.
-				again, err := runDeltaStream(ctx, shape, fam, eps, seed, cfg.Steps)
-				if err != nil {
-					benchErr = err
-					break sweep
-				}
-				if again.SpeedupCold > rec.SpeedupCold {
-					rec = again
-				}
-			}
 			records = append(records, *rec)
 		}
 	}
@@ -122,9 +111,16 @@ sweep:
 	return nil
 }
 
+// deltaReplays is how many times runDeltaStream replays each stream. The
+// stream is deterministic (same seed, same mutations), so every replay
+// measures identical work, and keeping each step's fastest time — the
+// best-of rule the dp rows use — stops one step slowed by host load from
+// sinking the stream's ratio.
+const deltaReplays = 3
+
 // runDeltaStream opens a session on one generated instance and walks Steps
-// 1-job mutations, timing warm vs cold and cross-checking the certificate
-// after every step.
+// 1-job mutations, deltaReplays times, timing warm vs cold and
+// cross-checking the certificate after every step of every replay.
 func runDeltaStream(ctx context.Context, shape dpShape, fam workload.Family, eps float64, seed uint64, steps int) (*deltaRecord, error) {
 	in, err := workload.Generate(workload.Spec{Family: fam, M: shape.M, N: shape.N, Seed: seed})
 	if err != nil {
@@ -134,18 +130,8 @@ func runDeltaStream(ctx context.Context, shape dpShape, fam workload.Family, eps
 	if err != nil {
 		return nil, err
 	}
-	src := rng.New(seed ^ 0x5eed_de17a)
-
 	sopts := solver.DefaultSessionOptions()
 	sopts.PTAS.Epsilon = eps
-	sess, err := solver.NewSession(sopts)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := sess.Solve(ctx, in); err != nil {
-		return nil, err
-	}
-
 	popts := solver.DefaultPTASOptions()
 	popts.Epsilon = eps
 
@@ -153,61 +139,82 @@ func runDeltaStream(ctx context.Context, shape dpShape, fam workload.Family, eps
 		Workload: shape.Name, Family: fam.String(), M: shape.M, N: shape.N,
 		Eps: eps, Steps: steps,
 	}
+	warm := make([]int64, steps) // fastest warm ns per step
+	cold := make([]int64, steps) // fastest cold ns per step
+	for replay := 0; replay < deltaReplays; replay++ {
+		src := rng.New(seed ^ 0x5eed_de17a)
+		sess, err := solver.NewSession(sopts)
+		if err != nil {
+			return nil, err
+		}
+		if _, _, err := sess.Solve(ctx, in); err != nil {
+			return nil, err
+		}
+		rec.RepairSteps, rec.WarmSteps = 0, 0
+		for step := 0; step < steps; step++ {
+			// 1-job mutations in rotation: swap, add, remove. The swap keeps
+			// n stable; add/remove cancel out over the stream.
+			var add []pcmax.Time
+			var remove []int
+			n := sess.Instance().N()
+			switch step % 3 {
+			case 0:
+				add = []pcmax.Time{pcmax.Time(src.MustUniform(lo, hi))}
+				remove = []int{src.Intn(n)}
+			case 1:
+				add = []pcmax.Time{pcmax.Time(src.MustUniform(lo, hi))}
+			default:
+				remove = []int{src.Intn(n)}
+			}
+
+			t0 := time.Now()
+			_, st, err := sess.SolveDelta(ctx, add, remove)
+			warmNs := time.Since(t0).Nanoseconds()
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s step %d: %w", shape.Name, fam, step, err)
+			}
+			if st.Path == solver.DeltaRepair {
+				rec.RepairSteps++
+			} else {
+				rec.WarmSteps++
+			}
+
+			// Cold reference on the identical mutated instance, plus the
+			// differential certificate: the warm makespan must stay within
+			// (1+eps) of the cold solve (coldMS >= OPT, warmMS <= (1+eps)OPT).
+			cur := sess.Instance()
+			t0 = time.Now()
+			coldSched, _, err := solver.PTAS(ctx, cur, popts)
+			coldNs := time.Since(t0).Nanoseconds()
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s step %d cold: %w", shape.Name, fam, step, err)
+			}
+			coldMS := coldSched.Makespan(cur)
+			if float64(st.Makespan) > (1+eps)*float64(coldMS)+1e-9 {
+				return nil, fmt.Errorf("%s/%s step %d: warm makespan %d exceeds (1+eps) of cold %d (path %v)",
+					shape.Name, fam, step, st.Makespan, coldMS, st.Path)
+			}
+			if replay == 0 || warmNs < warm[step] {
+				warm[step] = warmNs
+			}
+			if replay == 0 || coldNs < cold[step] {
+				cold[step] = coldNs
+			}
+		}
+		cs := sess.CacheStats()
+		if lookups := cs.ConfigHits + cs.ConfigMisses; lookups > 0 {
+			rec.CacheHitRate = float64(cs.ConfigHits) / float64(lookups)
+		}
+	}
 	var warmTotal, coldTotal int64
-	for step := 0; step < steps; step++ {
-		// 1-job mutations in rotation: swap, add, remove. The swap keeps n
-		// stable; add/remove cancel out over the stream.
-		var add []pcmax.Time
-		var remove []int
-		n := sess.Instance().N()
-		switch step % 3 {
-		case 0:
-			add = []pcmax.Time{pcmax.Time(src.MustUniform(lo, hi))}
-			remove = []int{src.Intn(n)}
-		case 1:
-			add = []pcmax.Time{pcmax.Time(src.MustUniform(lo, hi))}
-		default:
-			remove = []int{src.Intn(n)}
-		}
-
-		t0 := time.Now()
-		_, st, err := sess.SolveDelta(ctx, add, remove)
-		warmNs := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s step %d: %w", shape.Name, fam, step, err)
-		}
-		warmTotal += warmNs
-		if st.Path == solver.DeltaRepair {
-			rec.RepairSteps++
-		} else {
-			rec.WarmSteps++
-		}
-
-		// Cold reference on the identical mutated instance, plus the
-		// differential certificate: the warm makespan must stay within
-		// (1+eps) of the cold solve (coldMS >= OPT, warmMS <= (1+eps)OPT).
-		cur := sess.Instance()
-		t0 = time.Now()
-		coldSched, _, err := solver.PTAS(ctx, cur, popts)
-		coldNs := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s step %d cold: %w", shape.Name, fam, step, err)
-		}
-		coldTotal += coldNs
-		coldMS := coldSched.Makespan(cur)
-		if float64(st.Makespan) > (1+eps)*float64(coldMS)+1e-9 {
-			return nil, fmt.Errorf("%s/%s step %d: warm makespan %d exceeds (1+eps) of cold %d (path %v)",
-				shape.Name, fam, step, st.Makespan, coldMS, st.Path)
-		}
+	for step := range warm {
+		warmTotal += warm[step]
+		coldTotal += cold[step]
 	}
 	rec.WarmNs = warmTotal / int64(steps)
 	rec.ColdNs = coldTotal / int64(steps)
 	if rec.WarmNs > 0 {
 		rec.SpeedupCold = float64(rec.ColdNs) / float64(rec.WarmNs)
-	}
-	cs := sess.CacheStats()
-	if lookups := cs.ConfigHits + cs.ConfigMisses; lookups > 0 {
-		rec.CacheHitRate = float64(cs.ConfigHits) / float64(lookups)
 	}
 	return rec, nil
 }

@@ -1,8 +1,9 @@
 // The dp subcommand micro-benchmarks the DP fill path in isolation: for each
 // figure workload it freezes the rounded instance at the PTAS's converged
-// target makespan and times the table fill — the sequential sweep, the
-// production fill (FillAutoCtx) and the paper's level-synchronous parallel
-// fill in both level modes — across worker counts.
+// target makespan and times the table fill — the production kernel
+// (FillAutoCtx) at one worker, and the paper's fills with its per-entry
+// enumeration: Algorithm 2 (FillRecursiveCtx) at one worker and Algorithm 3
+// (FillParallelCtx) at every worker count above one.
 // Results print as a table and, with -json, land in BENCH_dp.json for
 // regression tracking; -baseline diffs the run against a committed
 // BENCH_dp.json and fails on regressions beyond -baseline-threshold.
@@ -41,18 +42,17 @@ var dpShapes = []dpShape{
 
 // dpRecord is one measured configuration, serialized into BENCH_dp.json.
 type dpRecord struct {
-	Workload  string  `json:"workload"`
-	Family    string  `json:"family"`
-	M         int     `json:"m"`
-	N         int     `json:"n"`
-	Eps       float64 `json:"eps"`
-	Enum      string  `json:"enum"` // "faithful" or "sparse" enumeration
-	Workers   int     `json:"workers"`
-	LevelMode string  `json:"level_mode"`
-	Path      string  `json:"path"` // "optimized", "auto" or "solve"
-	NsPerOp   int64   `json:"ns_per_op"`
-	Entries   int64   `json:"table_entries"`
-	Configs   int     `json:"configs"`
+	Workload string  `json:"workload"`
+	Family   string  `json:"family"`
+	M        int     `json:"m"`
+	N        int     `json:"n"`
+	Eps      float64 `json:"eps"`
+	Enum     string  `json:"enum"` // "faithful" or "sparse" enumeration
+	Workers  int     `json:"workers"`
+	Path     string  `json:"path"` // "production", "alg2", "alg3" or "solve"
+	NsPerOp  int64   `json:"ns_per_op"`
+	Entries  int64   `json:"table_entries"`
+	Configs  int     `json:"configs"`
 	// ConfigsSparse and ConfigReduction are set on sparse rows only: the
 	// configuration count the sparse pipeline's table retained, and the
 	// shrink factor versus the faithful enumeration over the ungrouped
@@ -61,13 +61,14 @@ type dpRecord struct {
 	// enumeration can reach).
 	ConfigsSparse   int     `json:"configs_sparse,omitempty"`
 	ConfigReduction float64 `json:"config_reduction,omitempty"`
-	// SpeedupSeq is ns/op of the 1-worker optimized sequential fill of the
-	// same (workload, family) divided by this record's ns/op — the paper's
-	// speedup axis, with the sequential fill as the T(1) reference.
-	SpeedupSeq float64 `json:"speedup_vs_seq,omitempty"`
+	// SpeedupAlg2, on faithful production and alg3 rows, is ns/op of the
+	// same table's alg2 row divided by this record's ns/op: on production
+	// rows the ratio -gate-speedup floors, on alg3 rows the paper's speedup
+	// axis with its Algorithm 2 as the T(1) reference.
+	SpeedupAlg2 float64 `json:"speedup_vs_alg2,omitempty"`
 	// SpeedupFaithful, on sparse rows, is the matching faithful cell's
 	// ns/op divided by this record's — the sparsification win (end-to-end
-	// on "solve" rows, per-fill on "optimized" rows).
+	// on "solve" rows, per-fill on "production" rows).
 	SpeedupFaithful float64 `json:"speedup_vs_faithful,omitempty"`
 }
 
@@ -85,14 +86,14 @@ type dpBenchConfig struct {
 	// are a different host than the one that committed BENCH_dp.json, so
 	// absolute ns/op comparisons carry no cross-host signal.
 	BaselineReport bool
-	// MinSpeedup, when > 0, fails the run if any adaptive (auto) cell's
-	// speedup_vs_seq — measured against the same run's sequential fill, so
-	// host speed cancels out — falls below it.
+	// MinSpeedup, when > 0, fails the run if any faithful production cell's
+	// speedup_vs_alg2 — measured against the same run's Algorithm 2 fill of
+	// the same table, so host speed cancels out — falls below it.
 	MinSpeedup float64
 	Windows    int // measurement windows per cell (more = less noise)
 	// Enum selects the enumeration modes measured: "faithful", "sparse" or
 	// "both" ("" = both). Sparse cells bench the ptas-sparse pipeline —
-	// end-to-end solves and the sequential fill of the grouped, pruned table
+	// end-to-end solves and the production fill of the grouped, pruned table
 	// at the sparse solve's converged target — next to the faithful cells.
 	Enum string
 }
@@ -162,11 +163,11 @@ func measureFill(fill func() error, windows int) (int64, error) {
 	return best, nil
 }
 
-// runDPBench measures every (shape, family, workers, mode, path) cell and
-// renders the result. Table entries are identical between the paths (the
+// runDPBench measures every (shape, family, workers, path) cell and renders
+// the result. Table entries are identical between the paths (the
 // differential tests enforce it), so ns/op is the only varying quantity.
 // The sparse enumeration (unless -enum faithful) adds end-to-end solve cells
-// and sparse sequential-fill cells on the primary eps and on an extra
+// and sparse production-fill cells on the primary eps and on an extra
 // eps=0.1 arm, where sparsification pays; cells whose table exceeds the
 // budget are skipped and reported, not fatal. When ctx dies mid-sweep, the
 // cells measured so far are still rendered and the cancellation error is
@@ -209,7 +210,7 @@ sweep:
 				}
 				base := dpRecord{
 					Workload: shape.Name, Family: fam.String(), M: shape.M, N: shape.N,
-					Eps: armEps, Workers: 1, LevelMode: dp.LevelBuckets.String(),
+					Eps: armEps, Workers: 1,
 				}
 
 				var faithfulSt *core.Stats
@@ -224,7 +225,7 @@ sweep:
 					case err == nil:
 						faithfulSt = st
 						r := base
-						r.Enum, r.Path, r.LevelMode = "faithful", "solve", "e2e"
+						r.Enum, r.Path = "faithful", "solve"
 						r.NsPerOp, r.Entries, r.Configs = solveNs, st.TableEntries, st.Configs
 						records = append(records, r)
 					case skipTooLarge(shape, fam, armEps, "faithful", err):
@@ -234,9 +235,8 @@ sweep:
 					}
 				}
 
-				// The full fill-path matrix (sequential, auto and parallel
-				// across worker counts) runs on the primary eps only; the
-				// extra arm exists for the faithful-vs-sparse comparison.
+				// The fill rows run on the primary eps only; the extra arm
+				// exists for the faithful-vs-sparse comparison.
 				if faithfulSt != nil && primary {
 					st := faithfulSt
 					sizes, counts, err := core.RoundedClasses(in, st.K, st.FinalT)
@@ -251,51 +251,42 @@ sweep:
 						return err
 					}
 
-					measure := func(workers int, mode, path string, fill func() error) bool {
+					// measure times fill on tbl, with the paper's per-entry
+					// enumeration when perEntry is set (the production
+					// kernel ignores it).
+					measure := func(workers int, path string, perEntry bool, fill func() error) bool {
+						tbl.PerEntryEnum = perEntry
 						ns, err := measureFill(fill, cfg.Windows)
 						if err != nil {
 							benchErr = err
 							return false
 						}
 						r := base
-						r.Enum, r.Workers, r.LevelMode, r.Path = "faithful", workers, mode, path
+						r.Enum, r.Workers, r.Path = "faithful", workers, path
 						r.NsPerOp, r.Entries, r.Configs = ns, tbl.Sigma, len(tbl.Configs)
 						records = append(records, r)
 						return true
 					}
 
-					// Sequential fill (workers = 1); level mode is moot,
-					// report as buckets for a stable key.
-					bkt := dp.LevelBuckets.String()
-					seq := func() error { return tbl.FillSequentialCtx(ctx) }
-					if !measure(1, bkt, "optimized", seq) {
+					// The production fill, the default through the solver
+					// facade, then Algorithm 2 right after it: the gated
+					// speedup_vs_alg2 divides the two, so keeping them
+					// adjacent in time stops host-load drift from
+					// contaminating the ratio.
+					if !measure(1, "production", false, func() error { return tbl.FillAutoCtx(ctx, nil) }) ||
+						!measure(1, "alg2", true, func() error { return tbl.FillRecursiveCtx(ctx) }) {
 						break sweep
 					}
-
 					for _, workers := range cores {
 						if workers <= 1 {
 							continue
 						}
-						// Production path: FillAutoCtx, the default through
-						// the solver facade, which fills on the calling
-						// goroutine whatever the worker count. Measured
-						// immediately after the sequential reference cell —
-						// its speedup_vs_seq column divides the two, so
-						// keeping them adjacent in time stops host-load drift
-						// from contaminating the ratio.
-						if !measure(workers, "auto", "auto", func() error { return tbl.FillAutoCtx(ctx, nil) }) {
+						pool := par.NewPool(workers)
+						ok := measure(workers, "alg3", true, func() error { return tbl.FillParallelCtx(ctx, pool) })
+						pool.Close()
+						if !ok {
 							break sweep
 						}
-
-						pool := par.NewPool(workers)
-						for _, mode := range []dp.LevelMode{dp.LevelBuckets, dp.LevelScan} {
-							fill := func() error { return tbl.FillParallelCtx(ctx, pool, mode, par.RoundRobin) }
-							if !measure(workers, mode.String(), "optimized", fill) {
-								pool.Close()
-								break sweep
-							}
-						}
-						pool.Close()
 					}
 				}
 
@@ -314,7 +305,7 @@ sweep:
 							return ferr
 						}
 						r := base
-						r.Enum, r.Path, r.LevelMode = "sparse", "solve", "e2e"
+						r.Enum, r.Path = "sparse", "solve"
 						r.NsPerOp, r.Entries = solveNs, st.TableEntries
 						r.Configs = fc
 						r.ConfigsSparse = st.ConfigsAfterSparsification
@@ -327,7 +318,7 @@ sweep:
 							continue
 						}
 
-						// Sequential fill of the sparse table at the sparse
+						// Production fill of the sparse table at the sparse
 						// solve's converged target — the per-probe cost the
 						// sparsification shrinks.
 						gs, gc, err := core.SparseRoundedClasses(in, st.K, st.FinalT, armEps)
@@ -344,13 +335,13 @@ sweep:
 							}
 							return err
 						}
-						ns, err := measureFill(func() error { return tbl.FillSequentialCtx(ctx) }, cfg.Windows)
+						ns, err := measureFill(func() error { return tbl.FillAutoCtx(ctx, nil) }, cfg.Windows)
 						if err != nil {
 							benchErr = err
 							break sweep
 						}
 						r = base
-						r.Enum, r.Path = "sparse", "optimized"
+						r.Enum, r.Path = "sparse", "production"
 						r.NsPerOp, r.Entries = ns, tbl.Sigma
 						r.Configs = fc
 						r.ConfigsSparse = len(tbl.Configs)
@@ -403,44 +394,49 @@ sweep:
 	return nil
 }
 
-// gateSpeedup enforces the host-invariant regression gate: every adaptive
-// (auto) cell must reach at least min times the speed of this same run's
-// 1-worker sequential fill of the same workload. Both sides of the ratio come
-// from the same process on the same host minutes apart, so runner speed and
-// load cancel out — unlike the cross-host ns/op diff of -baseline, a failure
-// here means the adaptive routing itself regressed (e.g. back to paying a
-// dispatch round per narrow level).
+// gateSpeedup enforces the host-invariant regression gate: every faithful
+// production cell must fill its table at least min times as fast as this
+// same run's Algorithm 2 (the paper's recursion with per-entry enumeration)
+// on the same table. Both sides of the ratio come from the same process on
+// the same host, measured back to back, so runner speed and load cancel out
+// — unlike the cross-host ns/op diff of -baseline, a failure here means the
+// production kernel itself regressed toward the cost of the paper's
+// recursion. A run with no production cell to check fails too: a gate that
+// checks nothing cannot catch a regression.
 func gateSpeedup(records []dpRecord, min float64) error {
 	var failures []string
 	checked := 0
 	for _, r := range records {
-		if r.Path != "auto" || r.Workers <= 1 || r.SpeedupSeq <= 0 {
+		if r.Path != "production" || r.SpeedupAlg2 <= 0 {
 			continue
 		}
 		checked++
-		if r.SpeedupSeq < min {
+		if r.SpeedupAlg2 < min {
 			failures = append(failures,
-				fmt.Sprintf("  %s/%s wrk=%d: %.2fx vs same-run sequential (floor %.2fx)",
-					r.Workload, r.Family, r.Workers, r.SpeedupSeq, min))
+				fmt.Sprintf("  %s/%s: %.2fx vs same-run alg2 (floor %.2fx)",
+					r.Workload, r.Family, r.SpeedupAlg2, min))
 		}
 	}
-	fmt.Printf("\nspeedup gate: %d auto cells checked against %.2fx floor, %d below\n",
+	fmt.Printf("\nspeedup gate: %d production cells checked against %.2fx floor on speedup_vs_alg2, %d below\n",
 		checked, min, len(failures))
+	if checked == 0 {
+		return errors.New("speedup gate: no faithful production cell to check")
+	}
 	if len(failures) > 0 {
 		sort.Strings(failures)
 		for _, f := range failures {
 			fmt.Println(f)
 		}
-		return fmt.Errorf("%d auto cells below the %.2fx same-run speedup floor", len(failures), min)
+		return fmt.Errorf("%d production cells below the %.2fx same-run speedup floor", len(failures), min)
 	}
 	return nil
 }
 
 // dpKey identifies a benchmark cell across runs for baseline diffing.
 type dpKey struct {
-	Workload, Family, Mode, Path, Enum string
-	Workers                            int
-	Eps                                float64
+	Workload, Family, Path, Enum string
+	Workers                      int
+	Eps                          float64
 }
 
 // recordKey builds the diff key, normalizing records from baselines written
@@ -454,7 +450,7 @@ func recordKey(r dpRecord) dpKey {
 	if e == 0 {
 		e = 0.3
 	}
-	return dpKey{r.Workload, r.Family, r.LevelMode, r.Path, enum, r.Workers, e}
+	return dpKey{r.Workload, r.Family, r.Path, enum, r.Workers, e}
 }
 
 // compareBaseline diffs the run's ns/op row-by-row against the committed
@@ -492,8 +488,8 @@ func compareBaseline(records []dpRecord, path string, threshold float64) error {
 		ratio := float64(r.NsPerOp) / float64(bns)
 		if ratio > 1+threshold {
 			regressions = append(regressions,
-				fmt.Sprintf("  %s/%s wrk=%d mode=%s path=%s: %d -> %d ns/op (%.2fx > %.2fx allowed)",
-					k.Workload, k.Family, k.Workers, k.Mode, k.Path, bns, r.NsPerOp, ratio, 1+threshold))
+				fmt.Sprintf("  %s/%s wrk=%d path=%s: %d -> %d ns/op (%.2fx > %.2fx allowed)",
+					k.Workload, k.Family, k.Workers, k.Path, bns, r.NsPerOp, ratio, 1+threshold))
 		}
 	}
 	fmt.Printf("\nbaseline %s: %d cells compared, %d new, %d retired, %d regressions (threshold %.0f%%)\n",
@@ -508,30 +504,26 @@ func compareBaseline(records []dpRecord, path string, threshold float64) error {
 	return nil
 }
 
-// attachSpeedups fills SpeedupSeq on every parallel/auto record from the
-// 1-worker optimized sequential fill of the same workload, and
-// SpeedupFaithful on every sparse record from the faithful cell of the same
-// (workload, family, eps, path).
+// attachSpeedups fills SpeedupAlg2 on every faithful production and alg3
+// record from the alg2 record of the same table, and SpeedupFaithful on
+// every sparse record from the faithful cell of the same (workload, family,
+// eps, path).
 func attachSpeedups(records []dpRecord) {
-	type seqKey struct {
-		w, f string
-		eps  float64
-	}
-	seq := make(map[seqKey]int64)
-	type faithKey struct {
+	type cellKey struct {
 		w, f, path string
 		eps        float64
 	}
-	faithful := make(map[faithKey]int64)
+	alg2 := make(map[cellKey]int64)
+	faithful := make(map[cellKey]int64)
 	for _, r := range records {
 		if r.Enum == "sparse" {
 			continue
 		}
-		if r.Path == "optimized" && r.Workers == 1 {
-			seq[seqKey{r.Workload, r.Family, r.Eps}] = r.NsPerOp
-		}
-		if r.Workers == 1 && (r.Path == "solve" || r.Path == "optimized") {
-			faithful[faithKey{r.Workload, r.Family, r.Path, r.Eps}] = r.NsPerOp
+		switch r.Path {
+		case "alg2":
+			alg2[cellKey{r.Workload, r.Family, "", r.Eps}] = r.NsPerOp
+		case "solve", "production":
+			faithful[cellKey{r.Workload, r.Family, r.Path, r.Eps}] = r.NsPerOp
 		}
 	}
 	for i := range records {
@@ -540,26 +532,26 @@ func attachSpeedups(records []dpRecord) {
 			continue
 		}
 		if r.Enum == "sparse" {
-			if base, ok := faithful[faithKey{r.Workload, r.Family, r.Path, r.Eps}]; ok {
+			if base, ok := faithful[cellKey{r.Workload, r.Family, r.Path, r.Eps}]; ok {
 				r.SpeedupFaithful = float64(base) / float64(r.NsPerOp)
 			}
 			continue
 		}
-		if r.Workers > 1 {
-			if base, ok := seq[seqKey{r.Workload, r.Family, r.Eps}]; ok {
-				r.SpeedupSeq = float64(base) / float64(r.NsPerOp)
+		if r.Path == "production" || r.Path == "alg3" {
+			if base, ok := alg2[cellKey{r.Workload, r.Family, "", r.Eps}]; ok {
+				r.SpeedupAlg2 = float64(base) / float64(r.NsPerOp)
 			}
 		}
 	}
 }
 
 func renderDPRecords(records []dpRecord) {
-	fmt.Printf("%-6s %-11s %4s %-8s %3s %4s %8s %-8s %-7s %-5s %-9s %12s %8s %8s\n",
-		"fig", "family", "eps", "enum", "wrk", "mode", "entries", "configs", "cfg-sp", "red", "path", "ns/op", "vs-seq", "vs-fthl")
+	fmt.Printf("%-6s %-11s %4s %-8s %3s %8s %-8s %-7s %-5s %-10s %12s %8s %8s\n",
+		"fig", "family", "eps", "enum", "wrk", "entries", "configs", "cfg-sp", "red", "path", "ns/op", "vs-alg2", "vs-fthl")
 	for _, r := range records {
-		vseq, vf, csp, red := "", "", "", ""
-		if r.SpeedupSeq > 0 {
-			vseq = fmt.Sprintf("%.2fx", r.SpeedupSeq)
+		valg2, vf, csp, red := "", "", "", ""
+		if r.SpeedupAlg2 > 0 {
+			valg2 = fmt.Sprintf("%.2fx", r.SpeedupAlg2)
 		}
 		if r.SpeedupFaithful > 0 {
 			vf = fmt.Sprintf("%.2fx", r.SpeedupFaithful)
@@ -568,21 +560,8 @@ func renderDPRecords(records []dpRecord) {
 			csp = fmt.Sprintf("%d", r.ConfigsSparse)
 			red = fmt.Sprintf("%.1fx", r.ConfigReduction)
 		}
-		fmt.Printf("%-6s %-11s %4g %-8s %3d %4s %8d %-8d %-7s %-5s %-9s %12d %8s %8s\n",
-			r.Workload, r.Family, r.Eps, r.Enum, r.Workers, shortMode(r.LevelMode), r.Entries, r.Configs,
-			csp, red, r.Path, r.NsPerOp, vseq, vf)
-	}
-}
-
-func shortMode(m string) string {
-	switch m {
-	case dp.LevelScan.String():
-		return "scan"
-	case "auto":
-		return "auto"
-	case "e2e":
-		return "e2e"
-	default:
-		return "bkt"
+		fmt.Printf("%-6s %-11s %4g %-8s %3d %8d %-8d %-7s %-5s %-10s %12d %8s %8s\n",
+			r.Workload, r.Family, r.Eps, r.Enum, r.Workers, r.Entries, r.Configs,
+			csp, red, r.Path, r.NsPerOp, valg2, vf)
 	}
 }

@@ -49,7 +49,7 @@ func run(args []string) error {
 		baseline = fs.String("baseline", "", "dp: diff ns/op against this committed BENCH_dp.json and exit nonzero on regressions")
 		baseTol  = fs.Float64("baseline-threshold", 0.30, "dp: allowed fractional slowdown vs -baseline before failing")
 		baseRpt  = fs.Bool("baseline-report-only", false, "dp: print -baseline regressions without failing (for cross-host CI runs)")
-		gateSpd  = fs.Float64("gate-speedup", 0, "dp: fail when any auto cell's same-run speedup_vs_seq falls below this floor; delta: floor on speedup_vs_cold (0 = off)")
+		gateSpd  = fs.Float64("gate-speedup", 0, "dp: fail when any production cell's same-run speedup_vs_alg2 falls below this floor; delta: floor on speedup_vs_cold (0 = off)")
 		windows  = fs.Int("windows", 5, "dp: measurement windows per cell (lower = faster, noisier)")
 		steps    = fs.Int("steps", 12, "delta: 1-job mutations per stream")
 		enum     = fs.String("enum", "both", "dp: configuration enumeration modes to bench {faithful|sparse|both}")

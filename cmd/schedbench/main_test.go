@@ -53,19 +53,43 @@ func TestRunBadCoresFlag(t *testing.T) {
 
 func TestGateSpeedup(t *testing.T) {
 	recs := []dpRecord{
-		{Workload: "fig2", Family: "uniform", Workers: 4, Path: "auto", SpeedupSeq: 1.42},
-		{Workload: "fig3", Family: "uniform", Workers: 4, Path: "auto", SpeedupSeq: 0.31},
-		// Non-auto and 1-worker cells are outside the gate.
-		{Workload: "fig2", Family: "uniform", Workers: 4, Path: "optimized", SpeedupSeq: 0.01},
-		{Workload: "fig2", Family: "uniform", Workers: 1, Path: "auto"},
+		{Workload: "fig2", Family: "uniform", Workers: 1, Path: "production", SpeedupAlg2: 13.5},
+		{Workload: "fig3", Family: "uniform", Workers: 1, Path: "production", SpeedupAlg2: 1.4},
+		// Only production cells are gated: the paper's fills and the sparse
+		// production cells, which carry no speedup_vs_alg2, are outside it.
+		{Workload: "fig2", Family: "uniform", Workers: 4, Path: "alg3", SpeedupAlg2: 0.01},
+		{Workload: "fig2", Family: "uniform", Workers: 1, Path: "alg2"},
+		{Workload: "fig2", Family: "uniform", Workers: 1, Path: "production", Enum: "sparse"},
 	}
-	if err := gateSpeedup(recs, 0.5); err == nil {
-		t.Fatal("want failure: an auto cell sits below the floor")
+	if err := gateSpeedup(recs, 2); err == nil {
+		t.Fatal("want failure: a production cell sits below the floor")
 	}
-	if err := gateSpeedup(recs, 0.2); err != nil {
-		t.Fatalf("all auto cells above floor, got %v", err)
+	if err := gateSpeedup(recs, 1.2); err != nil {
+		t.Fatalf("all production cells above floor, got %v", err)
 	}
-	if err := gateSpeedup(recs[:1], 0.5); err != nil {
+	if err := gateSpeedup(recs[:1], 2); err != nil {
 		t.Fatalf("single passing cell, got %v", err)
+	}
+	if err := gateSpeedup(recs[2:], 0.5); err == nil {
+		t.Fatal("want failure: no production cell to check")
+	}
+}
+
+func TestAttachSpeedupsDividesByAlg2(t *testing.T) {
+	recs := []dpRecord{
+		{Workload: "fig3", Family: "uniform", Eps: 0.3, Enum: "faithful", Workers: 1, Path: "production", NsPerOp: 100},
+		{Workload: "fig3", Family: "uniform", Eps: 0.3, Enum: "faithful", Workers: 1, Path: "alg2", NsPerOp: 1500},
+		{Workload: "fig3", Family: "uniform", Eps: 0.3, Enum: "faithful", Workers: 2, Path: "alg3", NsPerOp: 3000},
+		{Workload: "fig3", Family: "uniform", Eps: 0.3, Enum: "sparse", Workers: 1, Path: "production", NsPerOp: 50},
+	}
+	attachSpeedups(recs)
+	if recs[0].SpeedupAlg2 != 15 || recs[2].SpeedupAlg2 != 0.5 {
+		t.Fatalf("speedup_vs_alg2 = %v (production), %v (alg3); want 15, 0.5", recs[0].SpeedupAlg2, recs[2].SpeedupAlg2)
+	}
+	if recs[1].SpeedupAlg2 != 0 || recs[3].SpeedupAlg2 != 0 {
+		t.Fatalf("alg2 and sparse rows carry speedup_vs_alg2: %+v, %+v", recs[1], recs[3])
+	}
+	if recs[3].SpeedupFaithful != 2 {
+		t.Fatalf("sparse speedup_vs_faithful = %v, want 2", recs[3].SpeedupFaithful)
 	}
 }

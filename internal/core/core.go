@@ -64,12 +64,12 @@ type Options struct {
 	// runs on the calling goroutine whatever Workers is.
 	Workers int
 	// PaperFaithful fills every DP table with the paper's algorithms
-	// instead of the production fill (dp.FillAutoCtx): the recursive
-	// Algorithm 2 (dp.FillRecursiveCtx) at Workers == 1 and the Parallel DP
-	// of Algorithm 3 (dp.FillParallelCtx with the full level scan and the
-	// round-robin assignment) on Workers pool goroutines otherwise, both
-	// re-enumerating each entry's configuration set (Algorithm 3 Line 17).
-	// Schedules are identical either way; only the time differs.
+	// instead of the production fill (dp.FillAutoCtx), both re-enumerating
+	// each entry's configuration set (Algorithm 3 Line 17): the recursive
+	// Algorithm 2 (dp.FillRecursiveCtx) at Workers == 1, and otherwise the
+	// Parallel DP of Algorithm 3 (dp.FillParallelCtx) on a pool of Workers
+	// goroutines that the solve creates and closes. Schedules are identical
+	// either way; only the time differs.
 	PaperFaithful bool
 	// ShortRule selects the short-job placement rule (default ShortLPT).
 	ShortRule ShortRule
@@ -90,10 +90,6 @@ type Options struct {
 	MaxTableEntries int64
 	// MaxConfigs caps configuration enumeration; <= 0 uses the conf default.
 	MaxConfigs int
-	// Pool optionally supplies an externally managed worker pool for the
-	// paper's Parallel DP, reused across Solve calls. When nil, a
-	// PaperFaithful solve with Workers != 1 creates and closes its own.
-	Pool *par.Pool
 	// Sparsify enables the sparsified DP pipeline (the ptas-sparse registry
 	// algorithm): geometric grouping of the rounded size classes (see
 	// split.group) shrinks the table's index space, and the sparse
@@ -115,11 +111,11 @@ type Options struct {
 	GroupDelta float64
 	// Cache optionally supplies a DP cache shared across Solve calls, so
 	// repeated solves over similar instances reuse configuration
-	// enumerations and level-bucket indexes. When nil, Solve creates a
-	// per-call cache — the bisection still reuses work across its own
-	// probes (the converged target is always attempted twice, and counts
-	// vectors repeat between probes). Stats.Cache reports this solve's own
-	// traffic even on a shared cache (a before/after snapshot delta).
+	// enumerations. When nil, Solve creates a per-call cache — the bisection
+	// still reuses work across its own probes (the converged target is
+	// always attempted twice, and canonical profiles repeat between probes).
+	// Stats.Cache reports this solve's own traffic even on a shared cache (a
+	// before/after snapshot delta).
 	Cache *dp.Cache
 	// WarmBracket optionally tightens the bisection's initial interval with
 	// knowledge from a previous solve of a related instance (see
@@ -212,8 +208,8 @@ type Stats struct {
 	// with the fresh bounds, so the bisection started from the intersected
 	// (tighter) interval. LB0/UB0 hold the intersected bracket.
 	WarmStart bool
-	// Cache reports DP-cache traffic for the solve (enumeration and
-	// level-index reuse across bisection probes).
+	// Cache reports DP-cache traffic for the solve (configuration-set reuse
+	// across bisection probes).
 	Cache dp.CacheStats
 
 	// Sparse-pipeline observability (Options.Sparsify / the ptas-sparse
@@ -347,16 +343,13 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 	// paper's Parallel DP needs a pool.
 	var pool *par.Pool
 	if workers := par.Normalize(opts.Workers); opts.PaperFaithful && workers > 1 {
-		pool = opts.Pool
-		if pool == nil {
-			pool = par.NewPool(workers)
-			defer pool.Close()
-		}
+		pool = par.NewPool(workers)
+		defer pool.Close()
 	}
 
 	// Every probe of the bisection shares one DP cache: the converged target
-	// is always attempted twice, counts vectors repeat across probes, and a
-	// caller-supplied cache extends the reuse across Solve calls.
+	// is always attempted twice, canonical profiles repeat across probes,
+	// and a caller-supplied cache extends the reuse across Solve calls.
 	if opts.Cache == nil {
 		opts.Cache = dp.NewCache()
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/dp"
 	"repro/internal/exact"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/simsched"
 	"repro/internal/workload"
@@ -275,25 +274,6 @@ func TestPaperFaithfulVariantsIdenticalMakespan(t *testing.T) {
 		}
 		if got.Makespan(in) != ref.Makespan(in) {
 			t.Fatalf("variant %d makespan %d != reference %d", i, got.Makespan(in), ref.Makespan(in))
-		}
-	}
-}
-
-func TestExternalPoolReuse(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 6, N: 40, Seed: 3})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		got, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3, Workers: 4, Pool: pool, PaperFaithful: true})
-		if err != nil {
-			t.Fatalf("reuse %d: %v", i, err)
-		}
-		if got.Makespan(in) != ref.Makespan(in) {
-			t.Fatalf("reuse %d: makespan %d != %d", i, got.Makespan(in), ref.Makespan(in))
 		}
 	}
 }

@@ -77,7 +77,7 @@ func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T p
 	case !opts.PaperFaithful:
 		err = tbl.FillAutoCtx(ctx, nil)
 	case pool != nil:
-		err = tbl.FillParallelCtx(ctx, pool, dp.LevelScan, par.RoundRobin)
+		err = tbl.FillParallelCtx(ctx, pool)
 	default:
 		err = tbl.FillRecursiveCtx(ctx)
 	}

@@ -5,7 +5,7 @@ package dp
 // and even routed level by level onto a persistent barrier pool (inline,
 // fused and wide arms, since deleted) its 2-worker fill was no faster than
 // one worker on a 2-core host. The config-outer run-length sweep
-// (fillConfigOuter) beat it on every probe table measured, so FillAutoCtx
+// (FillSequentialCtx) beat it on every probe table measured, so FillAutoCtx
 // runs that one kernel on every table, on the calling goroutine.
 
 import (

@@ -8,19 +8,13 @@ import (
 	"repro/pcmax"
 )
 
-// Cache memoizes the two expensive table-independent artifacts of a DP
-// build across bisection iterations:
-//
-//   - configuration sets, keyed by the *canonical profile* of the
-//     enumeration inputs (see below): the bisection re-attempts its converged
-//     target (always one repeated key per solve), speculative probing
-//     revisits targets across rounds, warm-started delta solves revisit the
-//     previous solution's neighborhood, and a production caller solving many
-//     similar instances repeats keys freely;
-//   - level-bucket indexes, keyed by the counts vector alone: the bucket
-//     order of FillParallel depends only on the per-class counts, which
-//     repeat across probes even when T (and therefore sizes and the
-//     configuration set) differ.
+// Cache memoizes the expensive table-independent artifact of a DP build,
+// the configuration set, across bisection iterations. Sets are keyed by the
+// *canonical profile* of the enumeration inputs (see below): the bisection
+// re-attempts its converged target (always one repeated key per solve),
+// speculative probing revisits targets across rounds, warm-started delta
+// solves revisit the previous solution's neighborhood, and a production
+// caller solving many similar instances repeats keys freely.
 //
 // # Profile-canonical configuration keys
 //
@@ -37,27 +31,23 @@ import (
 // the common case for the warm re-solves of an incremental session, where
 // the rounding unit shifts with T but the class structure does not — share
 // one enumeration instead of repeating it. Note the canonical build leaves
-// conf.Config.Weight expressed in units of g; the DP fills, packing kernels
-// and reconstruction consume only Counts, Jobs and Offset, which are
+// conf.Config.Weight expressed in units of g; the DP fills and
+// reconstruction consume only Counts, Jobs and Offset, which are
 // scale-invariant.
 //
 // Keys are compact binary strings assembled in a buffer reused across
 // lookups (guarded by mu), so the hit path performs no allocation — lookups
 // happen once per bisection probe on the solve hot path.
 //
-// All cached artifacts are immutable and shared by reference; a Cache is
-// safe for concurrent use (speculative bisection probes hit it from many
-// goroutines). Eviction is generational: when a map outgrows its budget it
-// is dropped wholesale, which keeps the bookkeeping trivial and bounds
-// retained memory without LRU machinery.
+// Cached sets are immutable and shared by reference; a Cache is safe for
+// concurrent use (speculative bisection probes hit it from many goroutines).
+// Eviction is generational: when the map outgrows its budget it is dropped
+// wholesale, which keeps the bookkeeping trivial and bounds retained memory
+// without LRU machinery.
 type Cache struct {
 	mu      sync.Mutex
 	configs map[string]configsEntry
-	levels  map[string]*levelIndex
-	// levelElems tracks the total retained order-array elements, the
-	// dominant memory cost (8 bytes each).
-	levelElems int64
-	stats      CacheStats
+	stats   CacheStats
 	// keyBuf is the shared key-assembly buffer; it is only touched while mu
 	// is held and must be copied (string conversion) before the lock drops.
 	keyBuf []byte
@@ -75,23 +65,18 @@ type configsEntry struct {
 // O(log range) distinct targets; 64 covers several solves between resets).
 const maxCachedConfigSets = 64
 
-// maxCachedLevelElems bounds the total order-array elements retained across
-// cached level indexes — one DefaultMaxEntries-sized table's worth.
-const maxCachedLevelElems = int64(DefaultMaxEntries)
-
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{
-		configs: make(map[string]configsEntry),
-		levels:  make(map[string]*levelIndex),
-	}
+	return &Cache{configs: make(map[string]configsEntry)}
 }
 
 // CacheStats counts cache traffic; retrieve a snapshot with Stats.
 type CacheStats struct {
 	// ConfigHits and ConfigMisses count configuration-set lookups.
 	ConfigHits, ConfigMisses int64
-	// LevelHits and LevelMisses count level-bucket-index lookups.
+	// LevelHits and LevelMisses are always zero. They counted the lookups of
+	// a level index that no fill builds any more, and remain because callers
+	// outside this module still read them.
 	LevelHits, LevelMisses int64
 }
 
@@ -102,8 +87,6 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 	return CacheStats{
 		ConfigHits:   s.ConfigHits - prev.ConfigHits,
 		ConfigMisses: s.ConfigMisses - prev.ConfigMisses,
-		LevelHits:    s.LevelHits - prev.LevelHits,
-		LevelMisses:  s.LevelMisses - prev.LevelMisses,
 	}
 }
 
@@ -166,16 +149,6 @@ func appendConfigKey(b []byte, sizes []pcmax.Time, g pcmax.Time, counts []int, c
 	for i := range sizes {
 		b = binary.AppendUvarint(b, uint64(sizes[i]/g))
 		b = binary.AppendUvarint(b, uint64(counts[i]))
-	}
-	return b
-}
-
-// appendCountsKey assembles the binary level-index key: the counts vector,
-// length-prefixed.
-func appendCountsKey(b []byte, counts []int) []byte {
-	b = binary.AppendUvarint(b, uint64(len(counts)))
-	for _, n := range counts {
-		b = binary.AppendUvarint(b, uint64(max64(int64(n), 0)))
 	}
 	return b
 }
@@ -243,35 +216,4 @@ func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int
 	}
 	bounds := conf.SortByJobs(configs)
 	return configs, conf.NewSet(configs, len(sizes), bounds), sstats, nil
-}
-
-// levelIndexFor returns the level-bucket index for the given counts vector,
-// building it with build on a miss. Two goroutines missing concurrently may
-// both build; the last store wins — the artifact is deterministic, so either
-// copy is correct.
-func (c *Cache) levelIndexFor(counts []int, build func() *levelIndex) *levelIndex {
-	c.mu.Lock()
-	c.keyBuf = appendCountsKey(c.keyBuf[:0], counts)
-	if li, ok := c.levels[string(c.keyBuf)]; ok {
-		c.stats.LevelHits++
-		c.mu.Unlock()
-		return li
-	}
-	c.stats.LevelMisses++
-	key := string(c.keyBuf)
-	c.mu.Unlock()
-
-	li := build()
-	elems := int64(len(li.order))
-	c.mu.Lock()
-	if c.levelElems+elems > maxCachedLevelElems {
-		c.levels = make(map[string]*levelIndex)
-		c.levelElems = 0
-	}
-	if elems <= maxCachedLevelElems {
-		c.levels[key] = li
-		c.levelElems += elems
-	}
-	c.mu.Unlock()
-	return li
 }

@@ -51,23 +51,23 @@ func TestCachedTablesFillIdentically(t *testing.T) {
 
 	pool := par.NewPool(3)
 	defer pool.Close()
-	// Fill twice through the cache so the second parallel fill takes the
-	// level-index hit path.
+	// Build twice through the cache so the second table, filled with
+	// per-entry enumeration, runs on the config set of the hit path.
 	for round := 0; round < 2; round++ {
 		tbl, err := NewCached(sizes, counts, 25, 0, 0, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fillPar(t, tbl, pool, LevelBuckets, par.Dynamic)
+		tbl.PerEntryEnum = round == 1
+		fillPar(t, tbl, pool)
 		for i := range tbl.Opt {
 			if tbl.Opt[i] != ref.Opt[i] {
 				t.Fatalf("round %d entry %d = %d, want %d", round, i, tbl.Opt[i], ref.Opt[i])
 			}
 		}
 	}
-	st := cache.Stats()
-	if st.LevelHits != 1 || st.LevelMisses != 1 {
-		t.Fatalf("level stats = %+v, want 1 hit / 1 miss", st)
+	if st := cache.Stats(); st != (CacheStats{ConfigHits: 1, ConfigMisses: 1}) {
+		t.Fatalf("stats = %+v, want 1 config hit / 1 miss", st)
 	}
 }
 

@@ -13,25 +13,26 @@
 // one-dimensional array V), so idx(v) = sum_i v_i * stride_i and, for a
 // configuration s <= v, idx(v-s) = idx(v) - offset(s) with no borrows.
 //
-// Three fill strategies are provided:
+// Three fills are provided, and all of them produce the same table:
 //
-//   - FillSequentialCtx: bottom-up (every dependency of entry i has a
-//     smaller index). The default path is the config-outer sweep: each
-//     configuration relaxes its sub-lattice as contiguous runs of the table,
-//     in ascending order (fillConfigOuter). It is also the production fill,
-//     FillAutoCtx.
+//   - FillSequentialCtx: the production kernel, which FillAutoCtx runs. It is
+//     a config-outer sweep: each configuration relaxes its sub-lattice as
+//     contiguous runs of the table, in ascending order.
 //   - FillRecursiveCtx: top-down memoized recursion starting from the last
 //     entry, faithful to the paper's Algorithm 2 description ("starts from
 //     the last entry of the DP-table and recursively computes the other
 //     entries until it ends up at the first element").
-//   - FillParallelCtx: the paper's Algorithm 3. Entries on the same
-//     anti-diagonal (equal digit sum, the paper's d_i values) are mutually
-//     independent; levels l = 0..n' run sequentially with a barrier, entries
-//     within a level run on P workers.
+//   - FillParallelCtx: the paper's Algorithm 3 as printed. Entries on the
+//     same anti-diagonal (equal digit sum, the paper's d_i values) are
+//     mutually independent; levels l = 1..n' run in sequence with a barrier,
+//     and within a level P workers scan all sigma entries round-robin and
+//     compute the ones on that level.
 //
-// The fill pipeline applies three compounding optimizations over a naive
-// translation of the recurrence (all preserving bit-identical Opt tables;
-// see ALGORITHM.md "Fill-path optimizations"):
+// The paper's two fills evaluate the recurrence entry by entry. Unless
+// PerEntryEnum asks for the paper's per-entry enumeration, they apply two
+// optimizations over a naive translation of the recurrence, and the parallel
+// fill a third (all preserving bit-identical Opt tables; see ALGORITHM.md
+// "Fill-path optimizations"):
 //
 //  1. Level-aware configuration pruning: Configs is kept stably sorted by
 //     ascending Jobs, so an entry on anti-diagonal level l scans only the
@@ -42,9 +43,9 @@
 //     configuration set (conf.Set) instead of chasing one heap-allocated
 //     Counts slice per configuration.
 //  3. Odometer decoding: per-entry division loops are replaced by incremental
-//     mixed-radix counters — the sequential sweep and the level/bucket index
-//     construction advance digit vectors in amortized O(1), and the parallel
-//     fill decodes once per worker chunk and advances from there.
+//     mixed-radix counters — the digit sums advance an odometer inside each
+//     worker chunk, and each worker's decoder advances from the last index it
+//     visited.
 package dp
 
 import (
@@ -59,34 +60,9 @@ import (
 	"repro/pcmax"
 )
 
-// LevelMode selects how FillParallel locates the entries of a level.
-type LevelMode int
-
-const (
-	// LevelBuckets groups entry indices by level once (counting sort) so
-	// each level touches only its own entries. This is the optimized mode.
-	LevelBuckets LevelMode = iota
-	// LevelScan is faithful to the paper's Algorithm 3 Lines 11-12: at
-	// every level all sigma entries are scanned in parallel and entries
-	// whose d_i differs from the level are skipped.
-	LevelScan
-)
-
-// String names the level mode.
-func (m LevelMode) String() string {
-	switch m {
-	case LevelBuckets:
-		return "buckets"
-	case LevelScan:
-		return "scan"
-	default:
-		return fmt.Sprintf("LevelMode(%d)", int(m))
-	}
-}
-
 // DefaultMaxEntries caps the table size (number of entries). 1<<25 entries
-// occupy 128 MiB of OPT values plus 256 MiB of level-bucket index in the
-// parallel fill.
+// occupy 128 MiB of OPT values, plus 128 MiB of digit sums in the parallel
+// fill.
 const DefaultMaxEntries = 1 << 25
 
 // Typed failures.
@@ -144,16 +120,18 @@ type Table struct {
 	// Opt holds OPT(v) per entry after a Fill method ran.
 	Opt []int32
 
-	// PerEntryEnum switches every fill method to re-enumerating the
-	// configuration set C_v of each entry by depth-first search, bounded by
-	// the entry's own vector, instead of filtering the shared Configs list.
-	// This is faithful to the paper's Algorithm 3 Line 17 ("C_{v^i} <- all
-	// machine configurations of vector v^i") and considerably slower; it
-	// exists for fidelity runs and ablation benchmarks. It applies to
-	// EnumFaithful tables only: the per-entry search regenerates the
-	// faithful configuration set, so on an EnumSparse table it could reach
-	// an OPT through configurations the table pruned, which Reconstruct,
-	// walking Configs, cannot explain. Sparse tables ignore it.
+	// PerEntryEnum switches the paper's fills, FillRecursiveCtx and
+	// FillParallelCtx, to re-enumerating the configuration set C_v of each
+	// entry by depth-first search, bounded by the entry's own vector, instead
+	// of filtering the shared Configs list. This is faithful to the paper's
+	// Algorithm 3 Line 17 ("C_{v^i} <- all machine configurations of vector
+	// v^i") and considerably slower; it exists for fidelity runs and ablation
+	// benchmarks. The production kernel (FillSequentialCtx, FillAutoCtx)
+	// ignores it, since it never enumerates an entry's configurations. It
+	// applies to EnumFaithful tables only: the per-entry search regenerates
+	// the faithful configuration set, so on an EnumSparse table it could
+	// reach an OPT through configurations the table pruned, which
+	// Reconstruct, walking Configs, cannot explain. Sparse tables ignore it.
 	PerEntryEnum bool
 
 	// AutoStats reports how FillAutoCtx ran the anti-diagonal levels; it is
@@ -169,15 +147,6 @@ type Table struct {
 
 	// set is the flat Jobs-sorted scan view of Configs (shared, read-only).
 	set *conf.Set
-	// packed holds each configuration's count vector packed one byte per
-	// size class (packW words per configuration), enabling the branch-free
-	// SWAR fits check of computeEntryPacked. nil when the table does not
-	// qualify (more than 16 classes or a class count >= 128).
-	packed []uint64
-	packW  int
-	// cache, when non-nil, memoizes configuration sets and level-bucket
-	// indexes across tables (bisection probes repeat both).
-	cache *Cache
 
 	// Cooperative-cancellation state of an in-flight FillRecursiveCtx:
 	// solveRec polls recDone every fillCheckEvery visits (recBudget is the
@@ -200,10 +169,10 @@ func New(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, maxCo
 	return NewCached(sizes, counts, T, maxEntries, maxConfigs, nil)
 }
 
-// NewCached is New with a shared Cache: configuration enumeration and (in
-// FillParallel) the level-bucket index are reused when another table with
-// the same rounded classes was built against the same cache — which is
-// exactly what a bisection search produces. A nil cache disables reuse.
+// NewCached is New with a shared Cache: the configuration enumeration is
+// reused when another table with the same canonical profile was built
+// against the same cache — which is exactly what a bisection search
+// produces. A nil cache disables reuse.
 func NewCached(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, maxConfigs int, cache *Cache) (*Table, error) {
 	return build(sizes, counts, T, maxEntries, maxConfigs, cache, EnumFaithful, conf.SparseOptions{})
 }
@@ -251,7 +220,6 @@ func build(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, max
 		T:      T,
 		Stride: make([]int64, d),
 		Mode:   mode,
-		cache:  cache,
 	}
 	sigma := int64(1)
 	for i := d - 1; i >= 0; i-- {
@@ -271,49 +239,8 @@ func build(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, max
 	t.Configs = configs
 	t.set = set
 	t.SparseStats = sstats
-	t.buildPacked()
 	t.Opt = make([]int32, sigma)
 	return t, nil
-}
-
-// buildPacked precomputes the byte-packed configuration rows for the SWAR
-// fits check: one byte per size class, low class in the low byte, padded
-// with zeros. Applicable whenever every digit fits in 7 bits (class counts
-// < 128, which bounds configuration counts too) and d <= 16 (one or two
-// 64-bit words per row). The paper-scale tables (d = k^2 classes with
-// k <= 4) always qualify.
-func (t *Table) buildPacked() {
-	d := len(t.Counts)
-	if d > 16 {
-		return
-	}
-	for _, n := range t.Counts {
-		if n >= 128 {
-			return
-		}
-	}
-	words := 1
-	if d > 8 {
-		words = 2
-	}
-	s := t.set
-	t.packW = words
-	t.packed = make([]uint64, s.N*words)
-	for ci := 0; ci < s.N; ci++ {
-		row := s.Counts[ci*d : ci*d+d]
-		var w0, w1 uint64
-		for j, c := range row {
-			if j < 8 {
-				w0 |= uint64(uint8(c)) << (8 * j)
-			} else {
-				w1 |= uint64(uint8(c)) << (8 * (j - 8))
-			}
-		}
-		t.packed[ci*words] = w0
-		if words == 2 {
-			t.packed[ci*words+1] = w1
-		}
-	}
 }
 
 // digits decodes the entry index into the vector v, writing into dst
@@ -442,10 +369,6 @@ func (t *Table) computeEntry(idx int64, v []int32, level int32) {
 	if idx < 0 || idx >= int64(len(opt)) {
 		return // never taken: the fill loops keep idx inside [0, Sigma)
 	}
-	if t.packed != nil {
-		t.computeEntryPacked(idx, v, level)
-		return
-	}
 	s := t.set
 	d := s.D
 	if d < 0 || d > len(v) {
@@ -484,79 +407,6 @@ scan:
 	}
 	// A non-zero entry always admits at least one singleton configuration
 	// (every size is <= T), so best is a real value here.
-	opt[idx] = best + 1
-}
-
-// swarHigh masks the sign bit of every byte lane.
-const swarHigh = uint64(0x8080808080808080)
-
-// computeEntryPacked is computeEntry's scan with the per-class comparison
-// loop replaced by a packed SWAR check: with every digit below 128, packing
-// v's digits (and each configuration row) one byte per class makes
-//
-//	c <= v (componentwise)  <=>  ((v | H) - c) & H == H,  H = 0x80 repeated,
-//
-// because v|H raises every byte to >= 128 (so the per-byte subtractions
-// cannot borrow across lanes) and byte j of the difference keeps its sign
-// bit exactly when c_j <= v_j. Unused high lanes hold v-byte 0x80 and
-// c-byte 0, so they always pass. The candidate set and the minimum are
-// identical to the generic scan — the differential harness pins this down.
-//
-//lint:hotpath SWAR kernel, the tightest loop in the repository
-func (t *Table) computeEntryPacked(idx int64, v []int32, level int32) {
-	s := t.set
-	opt := t.Opt
-	if idx < 0 || idx >= int64(len(opt)) {
-		return // never taken: the fill loops keep idx inside [0, Sigma)
-	}
-	bound := int(s.Bounds.Upto(level))
-	offsets := s.Offsets
-	n := len(offsets)
-	if bound < n {
-		n = bound
-	}
-	best := int32(math.MaxInt32)
-	var v0, v1 uint64
-	for j, x := range v {
-		if j < 8 {
-			v0 |= uint64(uint8(x)) << (8 * j)
-		} else {
-			v1 |= uint64(uint8(x)) << (8 * (j - 8))
-		}
-	}
-	x0 := v0 | swarHigh
-	packed := t.packed
-	if t.packW == 1 {
-		for ci, p := range packed {
-			if ci >= n {
-				break
-			}
-			if (x0-p)&swarHigh == swarHigh {
-				if o := idx - offsets[ci]; o >= 0 && o < int64(len(opt)) {
-					if e := opt[o]; e < best {
-						best = e
-					}
-				}
-			}
-		}
-	} else {
-		x1 := v1 | swarHigh
-		rest := packed
-		for ci := 0; ci < n; ci++ {
-			if len(rest) < 2 {
-				break // never taken: two packed words per configuration
-			}
-			p0, p1 := rest[0], rest[1]
-			rest = rest[2:]
-			if (x0-p0)&swarHigh == swarHigh && (x1-p1)&swarHigh == swarHigh {
-				if o := idx - offsets[ci]; o >= 0 && o < int64(len(opt)) {
-					if e := opt[o]; e < best {
-						best = e
-					}
-				}
-			}
-		}
-	}
 	opt[idx] = best + 1
 }
 
@@ -607,63 +457,16 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 	return ctx.Done()
 }
 
-// FillSequentialCtx computes every entry bottom-up, checking ctx every
-// fillCheckEvery entries. The default path runs the configuration-outer
-// relaxation sweep (fillConfigOuter); per-entry enumeration keeps the
-// entry-ordered recurrence sweep, where the digit vector and its level ride
-// an odometer increment so no entry pays a division decode. On cancellation
-// the table is left unfilled (Opt holds partial garbage) and the structured
-// cancel error is returned; an uncanceled fill returns nil and produces a
-// table bit-identical to every other fill variant.
-func (t *Table) FillSequentialCtx(ctx context.Context) error {
-	if !t.perEntry() {
-		return t.fillConfigOuter(ctx)
-	}
-	done := ctxDone(ctx)
-	budget := int64(fillCheckEvery)
-	t.Opt[0] = 0
-	d := len(t.Stride)
-	v := make([]int32, d)
-	level := int32(0)
-	for idx := int64(1); idx < t.Sigma; idx++ {
-		// Odometer increment with the last dimension fastest, mirroring the
-		// row-major index order; the digit sum is maintained alongside.
-		for i := d - 1; i >= 0; i-- {
-			if int(v[i]) < t.Counts[i] {
-				v[i]++
-				level++
-				break
-			}
-			level -= v[i]
-			v[i] = 0
-		}
-		t.computeEntry(idx, v, level)
-		if done != nil {
-			if budget--; budget <= 0 {
-				select {
-				case <-done:
-					err := cancel.From(ctx)
-					err.EntriesFilled = idx
-					return err
-				default:
-				}
-				budget = fillCheckEvery
-			}
-		}
-	}
-	t.filled = true
-	return nil
-}
-
 // fillHuge is the transient "not yet reached" value of the config-outer
 // sweep. It must survive a +1 without overflowing; it never appears in a
 // finished table because every non-empty entry admits a singleton
 // configuration.
 const fillHuge = int32(1) << 30
 
-// fillConfigOuter fills the table by loop interchange: instead of scanning
-// the configuration list per entry, each configuration c relaxes its whole
-// sub-lattice {v : v >= c} in one streaming pass,
+// FillSequentialCtx fills the table with the production kernel, a loop
+// interchange of the recurrence: instead of scanning the configuration list
+// per entry, each configuration c relaxes its whole sub-lattice {v : v >= c}
+// in one streaming pass,
 //
 //	Opt[v] = min(Opt[v], Opt[v-c] + 1),
 //
@@ -671,8 +474,9 @@ const fillHuge = int32(1) << 30
 // within the pass. This is the unbounded min-coin-change loop interchange on
 // the mixed-radix lattice: the final values are the (unique) shortest
 // distances of the recurrence, so the table is bit-identical to the
-// entry-ordered sweep — but no entry ever pays a fits check or an index
-// decode.
+// entry-ordered fills — but no entry ever pays a fits check or an index
+// decode. PerEntryEnum does not apply: the sweep never enumerates an entry's
+// configurations.
 //
 // The pass is run-length encoded. Let j1 be c's last non-zero class: every
 // later class spans its full range 0..n_j, and class j1 spans
@@ -682,10 +486,13 @@ const fillHuge = int32(1) << 30
 // over classes 0..j1-2 are evenly spaced and relaxRuns relaxes them in one
 // call: the odometer steps once per such row of runs instead of once per
 // relaxation. Runs are visited in the same ascending order as the per-entry
-// walk, so every table is bit-identical to it. A cancelable ctx is polled
-// every fillCheckEvery relaxations: a row or run longer than the remaining
-// budget is split where the budget runs out.
-func (t *Table) fillConfigOuter(ctx context.Context) error {
+// walk, so every table is bit-identical to it.
+//
+// A cancelable ctx is polled every fillCheckEvery relaxations: a row or run
+// longer than the remaining budget is split where the budget runs out. On
+// cancellation the table is left unfilled (Opt holds partial garbage) and
+// the structured cancel error is returned.
+func (t *Table) FillSequentialCtx(ctx context.Context) error {
 	opt := t.Opt
 	for i := range opt {
 		opt[i] = fillHuge
@@ -899,51 +706,19 @@ func (t *Table) fillLevels(pfor func(n int, body func(i int)), workers int, leve
 	})
 }
 
-// levelIndex groups entry indices by anti-diagonal level: order holds the
-// indices sorted by (level, index) and start[l] is the first slot of level
-// l (len(start) == NPrime+2). It depends only on the per-class counts, so a
-// Cache can share it across every table of a bisection with the same
-// rounded classes. Read-only after construction.
-type levelIndex struct {
-	order []int64
-	start []int64
-}
-
-// buildLevelIndex counting-sorts the entries by level; pfor and workers
-// parallelize the level computation (see fillLevels).
-func (t *Table) buildLevelIndex(pfor func(n int, body func(i int)), workers int) *levelIndex {
-	levels := make([]int32, t.Sigma)
-	t.fillLevels(pfor, workers, levels)
-	count := make([]int64, t.NPrime+2)
-	for _, l := range levels {
-		count[l+1]++
-	}
-	for l := 1; l < len(count); l++ {
-		count[l] += count[l-1]
-	}
-	start := count // start[l] is the first slot of level l
-	order := make([]int64, t.Sigma)
-	cursor := make([]int64, t.NPrime+1)
-	copy(cursor, start[:t.NPrime+1])
-	for i := int64(0); i < t.Sigma; i++ {
-		l := levels[i]
-		order[cursor[l]] = i
-		cursor[l]++
-	}
-	return &levelIndex{order: order, start: start}
-}
-
 // FillParallelCtx computes the table with the paper's Parallel DP
-// (Algorithm 3) on the given worker pool: level d_i = l entries in
-// parallel, levels in sequence. The pool may be reused across calls and
-// bisection iterations. ctx is checked between anti-diagonal levels and,
-// through the pool's ForWorkerCtx, every cancelCheckEvery entries inside
-// each level, so an abort lands within one level's residual work. Workers stop claiming entries, the level barrier
-// still completes (no leaked goroutines, the pool stays reusable) and the
-// structured cancel error is returned with the table left unfilled. It
-// panics on a LevelMode outside the declared constants, which is a
-// programming error at the call site.
-func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool, mode LevelMode, strategy par.Strategy) error {
+// (Algorithm 3) as printed, on the given worker pool: it computes the digit
+// sum d_i of every entry in parallel, then for each level l = 1..n' in
+// sequence the workers scan all sigma entries round-robin (Lines 11-12) and
+// compute the entries whose d_i is l, re-enumerating each entry's
+// configurations when PerEntryEnum is set (Line 17). The pool may be reused
+// across calls and bisection iterations. ctx is checked, through the pool's
+// ForWorkerCtx, between levels and within each level's scan, so an abort
+// lands within one level's residual work. Workers stop claiming entries, the
+// level barrier still completes (no leaked goroutines, the pool stays
+// reusable) and the structured cancel error is returned with the table left
+// unfilled.
+func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
 	if t.Sigma == 1 {
 		if err := cancel.Check(ctx); err != nil {
 			return err
@@ -952,62 +727,26 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool, mode LevelM
 		t.filled = true
 		return nil
 	}
+	// Lines 4-8: the digit sums d_i of every entry, in parallel.
+	levels := make([]int32, t.Sigma)
+	pfor := func(n int, body func(i int)) { pool.For(n, par.RoundRobin, body) }
+	t.fillLevels(pfor, pool.Workers(), levels)
 	decs := newDecoders(t, pool.Workers())
-	pfor := func(n int, body func(i int)) { pool.For(n, strategy, body) }
-
 	t.Opt[0] = 0
-	switch mode {
-	case LevelScan:
-		// Lines 4-8: compute the digit sums d_i of every entry in parallel,
-		// then (Lines 10-25, faithful) every level scans all sigma entries.
-		levels := make([]int32, t.Sigma)
-		t.fillLevels(pfor, pool.Workers(), levels)
-		for l := int32(1); l <= int32(t.NPrime); l++ {
-			for w := range decs {
-				decs[w].reset()
-			}
-			err := pool.ForWorkerCtx(ctx, int(t.Sigma), strategy, 0, func(w, i int) {
-				if levels[i] != l {
-					return
-				}
-				idx := int64(i)
-				t.computeEntry(idx, decs[w].at(idx), l)
-			})
-			if err != nil {
-				return err
-			}
+	for l := int32(1); l <= int32(t.NPrime); l++ {
+		for w := range decs {
+			decs[w].reset()
 		}
-	case LevelBuckets:
-		// Counting sort of entries by level (reused from the cache when the
-		// same counts vector was bucketed before), then each level processes
-		// only its own entries.
-		if err := cancel.Check(ctx); err != nil {
+		err := pool.ForWorkerCtx(ctx, int(t.Sigma), par.RoundRobin, 0, func(w, i int) {
+			if levels[i] != l {
+				return
+			}
+			idx := int64(i)
+			t.computeEntry(idx, decs[w].at(idx), l)
+		})
+		if err != nil {
 			return err
 		}
-		var li *levelIndex
-		if t.cache != nil {
-			li = t.cache.levelIndexFor(t.Counts, func() *levelIndex {
-				return t.buildLevelIndex(pfor, pool.Workers())
-			})
-		} else {
-			li = t.buildLevelIndex(pfor, pool.Workers())
-		}
-		for l := 1; l <= t.NPrime; l++ {
-			bucket := li.order[li.start[l]:li.start[l+1]]
-			for w := range decs {
-				decs[w].reset()
-			}
-			lvl := int32(l)
-			err := pool.ForWorkerCtx(ctx, len(bucket), strategy, 0, func(w, j int) {
-				idx := bucket[j]
-				t.computeEntry(idx, decs[w].at(idx), lvl)
-			})
-			if err != nil {
-				return err
-			}
-		}
-	default:
-		panic(fmt.Sprintf("dp: unknown level mode %d", int(mode)))
 	}
 	t.filled = true
 	return nil

@@ -27,9 +27,9 @@ func fillRec(t testing.TB, tbl *Table) {
 	}
 }
 
-func fillPar(t testing.TB, tbl *Table, pool *par.Pool, mode LevelMode, strategy par.Strategy) {
+func fillPar(t testing.TB, tbl *Table, pool *par.Pool) {
 	t.Helper()
-	if err := tbl.FillParallelCtx(context.Background(), pool, mode, strategy); err != nil {
+	if err := tbl.FillParallelCtx(context.Background(), pool); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,15 +98,14 @@ func TestAllFillsAgreeOnPaperExample(t *testing.T) {
 
 	pool := par.NewPool(3)
 	defer pool.Close()
-	for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
-		for _, strategy := range par.Strategies {
-			tbl := paperTable(t)
-			fillPar(t, tbl, pool, mode, strategy)
-			for i := range tbl.Opt {
-				if tbl.Opt[i] != ref.Opt[i] {
-					t.Fatalf("mode %v strategy %v: entry %d = %d, want %d",
-						mode, strategy, i, tbl.Opt[i], ref.Opt[i])
-				}
+	for _, perEntry := range []bool{false, true} {
+		tbl := paperTable(t)
+		tbl.PerEntryEnum = perEntry
+		fillPar(t, tbl, pool)
+		for i := range tbl.Opt {
+			if tbl.Opt[i] != ref.Opt[i] {
+				t.Fatalf("parallel (per-entry %v): entry %d = %d, want %d",
+					perEntry, i, tbl.Opt[i], ref.Opt[i])
 			}
 		}
 	}
@@ -116,31 +115,11 @@ func TestPerEntryEnumMatchesShared(t *testing.T) {
 	ref := paperTable(t)
 	fillSeq(t, ref)
 
-	tbl := paperTable(t)
-	tbl.PerEntryEnum = true
-	fillSeq(t, tbl)
-	for i := range tbl.Opt {
-		if tbl.Opt[i] != ref.Opt[i] {
-			t.Fatalf("per-entry enum entry %d = %d, want %d", i, tbl.Opt[i], ref.Opt[i])
-		}
-	}
-
 	rec := paperTable(t)
 	rec.PerEntryEnum = true
 	fillRec(t, rec)
 	if rec.Opt[rec.Sigma-1] != ref.Opt[ref.Sigma-1] {
 		t.Fatalf("per-entry recursive OPT %d != %d", rec.Opt[rec.Sigma-1], ref.Opt[ref.Sigma-1])
-	}
-
-	pool := par.NewPool(2)
-	defer pool.Close()
-	ptbl := paperTable(t)
-	ptbl.PerEntryEnum = true
-	fillPar(t, ptbl, pool, LevelBuckets, par.RoundRobin)
-	for i := range ptbl.Opt {
-		if ptbl.Opt[i] != ref.Opt[i] {
-			t.Fatalf("per-entry parallel entry %d = %d, want %d", i, ptbl.Opt[i], ref.Opt[i])
-		}
 	}
 }
 
@@ -216,7 +195,7 @@ func TestEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillPar(t, tbl2, pool, LevelBuckets, par.RoundRobin)
+	fillPar(t, tbl2, pool)
 	if opt, err := tbl2.OptValue(); err != nil || opt != 0 {
 		t.Fatalf("parallel empty table OPT = %d, %v", opt, err)
 	}
@@ -327,22 +306,14 @@ func TestAllFillsAgreeOnRandomTablesProperty(t *testing.T) {
 			return false
 		}
 
-		for _, mode := range []LevelMode{LevelBuckets, LevelScan} {
+		for _, perEntry := range []bool{false, true} {
 			p := cloneEmpty(ref)
-			fillPar(t, p, pool, mode, par.Dynamic)
+			p.PerEntryEnum = perEntry
+			fillPar(t, p, pool)
 			for i := range p.Opt {
 				if p.Opt[i] != ref.Opt[i] {
 					return false
 				}
-			}
-		}
-
-		pe := cloneEmpty(ref)
-		pe.PerEntryEnum = true
-		fillSeq(t, pe)
-		for i := range pe.Opt {
-			if pe.Opt[i] != ref.Opt[i] {
-				return false
 			}
 		}
 		return true
@@ -401,14 +372,5 @@ func TestOptMatchesGreedySingleSize(t *testing.T) {
 	}
 	if opt != 4 { // ceil(10/3)
 		t.Fatalf("OPT = %d, want 4", opt)
-	}
-}
-
-func TestLevelModeStrings(t *testing.T) {
-	if LevelBuckets.String() != "buckets" || LevelScan.String() != "scan" {
-		t.Fatal("level mode names changed")
-	}
-	if LevelMode(9).String() == "" {
-		t.Fatal("unknown mode should render")
 	}
 }

@@ -8,9 +8,10 @@ import (
 
 // HotAlloc keeps the DP inner loops allocation-free. Functions whose doc
 // comment carries a //lint:hotpath directive (the layer-fill entry
-// computation, the SWAR kernel, the odometer decoders) run millions of
-// times per bisection probe; a growing append or an interface boxing in
-// one of them shows up directly in the benchmarks the CI gate watches.
+// computation, the run-length relaxation, the odometer decoders) run
+// millions of times per bisection probe; a growing append or an interface
+// boxing in one of them shows up directly in the benchmarks the CI gate
+// watches.
 // Allocation sites that only allocate when they escape — composite
 // literals, make, new, closures — are the escape analyzer's job; hotalloc
 // keeps the two checks value-flow cannot improve on: append may grow its

@@ -132,8 +132,8 @@ type SessionCounters struct {
 //     cache turns repeated probes into enumeration-free hits.
 //  3. Profile-keyed cache reuse — inside the warm solve, dp.Cache's
 //     gcd-canonical profile keys let probes whose rounded job profile
-//     is unchanged by the delta reuse cached configuration sets and
-//     level indexes outright.
+//     is unchanged by the delta reuse cached configuration sets
+//     outright.
 //
 // Every accepted result carries the same (1+eps) guarantee grade as a cold
 // solve of the mutated instance (see the path notes above and
