@@ -1,47 +1,44 @@
-// Command schedlint runs the repository's static-analysis suite: sixteen
+// Command schedlint runs the repository's static-analysis suite: thirteen
 // analyzers (see internal/lint and ALGORITHM.md §9/§11/§14/§16) that
 // machine-check the concurrency, determinism and value-flow invariants the
 // scheduler depends on — deterministic RNG only through internal/rng,
 // context threaded through every blocking solver entry point, no unjoined
 // goroutines, no map iteration order leaking into results, no undocumented
-// library panics, no by-value copies of the parallel substrate's
-// lock-bearing types, no mixing of atomic and plain access to one word, a
-// consistent mutex acquisition order, no unterminatable goroutines
-// reachable from exported functions, WaitGroup accounting balanced on every
-// path, non-escaping allocation in //lint:hotpath kernels (escape, with
-// hotalloc covering append and interface boxing), provably in-bounds
+// library panics, a consistent mutex acquisition order, no unterminatable
+// goroutines reachable from exported functions, WaitGroup accounting
+// balanced on every path, no append, interface boxing or escaping
+// allocation in //lint:hotpath kernels (escape), provably in-bounds
 // indexing in those kernels (boundsproof), provably overflow-free
 // arithmetic reachable from the //lint:parseroot readers (intoverflow),
 // every write reachable from a parallel region proven race-free under the
 // may-happen-in-parallel model (sharedwrite, with //lint:hbimpl excusing
 // synchronization the model cannot see), and every loop on a
 // solver-entry-to-//lint:hotpath path polling cancellation with a proven
-// stride of at most 2^16 iterations (cancelpoll).
+// stride of at most 2^16 iterations (cancelpoll). Lock copies are go vet's
+// copylocks check, not schedlint's.
 //
 // Usage:
 //
-//	schedlint [-json] [-out file] [-only check,...] [-parallel N] [-v]
-//	          [-suppressions] [-mhp-dump file] [-time-budget d] [packages]
+//	schedlint [-json] [-out file] [-parallel N] [-v] [-mhp-dump file]
+//	          [-time-budget d] [packages]
 //
 // schedlint always analyzes the whole module containing the working
 // directory; package arguments (./...) are accepted for command-line
 // familiarity but do not narrow the run — the invariants are module-wide.
-// -only takes one check name or a comma-separated list and narrows the
-// report (not the run) to those checks. Findings print as
-// file:line:col: check: message (or a JSON array with -json) and any
+// Findings print grouped by check, each group in position order, as
+// file:line:col: check: message (or a JSON array with -json), and any
 // finding makes the exit status 1. Suppress an individual finding with a
 // trailing or preceding comment:
 //
 //	//lint:ignore <check> <reason>
 //
-// The reason is mandatory; malformed directives are themselves findings.
-// -suppressions audits the directives instead of reporting findings: every
-// //lint:ignore that no longer suppresses anything is stale, printed, and
-// makes the exit status 1 (scripts/check.sh gates on zero stale).
-// -mhp-dump writes the may-happen-in-parallel engine's region/access
-// classification to a JSON file — the auditable artifact behind
-// sharedwrite's verdicts. -time-budget fails the run (exit 3) if any single
-// analyzer exceeds the given wall-time budget.
+// The reason is mandatory. Malformed directives, directives naming an
+// unknown check and stale directives (suppressing nothing) are themselves
+// findings of the lintdirective check. -mhp-dump writes the
+// may-happen-in-parallel engine's region/access classification to a JSON
+// file — the auditable artifact behind sharedwrite's verdicts. -time-budget
+// fails the run (exit 3) if any single analyzer exceeds the given
+// wall-time budget.
 package main
 
 import (
@@ -63,14 +60,12 @@ func main() {
 
 // config is one schedlint invocation's parsed flags.
 type config struct {
-	jsonOut      bool
-	outFile      string
-	only         string
-	parallel     int
-	verbose      bool
-	suppressions bool
-	mhpDump      string
-	timeBudget   time.Duration
+	jsonOut    bool
+	outFile    string
+	parallel   int
+	verbose    bool
+	mhpDump    string
+	timeBudget time.Duration
 }
 
 // run is the testable entry point: parses flags, runs the suite, writes the
@@ -81,15 +76,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var cfg config
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit findings as a JSON array")
 	fs.StringVar(&cfg.outFile, "out", "", "also write the report to this file (implies the same format as stdout)")
-	fs.StringVar(&cfg.only, "only", "", "report only findings of these comma-separated checks (others still run; the suite is module-wide)")
 	fs.IntVar(&cfg.parallel, "parallel", 0, "analysis worker goroutines (0 = GOMAXPROCS)")
 	fs.BoolVar(&cfg.verbose, "v", false, "print load and per-analyzer wall time to stderr")
-	fs.BoolVar(&cfg.suppressions, "suppressions", false, "audit //lint:ignore directives: print stale ones (suppressing nothing) and exit 1 if any")
 	fs.StringVar(&cfg.mhpDump, "mhp-dump", "", "write the may-happen-in-parallel region/access classification to this JSON file")
 	fs.DurationVar(&cfg.timeBudget, "time-budget", 0, "fail (exit 3) if any single analyzer exceeds this wall-time budget")
 	listChecks := fs.Bool("checks", false, "list the analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: schedlint [-json] [-out file] [-only check,...] [-parallel N] [-v] [-suppressions] [-mhp-dump file] [-time-budget d] [packages]\n")
+		fmt.Fprintf(stderr, "usage: schedlint [-json] [-out file] [-parallel N] [-v] [-mhp-dump file] [-time-budget d] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -102,27 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	only := map[string]bool{}
-	if cfg.only != "" {
-		for _, name := range strings.Split(cfg.only, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			known := name == lint.DirectiveCheck
-			for _, a := range analyzers {
-				if a.Name == name {
-					known = true
-					break
-				}
-			}
-			if !known {
-				fmt.Fprintf(stderr, "schedlint: -only %s: unknown check (see -checks)\n", name)
-				return 2
-			}
-			only[name] = true
-		}
 	}
 
 	root, err := findModuleRoot()
@@ -137,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	loadTime := time.Since(loadStart)
-	diags, timings, sups := lint.RunOnModuleFull(mod, analyzers, cfg.parallel)
+	diags, timings := lint.RunOnModule(mod, analyzers, cfg.parallel)
 	if cfg.verbose {
 		fmt.Fprintf(stderr, "schedlint: load %8.1fms  (%d packages)\n", millis(loadTime), len(mod.Packages))
 		for _, t := range timings {
@@ -162,31 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 3
 		}
 	}
-	if cfg.suppressions {
-		stale := 0
-		for _, s := range sups {
-			if s.Used {
-				continue
-			}
-			stale++
-			fmt.Fprintf(stdout, "%s:%d:%d: stale suppression: //lint:ignore %s %s suppresses nothing; delete it\n",
-				s.File, s.Line, s.Col, s.Check, s.Reason)
-		}
-		if stale > 0 {
-			return 1
-		}
-		return 0
-	}
-	if len(only) > 0 {
-		kept := diags[:0]
-		for _, d := range diags {
-			if only[d.Check] {
-				kept = append(kept, d)
-			}
-		}
-		diags = kept
-	}
-
 	if err := writeReport(stdout, cfg.jsonOut, diags); err != nil {
 		fmt.Fprintf(stderr, "schedlint: %v\n", err)
 		return 2

@@ -6,32 +6,37 @@ import (
 	"go/types"
 )
 
-// Escape replaces the old syntactic allocation heuristics with value-flow
-// escape analysis on the //lint:hotpath functions. An allocation site
-// (composite literal, make, new, closure, address-of-local) is only a
-// problem when its value escapes — returned, stored to the heap, captured
-// by a closure, boxed into an interface — because a non-escaping value
-// stays on the stack and costs nothing per iteration. The analyzer taints
-// the SSA values that carry each site's result, follows them through
-// copies, slices and phis, and reports the site with its first escape
-// cause. Two site shapes are reported unconditionally: make of a map or
-// channel (always heap) and make with a non-constant size (never
-// stack-allocated). Sites in cold error-bail-out blocks are skipped.
+// Escape keeps the //lint:hotpath functions (the DP inner loops, which run
+// millions of times per bisection probe) allocation-free, by value-flow
+// escape analysis. An allocation site (composite literal, make, new,
+// closure, address-of-local) is only a problem when its value escapes —
+// returned, stored to the heap, captured by a closure, boxed into an
+// interface — because a non-escaping value stays on the stack and costs
+// nothing per iteration. The analyzer taints the SSA values that carry each
+// site's result, follows them through copies, slices and phis, and reports
+// the site with its first escape cause. Some sites allocate whether or not
+// anything escapes and are reported unconditionally: make of a map or
+// channel (always heap), make with a non-constant size (never
+// stack-allocated), append (may grow the backing array) and interface
+// boxing (a conversion, or a concrete argument to an interface parameter).
+// Sites in cold error-bail-out blocks are skipped, and a //lint:hotpath
+// directive that is not part of a function's doc comment is reported.
 var Escape = &Analyzer{
 	Name: "escape",
-	Doc:  "allocation sites in //lint:hotpath functions must not escape",
+	Doc:  "//lint:hotpath functions must not append, box into interfaces, or let an allocation escape",
 	Run:  runEscape,
 }
 
 func runEscape(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		fns, _ := directiveFuncs(f, isHotpathDirective)
+		fns, attached := directiveFuncs(f, isHotpathDirective)
 		for _, fd := range fns {
 			if fd.Body == nil {
 				continue
 			}
 			checkEscapes(pass, fd)
 		}
+		reportStray(pass, f, isHotpathDirective, attached, hotpathPrefix)
 	}
 }
 
@@ -49,7 +54,8 @@ type escapeState struct {
 	info  *types.Info
 	cold  map[*Block]bool
 	sites []escSite
-	// siteOf maps a site's expression back to its index.
+	// siteOf maps the expression of a site that needs an escape cause back
+	// to its index; unconditionally reported sites carry no taint.
 	siteOf map[ast.Expr]int
 	// taint maps each SSA value to the site whose allocation it carries
 	// (-1: none; ties resolve to the lowest site index).
@@ -61,12 +67,11 @@ type escapeState struct {
 func checkEscapes(pass *Pass, fd *ast.FuncDecl) {
 	ssa := BuildSSA(pass.Pkg.Info, fd)
 	es := &escapeState{
-		pass:   pass,
-		fd:     fd,
-		ssa:    ssa,
-		info:   pass.Pkg.Info,
-		cold:   coldBlocks(pass.Pkg.Info, fd, ssa.Cfg, ssa.Dom),
-		siteOf: map[ast.Expr]int{},
+		pass: pass,
+		fd:   fd,
+		ssa:  ssa,
+		info: pass.Pkg.Info,
+		cold: coldBlocks(pass.Pkg.Info, fd, ssa.Cfg, ssa.Dom),
 	}
 	es.collectSites()
 	if len(es.sites) == 0 {
@@ -113,14 +118,17 @@ func (es *escapeState) collectSites() {
 		}
 	}
 	// A composite literal nested inside another is part of the same
-	// allocation; keep only the outermost sites.
+	// allocation; keep only the outermost sites. Sites reported
+	// unconditionally need no escape cause: all are kept, none in siteOf.
 	outer := es.sites[:0]
 	siteOf := map[ast.Expr]int{}
 	for _, s := range es.sites {
-		if lit, ok := s.expr.(*ast.CompositeLit); ok && es.enclosedByComposite(lit) {
-			continue
+		if s.always == "" {
+			if lit, ok := s.expr.(*ast.CompositeLit); ok && es.enclosedByComposite(lit) {
+				continue
+			}
+			siteOf[s.expr] = len(outer)
 		}
-		siteOf[s.expr] = len(outer)
 		outer = append(outer, s)
 	}
 	es.sites, es.siteOf = outer, siteOf
@@ -151,14 +159,20 @@ func (es *escapeState) siteAt(m ast.Node) {
 			es.addSite(m, "address of "+id.Name, "")
 		}
 	case *ast.CallExpr:
-		id, ok := ast.Unparen(m.Fun).(*ast.Ident)
-		if !ok {
+		if tv, ok := es.info.Types[m.Fun]; ok && tv.IsType() {
+			if types.IsInterface(tv.Type) && len(m.Args) == 1 && es.isConcrete(m.Args[0]) {
+				es.addSite(m, "interface conversion", "boxing a concrete value allocates")
+			}
 			return
 		}
+		id, _ := ast.Unparen(m.Fun).(*ast.Ident)
 		if _, builtin := es.info.Uses[id].(*types.Builtin); !builtin {
+			es.boxedArgSites(m)
 			return
 		}
 		switch id.Name {
+		case "append":
+			es.addSite(m, "append", "it may grow the backing array")
 		case "new":
 			es.addSite(m, "new", "")
 		case "make":
@@ -185,9 +199,37 @@ func (es *escapeState) siteAt(m ast.Node) {
 	}
 }
 
+// boxedArgSites records the concrete arguments a call passes to interface
+// parameters: each is boxed at the call, which is how fmt.Sprintf sneaks
+// allocations into a kernel.
+func (es *escapeState) boxedArgSites(call *ast.CallExpr) {
+	sig, _ := typeSig(es.info, call.Fun)
+	if sig == nil {
+		return
+	}
+	for i, a := range call.Args {
+		if call.Ellipsis.IsValid() && i == len(call.Args)-1 {
+			break // a slice passed through to the variadic tail
+		}
+		if types.IsInterface(paramType(sig, i)) && es.isConcrete(a) {
+			es.addSite(a, "interface argument", "boxing a concrete value allocates")
+		}
+	}
+}
+
 func (es *escapeState) addSite(e ast.Expr, kind, always string) {
-	es.siteOf[e] = len(es.sites)
 	es.sites = append(es.sites, escSite{expr: e, kind: kind, always: always})
+}
+
+// isConcrete reports an expression of a non-interface type, other than an
+// untyped nil: converting it to an interface boxes it.
+func (es *escapeState) isConcrete(e ast.Expr) bool {
+	tv, ok := es.info.Types[e]
+	if !ok || tv.Type == nil || types.IsInterface(tv.Type) {
+		return false
+	}
+	b, ok := tv.Type.(*types.Basic)
+	return !ok || b.Kind() != types.UntypedNil
 }
 
 func isConstExpr(info *types.Info, e ast.Expr) bool {

@@ -451,14 +451,7 @@ func findJoin(pkg *Package, fd *ast.FuncDecl, r *ParRegion) {
 // trusts the documented reasoning instead of the model there.
 const hbimplPrefix = "//lint:hbimpl"
 
-// isHbimplDirective matches //lint:hbimpl comments.
-func isHbimplDirective(text string) bool {
-	if !strings.HasPrefix(text, hbimplPrefix) {
-		return false
-	}
-	rest := text[len(hbimplPrefix):]
-	return rest == "" || rest[0] == ' ' || rest[0] == '\t'
-}
+func isHbimplDirective(text string) bool { return isDirective(text, hbimplPrefix) }
 
 // hbimplReason extracts the directive's reason text ("" when missing).
 func hbimplReason(text string) string {

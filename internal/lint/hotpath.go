@@ -11,16 +11,19 @@ import (
 	"strings"
 )
 
-const parserootPrefix = "//lint:parseroot"
+const (
+	hotpathPrefix   = "//lint:hotpath"
+	parserootPrefix = "//lint:parseroot"
+)
 
-// isParserootDirective matches //lint:parseroot comments (with or without a
-// trailing reason).
-func isParserootDirective(text string) bool {
-	if !strings.HasPrefix(text, parserootPrefix) {
-		return false
-	}
-	rest := text[len(parserootPrefix):]
-	return rest == "" || rest[0] == ' ' || rest[0] == '\t'
+func isHotpathDirective(text string) bool   { return isDirective(text, hotpathPrefix) }
+func isParserootDirective(text string) bool { return isDirective(text, parserootPrefix) }
+
+// isDirective matches a comment that is the directive prefix, alone or
+// followed by a space or tab and a reason.
+func isDirective(text, prefix string) bool {
+	rest, ok := strings.CutPrefix(text, prefix)
+	return ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t')
 }
 
 // directiveFuncs returns the file's function declarations whose doc comment

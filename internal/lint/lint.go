@@ -31,7 +31,7 @@ func (d Diagnostic) String() string {
 // Analyzer is one named invariant check. Exactly one of Run and RunModule
 // is set: Run analyzers see one package at a time, RunModule analyzers see
 // the whole module at once (for interprocedural checks that chase calls
-// across package boundaries, like atomicmix, lockorder and leakygo).
+// across package boundaries, like lockorder, leakygo and sharedwrite).
 type Analyzer struct {
 	// Name is the check identifier used in output and //lint:ignore
 	// directives.
@@ -100,30 +100,17 @@ func reportAt(mod *Module, check string, pos token.Pos, diags *[]Diagnostic, for
 	})
 }
 
-// ignoreDirective is one parsed //lint:ignore comment.
+// ignoreDirective is one well-formed //lint:ignore comment.
 type ignoreDirective struct {
-	file   string // module-relative path
-	line   int
-	col    int
-	check  string
-	reason string
+	file  string // module-relative path
+	line  int
+	col   int
+	check string
 }
 
-// Suppression is one well-formed //lint:ignore directive together with
-// whether it actually suppressed a diagnostic in this run. A directive with
-// Used == false is stale: the finding it once excused is gone, and keeping
-// the comment would teach readers to ignore directives.
-type Suppression struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Col    int    `json:"col"`
-	Check  string `json:"check"`
-	Reason string `json:"reason"`
-	Used   bool   `json:"used"`
-}
-
-// DirectiveCheck is the pseudo-check name under which malformed or unknown
-// //lint:ignore directives are reported; it cannot itself be suppressed.
+// DirectiveCheck is the pseudo-check name under which malformed, unknown
+// and stale //lint:ignore directives are reported; it cannot itself be
+// suppressed.
 const DirectiveCheck = "lintdirective"
 
 const ignorePrefix = "//lint:ignore"
@@ -172,10 +159,7 @@ func collectDirectives(mod *Module, known map[string]bool, diags *[]Diagnostic) 
 							Message: fmt.Sprintf("directive names unknown check %q", fields[0]),
 						})
 					default:
-						out = append(out, ignoreDirective{
-							file: file, line: pos.Line, col: pos.Column,
-							check: fields[0], reason: strings.Join(fields[1:], " "),
-						})
+						out = append(out, ignoreDirective{file: file, line: pos.Line, col: pos.Column, check: fields[0]})
 					}
 				}
 			}
@@ -186,10 +170,11 @@ func collectDirectives(mod *Module, known map[string]bool, diags *[]Diagnostic) 
 
 // suppress filters diagnostics covered by a directive on the same line or
 // the line directly above (the "trailing comment" and "comment above"
-// placements). The lintdirective pseudo-check is never suppressible. The
-// returned bitmap records, per directive, whether it suppressed anything —
-// the raw material of the stale-suppression audit.
-func suppress(diags []Diagnostic, directives []ignoreDirective) ([]Diagnostic, []bool) {
+// placements). The lintdirective pseudo-check is never suppressible. A
+// directive that suppressed nothing is stale — the finding it once excused
+// is gone, and keeping the comment would teach readers to ignore
+// directives — and becomes a lintdirective finding itself.
+func suppress(diags []Diagnostic, directives []ignoreDirective) []Diagnostic {
 	type key struct {
 		file  string
 		line  int
@@ -211,25 +196,26 @@ func suppress(diags []Diagnostic, directives []ignoreDirective) ([]Diagnostic, [
 		}
 		out = append(out, d)
 	}
-	return out, used
+	for i, d := range directives {
+		if !used[i] {
+			out = append(out, Diagnostic{
+				File: d.file, Line: d.line, Col: d.col, Check: DirectiveCheck,
+				Message: fmt.Sprintf("stale directive: no %s finding on this or the next line to suppress; delete it", d.check),
+			})
+		}
+	}
+	return out
 }
 
 // RunAnalyzers loads the module at root and runs the given analyzers over
-// every package, returning the surviving (non-suppressed) diagnostics
-// sorted by position.
+// it on the calling goroutine.
 func RunAnalyzers(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	mod, err := LoadModule(root)
 	if err != nil {
 		return nil, err
 	}
-	return RunOnModule(mod, analyzers), nil
-}
-
-// RunOnModule runs the analyzers over an already-loaded module on the
-// calling goroutine.
-func RunOnModule(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunOnModuleOpts(mod, analyzers, 1)
-	return diags
+	diags, _ := RunOnModule(mod, analyzers, 1)
+	return diags, nil
 }
 
 // AnalyzerTiming is the cumulative wall time one analyzer spent across its
@@ -240,21 +226,16 @@ type AnalyzerTiming struct {
 	Elapsed time.Duration
 }
 
-// RunOnModuleOpts runs the analyzers over an already-loaded module, fanning
-// the (analyzer, package) work units out over workers goroutines of an
-// internal/par.Pool (workers < 1 selects GOMAXPROCS). Every unit appends to
-// its own pre-assigned slot and the slots are merged in a fixed order, so
-// the returned diagnostics are bit-identical to a sequential run. Timings
-// come back in analyzer order.
-func RunOnModuleOpts(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnostic, []AnalyzerTiming) {
-	diags, timings, _ := RunOnModuleFull(mod, analyzers, workers)
-	return diags, timings
-}
-
-// RunOnModuleFull is RunOnModuleOpts plus the suppression audit: every
-// well-formed //lint:ignore directive in the tree, sorted by position, with
-// Used reporting whether it suppressed a diagnostic in this run.
-func RunOnModuleFull(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnostic, []AnalyzerTiming, []Suppression) {
+// RunOnModule runs the analyzers over an already-loaded module, fanning the
+// (analyzer, package) work units out over workers goroutines of an
+// internal/par.Pool (workers < 1 selects GOMAXPROCS). It returns the
+// surviving (non-suppressed) diagnostics, stale and malformed //lint:ignore
+// directives included, sorted by check and then by position so a report
+// lists each check's findings together. Every unit appends to its own
+// pre-assigned slot and the slots are merged in a fixed order, so the
+// result is bit-identical to a sequential run. Timings come back in
+// analyzer order.
+func RunOnModule(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnostic, []AnalyzerTiming) {
 	type unit struct {
 		a   *Analyzer
 		ai  int
@@ -280,7 +261,7 @@ func RunOnModuleFull(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnos
 		defer pool.Close()
 	}
 	slots := make([][]Diagnostic, len(units))
-	nanos := make([]atomicInt64, len(analyzers))
+	nanos := make([]atomic.Int64, len(analyzers))
 	forEachIdx(pool, len(units), func(i int) {
 		u := units[i]
 		start := time.Now()
@@ -289,7 +270,7 @@ func RunOnModuleFull(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnos
 		} else {
 			u.a.Run(&Pass{Analyzer: u.a, Mod: mod, Pkg: u.pkg, diags: &slots[i]})
 		}
-		nanos[u.ai].add(int64(time.Since(start)))
+		nanos[u.ai].Add(int64(time.Since(start)))
 	})
 	var diags []Diagnostic
 	for _, s := range slots {
@@ -300,9 +281,12 @@ func RunOnModuleFull(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnos
 		known[a.Name] = true
 	}
 	directives := collectDirectives(mod, known, &diags)
-	diags, used := suppress(diags, directives)
+	diags = suppress(diags, directives)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
 		if a.File != b.File {
 			return a.File < b.File
 		}
@@ -312,34 +296,14 @@ func RunOnModuleFull(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnos
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Check < b.Check
-	})
-	sups := make([]Suppression, len(directives))
-	for i, d := range directives {
-		sups[i] = Suppression{File: d.file, Line: d.line, Col: d.col, Check: d.check, Reason: d.reason, Used: used[i]}
-	}
-	sort.Slice(sups, func(i, j int) bool {
-		a, b := sups[i], sups[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Check < b.Check
+		return a.Message < b.Message
 	})
 	timings := make([]AnalyzerTiming, len(analyzers))
 	for ai, a := range analyzers {
-		timings[ai] = AnalyzerTiming{Name: a.Name, Elapsed: time.Duration(nanos[ai].load())}
+		timings[ai] = AnalyzerTiming{Name: a.Name, Elapsed: time.Duration(nanos[ai].Load())}
 	}
-	return diags, timings, sups
+	return diags, timings
 }
-
-// atomicInt64 is a tiny wrapper so the timing accumulation stays readable.
-type atomicInt64 struct{ v atomic.Int64 }
-
-func (a *atomicInt64) add(d int64) { a.v.Add(d) }
-func (a *atomicInt64) load() int64 { return a.v.Load() }
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
@@ -349,12 +313,9 @@ func All() []*Analyzer {
 		GoHygiene,
 		MapOrder,
 		NakedPanic,
-		MutexByValue,
-		AtomicMix,
 		LockOrder,
 		LeakyGo,
 		WaitBalance,
-		HotAlloc,
 		IntOverflow,
 		BoundsProof,
 		Escape,

@@ -5,13 +5,12 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // LockOrder enforces a consistent mutex acquisition order across the
-// concurrency-heavy packages (internal/par and internal/dp, where the pool
-// machinery and the DP caches live). It runs the forward dataflow engine
-// over every function's CFG to compute the may-held set of mutexes at each
+// module (the pool, the DP caches and the solver sessions that drive them
+// all hold mutexes). It runs the forward dataflow engine over every
+// function's CFG to compute the may-held set of mutexes at each
 // acquisition site, propagates acquisition summaries over the module call
 // graph, and then demands that the "acquired while holding" relation be
 // acyclic: a cycle A→B→A means two code paths take the same pair of locks
@@ -22,17 +21,6 @@ var LockOrder = &Analyzer{
 	Name:      "lockorder",
 	Doc:       "mutex acquisition order must be consistent (the acquires-while-holding relation must be acyclic)",
 	RunModule: runLockOrder,
-}
-
-// lockOrderScoped limits the analysis to the packages whose locking
-// discipline the scheduler's liveness depends on. Fixture modules (path
-// example.com/...) are analyzed in full so the testdata harness can
-// exercise the check without replicating the repo layout.
-func lockOrderScoped(mod *Module, pkg *Package) bool {
-	if strings.HasPrefix(mod.Path, "example.com/") {
-		return true
-	}
-	return pkg.RelPath == "internal/par" || pkg.RelPath == "internal/dp"
 }
 
 // lockFact is the may-held set of mutexes at a program point. The zero
@@ -91,7 +79,7 @@ func runLockOrder(pass *ModulePass) {
 	// of declared mutex variables).
 	direct := map[*types.Func]map[*types.Var]bool{}
 	for _, n := range nodes {
-		if !lockOrderScoped(mod, n.Pkg) || n.Decl.Body == nil {
+		if n.Decl.Body == nil {
 			continue
 		}
 		acq := map[*types.Var]bool{}
@@ -142,7 +130,7 @@ func runLockOrder(pass *ModulePass) {
 	// call whose summary acquires), record edges held → acquired.
 	var edges []lockEdge
 	for _, n := range nodes {
-		if !lockOrderScoped(mod, n.Pkg) || n.Decl.Body == nil {
+		if n.Decl.Body == nil {
 			continue
 		}
 		pkg := n.Pkg

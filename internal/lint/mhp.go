@@ -75,7 +75,7 @@ type access struct {
 	// id is the conflict identity: the leaf struct field, the package-level
 	// variable, or the closure-captured local being touched. Distinct
 	// instances of one struct type merge (same conservative choice as
-	// lockorder and atomicmix).
+	// lockorder).
 	id    *types.Var
 	write bool
 	tier  accTier
@@ -500,8 +500,7 @@ type aliasTarget struct {
 
 // recordAliases binds `p := &shared.chain`, `p := sharedPtr` and
 // `s := t.Slice` style locals to the storage they alias, so later accesses
-// through p resolve correctly (also the fix behind the atomicmix
-// through-local false negative).
+// through p resolve correctly, atomic calls through p included.
 func (w *accWalker) recordAliases(as *ast.AssignStmt) {
 	if len(as.Lhs) != len(as.Rhs) || (as.Tok != token.ASSIGN && as.Tok != token.DEFINE) {
 		return
@@ -683,7 +682,7 @@ func (w *accWalker) target(e ast.Expr) {
 // dispatch, module-local substitution, builtins, everything else.
 func (w *accWalker) call(call *ast.CallExpr) {
 	pkg := w.pkg
-	if isAtomicCall(pkg, call, nil) || w.isAtomicFnValue(call) {
+	if isAtomicCall(pkg, call) || w.isAtomicFnValue(call) {
 		name := atomicCallName(pkg, call)
 		write := len(name) < 4 || name[:4] != "Load"
 		for _, arg := range call.Args {
@@ -776,7 +775,7 @@ func (w *accWalker) call(call *ast.CallExpr) {
 }
 
 // isAtomicFnValue reports a call through a local bound to a sync/atomic
-// function value (the atomicmix method-value false negative, shared here).
+// function value (f := atomic.AddInt64; f(&word, 1)).
 func (w *accWalker) isAtomicFnValue(call *ast.CallExpr) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
@@ -795,6 +794,68 @@ func atomicCallName(pkg *Package, call *ast.CallExpr) string {
 		return id.Name
 	}
 	return ""
+}
+
+// atomicFuncs are the sync/atomic operations that take an address. Typed
+// atomics (atomic.Uint64 and friends) are method calls, classified
+// separately in call.
+var atomicFuncs = map[string]bool{
+	"AddInt32": true, "AddInt64": true, "AddUint32": true, "AddUint64": true, "AddUintptr": true,
+	"AndInt32": true, "AndInt64": true, "AndUint32": true, "AndUint64": true, "AndUintptr": true,
+	"OrInt32": true, "OrInt64": true, "OrUint32": true, "OrUint64": true, "OrUintptr": true,
+	"CompareAndSwapInt32": true, "CompareAndSwapInt64": true, "CompareAndSwapUint32": true,
+	"CompareAndSwapUint64": true, "CompareAndSwapUintptr": true, "CompareAndSwapPointer": true,
+	"LoadInt32": true, "LoadInt64": true, "LoadUint32": true, "LoadUint64": true,
+	"LoadUintptr": true, "LoadPointer": true,
+	"StoreInt32": true, "StoreInt64": true, "StoreUint32": true, "StoreUint64": true,
+	"StoreUintptr": true, "StorePointer": true,
+	"SwapInt32": true, "SwapInt64": true, "SwapUint32": true, "SwapUint64": true,
+	"SwapUintptr": true, "SwapPointer": true,
+}
+
+// isAtomicCall reports a direct call of one of sync/atomic's
+// address-taking functions (calls through a local bound to the function
+// value are isAtomicFnValue's).
+func isAtomicCall(pkg *Package, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && atomicFuncs[fn.Name()]
+}
+
+// addressedVar resolves the operand of an address-of expression to the
+// variable it names — a struct field (through any selector chain) or a
+// plain identifier — together with the ident that names it. Index
+// expressions (atomic ops on slice elements) and other shapes return nil.
+func addressedVar(pkg *Package, e ast.Expr) (*types.Var, *ast.Ident) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		v, _ := pkg.Info.Uses[e].(*types.Var)
+		return v, e
+	case *ast.SelectorExpr:
+		if sel, ok := pkg.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+			if v, ok := sel.Obj().(*types.Var); ok {
+				return v, e.Sel
+			}
+			return nil, nil
+		}
+		// Qualified reference to another package's variable (pkg.V).
+		v, _ := pkg.Info.Uses[e.Sel].(*types.Var)
+		return v, e.Sel
+	}
+	return nil, nil
+}
+
+// sharedWord reports whether the variable can outlive a single goroutine's
+// stack frame in the obvious way: a struct field or a package-level
+// variable.
+func sharedWord(v *types.Var) bool {
+	if v.IsField() {
+		return true
+	}
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // record classifies and stores one access to the chain expression e.

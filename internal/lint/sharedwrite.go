@@ -8,16 +8,16 @@ import (
 )
 
 // SharedWrite proves every write reachable from a parallel region race-free
-// under the MHP model (hb.go, mhp.go): ordered by an atomic operation, a
-// common mutex, a partitioned index (worker slot certified by the interval
-// engine, or instance-derived under the dispatch contract), or a join edge
+// under the MHP model (hb.go, mhp.go): atomic on both sides, a common
+// mutex, a partitioned index (worker slot certified by the interval engine,
+// or instance-derived under the dispatch contract), or a join edge
 // separating the region from the conflicting access. Everything else is the
 // PR-4 class of bug — a write two goroutines can reach with no
 // happens-before edge between them — and is reported with both access sites
 // and the edge that is missing.
 var SharedWrite = &Analyzer{
 	Name:      "sharedwrite",
-	Doc:       "writes reachable from parallel closures must be provably race-free (worker-indexed, atomic, mutex-guarded, or join-separated)",
+	Doc:       "writes reachable from parallel closures must be provably race-free (worker-indexed, atomic on both sides, mutex-guarded, or join-separated)",
 	RunModule: runSharedWrite,
 }
 
@@ -110,8 +110,10 @@ func runSharedWrite(pass *ModulePass) {
 }
 
 // conflictingPair reports whether two accesses from unordered instances can
-// race: same identity, at least one write, neither atomic, not both
-// partitioned onto disjoint elements, no common mutex.
+// race: same identity, at least one write, not both atomic, not both
+// partitioned onto disjoint elements, no common mutex. One atomic side
+// orders nothing: a CAS racing a plain read of the same word is still a
+// race.
 func conflictingPair(a, b *access) bool {
 	if a.id == nil || a.id != b.id {
 		return false
@@ -119,7 +121,7 @@ func conflictingPair(a, b *access) bool {
 	if !a.write && !b.write {
 		return false
 	}
-	if a.tier == tierAtomic || b.tier == tierAtomic {
+	if a.tier == tierAtomic && b.tier == tierAtomic {
 		return false
 	}
 	if partitionedTier(a.tier) && partitionedTier(b.tier) {

@@ -1,7 +1,8 @@
 // Package kernel exercises the value-flow escape analyzer: an allocation
 // site in a //lint:hotpath function is only a finding when its value
 // escapes (or can never be stack-allocated at all); the same site kept
-// local is free and must stay quiet.
+// local is free and must stay quiet. grow.go holds the append and boxing
+// sites, which allocate whether or not anything escapes.
 package kernel
 
 import "errors"
@@ -57,8 +58,8 @@ func Fixed(xs []int64) int64 {
 //
 //lint:hotpath stored closure escapes
 func Register(x int64) {
-	fn := func() int64 { return x } // want "closure escapes"
-	callbacks = append(callbacks, fn)
+	fn := func() int64 { return x }   // want "closure escapes"
+	callbacks = append(callbacks, fn) // want "append — it may grow the backing array"
 }
 
 // Apply only calls its closure locally; the closure value never leaves.

@@ -41,6 +41,25 @@ func Atomic(p *par.Pool, items int) int64 {
 	return total
 }
 
+// TypedFlag is TypedHandoff's handoff word, a typed atomic.
+type TypedFlag struct {
+	State atomic.Uint64
+}
+
+// TypedHandoff is CASHandoff's certified twin: the spawner reads the word
+// before the join too, but both sides go through the typed atomic.
+func TypedHandoff(f *TypedFlag) uint64 {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f.State.CompareAndSwap(0, 1)
+	}()
+	seen := f.State.Load()
+	wg.Wait()
+	return seen
+}
+
 // Locked guards both sides of the conflict with one mutex.
 type lockedBox struct {
 	mu sync.Mutex

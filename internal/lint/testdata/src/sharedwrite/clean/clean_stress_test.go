@@ -24,6 +24,9 @@ func TestCleanPatternsDoNotRace(t *testing.T) {
 		if got := Atomic(p, 4096); got != 4096 {
 			t.Fatalf("Atomic: want 4096, got %d", got)
 		}
+		if got := TypedHandoff(&TypedFlag{}); got > 1 {
+			t.Fatalf("TypedHandoff: want 0 or 1, got %d", got)
+		}
 		if got := Locked(p, &lockedBox{}, 4096); got != 4096 {
 			t.Fatalf("Locked: want 4096, got %d", got)
 		}

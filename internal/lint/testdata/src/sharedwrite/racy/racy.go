@@ -5,6 +5,7 @@ package racy
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"example.com/sharedwrite/par"
 )
@@ -26,6 +27,27 @@ func Handoff(g *Gate, xs []int64) int64 {
 		}(x)
 	}
 	return g.Out
+}
+
+// Flag is CASHandoff's handoff word: a plain uint64 that one side reaches
+// through sync/atomic.
+type Flag struct {
+	State uint64
+}
+
+// CASHandoff is Handoff with only the worker side made atomic: the
+// goroutine publishes with a CAS, but the spawner reads the word plainly
+// before the join. One atomic access orders nothing against a plain one.
+func CASHandoff(f *Flag) uint64 {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		atomic.CompareAndSwapUint64(&f.State, 0, 1) // want "write to State"
+	}()
+	seen := f.State
+	wg.Wait()
+	return seen
 }
 
 // SlotMix indexes by w%2: the interval engine cannot prove the slot equals

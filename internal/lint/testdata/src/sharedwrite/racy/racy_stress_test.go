@@ -21,6 +21,7 @@ func TestRacyPatternsRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		g := &Gate{}
 		_ = Handoff(g, xs)
+		_ = CASHandoff(&Flag{})
 		SlotMix(p, make([]int64, 2), 256)
 		_ = Counter(p, 4096)
 		Sibling(&Gate{})

@@ -29,7 +29,7 @@ func WrongCheck(f func()) {
 
 // Stale carries a well-formed directive that suppresses nothing: the
 // goroutine below it is joined, so gohygiene never fires and the directive
-// is dead weight the -suppressions audit must report.
+// is dead weight, reported as a stale lintdirective finding.
 func Stale(f func()) {
 	done := make(chan struct{})
 	//lint:ignore gohygiene this excuse outlived the finding it excused

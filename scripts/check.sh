@@ -20,30 +20,19 @@ if [ -n "$unformatted" ]; then
 fi
 
 go build ./...
+# vet's copylocks check is the gate against copying a lock-bearing value
+# (par.Pool, dp.Cache, solver.Session) anywhere in the module.
 go vet ./...
 go vet ./cmd/...
 
 # schedlint enforces the repo's concurrency/determinism invariants with all
-# sixteen analyzers, including the dataflow-based concurrency checks
-# (ALGORITHM.md sections 9 and 11), the value-flow provers (section 14) and
-# the may-happen-in-parallel race/latency provers (section 16). Exit 1 on
-# any finding is a hard failure.
+# thirteen analyzers in one run: the dataflow-based concurrency checks
+# (ALGORITHM.md sections 9 and 11), the value-flow provers (section 14), the
+# may-happen-in-parallel race/latency provers (section 16) and the
+# lintdirective audit of malformed, unknown and stale //lint:ignore
+# comments. Findings print grouped by check; exit 1 on any finding is a
+# hard failure.
 go run ./cmd/schedlint ./...
-
-# The value-flow gate gets its own named invocation: a regression in the
-# overflow, bounds-proof or escape certification of the DP kernels and the
-# parse boundary fails here under its own heading.
-go run ./cmd/schedlint -only intoverflow,boundsproof,escape ./...
-
-# The parallel-substrate gate: every write reachable from a parallel region
-# must carry a race-freedom certificate (sharedwrite) and every loop on a
-# solver-to-kernel path a proven cancellation poll stride (cancelpoll).
-go run ./cmd/schedlint -only sharedwrite,cancelpoll ./...
-
-# Suppression hygiene, second half: collectDirectives already rejects
-# malformed //lint:ignore comments as findings; -suppressions additionally
-# fails on stale ones, whose excused finding no longer exists.
-go run ./cmd/schedlint -suppressions ./...
 
 go test -shuffle=on -timeout 10m ./...
 
