@@ -180,24 +180,6 @@ func BenchmarkAblationSeqFill(b *testing.B) {
 	b.Run("recursive", func(b *testing.B) { benchFill(b, tbl.FillRecursiveCtx) })
 }
 
-// BenchmarkAblationConfigEnum compares the shared filtered configuration
-// list against the paper-faithful per-entry re-enumeration (Algorithm 3
-// Line 17), both under the memoized recursion so that only the enumeration
-// differs.
-func BenchmarkAblationConfigEnum(b *testing.B) {
-	tbl := ablationTable(b)
-	for _, perEntry := range []bool{false, true} {
-		name := "shared"
-		if perEntry {
-			name = "per-entry"
-		}
-		b.Run(name, func(b *testing.B) {
-			tbl.PerEntryEnum = perEntry
-			benchFill(b, tbl.FillRecursiveCtx)
-		})
-	}
-}
-
 // BenchmarkAblationIncumbent measures the exact solver with and without the
 // MultiFit incumbent.
 func BenchmarkAblationIncumbent(b *testing.B) {
@@ -313,28 +295,6 @@ func BenchmarkExtensionSahni(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkExtensionSpeculative compares the paper's bisection with the
-// speculative multi-probe extension on a wide-interval instance.
-func BenchmarkExtensionSpeculative(b *testing.B) {
-	in := speedupInstance(b, workload.U1_10n, 10, 50)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, probes := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("probes=%d", probes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Solve(context.Background(), in, core.Options{Epsilon: 0.3, SpeculativeProbes: probes}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkExactTriplets stresses the exact solvers on the 3-partition-like

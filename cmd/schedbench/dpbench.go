@@ -251,11 +251,8 @@ sweep:
 						return err
 					}
 
-					// measure times fill on tbl, with the paper's per-entry
-					// enumeration when perEntry is set (the production
-					// kernel ignores it).
-					measure := func(workers int, path string, perEntry bool, fill func() error) bool {
-						tbl.PerEntryEnum = perEntry
+					// measure times fill on tbl and appends the row.
+					measure := func(workers int, path string, fill func() error) bool {
 						ns, err := measureFill(fill, cfg.Windows)
 						if err != nil {
 							benchErr = err
@@ -273,8 +270,8 @@ sweep:
 					// speedup_vs_alg2 divides the two, so keeping them
 					// adjacent in time stops host-load drift from
 					// contaminating the ratio.
-					if !measure(1, "production", false, func() error { return tbl.FillAutoCtx(ctx, nil) }) ||
-						!measure(1, "alg2", true, func() error { return tbl.FillRecursiveCtx(ctx) }) {
+					if !measure(1, "production", func() error { return tbl.FillAutoCtx(ctx, nil) }) ||
+						!measure(1, "alg2", func() error { return tbl.FillRecursiveCtx(ctx) }) {
 						break sweep
 					}
 					for _, workers := range cores {
@@ -282,7 +279,7 @@ sweep:
 							continue
 						}
 						pool := par.NewPool(workers)
-						ok := measure(workers, "alg3", true, func() error { return tbl.FillParallelCtx(ctx, pool) })
+						ok := measure(workers, "alg3", func() error { return tbl.FillParallelCtx(ctx, pool) })
 						pool.Close()
 						if !ok {
 							break sweep

@@ -114,47 +114,16 @@ func Fits(s, v []int32) bool {
 	return true
 }
 
-// JobsBounds holds, per anti-diagonal level, the scan bound of a Jobs-sorted
-// configuration list: JobsBounds[l] is the number of configurations placing
-// at most l jobs. A configuration with Jobs > l cannot fit any DP entry on
-// level l (its digit sum exceeds the entry's), so a fill scanning a
-// Jobs-sorted list may stop at Upto(l) without changing any minimum.
-type JobsBounds []int32
-
-// Upto returns the number of configurations with Jobs <= level, clamping
-// levels beyond the largest configuration.
-func (b JobsBounds) Upto(level int32) int32 {
-	if len(b) == 0 || level < 0 {
-		return 0
-	}
-	if int(level) >= len(b) {
-		return b[len(b)-1]
-	}
-	return b[level]
-}
-
 // SortByJobs stably re-orders configs in place by ascending Jobs (ties keep
-// enumeration order) and returns the per-level scan bounds. The DP fills
-// depend on this order for level-aware pruning; the min in the recurrence is
-// order-independent, so Opt tables are unchanged by the reordering.
-func SortByJobs(configs []Config) JobsBounds {
+// enumeration order). Reconstruct depends on this order to stop its scan at
+// the first configuration placing more jobs than remain; the min in the
+// recurrence is order-independent, so Opt tables are unchanged by the
+// reordering.
+func SortByJobs(configs []Config) {
 	sort.SliceStable(configs, func(a, b int) bool { return configs[a].Jobs < configs[b].Jobs })
-	maxJobs := int32(0)
-	if n := len(configs); n > 0 {
-		maxJobs = configs[n-1].Jobs
-	}
-	bounds := make(JobsBounds, maxJobs+1)
-	ci := 0
-	for l := int32(0); l <= maxJobs; l++ {
-		for ci < len(configs) && configs[ci].Jobs <= l {
-			ci++
-		}
-		bounds[l] = int32(ci)
-	}
-	return bounds
 }
 
-// Set is a scan-optimized view of a Jobs-sorted configuration list: the same
+// Set is a scan-optimized view of a configuration list: the same
 // configurations flattened structure-of-arrays, so the DP inner loop walks
 // one contiguous counts block instead of chasing a heap slice per Config.
 // Row i of Counts spans [i*D, (i+1)*D). A Set is immutable after NewSet and
@@ -168,34 +137,20 @@ type Set struct {
 	Counts []int32
 	// Offsets holds each configuration's mixed-radix table displacement.
 	Offsets []int64
-	// Jobs holds each configuration's job total (ascending).
-	Jobs []int32
-	// Bounds are the per-level scan bounds over the Jobs-sorted rows.
-	Bounds JobsBounds
 }
 
-// NewSet flattens a Jobs-sorted configuration list (see SortByJobs) into a
-// Set with the given bounds. d is the number of size classes, which must
-// match every configuration's dimension.
-func NewSet(configs []Config, d int, bounds JobsBounds) *Set {
+// NewSet flattens a configuration list into a Set. d is the number of size
+// classes, which must match every configuration's dimension.
+func NewSet(configs []Config, d int) *Set {
 	s := &Set{
 		D:       d,
 		N:       len(configs),
 		Counts:  make([]int32, len(configs)*d),
 		Offsets: make([]int64, len(configs)),
-		Jobs:    make([]int32, len(configs)),
-		Bounds:  bounds,
 	}
 	for i := range configs {
 		copy(s.Counts[i*d:(i+1)*d], configs[i].Counts)
 		s.Offsets[i] = configs[i].Offset
-		s.Jobs[i] = configs[i].Jobs
 	}
 	return s
-}
-
-// Row returns configuration i's count vector (a view into the flat block;
-// callers must not modify it).
-func (s *Set) Row(i int) []int32 {
-	return s.Counts[i*s.D : (i+1)*s.D]
 }

@@ -182,30 +182,11 @@ func TestSortByJobsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := SortByJobs(configs)
+	SortByJobs(configs)
 	for i := 1; i < len(configs); i++ {
 		if configs[i-1].Jobs > configs[i].Jobs {
 			t.Fatalf("configs not sorted by Jobs at %d: %d > %d", i, configs[i-1].Jobs, configs[i].Jobs)
 		}
-	}
-	// Bounds[l] must count exactly the configs with Jobs <= l.
-	for l := int32(0); l < int32(len(bounds)); l++ {
-		want := 0
-		for _, c := range configs {
-			if c.Jobs <= l {
-				want++
-			}
-		}
-		if int(bounds.Upto(l)) != want {
-			t.Fatalf("Upto(%d) = %d, want %d", l, bounds.Upto(l), want)
-		}
-	}
-	// Clamping beyond the largest configuration covers everything.
-	if int(bounds.Upto(1000)) != len(configs) {
-		t.Fatalf("Upto(1000) = %d, want %d", bounds.Upto(1000), len(configs))
-	}
-	if bounds.Upto(-1) != 0 {
-		t.Fatalf("Upto(-1) = %d, want 0", bounds.Upto(-1))
 	}
 }
 
@@ -227,33 +208,27 @@ func TestSortByJobsStable(t *testing.T) {
 	}
 }
 
-func TestEmptyJobsBounds(t *testing.T) {
-	bounds := SortByJobs(nil)
-	if bounds.Upto(0) != 0 || bounds.Upto(5) != 0 {
-		t.Fatalf("empty bounds should always return 0, got %d/%d", bounds.Upto(0), bounds.Upto(5))
-	}
-}
-
 func TestSetMatchesConfigs(t *testing.T) {
 	sizes, counts, T, stride := paperExample()
 	configs, err := Enumerate(sizes, counts, T, stride, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := SortByJobs(configs)
-	set := NewSet(configs, len(sizes), bounds)
+	SortByJobs(configs)
+	set := NewSet(configs, len(sizes))
 	if set.N != len(configs) || set.D != len(sizes) {
 		t.Fatalf("set dims N=%d D=%d", set.N, set.D)
 	}
+	d := set.D
 	for i, c := range configs {
-		row := set.Row(i)
+		row := set.Counts[i*d : (i+1)*d]
 		for j := range row {
 			if row[j] != c.Counts[j] {
 				t.Fatalf("row %d = %v, want %v", i, row, c.Counts)
 			}
 		}
-		if set.Offsets[i] != c.Offset || set.Jobs[i] != c.Jobs {
-			t.Fatalf("row %d offset/jobs mismatch", i)
+		if set.Offsets[i] != c.Offset {
+			t.Fatalf("row %d offset mismatch", i)
 		}
 	}
 }

@@ -9,9 +9,10 @@
 // the paper's practical improvement; LS reproduces the original
 // Hochbaum–Shmoys rule). Every DP table is filled by the one-thread
 // production fill (dp.FillAutoCtx) unless Options.PaperFaithful selects the
-// paper's own algorithms: the recursive Algorithm 2 at Workers == 1, and at
-// Workers > 1 the Parallel DP of Algorithm 3, which fills the table level by
-// level over its anti-diagonals on a pool of goroutines.
+// paper's own algorithms for the faithful tables: the recursive Algorithm 2
+// at Workers == 1, and at Workers > 1 the Parallel DP of Algorithm 3, which
+// fills the table level by level over its anti-diagonals on a pool of
+// goroutines.
 package core
 
 import (
@@ -63,22 +64,19 @@ type Options struct {
 	// (PaperFaithful); values below 1 select GOMAXPROCS. The production fill
 	// runs on the calling goroutine whatever Workers is.
 	Workers int
-	// PaperFaithful fills every DP table with the paper's algorithms
-	// instead of the production fill (dp.FillAutoCtx), both re-enumerating
-	// each entry's configuration set (Algorithm 3 Line 17): the recursive
-	// Algorithm 2 (dp.FillRecursiveCtx) at Workers == 1, and otherwise the
-	// Parallel DP of Algorithm 3 (dp.FillParallelCtx) on a pool of Workers
-	// goroutines that the solve creates and closes. Schedules are identical
-	// either way; only the time differs.
+	// PaperFaithful fills every faithful DP table with the paper's
+	// algorithms instead of the production fill (dp.FillAutoCtx), both
+	// re-enumerating each entry's configuration set (Algorithm 3 Line 17):
+	// the recursive Algorithm 2 (dp.FillRecursiveCtx) at Workers == 1, and
+	// otherwise the Parallel DP of Algorithm 3 (dp.FillParallelCtx) on a pool
+	// of Workers goroutines that the solve creates and closes. The sparse
+	// tables of a Sparsify solve keep the production fill, since the paper's
+	// per-entry search cannot respect their pruned configuration sets; its
+	// faithful T-1 certification probe takes the paper's fill. Schedules are
+	// identical either way; only the time differs.
 	PaperFaithful bool
 	// ShortRule selects the short-job placement rule (default ShortLPT).
 	ShortRule ShortRule
-	// SpeculativeProbes, when > 1, parallelizes the bisection itself: each
-	// round evaluates that many target makespans T concurrently (each with
-	// a sequential DP fill) and narrows the interval by all results. This
-	// is an extension beyond the paper, which parallelizes within one DP
-	// fill; see speculative.go. Values <= 1 use the paper's bisection.
-	SpeculativeProbes int
 	// LPTFallback returns plain LPT's schedule when it beats the PTAS
 	// construction. It never hurts, and it caps the guarantee at LPT's
 	// 4/3 - 1/(3m), which absorbs the +k additive slop of integer rounding
@@ -91,24 +89,16 @@ type Options struct {
 	// MaxConfigs caps configuration enumeration; <= 0 uses the conf default.
 	MaxConfigs int
 	// Sparsify enables the sparsified DP pipeline (the ptas-sparse registry
-	// algorithm): geometric grouping of the rounded size classes (see
-	// split.group) shrinks the table's index space, and the sparse
-	// configuration enumerator (conf.EnumerateSparse: support cap plus
-	// dominance pruning) shrinks the candidate-move set. Both shrink the
-	// per-probe DP cost; the (1+eps) guarantee is preserved a posteriori:
-	// the driver certifies the converged target against the faithful
-	// enumeration and measures the constructed makespan, falling back to the
-	// faithful pipeline when either check fails (Stats.SparseCertified,
-	// Stats.SparseFallback).
+	// algorithm): geometric grouping of the rounded size classes within a
+	// (1+Epsilon) band (see split.group) shrinks the table's index space, and
+	// the sparse configuration enumerator (conf.EnumerateSparse with
+	// conf.DefaultSparseOptions(k): support cap plus dominance pruning)
+	// shrinks the candidate-move set. Both shrink the per-probe DP cost; the
+	// (1+eps) guarantee is preserved a posteriori: the driver certifies the
+	// converged target against the faithful enumeration and measures the
+	// constructed makespan, falling back to the faithful pipeline when either
+	// check fails (Stats.SparseCertified, Stats.SparseFallback).
 	Sparsify bool
-	// SparseOpts overrides the sparse enumerator's parameters. The zero
-	// value selects conf.DefaultSparseOptions(k). Ignored unless Sparsify.
-	SparseOpts conf.SparseOptions
-	// GroupDelta is the geometric grouping band: consecutive rounded classes
-	// within a (1+GroupDelta) factor merge, rounded down to the group floor.
-	// 0 selects the default (Epsilon); negative disables grouping. Ignored
-	// unless Sparsify.
-	GroupDelta float64
 	// Cache optionally supplies a DP cache shared across Solve calls, so
 	// repeated solves over similar instances reuse configuration
 	// enumerations. When nil, Solve creates a per-call cache — the bisection
@@ -148,30 +138,6 @@ type Bracket struct {
 	LB, UB pcmax.Time
 }
 
-// groupDelta resolves the effective geometric-grouping band: 0 unless
-// Sparsify, Epsilon when GroupDelta is unset, GroupDelta itself otherwise
-// (negative values disable grouping).
-func (o Options) groupDelta() float64 {
-	if !o.Sparsify {
-		return 0
-	}
-	if o.GroupDelta != 0 {
-		if o.GroupDelta < 0 {
-			return 0
-		}
-		return o.GroupDelta
-	}
-	return o.Epsilon
-}
-
-// sparseOptions resolves the effective sparse-enumerator parameters for k.
-func (o Options) sparseOptions(k int) conf.SparseOptions {
-	if o.SparseOpts == (conf.SparseOptions{}) {
-		return conf.DefaultSparseOptions(k)
-	}
-	return o.SparseOpts
-}
-
 // Stats reports what one Solve call did.
 type Stats struct {
 	K          int // ceil(1/eps)
@@ -195,8 +161,9 @@ type Stats struct {
 	// FillTime is the wall-clock time spent inside DP table fills.
 	FillTime time.Duration
 	// Auto accumulates, over all bisection probes, how dp.FillAutoCtx ran
-	// the anti-diagonal levels: all inline on the caller. All-zero under
-	// Options.PaperFaithful.
+	// the anti-diagonal levels: all inline on the caller. Under
+	// Options.PaperFaithful only the sparse tables of a Sparsify solve run
+	// dp.FillAutoCtx, so it is all-zero on faithful tables.
 	Auto dp.AutoStats
 	// UsedLPTFallback reports that plain LPT beat the PTAS construction on
 	// this instance and its schedule was returned instead. The fallback
@@ -398,33 +365,23 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 		return res.sp, res.tbl, res.feasible, nil
 	}
 
-	// Paper Lines 5-30: bisection search on T (optionally probing several
-	// targets concurrently — see speculative.go).
+	// Paper Lines 5-30: bisection search on T.
 	var (
 		finalSplit *split
 		finalTable *dp.Table
 	)
-	if opts.SpeculativeProbes > 1 {
-		sp, tbl, T, err := speculativeBisection(ctx, in, order, k, lbT, ubT, opts, stats)
+	for lbT < ubT {
+		stats.Iterations++
+		T := lbT + (ubT-lbT)/2
+		sp, tbl, ok, err := attempt(T)
 		if err != nil {
 			return degrade(err)
 		}
-		finalSplit, finalTable = sp, tbl
-		lbT = T
-	} else {
-		for lbT < ubT {
-			stats.Iterations++
-			T := lbT + (ubT-lbT)/2
-			sp, tbl, ok, err := attempt(T)
-			if err != nil {
-				return degrade(err)
-			}
-			if ok {
-				ubT = T
-				finalSplit, finalTable = sp, tbl
-			} else {
-				lbT = T + 1
-			}
+		if ok {
+			ubT = T
+			finalSplit, finalTable = sp, tbl
+		} else {
+			lbT = T + 1
 		}
 	}
 	T := lbT
@@ -533,6 +490,64 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 		}
 	}
 	return sched, stats, nil
+}
+
+// attemptResult carries one probe's outcome.
+type attemptResult struct {
+	sp       *split
+	tbl      *dp.Table // nil when the probe has no long jobs
+	feasible bool
+	fill     time.Duration
+	auto     dp.AutoStats // level routing, when the production fill ran
+}
+
+// runAttempt builds and fills the DP table for target T. The production
+// fill (dp.FillAutoCtx) runs on every sparse table and, unless
+// opts.PaperFaithful is set, on every faithful one. Under PaperFaithful a
+// faithful table runs the paper's Parallel DP on the pool's workers when
+// pool is non-nil, and its recursive Algorithm 2 otherwise: both
+// re-enumerate each entry's configurations, which cannot respect a sparse
+// table's pruned set. The fill honors ctx cooperatively: a mid-fill
+// cancellation surfaces as the structured cancel error within the fills'
+// check granularity.
+func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, opts Options, pool *par.Pool) (attemptResult, error) {
+	sp, err := newSplit(in, order, k, T)
+	if err != nil {
+		return attemptResult{}, err
+	}
+	if opts.Sparsify {
+		sp.group(opts.Epsilon)
+	}
+	if len(sp.sizes) == 0 {
+		return attemptResult{sp: sp, feasible: true}, nil // no long jobs
+	}
+	var tbl *dp.Table
+	if opts.Sparsify {
+		tbl, err = dp.NewSparse(sp.sizes, sp.counts, T, opts.MaxTableEntries, opts.MaxConfigs, opts.Cache, conf.DefaultSparseOptions(k))
+	} else {
+		tbl, err = dp.NewCached(sp.sizes, sp.counts, T, opts.MaxTableEntries, opts.MaxConfigs, opts.Cache)
+	}
+	if err != nil {
+		return attemptResult{}, err
+	}
+	t0 := time.Now()
+	switch {
+	case !opts.PaperFaithful || opts.Sparsify:
+		err = tbl.FillAutoCtx(ctx, nil)
+	case pool != nil:
+		err = tbl.FillParallelCtx(ctx, pool)
+	default:
+		err = tbl.FillRecursiveCtx(ctx)
+	}
+	fill := time.Since(t0)
+	if err != nil {
+		return attemptResult{fill: fill}, err
+	}
+	opt, err := tbl.OptValue()
+	if err != nil {
+		return attemptResult{}, err
+	}
+	return attemptResult{sp: sp, tbl: tbl, feasible: opt <= in.M, fill: fill, auto: tbl.AutoStats}, nil
 }
 
 // sparseFaithfulFallback transparently re-solves the instance with the

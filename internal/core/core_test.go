@@ -444,8 +444,4 @@ func TestTimeLimit(t *testing.T) {
 	if err := solveWithin(time.Minute, Options{Epsilon: 0.3}); err != nil {
 		t.Fatalf("generous limit failed: %v", err)
 	}
-	// Speculative path honours the limit too.
-	if err := solveWithin(time.Nanosecond, Options{Epsilon: 0.3, SpeculativeProbes: 4}); !errors.Is(err, cancel.ErrDeadline) {
-		t.Fatalf("speculative: want ErrDeadline, got %v", err)
-	}
 }

@@ -111,26 +111,6 @@ func TestMachinesUsedNeverExceedsNeeded(t *testing.T) {
 	}
 }
 
-// TestSpeculativeWithProfileDoesNotCrash guards the interaction of two
-// options that use the attempt machinery differently.
-func TestSpeculativeWithPaperFaithful(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 6, N: 30, Seed: 17})
-	ref, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := Solve(context.Background(), in, Options{
-		Epsilon: 0.3, SpeculativeProbes: 3,
-		PaperFaithful: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan(in) != ref.Makespan(in) {
-		t.Fatalf("makespan %d != %d", got.Makespan(in), ref.Makespan(in))
-	}
-}
-
 // TestAdaptiveFillIdenticalResults verifies the fill switch never changes
 // the computed schedule, only which fill engine ran: the production fill
 // and the paper's Parallel DP agree on small and large tables.

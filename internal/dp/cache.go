@@ -12,9 +12,9 @@ import (
 // the configuration set, across bisection iterations. Sets are keyed by the
 // *canonical profile* of the enumeration inputs (see below): the bisection
 // re-attempts its converged target (always one repeated key per solve),
-// speculative probing revisits targets across rounds, warm-started delta
-// solves revisit the previous solution's neighborhood, and a production
-// caller solving many similar instances repeats keys freely.
+// warm-started delta solves revisit the previous solution's neighborhood,
+// and a production caller solving many similar instances repeats keys
+// freely.
 //
 // # Profile-canonical configuration keys
 //
@@ -40,7 +40,8 @@ import (
 // happen once per bisection probe on the solve hot path.
 //
 // Cached sets are immutable and shared by reference; a Cache is safe for
-// concurrent use (speculative bisection probes hit it from many goroutines).
+// concurrent use (concurrent solves may share one cache through
+// core.Options.Cache).
 // Eviction is generational: when the map outgrows its budget it is dropped
 // wholesale, which keeps the bookkeeping trivial and bounds retained memory
 // without LRU machinery.
@@ -214,6 +215,6 @@ func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int
 	if err != nil {
 		return nil, nil, sstats, err
 	}
-	bounds := conf.SortByJobs(configs)
-	return configs, conf.NewSet(configs, len(sizes), bounds), sstats, nil
+	conf.SortByJobs(configs)
+	return configs, conf.NewSet(configs, len(sizes)), sstats, nil
 }

@@ -51,14 +51,13 @@ func TestCachedTablesFillIdentically(t *testing.T) {
 
 	pool := par.NewPool(3)
 	defer pool.Close()
-	// Build twice through the cache so the second table, filled with
-	// per-entry enumeration, runs on the config set of the hit path.
+	// Build twice through the cache so the second table runs on the config
+	// set of the hit path.
 	for round := 0; round < 2; round++ {
 		tbl, err := NewCached(sizes, counts, 25, 0, 0, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl.PerEntryEnum = round == 1
 		fillPar(t, tbl, pool)
 		for i := range tbl.Opt {
 			if tbl.Opt[i] != ref.Opt[i] {
@@ -72,8 +71,8 @@ func TestCachedTablesFillIdentically(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	// Speculative bisection hits one cache from many goroutines; run with
-	// -race to verify the locking.
+	// Concurrent solves sharing one cache (core.Options.Cache) hit it from
+	// many goroutines; run with -race to verify the locking.
 	cache := NewCache()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

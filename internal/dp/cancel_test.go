@@ -57,11 +57,6 @@ func TestFillVariantsCancelAndRecover(t *testing.T) {
 		{"sequential", func(tbl *Table, ctx context.Context) error { return tbl.FillSequentialCtx(ctx) }},
 		{"recursive", func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }},
 		{"parallel-scan", func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool) }},
-		// The path PaperFaithful solves at Workers > 1 take.
-		{"parallel-scan-per-entry", func(tbl *Table, ctx context.Context) error {
-			tbl.PerEntryEnum = true
-			return tbl.FillParallelCtx(ctx, pool)
-		}},
 	}
 
 	for _, v := range variants {

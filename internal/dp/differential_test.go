@@ -2,8 +2,7 @@ package dp
 
 // Differential coverage for the three fills: the production kernel
 // (FillSequentialCtx, FillAutoCtx), the recursive Algorithm 2 and the
-// parallel Algorithm 3, the last with both shared configs and per-entry
-// enumeration, through cached and uncached builds, must produce the
+// parallel Algorithm 3, through cached and uncached builds, must produce the
 // same Opt table and the same reconstruction as a seed-faithful oracle on a
 // population of random instances plus fixed instances of the shapes the
 // population misses.
@@ -168,13 +167,10 @@ func checkAllFills(t *testing.T, in diffInput, pool *par.Pool, cache *Cache) {
 	}
 	machinesEqual(t, label+": FillRecursive", recMachines, refMachines)
 
-	// Parallel fill, shared and per-entry enumeration.
-	for _, perEntry := range []bool{false, true} {
-		p := mk()
-		p.PerEntryEnum = perEntry
-		fillPar(t, p, pool)
-		check(fmt.Sprintf("FillParallel/per-entry=%v", perEntry), p)
-	}
+	// Parallel fill.
+	p := mk()
+	fillPar(t, p, pool)
+	check("FillParallel", p)
 
 	// Production fill.
 	ad := mk()

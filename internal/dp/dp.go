@@ -28,24 +28,15 @@
 //     and within a level P workers scan all sigma entries round-robin and
 //     compute the ones on that level.
 //
-// The paper's two fills evaluate the recurrence entry by entry. Unless
-// PerEntryEnum asks for the paper's per-entry enumeration, they apply two
-// optimizations over a naive translation of the recurrence, and the parallel
-// fill a third (all preserving bit-identical Opt tables; see ALGORITHM.md
-// "Fill-path optimizations"):
-//
-//  1. Level-aware configuration pruning: Configs is kept stably sorted by
-//     ascending Jobs, so an entry on anti-diagonal level l scans only the
-//     prefix of configurations with Jobs <= l — a configuration placing more
-//     jobs than the entry has available can never fit. The prefix bounds are
-//     precomputed once per table (conf.JobsBounds).
-//  2. Flat scan layout: the hot loop walks a structure-of-arrays view of the
-//     configuration set (conf.Set) instead of chasing one heap-allocated
-//     Counts slice per configuration.
-//  3. Odometer decoding: per-entry division loops are replaced by incremental
-//     mixed-radix counters — the digit sums advance an odometer inside each
-//     worker chunk, and each worker's decoder advances from the last index it
-//     visited.
+// The paper's two fills evaluate the recurrence entry by entry, and each
+// entry re-enumerates its own configuration set C_v by depth-first search
+// (Algorithm 3, Line 17). That search regenerates the faithful configuration
+// set, so both fills reject an EnumSparse table (ErrSparseTable): they could
+// reach an OPT through configurations the table pruned, which Reconstruct,
+// walking Configs, cannot explain. The parallel fill replaces per-entry
+// division loops with odometer decoding: the digit sums advance an odometer
+// inside each worker chunk, and each worker's decoder advances from the last
+// index it visited.
 package dp
 
 import (
@@ -73,6 +64,10 @@ var (
 	ErrNotFilled = errors.New("dp: table not filled")
 	// ErrInconsistent reports a corrupted table during reconstruction.
 	ErrInconsistent = errors.New("dp: inconsistent table")
+	// ErrSparseTable reports a paper fill (FillRecursiveCtx,
+	// FillParallelCtx) asked to fill an EnumSparse table, whose pruned
+	// configuration set its per-entry search cannot respect.
+	ErrSparseTable = errors.New("dp: the paper's fills need a faithful table")
 )
 
 // unset marks entries not yet computed by FillRecursive.
@@ -115,24 +110,10 @@ type Table struct {
 	// anti-diagonal levels.
 	NPrime int
 	// Configs are all feasible non-zero machine configurations, stably
-	// sorted by ascending Jobs (level-aware pruning relies on this order).
+	// sorted by ascending Jobs (Reconstruct relies on this order).
 	Configs []conf.Config
 	// Opt holds OPT(v) per entry after a Fill method ran.
 	Opt []int32
-
-	// PerEntryEnum switches the paper's fills, FillRecursiveCtx and
-	// FillParallelCtx, to re-enumerating the configuration set C_v of each
-	// entry by depth-first search, bounded by the entry's own vector, instead
-	// of filtering the shared Configs list. This is faithful to the paper's
-	// Algorithm 3 Line 17 ("C_{v^i} <- all machine configurations of vector
-	// v^i") and considerably slower; it exists for fidelity runs and ablation
-	// benchmarks. The production kernel (FillSequentialCtx, FillAutoCtx)
-	// ignores it, since it never enumerates an entry's configurations. It
-	// applies to EnumFaithful tables only: the per-entry search regenerates
-	// the faithful configuration set, so on an EnumSparse table it could
-	// reach an OPT through configurations the table pruned, which
-	// Reconstruct, walking Configs, cannot explain. Sparse tables ignore it.
-	PerEntryEnum bool
 
 	// AutoStats reports how FillAutoCtx ran the anti-diagonal levels; it is
 	// meaningful only after a FillAutoCtx call (other fill variants leave it
@@ -145,7 +126,8 @@ type Table struct {
 	// retained vs pruned counts); zero for EnumFaithful tables.
 	SparseStats conf.SparseStats
 
-	// set is the flat Jobs-sorted scan view of Configs (shared, read-only).
+	// set is the flat scan view of Configs the production kernel walks
+	// (shared, read-only).
 	set *conf.Set
 
 	// Cooperative-cancellation state of an in-flight FillRecursiveCtx:
@@ -254,10 +236,6 @@ func (t *Table) digits(idx int64, dst []int32) []int32 {
 	return dst
 }
 
-// perEntry reports whether the fills re-enumerate each entry's
-// configuration set: PerEntryEnum on an EnumFaithful table.
-func (t *Table) perEntry() bool { return t.PerEntryEnum && t.Mode == EnumFaithful }
-
 // sumDigits returns the digit sum (anti-diagonal level) of a decoded vector.
 func sumDigits(v []int32) int32 {
 	var s int32
@@ -354,67 +332,13 @@ func (dc *decoder) at(idx int64) []int32 {
 }
 
 // computeEntry evaluates the recurrence for one non-zero entry whose decoded
-// digits are v with digit sum level. All dependencies (smaller digit sums)
-// must be final.
+// digits are v by regenerating the entry's own configuration set C_v (paper
+// Algorithm 3, Lines 16-24): every s with 0 < s <= v and weight(s) <= T is
+// visited by depth-first search and the minimum OPT(v-s) is collected. All
+// dependencies (smaller digit sums) must be final.
 //
-//lint:hotpath the DP recurrence kernel, millions of calls per probe
-//lint:hbimpl wavefront ordering: every dependency read Opt[idx-Offset] targets a strictly smaller digit sum, and the fill loops separate levels with a full dispatch barrier, so each read is ordered after its write by the level boundary
-func (t *Table) computeEntry(idx int64, v []int32, level int32) {
-	if t.perEntry() {
-		t.computeEntryPerEnum(idx, v)
-		return
-	}
-	best := int32(math.MaxInt32)
-	opt := t.Opt
-	if idx < 0 || idx >= int64(len(opt)) {
-		return // never taken: the fill loops keep idx inside [0, Sigma)
-	}
-	s := t.set
-	d := s.D
-	if d < 0 || d > len(v) {
-		return // never taken: rows and digit vectors share the class dimension
-	}
-	// Level-aware pruning: a configuration with Jobs > level cannot satisfy
-	// s <= v because its digit sum exceeds v's. The prefix holds exactly the
-	// candidates.
-	bound := int(s.Bounds.Upto(level))
-	offsets := s.Offsets
-	n := len(offsets)
-	if bound < n {
-		n = bound
-	}
-	// The flat row matrix is walked with a moving-cursor reslice instead of a
-	// base index: the length guard both proves the next row exists and lets
-	// the compiler elide the bounds checks on it.
-	rest := s.Counts
-scan:
-	for ci := 0; ci < n; ci++ {
-		if len(rest) < d {
-			break // never taken: Counts holds one d-row per configuration
-		}
-		row := rest[:d]
-		rest = rest[d:]
-		for j, sv := range row {
-			if sv > v[j] {
-				continue scan
-			}
-		}
-		if o := idx - offsets[ci]; o >= 0 && o < int64(len(opt)) {
-			if e := opt[o]; e < best {
-				best = e
-			}
-		}
-	}
-	// A non-zero entry always admits at least one singleton configuration
-	// (every size is <= T), so best is a real value here.
-	opt[idx] = best + 1
-}
-
-// computeEntryPerEnum evaluates the recurrence by regenerating the entry's
-// own configuration set C_v (paper Algorithm 3, Lines 16-24): every s with
-// 0 < s <= v and weight(s) <= T is visited by depth-first search and the
-// minimum OPT(v-s) is collected.
-func (t *Table) computeEntryPerEnum(idx int64, v []int32) {
+//lint:hbimpl wavefront ordering: every dependency read Opt[idx-off] targets a strictly smaller digit sum, and the fill loops separate levels with a full dispatch barrier, so each read is ordered after its write by the level boundary
+func (t *Table) computeEntry(idx int64, v []int32) {
 	best := int32(math.MaxInt32)
 	d := len(t.Sizes)
 	var rec func(dim int, weight pcmax.Time, off int64, jobs int32)
@@ -475,8 +399,7 @@ const fillHuge = int32(1) << 30
 // the mixed-radix lattice: the final values are the (unique) shortest
 // distances of the recurrence, so the table is bit-identical to the
 // entry-ordered fills — but no entry ever pays a fits check or an index
-// decode. PerEntryEnum does not apply: the sweep never enumerates an entry's
-// configurations.
+// decode.
 //
 // The pass is run-length encoded. Let j1 be c's last non-zero class: every
 // later class spans its full range 0..n_j, and class j1 spans
@@ -596,11 +519,16 @@ func relaxRuns(opt []int32, lo, off, runLen, gap, runs int64) {
 // from the last entry, exactly as the paper describes the sequential
 // Algorithm 2. Only entries reachable from N by configuration subtractions
 // are computed; unreachable entries keep an internal "unset" marker that
-// OptValue and Reconstruct never observe. The memoized recursion polls ctx
-// every fillCheckEvery entries, and on cancellation unwinds immediately,
-// leaves the table unfilled (memoized values are partial garbage) and
-// returns the structured cancel error.
+// OptValue and Reconstruct never observe. Each computed entry re-enumerates
+// its own configurations, as computeEntry does; an EnumSparse table is
+// rejected with ErrSparseTable and left untouched. The memoized recursion
+// polls ctx every fillCheckEvery entries, and on cancellation unwinds
+// immediately, leaves the table unfilled (memoized values are partial
+// garbage) and returns the structured cancel error.
 func (t *Table) FillRecursiveCtx(ctx context.Context) error {
+	if t.Mode == EnumSparse {
+		return ErrSparseTable
+	}
 	for i := range t.Opt {
 		t.Opt[i] = unset
 	}
@@ -643,38 +571,26 @@ func (t *Table) solveRec(idx int64) int32 {
 	t.recEntries++
 	v := t.digits(idx, make([]int32, len(t.Stride)))
 	best := int32(math.MaxInt32)
-	if t.perEntry() {
-		d := len(t.Sizes)
-		var rec func(dim int, weight pcmax.Time, off int64, jobs int32)
-		rec = func(dim int, weight pcmax.Time, off int64, jobs int32) {
-			if dim == d {
-				if jobs > 0 {
-					if o := t.solveRec(idx - off); o < best {
-						best = o
-					}
-				}
-				return
-			}
-			for s := int32(0); s <= v[dim]; s++ {
-				w := weight + pcmax.Time(s)*t.Sizes[dim]
-				if w > t.T {
-					break
-				}
-				rec(dim+1, w, off+int64(s)*t.Stride[dim], jobs+s)
-			}
-		}
-		rec(0, 0, 0, 0)
-	} else {
-		s := t.set
-		bound := int(s.Bounds.Upto(sumDigits(v)))
-		for ci := 0; ci < bound; ci++ {
-			if conf.Fits(s.Row(ci), v) {
-				if o := t.solveRec(idx - s.Offsets[ci]); o < best {
+	d := len(t.Sizes)
+	var rec func(dim int, weight pcmax.Time, off int64, jobs int32)
+	rec = func(dim int, weight pcmax.Time, off int64, jobs int32) {
+		if dim == d {
+			if jobs > 0 {
+				if o := t.solveRec(idx - off); o < best {
 					best = o
 				}
 			}
+			return
+		}
+		for s := int32(0); s <= v[dim]; s++ {
+			w := weight + pcmax.Time(s)*t.Sizes[dim]
+			if w > t.T {
+				break
+			}
+			rec(dim+1, w, off+int64(s)*t.Stride[dim], jobs+s)
 		}
 	}
+	rec(0, 0, 0, 0)
 	t.Opt[idx] = best + 1
 	return t.Opt[idx]
 }
@@ -711,14 +627,18 @@ func (t *Table) fillLevels(pfor func(n int, body func(i int)), workers int, leve
 // sum d_i of every entry in parallel, then for each level l = 1..n' in
 // sequence the workers scan all sigma entries round-robin (Lines 11-12) and
 // compute the entries whose d_i is l, re-enumerating each entry's
-// configurations when PerEntryEnum is set (Line 17). The pool may be reused
-// across calls and bisection iterations. ctx is checked, through the pool's
+// configurations (Line 17). An EnumSparse table is rejected with
+// ErrSparseTable and left untouched. The pool may be reused across calls
+// and bisection iterations. ctx is checked, through the pool's
 // ForWorkerCtx, between levels and within each level's scan, so an abort
 // lands within one level's residual work. Workers stop claiming entries, the
 // level barrier still completes (no leaked goroutines, the pool stays
 // reusable) and the structured cancel error is returned with the table left
 // unfilled.
 func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
+	if t.Mode == EnumSparse {
+		return ErrSparseTable
+	}
 	if t.Sigma == 1 {
 		if err := cancel.Check(ctx); err != nil {
 			return err
@@ -742,7 +662,7 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
 				return
 			}
 			idx := int64(i)
-			t.computeEntry(idx, decs[w].at(idx), l)
+			t.computeEntry(idx, decs[w].at(idx))
 		})
 		if err != nil {
 			return err

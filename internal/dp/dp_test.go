@@ -98,28 +98,12 @@ func TestAllFillsAgreeOnPaperExample(t *testing.T) {
 
 	pool := par.NewPool(3)
 	defer pool.Close()
-	for _, perEntry := range []bool{false, true} {
-		tbl := paperTable(t)
-		tbl.PerEntryEnum = perEntry
-		fillPar(t, tbl, pool)
-		for i := range tbl.Opt {
-			if tbl.Opt[i] != ref.Opt[i] {
-				t.Fatalf("parallel (per-entry %v): entry %d = %d, want %d",
-					perEntry, i, tbl.Opt[i], ref.Opt[i])
-			}
+	tbl := paperTable(t)
+	fillPar(t, tbl, pool)
+	for i := range tbl.Opt {
+		if tbl.Opt[i] != ref.Opt[i] {
+			t.Fatalf("parallel: entry %d = %d, want %d", i, tbl.Opt[i], ref.Opt[i])
 		}
-	}
-}
-
-func TestPerEntryEnumMatchesShared(t *testing.T) {
-	ref := paperTable(t)
-	fillSeq(t, ref)
-
-	rec := paperTable(t)
-	rec.PerEntryEnum = true
-	fillRec(t, rec)
-	if rec.Opt[rec.Sigma-1] != ref.Opt[ref.Sigma-1] {
-		t.Fatalf("per-entry recursive OPT %d != %d", rec.Opt[rec.Sigma-1], ref.Opt[ref.Sigma-1])
 	}
 }
 
@@ -306,14 +290,11 @@ func TestAllFillsAgreeOnRandomTablesProperty(t *testing.T) {
 			return false
 		}
 
-		for _, perEntry := range []bool{false, true} {
-			p := cloneEmpty(ref)
-			p.PerEntryEnum = perEntry
-			fillPar(t, p, pool)
-			for i := range p.Opt {
-				if p.Opt[i] != ref.Opt[i] {
-					return false
-				}
+		p := cloneEmpty(ref)
+		fillPar(t, p, pool)
+		for i := range p.Opt {
+			if p.Opt[i] != ref.Opt[i] {
+				return false
 			}
 		}
 		return true

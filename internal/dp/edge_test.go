@@ -48,20 +48,17 @@ func TestSingleEntryPerLevel(t *testing.T) {
 	// with many workers (the paper's q_l < P case).
 	pool := par.NewPool(8)
 	defer pool.Close()
-	for _, perEntry := range []bool{false, true} {
-		tbl, err := New([]pcmax.Time{3}, []int{12}, 9, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl.PerEntryEnum = perEntry
-		fillPar(t, tbl, pool)
-		opt, err := tbl.OptValue()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opt != 4 { // 12 jobs of 3, 3 per machine
-			t.Fatalf("per-entry %v: OPT = %d, want 4", perEntry, opt)
-		}
+	tbl, err := New([]pcmax.Time{3}, []int{12}, 9, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPar(t, tbl, pool)
+	opt, err := tbl.OptValue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt != 4 { // 12 jobs of 3, 3 per machine
+		t.Fatalf("OPT = %d, want 4", opt)
 	}
 }
 
@@ -93,25 +90,22 @@ func TestManyDimensionsSmallCounts(t *testing.T) {
 	fillSeq(t, ref)
 	pool := par.NewPool(3)
 	defer pool.Close()
-	for _, perEntry := range []bool{false, true} {
-		tbl, err := New(sizes, counts, 30, 0, 0)
-		if err != nil {
-			t.Fatal(err)
+	tbl, err := New(sizes, counts, 30, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPar(t, tbl, pool)
+	for i := range tbl.Opt {
+		if tbl.Opt[i] != ref.Opt[i] {
+			t.Fatalf("entry %d differs", i)
 		}
-		tbl.PerEntryEnum = perEntry
-		fillPar(t, tbl, pool)
-		for i := range tbl.Opt {
-			if tbl.Opt[i] != ref.Opt[i] {
-				t.Fatalf("per-entry %v: entry %d differs", perEntry, i)
-			}
-		}
-		// Total 108 over capacity 30: at least ceil(108/30)=4 machines; pairs
-		// sum <= 30 only for (10,...): verify against the sequential value only.
-		opt, _ := tbl.OptValue()
-		refOpt, _ := ref.OptValue()
-		if opt != refOpt {
-			t.Fatalf("per-entry %v: opt %d != %d", perEntry, opt, refOpt)
-		}
+	}
+	// Total 108 over capacity 30: at least ceil(108/30)=4 machines; pairs
+	// sum <= 30 only for (10,...): verify against the sequential value only.
+	opt, _ := tbl.OptValue()
+	refOpt, _ := ref.OptValue()
+	if opt != refOpt {
+		t.Fatalf("opt %d != %d", opt, refOpt)
 	}
 }
 

@@ -1,9 +1,12 @@
 package dp
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/conf"
+	"repro/internal/par"
 	"repro/pcmax"
 )
 
@@ -108,6 +111,35 @@ func TestSparseTableStaysFeasible(t *testing.T) {
 	for c := range counts {
 		if int(total[c]) != counts[c] {
 			t.Fatalf("class %d scheduled %d of %d jobs", c, total[c], counts[c])
+		}
+	}
+}
+
+// TestPaperFillsRejectSparseTables pins the paper fills' refusal of a
+// sparse table: their per-entry search regenerates the faithful
+// configuration set, so it could reach an OPT through configurations the
+// table pruned. Both must return ErrSparseTable and leave the table
+// unfilled.
+func TestPaperFillsRejectSparseTables(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	fills := []struct {
+		name string
+		fill func(tbl *Table) error
+	}{
+		{"recursive", func(tbl *Table) error { return tbl.FillRecursiveCtx(context.Background()) }},
+		{"parallel", func(tbl *Table) error { return tbl.FillParallelCtx(context.Background(), pool) }},
+	}
+	for _, f := range fills {
+		tbl, err := NewSparse([]pcmax.Time{5, 7, 9}, []int{3, 2, 4}, 25, 0, 0, nil, conf.SparseOptions{MaxSupport: 1, KeepJobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.fill(tbl); !errors.Is(err, ErrSparseTable) {
+			t.Fatalf("%s: error %v, want ErrSparseTable", f.name, err)
+		}
+		if _, err := tbl.OptValue(); !errors.Is(err, ErrNotFilled) {
+			t.Fatalf("%s: OptValue error %v, want ErrNotFilled", f.name, err)
 		}
 	}
 }

@@ -20,7 +20,7 @@ type AblationRow struct {
 	Group    string
 	Variant  string
 	Seconds  float64    // mean wall-clock over the reps
-	Makespan pcmax.Time // mean-free: the (identical across reps? no) — max observed makespan
+	Makespan pcmax.Time // worst makespan over the reps
 }
 
 // AblationResult is the output of RunAblations.
@@ -37,7 +37,6 @@ type AblationResult struct {
 //     Parallel DP of Algorithm 3 at 4, both with per-entry configuration
 //     enumeration)
 //   - short-job rule: LPT (paper) vs LS (original Hochbaum–Shmoys)
-//   - bisection: sequential vs speculative multi-probe
 //   - exact-solver incumbent: LPT+MultiFit vs LPT only
 func (cfg Config) RunAblations(ctx context.Context) (*AblationResult, error) {
 	if err := cfg.validate(); err != nil {
@@ -103,14 +102,6 @@ func (cfg Config) RunAblations(ctx context.Context) (*AblationResult, error) {
 			core.Options{Epsilon: eps, ShortRule: rule}); err != nil {
 			return nil, err
 		}
-	}
-	if err := solveVariant("bisection", "sequential",
-		core.Options{Epsilon: eps}); err != nil {
-		return nil, err
-	}
-	if err := solveVariant("bisection", "speculative x4",
-		core.Options{Epsilon: eps, SpeculativeProbes: 4}); err != nil {
-		return nil, err
 	}
 
 	for _, disable := range []bool{false, true} {

@@ -65,7 +65,7 @@ func TestRunAblationsSmall(t *testing.T) {
 	}
 	for _, g := range []string{
 		"DP fill (1 workers)", "DP fill (4 workers)", "short-job rule",
-		"bisection", "exact incumbent",
+		"exact incumbent",
 	} {
 		if groups[g] < 2 {
 			t.Fatalf("group %q has %d variants", g, groups[g])

@@ -46,26 +46,6 @@ func TestSahniRejectsLargeM(t *testing.T) {
 	}
 }
 
-func TestSpeculativePTASThroughFacade(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_10n, M: 8, N: 40, Seed: 6})
-	opts := solver.DefaultPTASOptions()
-	ref, _, err := solver.PTAS(context.Background(), in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.SpeculativeProbes = 4
-	got, st, err := solver.PTAS(context.Background(), in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan(in) != ref.Makespan(in) {
-		t.Fatalf("speculative %d != sequential %d", got.Makespan(in), ref.Makespan(in))
-	}
-	if st.Iterations < 1 {
-		t.Fatal("no rounds recorded")
-	}
-}
-
 func TestSahniEmptyInstance(t *testing.T) {
 	in := &pcmax.Instance{M: 2}
 	s, err := solver.Sahni(context.Background(), in, solver.SahniOptions{})

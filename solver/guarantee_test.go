@@ -126,9 +126,10 @@ func TestSparseNeverWorseThanFaithfulGuarantee(t *testing.T) {
 // faithful configuration set, so on a sparse table it reached OPTs through
 // configurations the table had pruned, and reconstruction, which walks the
 // table's own configurations, failed ("no configuration explains OPT").
-// Sparse tables now ignore per-entry enumeration: across the six families
-// on three small fig shapes, the paper's fills must return the production
-// fill's schedule, job for job.
+// Sparse tables now take the production fill under PaperFaithful too, and
+// the faithful T-1 certification probe takes the paper's fill: across the
+// six families on three small fig shapes, the result must be the production
+// solve's schedule, job for job.
 func TestSparsePaperFaithfulMatchesProduction(t *testing.T) {
 	shapes := []struct{ m, n int }{{4, 16}, {5, 20}, {6, 30}}
 	for _, fam := range workload.Families {

@@ -114,12 +114,13 @@ type PTASOptions struct {
 	// ShortJobsLS switches the short-job placement from the paper's LPT
 	// rule to the original Hochbaum–Shmoys LS rule.
 	ShortJobsLS bool
-	// PaperFaithful fills every DP table with the paper's own algorithms,
-	// with per-entry configuration enumeration: the recursive memoized DP
-	// (Algorithm 2) at Workers == 1, and the Parallel DP (Algorithm 3) with
-	// per-level full table scans otherwise. The default runs the production
-	// fill, the one-thread config-outer sweep. Schedules are identical;
-	// only the time differs.
+	// PaperFaithful fills every faithful DP table with the paper's own
+	// algorithms, with per-entry configuration enumeration: the recursive
+	// memoized DP (Algorithm 2) at Workers == 1, and the Parallel DP
+	// (Algorithm 3) with per-level full table scans otherwise. The pruned
+	// tables of a Sparsify solve keep the production fill, which is also the
+	// default for every table: the one-thread config-outer sweep. Schedules
+	// are identical; only the time differs.
 	PaperFaithful bool
 	// MaxTableEntries caps the DP table size; <= 0 uses the library default
 	// (1<<25 entries). The PTAS fails with a descriptive error when an
@@ -128,12 +129,6 @@ type PTASOptions struct {
 	// MaxConfigs caps machine-configuration enumeration; <= 0 uses the
 	// library default.
 	MaxConfigs int
-	// SpeculativeProbes, when > 1, parallelizes across the bisection search
-	// instead of within the DP fill: that many target makespans are probed
-	// concurrently per round, each with a sequential fill. An extension
-	// beyond the paper; it preserves the (1+eps) guarantee. When set,
-	// Workers is ignored for the fill.
-	SpeculativeProbes int
 	// NoLPTFallback disables returning plain LPT's schedule when it beats
 	// the PTAS construction. The fallback (on by default through
 	// DefaultPTASOptions) never hurts and is what makes the stated
@@ -184,17 +179,13 @@ func PTAS(ctx context.Context, in *pcmax.Instance, opts PTASOptions) (*pcmax.Sch
 // warm bracket through the returned value.
 func coreOptions(opts PTASOptions) core.Options {
 	copts := core.Options{
-		Epsilon:           opts.Epsilon,
-		Workers:           opts.Workers,
-		PaperFaithful:     opts.PaperFaithful,
-		MaxTableEntries:   opts.MaxTableEntries,
-		MaxConfigs:        opts.MaxConfigs,
-		SpeculativeProbes: opts.SpeculativeProbes,
-		LPTFallback:       !opts.NoLPTFallback,
-		Sparsify:          opts.Sparsify,
-	}
-	if opts.SpeculativeProbes > 1 {
-		copts.Workers = 1
+		Epsilon:         opts.Epsilon,
+		Workers:         opts.Workers,
+		PaperFaithful:   opts.PaperFaithful,
+		MaxTableEntries: opts.MaxTableEntries,
+		MaxConfigs:      opts.MaxConfigs,
+		LPTFallback:     !opts.NoLPTFallback,
+		Sparsify:        opts.Sparsify,
 	}
 	if opts.ShortJobsLS {
 		copts.ShortRule = core.ShortLS
