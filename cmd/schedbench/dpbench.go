@@ -1,9 +1,10 @@
 // The dp subcommand micro-benchmarks the DP fill path in isolation: for each
 // figure workload it freezes the rounded instance at the PTAS's converged
 // target makespan and times the table fill — the production kernel
-// (FillAutoCtx) at one worker, and the paper's fills with its per-entry
-// enumeration: Algorithm 2 (FillRecursiveCtx) at one worker and Algorithm 3
-// (FillParallelCtx) at every worker count above one.
+// (FillAutoCtx) at every worker count, and the paper's fills with its
+// per-entry enumeration: Algorithm 2 (FillRecursiveCtx) at one worker and
+// Algorithm 3 (FillParallelCtx) at every worker count above one, on the pool
+// the production row of that count uses.
 // Results print as a table and, with -json, land in BENCH_dp.json for
 // regression tracking; -baseline diffs the run against a committed
 // BENCH_dp.json and fails on regressions beyond -baseline-threshold.
@@ -274,12 +275,16 @@ sweep:
 						!measure(1, "alg2", func() error { return tbl.FillRecursiveCtx(ctx) }) {
 						break sweep
 					}
+					// Above one worker, the production fill and Algorithm 3
+					// share one pool. A table without a slab-phase plan
+					// (dp.FillAutoCtx) fills on the caller at any count.
 					for _, workers := range cores {
 						if workers <= 1 {
 							continue
 						}
 						pool := par.NewPool(workers)
-						ok := measure(workers, "alg3", func() error { return tbl.FillParallelCtx(ctx, pool) })
+						ok := measure(workers, "production", func() error { return tbl.FillAutoCtx(ctx, pool) }) &&
+							measure(workers, "alg3", func() error { return tbl.FillParallelCtx(ctx, pool) })
 						pool.Close()
 						if !ok {
 							break sweep
@@ -520,7 +525,10 @@ func attachSpeedups(records []dpRecord) {
 		case "alg2":
 			alg2[cellKey{r.Workload, r.Family, "", r.Eps}] = r.NsPerOp
 		case "solve", "production":
-			faithful[cellKey{r.Workload, r.Family, r.Path, r.Eps}] = r.NsPerOp
+			// Sparse rows run at one worker; so does their reference.
+			if r.Workers == 1 {
+				faithful[cellKey{r.Workload, r.Family, r.Path, r.Eps}] = r.NsPerOp
+			}
 		}
 	}
 	for i := range records {

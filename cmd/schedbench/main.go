@@ -42,7 +42,7 @@ func run(args []string) error {
 		exactSec = fs.Duration("exact-timeout", 30*time.Second, "time limit per exact solve")
 		algoSec  = fs.Duration("algo-timeout", 0, "deadline per algorithm invocation (0 = none); timed-out cells are logged and skipped")
 		noWall   = fs.Bool("no-wallclock", false, "skip measured wall-clock parallel runs")
-		faithful = fs.Bool("paper-faithful", false, "fill with the paper's DP algorithms (Algorithm 2 at 1 worker, Algorithm 3 otherwise) instead of the one-thread production fill")
+		faithful = fs.Bool("paper-faithful", false, "fill with the paper's DP algorithms (Algorithm 2 at 1 worker, Algorithm 3 otherwise) instead of the production fill")
 		csv      = fs.Bool("csv", false, "render tables as CSV")
 		jsonOut  = fs.Bool("json", false, "dp: also write results to the -out file")
 		jsonPath = fs.String("out", benchJSONName, "dp: output path for -json")

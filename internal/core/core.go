@@ -7,12 +7,12 @@
 // reconstructs the long-job schedule at the final T, replaces rounded jobs
 // by the original ones, and packs the short jobs greedily (LPT by default,
 // the paper's practical improvement; LS reproduces the original
-// Hochbaum–Shmoys rule). Every DP table is filled by the one-thread
-// production fill (dp.FillAutoCtx) unless Options.PaperFaithful selects the
+// Hochbaum–Shmoys rule). Every DP table is filled by the production fill
+// (dp.FillAutoCtx), which at Workers > 1 runs the slab phases of a large
+// table on a pool of goroutines, unless Options.PaperFaithful selects the
 // paper's own algorithms for the faithful tables: the recursive Algorithm 2
 // at Workers == 1, and at Workers > 1 the Parallel DP of Algorithm 3, which
-// fills the table level by level over its anti-diagonals on a pool of
-// goroutines.
+// fills the table level by level over its anti-diagonals on the pool.
 package core
 
 import (
@@ -60,9 +60,15 @@ type Options struct {
 	// Epsilon is the relative error; the algorithm is a (1+Epsilon)
 	// approximation. The paper's experiments use 0.3.
 	Epsilon float64
-	// Workers is the number of DP workers P of the paper's Parallel DP
-	// (PaperFaithful); values below 1 select GOMAXPROCS. The production fill
-	// runs on the calling goroutine whatever Workers is.
+	// Workers is the number of DP workers P; values below 1 select
+	// GOMAXPROCS. At Workers > 1 the solve starts a pool of that many
+	// goroutines at its first fill that runs on one, and closes it on
+	// return. The production fill runs the slab phases of tables with at
+	// least 2^18 units of fill work (sigma·|C|) on it, and every smaller
+	// table on the calling goroutine, so a solve of small tables starts no
+	// pool; under PaperFaithful the paper's Parallel DP runs on it.
+	// Schedules and every Stats field except FillTime and Auto are the same
+	// at any Workers.
 	Workers int
 	// PaperFaithful fills every faithful DP table with the paper's
 	// algorithms instead of the production fill (dp.FillAutoCtx), both
@@ -161,9 +167,11 @@ type Stats struct {
 	// FillTime is the wall-clock time spent inside DP table fills.
 	FillTime time.Duration
 	// Auto accumulates, over all bisection probes, how dp.FillAutoCtx ran
-	// the anti-diagonal levels: all inline on the caller. Under
-	// Options.PaperFaithful only the sparse tables of a Sparsify solve run
-	// dp.FillAutoCtx, so it is all-zero on faithful tables.
+	// the anti-diagonal levels: LevelsParallel counts the levels of fills
+	// whose slab phases ran on the pool, LevelsInline those of fills on the
+	// caller. Under Options.PaperFaithful only the sparse tables of a
+	// Sparsify solve run dp.FillAutoCtx, so it is all-zero on faithful
+	// tables.
 	Auto dp.AutoStats
 	// UsedLPTFallback reports that plain LPT beat the PTAS construction on
 	// this instance and its schedule was returned instead. The fallback
@@ -306,13 +314,10 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 	}
 	stats.LB0, stats.UB0 = lbT, ubT
 
-	// The production fill runs on the calling goroutine, so only the
-	// paper's Parallel DP needs a pool.
-	var pool *par.Pool
-	if workers := par.Normalize(opts.Workers); opts.PaperFaithful && workers > 1 {
-		pool = par.NewPool(workers)
-		defer pool.Close()
-	}
+	// Every fill of the solve shares one pool: the production fill's
+	// slab phases and the paper's Parallel DP both run on it.
+	pool := &solvePool{workers: par.Normalize(opts.Workers)}
+	defer pool.close()
 
 	// Every probe of the bisection shares one DP cache: the converged target
 	// is always attempted twice, canonical profiles repeat across probes,
@@ -354,6 +359,7 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 		}
 		stats.FillTime += res.fill
 		stats.Auto.LevelsInline += res.auto.LevelsInline
+		stats.Auto.LevelsParallel += res.auto.LevelsParallel
 		if res.tbl != nil {
 			stats.TotalEntriesFilled += res.tbl.Sigma
 			if opts.Profile != nil {
@@ -501,16 +507,48 @@ type attemptResult struct {
 	auto     dp.AutoStats // level routing, when the production fill ran
 }
 
+// solvePool is a solve's worker pool, started by the first fill that runs
+// on it: a solve whose tables all fill on the calling goroutine starts no
+// goroutines.
+type solvePool struct {
+	workers int
+	pool    *par.Pool
+}
+
+// get returns the pool, starting it on first use; nil at one worker.
+func (s *solvePool) get() *par.Pool {
+	if s.pool == nil && s.workers > 1 {
+		s.pool = par.NewPool(s.workers)
+	}
+	return s.pool
+}
+
+// forSlabs returns the pool for tbl's production fill: nil when the table
+// has no slab phases to run on it.
+func (s *solvePool) forSlabs(tbl *dp.Table) *par.Pool {
+	if tbl.SlabPhases() == 0 {
+		return nil
+	}
+	return s.get()
+}
+
+// close stops the pool if it was started.
+func (s *solvePool) close() {
+	if s.pool != nil {
+		s.pool.Close()
+	}
+}
+
 // runAttempt builds and fills the DP table for target T. The production
 // fill (dp.FillAutoCtx) runs on every sparse table and, unless
-// opts.PaperFaithful is set, on every faithful one. Under PaperFaithful a
-// faithful table runs the paper's Parallel DP on the pool's workers when
-// pool is non-nil, and its recursive Algorithm 2 otherwise: both
-// re-enumerate each entry's configurations, which cannot respect a sparse
-// table's pruned set. The fill honors ctx cooperatively: a mid-fill
-// cancellation surfaces as the structured cancel error within the fills'
-// check granularity.
-func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, opts Options, pool *par.Pool) (attemptResult, error) {
+// opts.PaperFaithful is set, on every faithful one, on the pool when the
+// table has slab phases. Under PaperFaithful a faithful table runs the
+// paper's Parallel DP on the pool at more than one worker, and its recursive
+// Algorithm 2 otherwise: both re-enumerate each entry's configurations,
+// which cannot respect a sparse table's pruned set. The fill honors ctx
+// cooperatively: a mid-fill cancellation surfaces as the structured cancel
+// error within the fills' check granularity.
+func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, opts Options, pool *solvePool) (attemptResult, error) {
 	sp, err := newSplit(in, order, k, T)
 	if err != nil {
 		return attemptResult{}, err
@@ -533,9 +571,9 @@ func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T p
 	t0 := time.Now()
 	switch {
 	case !opts.PaperFaithful || opts.Sparsify:
-		err = tbl.FillAutoCtx(ctx, nil)
-	case pool != nil:
-		err = tbl.FillParallelCtx(ctx, pool)
+		err = tbl.FillAutoCtx(ctx, pool.forSlabs(tbl))
+	case pool.workers > 1:
+		err = tbl.FillParallelCtx(ctx, pool.get())
 	default:
 		err = tbl.FillRecursiveCtx(ctx)
 	}
@@ -589,7 +627,7 @@ func sparseFaithfulFallback(ctx context.Context, in *pcmax.Instance, order []int
 //
 // Returns whether the caller must fall back to a faithful re-solve. Only
 // cancellation-grade errors are returned.
-func sparseVerify(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, sched *pcmax.Schedule, opts Options, stats *Stats, pool *par.Pool) (fallback bool, err error) {
+func sparseVerify(ctx context.Context, in *pcmax.Instance, order []int, k int, T pcmax.Time, sched *pcmax.Schedule, opts Options, stats *Stats, pool *solvePool) (fallback bool, err error) {
 	certified := T <= stats.LB0
 	if !certified {
 		fopts := opts

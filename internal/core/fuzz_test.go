@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/dp"
 	"repro/internal/exact"
 	"repro/pcmax"
 )
@@ -42,9 +43,11 @@ func decodeFuzzSolve(m, epsIdx, flags uint8, times []byte) (*pcmax.Instance, Opt
 }
 
 // FuzzSolve is a differential fuzz of the fill switch. Every input is
-// solved three ways — the production fill, and PaperFaithful at 1 and at 2
-// workers (Algorithm 2, and Algorithm 3 on a pool) — which must agree on
-// the assignment and on the bisection's and the final table's statistics.
+// solved four ways — the production fill at 1 and at 2 workers, and
+// PaperFaithful at 1 and at 2 workers (Algorithm 2, and Algorithm 3 on a
+// pool) — which must agree on the assignment and on the bisection's and the
+// final table's statistics; the two production solves agree on every
+// statistic but the fill time and the level routing.
 // Against exact.BruteForce's optimum OPT it checks the converged target
 // (FinalT <= OPT, unless a sparse run stayed uncertified) and, when the LPT
 // fallback caps the integer-rounding slop (eps >= 1/3), the (1+eps)
@@ -90,23 +93,44 @@ func FuzzSolve(f *testing.F) {
 		pin := func(s *Stats) pinned {
 			return pinned{s.Iterations, s.LongJobs, s.SizeClasses, s.Configs, s.FinalT, s.TableEntries}
 		}
-		for _, workers := range []int{1, 2} {
-			popts := opts
-			popts.PaperFaithful = true
-			popts.Workers = workers
-			got, pst, err := Solve(ctx, in, popts)
+		for _, v := range []struct {
+			name    string
+			paper   bool
+			workers int
+		}{
+			{"paper", true, 1},
+			{"paper", true, 2},
+			{"production", false, 2},
+		} {
+			vopts := opts
+			vopts.PaperFaithful = v.paper
+			vopts.Workers = v.workers
+			got, vst, err := Solve(ctx, in, vopts)
 			if err != nil {
-				t.Fatalf("paper, %d workers: %v (m=%d times=%v opts=%+v)", workers, err, in.M, in.Times, opts)
+				t.Fatalf("%s, %d workers: %v (m=%d times=%v opts=%+v)", v.name, v.workers, err, in.M, in.Times, opts)
 			}
 			for j := range ref.Assignment {
 				if got.Assignment[j] != ref.Assignment[j] {
-					t.Fatalf("paper, %d workers: job %d on machine %d, production %d (m=%d times=%v opts=%+v)",
-						workers, j, got.Assignment[j], ref.Assignment[j], in.M, in.Times, opts)
+					t.Fatalf("%s, %d workers: job %d on machine %d, production %d (m=%d times=%v opts=%+v)",
+						v.name, v.workers, j, got.Assignment[j], ref.Assignment[j], in.M, in.Times, opts)
 				}
 			}
-			if a, b := pin(pst), pin(st); a != b {
-				t.Fatalf("paper, %d workers: stats %+v, production %+v (m=%d times=%v opts=%+v)",
-					workers, a, b, in.M, in.Times, opts)
+			if a, b := pin(vst), pin(st); a != b {
+				t.Fatalf("%s, %d workers: stats %+v, production %+v (m=%d times=%v opts=%+v)",
+					v.name, v.workers, a, b, in.M, in.Times, opts)
+			}
+			if v.paper {
+				continue
+			}
+			// The production fill at any worker count: every stat but the
+			// fill time and the level routing, whose levels still sum up.
+			a, b := *vst, *st
+			if a.Auto.LevelsInline+a.Auto.LevelsParallel != b.Auto.LevelsInline {
+				t.Fatalf("%s, %d workers: Auto %+v, 1 worker %+v (m=%d times=%v opts=%+v)", v.name, v.workers, a.Auto, b.Auto, in.M, in.Times, opts)
+			}
+			a.FillTime, b.FillTime, a.Auto, b.Auto = 0, 0, dp.AutoStats{}, dp.AutoStats{}
+			if a != b {
+				t.Fatalf("%s, %d workers: stats %+v, 1 worker %+v (m=%d times=%v opts=%+v)", v.name, v.workers, a, b, in.M, in.Times, opts)
 			}
 		}
 

@@ -8,36 +8,65 @@ import (
 
 	"repro/internal/cancel"
 	"repro/internal/par"
+	"repro/pcmax"
 )
 
 // TestFillAutoStatsRouting checks that AutoStats reports the routing
-// truthfully: with or without a barrier pool, a completed fill counts every
-// level inline and matches the sequential fill.
+// truthfully: a planned table runs its phases on a pool of at least two
+// workers and counts every level parallel; without such a pool, or without
+// a plan, every level is inline. Every fill matches the sequential fill.
 func TestFillAutoStatsRouting(t *testing.T) {
 	ref := bigTable(t)
 	fillSeq(t, ref)
+	if ref.SlabPhases() == 0 {
+		t.Fatalf("bigTable has no slab-phase plan (sigma %d, %d configs)", ref.Sigma, len(ref.Configs))
+	}
 
+	// The benchmark's replay reaches FillAutoCtx through the BarrierPool
+	// alias.
 	bp := par.NewBarrierPool(4)
 	defer bp.Close()
+	pool1 := par.NewPool(1)
+	defer pool1.Close()
 
 	for _, tc := range []struct {
-		name string
-		bp   *par.BarrierPool
+		name     string
+		pool     *par.Pool
+		parallel bool
 	}{
-		{"barrier-pool", bp},
-		{"nil-pool", nil},
+		{"barrier-pool", bp, true},
+		{"pool-1", pool1, false},
+		{"nil-pool", nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := bigTable(t)
-			if err := tbl.FillAutoCtx(context.Background(), tc.bp); err != nil {
+			if err := tbl.FillAutoCtx(context.Background(), tc.pool); err != nil {
 				t.Fatal(err)
 			}
-			s := tbl.AutoStats
-			if s.LevelsInline != tbl.NPrime || s.LevelsFused != 0 || s.LevelsParallel != 0 {
-				t.Fatalf("fill routed %+v, want all %d levels inline", s, tbl.NPrime)
+			want := AutoStats{LevelsInline: tbl.NPrime}
+			if tc.parallel {
+				want = AutoStats{LevelsParallel: tbl.NPrime}
+			}
+			if s := tbl.AutoStats; s != want {
+				t.Fatalf("fill routed %+v, want %+v", s, want)
 			}
 			optEqual(t, "FillAutoCtx", tbl.Opt, ref.Opt)
 		})
+	}
+
+	// A table below planMinWork has no plan and stays on the caller.
+	small, err := New([]pcmax.Time{2, 3}, []int{4, 5}, 9, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := small.SlabPhases(); n != 0 {
+		t.Fatalf("unplanned table reports %d slab phases", n)
+	}
+	if err := small.FillAutoCtx(context.Background(), bp); err != nil {
+		t.Fatal(err)
+	}
+	if s := small.AutoStats; s != (AutoStats{LevelsInline: small.NPrime}) {
+		t.Fatalf("unplanned table routed %+v, want all %d levels inline", s, small.NPrime)
 	}
 }
 
@@ -48,17 +77,17 @@ func TestFillAutoCancelAndRecover(t *testing.T) {
 	ref := bigTable(t)
 	fillSeq(t, ref)
 
-	bp := par.NewBarrierPool(4)
-	defer bp.Close()
+	pool := par.NewPool(4)
+	defer pool.Close()
 
 	tbl := bigTable(t)
-	if err := tbl.FillAutoCtx(canceledCtx(), bp); !errors.Is(err, cancel.ErrCanceled) {
+	if err := tbl.FillAutoCtx(canceledCtx(), pool); !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 	if _, err := tbl.OptValue(); !errors.Is(err, ErrNotFilled) {
 		t.Fatalf("canceled fill left table readable: %v", err)
 	}
-	if err := tbl.FillAutoCtx(context.Background(), bp); err != nil {
+	if err := tbl.FillAutoCtx(context.Background(), pool); err != nil {
 		t.Fatalf("recovery fill: %v", err)
 	}
 	optEqual(t, "recovered FillAuto", tbl.Opt, ref.Opt)
@@ -66,19 +95,39 @@ func TestFillAutoCancelAndRecover(t *testing.T) {
 
 // TestFillAutoMidFillCancel cancels after the fill has started (the entry
 // check sees a live context, the kernel's first poll a dead one) and checks
-// that the abort lands within one poll stride and leaves the table unfilled.
+// that the abort lands within one poll stride per worker and leaves the
+// table unfilled, on the caller and on a pool.
 func TestFillAutoMidFillCancel(t *testing.T) {
-	tbl := bigTable(t)
-	err := tbl.FillAutoCtx(newTrippingCtx(), nil)
-	var cerr *cancel.Error
-	if !errors.As(err, &cerr) || !errors.Is(err, cancel.ErrCanceled) {
-		t.Fatalf("want a *cancel.Error matching ErrCanceled, got %v", err)
-	}
-	if cerr.EntriesFilled <= 0 || cerr.EntriesFilled > fillCheckEvery {
-		t.Fatalf("EntriesFilled = %d, want the first poll stride (0, %d]", cerr.EntriesFilled, fillCheckEvery)
-	}
-	if _, err := tbl.OptValue(); !errors.Is(err, ErrNotFilled) {
-		t.Fatalf("canceled fill left table readable: %v", err)
+	pool := par.NewPool(2)
+	defer pool.Close()
+	for _, tc := range []struct {
+		name    string
+		pool    *par.Pool
+		minDone int64
+	}{
+		{"nil-pool", nil, 1},
+		// A pool worker also polls when it claims a chunk, so it may stop
+		// before its first relaxation.
+		{"pool-2", pool, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := bigTable(t)
+			err := tbl.FillAutoCtx(newTrippingCtx(), tc.pool)
+			var cerr *cancel.Error
+			if !errors.As(err, &cerr) || !errors.Is(err, cancel.ErrCanceled) {
+				t.Fatalf("want a *cancel.Error matching ErrCanceled, got %v", err)
+			}
+			workers := int64(1)
+			if tc.pool != nil {
+				workers = int64(tc.pool.Workers())
+			}
+			if cerr.EntriesFilled < tc.minDone || cerr.EntriesFilled > workers*fillCheckEvery {
+				t.Fatalf("EntriesFilled = %d, want the first poll stride of each worker [%d, %d]", cerr.EntriesFilled, tc.minDone, workers*fillCheckEvery)
+			}
+			if _, err := tbl.OptValue(); !errors.Is(err, ErrNotFilled) {
+				t.Fatalf("canceled fill left table readable: %v", err)
+			}
+		})
 	}
 }
 
@@ -123,13 +172,13 @@ func TestFillAutoCanceledCutoverReportsNoInlineLevels(t *testing.T) {
 		{"barrier-pool", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var bp *par.BarrierPool
+			var pool *par.Pool
 			if tc.pool {
-				bp = par.NewBarrierPool(4)
-				defer bp.Close()
+				pool = par.NewBarrierPool(4)
+				defer pool.Close()
 			}
 			tbl := bigTable(t)
-			if err := tbl.FillAutoCtx(newTrippingCtx(), bp); !errors.Is(err, cancel.ErrCanceled) {
+			if err := tbl.FillAutoCtx(newTrippingCtx(), pool); !errors.Is(err, cancel.ErrCanceled) {
 				t.Fatalf("want ErrCanceled, got %v", err)
 			}
 			if s := tbl.AutoStats; s != (AutoStats{}) {

@@ -55,10 +55,12 @@ type Cache struct {
 }
 
 // configsEntry pairs a Jobs-sorted configuration list with its flat scan
-// view and, for sparse enumerations, the sparsification counters.
+// view, the index layout both are expressed in and, for sparse
+// enumerations, the sparsification counters.
 type configsEntry struct {
 	configs []conf.Config
 	set     *conf.Set
+	lay     layout
 	sstats  conf.SparseStats
 }
 
@@ -130,8 +132,9 @@ func sizesGCD(sizes []pcmax.Time) pcmax.Time {
 // mixed-mode caller, e.g. the ptas-sparse driver re-verifying its converged
 // target with a faithful table at the same profile, must never be handed the
 // other mode's configuration set — followed by the limit and the
-// gcd-reduced capacity and sizes. Strides derive from counts, so they carry
-// no extra information. Every component is length-prefixed or fixed-order
+// gcd-reduced capacity and sizes. The layout (strides, class order and
+// phase plan) derives from counts and the enumerated set, so it carries no
+// extra information. Every component is length-prefixed or fixed-order
 // varint, so the encoding is unambiguous.
 func appendConfigKey(b []byte, sizes []pcmax.Time, g pcmax.Time, counts []int, cT pcmax.Time, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) []byte {
 	b = append(b, byte(mode))
@@ -162,15 +165,16 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// configSet returns the Jobs-sorted configuration list, its flat view and
-// the sparsification counters for the given enumeration inputs, consulting
-// the cache when non-nil. Cached sets are built from the gcd-canonical
-// profile (see the Cache doc comment), so their Config.Weight values are in
-// canonical units; everything the fills and reconstruction consume is
-// scale-invariant. Errors (e.g. conf.ErrTooMany) are never cached.
-func (c *Cache) configSet(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int64, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) ([]conf.Config, *conf.Set, conf.SparseStats, error) {
+// configSet returns the Jobs-sorted configuration list, its flat view, their
+// layout and the sparsification counters for the given enumeration inputs
+// of a table with sigma entries, consulting the cache when non-nil. Cached
+// sets are built from the gcd-canonical profile (see the Cache doc comment),
+// so their Config.Weight values are in canonical units; everything the fills
+// and reconstruction consume is scale-invariant. Errors (e.g.
+// conf.ErrTooMany) are never cached.
+func (c *Cache) configSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma int64, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) (configsEntry, error) {
 	if c == nil {
-		return buildConfigSet(sizes, counts, T, stride, maxConfigs, mode, sopts)
+		return buildConfigSet(sizes, counts, T, sigma, maxConfigs, mode, sopts)
 	}
 	g := sizesGCD(sizes)
 	cT := T / g
@@ -179,7 +183,7 @@ func (c *Cache) configSet(sizes []pcmax.Time, counts []int, T pcmax.Time, stride
 	if e, ok := c.configs[string(c.keyBuf)]; ok {
 		c.stats.ConfigHits++
 		c.mu.Unlock()
-		return e.configs, e.set, e.sstats, nil
+		return e, nil
 	}
 	c.stats.ConfigMisses++
 	key := string(c.keyBuf) // materialize: keyBuf is shared and mu drops next
@@ -189,32 +193,39 @@ func (c *Cache) configSet(sizes []pcmax.Time, counts []int, T pcmax.Time, stride
 	for i, s := range sizes {
 		csizes[i] = s / g
 	}
-	configs, set, sstats, err := buildConfigSet(csizes, counts, cT, stride, maxConfigs, mode, sopts)
+	e, err := buildConfigSet(csizes, counts, cT, sigma, maxConfigs, mode, sopts)
 	if err != nil {
-		return nil, nil, sstats, err
+		return e, err
 	}
 	c.mu.Lock()
 	if len(c.configs) >= maxCachedConfigSets {
 		c.configs = make(map[string]configsEntry)
 	}
-	c.configs[key] = configsEntry{configs: configs, set: set, sstats: sstats}
+	c.configs[key] = e
 	c.mu.Unlock()
-	return configs, set, sstats, nil
+	return e, nil
 }
 
-// buildConfigSet enumerates, Jobs-sorts and flattens a configuration set.
-func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int64, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) ([]conf.Config, *conf.Set, conf.SparseStats, error) {
-	var configs []conf.Config
-	var sstats conf.SparseStats
+// buildConfigSet enumerates, Jobs-sorts and flattens a configuration set,
+// and gives it a slab-phase plan when the fill work sigma·|C| reaches
+// planMinWork.
+func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma int64, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) (configsEntry, error) {
+	e := configsEntry{lay: newLayout(counts)}
 	var err error
 	if mode == EnumSparse {
-		configs, sstats, err = conf.EnumerateSparse(sizes, counts, T, stride, maxConfigs, sopts)
+		e.configs, e.sstats, err = conf.EnumerateSparse(sizes, counts, T, e.lay.stride, maxConfigs, sopts)
 	} else {
-		configs, err = conf.Enumerate(sizes, counts, T, stride, maxConfigs)
+		e.configs, err = conf.Enumerate(sizes, counts, T, e.lay.stride, maxConfigs)
 	}
 	if err != nil {
-		return nil, nil, sstats, err
+		return configsEntry{sstats: e.sstats}, err
 	}
-	conf.SortByJobs(configs)
-	return configs, conf.NewSet(configs, len(sizes)), sstats, nil
+	conf.SortByJobs(e.configs)
+	if sigma*int64(len(e.configs)) < planMinWork {
+		e.set = conf.NewSet(e.configs, len(sizes))
+		return e, nil
+	}
+	phase := e.lay.plan(e.configs, counts)
+	e.set = newPhasedSet(e.configs, len(sizes), phase, &e.lay)
+	return e, nil
 }

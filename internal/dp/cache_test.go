@@ -219,20 +219,30 @@ func TestCacheStatsSub(t *testing.T) {
 }
 
 func TestCacheHitPathDoesNotAllocate(t *testing.T) {
-	cache := NewCache()
 	sizes := []pcmax.Time{6, 11}
 	counts := []int{2, 3}
-	stride := []int64{1, 3}
-	if _, _, _, err := cache.configSet(sizes, counts, 30, stride, 0, EnumFaithful, conf.SparseOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, err := cache.configSet(sizes, counts, 30, stride, 0, EnumFaithful, conf.SparseOptions{}); err != nil {
+	const sigma = 12
+	// The hit path returns the cached layout too, planned or not.
+	for _, planned := range []bool{false, true} {
+		if planned {
+			forcePlans(t)
+		}
+		cache := NewCache()
+		e, err := cache.configSet(sizes, counts, 30, sigma, 0, EnumFaithful, conf.SparseOptions{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cache hit allocated %.1f objects per lookup, want 0", allocs)
+		if got := len(e.lay.ends) > 0; got != planned {
+			t.Fatalf("set planned = %v, want %v", got, planned)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := cache.configSet(sizes, counts, 30, sigma, 0, EnumFaithful, conf.SparseOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("planned %v: cache hit allocated %.1f objects per lookup, want 0", planned, allocs)
+		}
 	}
 }
 
@@ -242,14 +252,14 @@ func BenchmarkCacheLookup(b *testing.B) {
 	cache := NewCache()
 	sizes := []pcmax.Time{13, 17, 19, 23, 29, 31}
 	counts := []int{4, 4, 3, 3, 2, 2}
-	stride := []int64{1, 5, 25, 100, 400, 1200}
-	if _, _, _, err := cache.configSet(sizes, counts, 120, stride, 0, EnumFaithful, conf.SparseOptions{}); err != nil {
+	const sigma = 5 * 5 * 4 * 4 * 3 * 3
+	if _, err := cache.configSet(sizes, counts, 120, sigma, 0, EnumFaithful, conf.SparseOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := cache.configSet(sizes, counts, 120, stride, 0, EnumFaithful, conf.SparseOptions{}); err != nil {
+		if _, err := cache.configSet(sizes, counts, 120, sigma, 0, EnumFaithful, conf.SparseOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

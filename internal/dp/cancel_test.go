@@ -57,6 +57,7 @@ func TestFillVariantsCancelAndRecover(t *testing.T) {
 		{"sequential", func(tbl *Table, ctx context.Context) error { return tbl.FillSequentialCtx(ctx) }},
 		{"recursive", func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }},
 		{"parallel-scan", func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool) }},
+		{"production-pool", func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool) }},
 	}
 
 	for _, v := range variants {

@@ -303,3 +303,109 @@ func TestReconstructManyConfigs(t *testing.T) {
 	}()
 	machinesEqual(t, "pruned vs naive reconstruction", machines, naive)
 }
+
+// TestDifferentialPhasedFill forces a slab-phase plan on every table
+// (forcePlans) and checks the phased layout over the random population,
+// runShapeInputs and packedBoundaryInputs. On each planned table the
+// production fill on the caller and on pools of 2 and 4 workers, and the
+// paper's Algorithms 2 and 3, give fillOracle's Opt array and the machines
+// Reconstruct picks on the class-order table; OPT(v) of every vector v equals
+// the class-order table's.
+func TestDifferentialPhasedFill(t *testing.T) {
+	pool2 := par.NewPool(2)
+	defer pool2.Close()
+	pool4 := par.NewPool(4)
+	defer pool4.Close()
+	forcePlans(t)
+
+	inputs := append([]diffInput(nil), runShapeInputs...)
+	inputs = append(inputs, packedBoundaryInputs...)
+	for seed := uint64(1); seed <= 200; seed++ {
+		sizes, counts, T := randomInstance(rng.New(seed))
+		inputs = append(inputs, diffInput{fmt.Sprintf("seed %d", seed), sizes, counts, T})
+	}
+	ctx := context.Background()
+	fills := []struct {
+		name     string
+		pool     *par.Pool
+		parallel bool
+		fill     func(*Table) error
+	}{
+		{"production", nil, false, func(tbl *Table) error { return tbl.FillAutoCtx(ctx, nil) }},
+		{"production-2w", pool2, true, func(tbl *Table) error { return tbl.FillAutoCtx(ctx, pool2) }},
+		{"production-4w", pool4, true, func(tbl *Table) error { return tbl.FillAutoCtx(ctx, pool4) }},
+		{"alg3", nil, false, func(tbl *Table) error { return tbl.FillParallelCtx(ctx, pool4) }},
+	}
+	var planned, permuted int
+	for _, in := range inputs {
+		build := func(minWork int64) *Table {
+			planMinWork = minWork
+			tbl, err := New(in.sizes, in.counts, in.T, 0, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", in.name, err)
+			}
+			return tbl
+		}
+		ref := build(math.MaxInt64)
+		fillSeq(t, ref)
+		refMachines, err := ref.Reconstruct()
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+
+		phased := build(0)
+		oracle := fillOracle(phased)
+		v := make([]int32, len(ref.Stride))
+		for idx := range ref.Opt {
+			ref.digits(int64(idx), v)
+			var pidx int64
+			for i, x := range v {
+				pidx += int64(x) * phased.Stride[i]
+			}
+			if oracle[pidx] != ref.Opt[idx] {
+				t.Fatalf("%s: OPT%v = %d on the phased layout, %d in class order", in.name, v, oracle[pidx], ref.Opt[idx])
+			}
+		}
+		if len(phased.lay.ends) > 0 {
+			planned++
+		}
+		for q, c := range phased.lay.order {
+			if c != int64(q) {
+				permuted++
+				break
+			}
+		}
+
+		for _, f := range fills {
+			tbl := build(0)
+			if err := f.fill(tbl); err != nil {
+				t.Fatalf("%s: %s: %v", in.name, f.name, err)
+			}
+			optEqual(t, in.name+": "+f.name, tbl.Opt, oracle)
+			machines, err := tbl.Reconstruct()
+			if err != nil {
+				t.Fatalf("%s: %s: %v", in.name, f.name, err)
+			}
+			machinesEqual(t, in.name+": "+f.name, machines, refMachines)
+			if f.parallel && len(tbl.lay.ends) > 0 && tbl.AutoStats.LevelsParallel != tbl.NPrime {
+				t.Fatalf("%s: %s: AutoStats %+v, want all %d levels parallel", in.name, f.name, tbl.AutoStats, tbl.NPrime)
+			}
+		}
+		rec := build(0)
+		fillRec(t, rec)
+		for i := range rec.Opt {
+			if rec.Opt[i] != unset && rec.Opt[i] != oracle[i] {
+				t.Fatalf("%s: FillRecursive Opt[%d] = %d, want %d", in.name, i, rec.Opt[i], oracle[i])
+			}
+		}
+		recMachines, err := rec.Reconstruct()
+		if err != nil {
+			t.Fatalf("%s: recursive: %v", in.name, err)
+		}
+		machinesEqual(t, in.name+": FillRecursive", recMachines, refMachines)
+	}
+	t.Logf("%d of %d tables planned, %d permuted", planned, len(inputs), permuted)
+	if planned < len(inputs)/2 || permuted == 0 {
+		t.Fatalf("%d of %d tables planned, %d with a permuted class order: the harness misses the phased kernel", planned, len(inputs), permuted)
+	}
+}

@@ -9,15 +9,20 @@
 //	OPT(v) = 1 + min over machine configurations s <= v, weight(s) <= T
 //	             of OPT(v - s),      with OPT(0) = 0.
 //
-// Entries are stored in row-major mixed-radix order (the paper's
-// one-dimensional array V), so idx(v) = sum_i v_i * stride_i and, for a
-// configuration s <= v, idx(v-s) = idx(v) - offset(s) with no borrows.
+// Entries are stored in mixed-radix order (the paper's one-dimensional array
+// V), so idx(v) = sum_i v_i * stride_i and, for a configuration s <= v,
+// idx(v-s) = idx(v) - offset(s) with no borrows. The strides are row-major
+// in the class order, except on a large table whose configuration set has a
+// slab-phase plan (layout.go): its phase classes take the most significant
+// strides, a permutation that leaves every OPT(v) unchanged.
 //
 // Three fills are provided, and all of them produce the same table:
 //
-//   - FillSequentialCtx: the production kernel, which FillAutoCtx runs. It is
-//     a config-outer sweep: each configuration relaxes its sub-lattice as
-//     contiguous runs of the table, in ascending order.
+//   - FillAutoCtx: the production kernel, a config-outer sweep: each
+//     configuration relaxes its sub-lattice as contiguous runs of the table,
+//     in ascending order. On a pool of two or more workers it runs a planned
+//     table's phases as parallel rounds over independent slabs;
+//     FillSequentialCtx is the same sweep on the calling goroutine.
 //   - FillRecursiveCtx: top-down memoized recursion starting from the last
 //     entry, faithful to the paper's Algorithm 2 description ("starts from
 //     the last entry of the DP-table and recursively computes the other
@@ -44,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/cancel"
 	"repro/internal/conf"
@@ -102,7 +108,11 @@ type Table struct {
 	// T is the target makespan (machine capacity).
 	T pcmax.Time
 
-	// Stride holds row-major mixed-radix strides; Stride[d-1] == 1.
+	// Stride holds the mixed-radix strides, one per class, so that
+	// idx(v) = sum_i v_i*Stride[i]. They are row-major in the class order
+	// (Stride[d-1] == 1) unless the configuration set has a slab-phase plan,
+	// whose classes then take the most significant strides (ALGORITHM.md
+	// section 7). Shared with every table of the same cached set: read-only.
 	Stride []int64
 	// Sigma is the number of entries, prod(n_i + 1).
 	Sigma int64
@@ -126,9 +136,11 @@ type Table struct {
 	// retained vs pruned counts); zero for EnumFaithful tables.
 	SparseStats conf.SparseStats
 
-	// set is the flat scan view of Configs the production kernel walks
-	// (shared, read-only).
+	// set is the flat scan view of Configs the production kernel walks,
+	// its rows grouped by phase and its columns in stride order, and lay is
+	// the layout both are expressed in (shared with the cache, read-only).
 	set *conf.Set
+	lay layout
 
 	// Cooperative-cancellation state of an in-flight FillRecursiveCtx:
 	// solveRec polls recDone every fillCheckEvery visits (recBudget is the
@@ -161,9 +173,10 @@ func NewCached(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64,
 
 // NewSparse is NewCached with the sparse enumerator: Configs holds only the
 // configurations conf.EnumerateSparse retains under sopts, and
-// Table.SparseStats reports the reduction. Index space, strides, fill paths
-// and reconstruction are identical to a faithful table over the same
-// classes; only the candidate-move set shrinks, so OPT values can only grow
+// Table.SparseStats reports the reduction. Index space, fill paths and
+// reconstruction are those of a faithful table over the same classes (the
+// strides may differ, since each set's slab-phase plan derives from its own
+// configurations); only the candidate-move set shrinks, so OPT values can only grow
 // and a feasible sparse table always reconstructs a valid packing. Sparse
 // and faithful tables never share cached configuration sets, even for
 // identical (sizes, counts, T).
@@ -200,12 +213,10 @@ func build(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, max
 		Sizes:  append([]pcmax.Time(nil), sizes...),
 		Counts: append([]int(nil), counts...),
 		T:      T,
-		Stride: make([]int64, d),
 		Mode:   mode,
 	}
 	sigma := int64(1)
 	for i := d - 1; i >= 0; i-- {
-		t.Stride[i] = sigma
 		radix := int64(counts[i]) + 1
 		if radix > maxEntries || sigma > maxEntries/radix {
 			return nil, fmt.Errorf("%w (needs more than the %d-entry budget)", ErrTableTooLarge, maxEntries)
@@ -214,13 +225,14 @@ func build(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, max
 		t.NPrime += counts[i]
 	}
 	t.Sigma = sigma
-	configs, set, sstats, err := cache.configSet(t.Sizes, t.Counts, T, t.Stride, maxConfigs, mode, sopts)
+	e, err := cache.configSet(t.Sizes, t.Counts, T, sigma, maxConfigs, mode, sopts)
 	if err != nil {
 		return nil, err
 	}
-	t.Configs = configs
-	t.set = set
-	t.SparseStats = sstats
+	t.Configs = e.configs
+	t.set = e.set
+	t.Stride, t.lay = e.lay.stride, e.lay
+	t.SparseStats = e.sstats
 	t.Opt = make([]int32, sigma)
 	return t, nil
 }
@@ -229,7 +241,7 @@ func build(sizes []pcmax.Time, counts []int, T pcmax.Time, maxEntries int64, max
 // (len(dst) == d) and returning it.
 func (t *Table) digits(idx int64, dst []int32) []int32 {
 	rem := idx
-	for i := range t.Stride {
+	for _, i := range t.lay.order {
 		dst[i] = int32(rem / t.Stride[i])
 		rem %= t.Stride[i]
 	}
@@ -253,12 +265,13 @@ func sumDigits(v []int32) int32 {
 //
 //lint:hotpath odometer advancement runs once per table entry
 func (t *Table) advance(v []int32, delta int64) int32 {
-	counts := t.Counts
-	if len(counts) < len(v) {
-		return 0 // never taken: Counts and every digit vector share length d
-	}
+	counts, order := t.Counts, t.lay.order
 	var dl int32
-	for i := len(v) - 1; i >= 0 && delta > 0; i-- {
+	for q := len(order) - 1; q >= 0 && delta > 0; q-- {
+		i := order[q]
+		if i < 0 || i >= int64(len(v)) || i >= int64(len(counts)) {
+			return dl // never taken: order permutes the d classes of Counts and v
+		}
 		radix := int64(counts[i]) + 1
 		digit := delta % radix
 		delta /= radix
@@ -279,12 +292,13 @@ func (t *Table) advance(v []int32, delta int64) int32 {
 //
 //lint:hotpath odometer increment runs once per table entry
 func (t *Table) advanceOne(v []int32) int32 {
-	counts := t.Counts
-	if len(counts) < len(v) {
-		return 0 // never taken: Counts and every digit vector share length d
-	}
+	counts, order := t.Counts, t.lay.order
 	var dl int32
-	for i := len(v) - 1; i >= 0; i-- {
+	for q := len(order) - 1; q >= 0; q-- {
+		i := order[q]
+		if i < 0 || i >= int64(len(v)) || i >= int64(len(counts)) {
+			return dl // never taken: order permutes the d classes of Counts and v
+		}
 		if int(v[i]) < counts[i] {
 			v[i]++
 			return dl + 1
@@ -387,7 +401,8 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 // configuration.
 const fillHuge = int32(1) << 30
 
-// FillSequentialCtx fills the table with the production kernel, a loop
+// FillSequentialCtx fills the table with the production kernel on the
+// calling goroutine: the loop FillAutoCtx runs without a pool. It is a loop
 // interchange of the recurrence: instead of scanning the configuration list
 // per entry, each configuration c relaxes its whole sub-lattice {v : v >= c}
 // in one streaming pass,
@@ -396,55 +411,147 @@ const fillHuge = int32(1) << 30
 //
 // visiting entries in ascending index order so repeated uses of c chain
 // within the pass. This is the unbounded min-coin-change loop interchange on
-// the mixed-radix lattice: the final values are the (unique) shortest
-// distances of the recurrence, so the table is bit-identical to the
-// entry-ordered fills — but no entry ever pays a fits check or an index
-// decode.
+// the mixed-radix lattice: a single pass per configuration, in any order,
+// leaves the (unique) shortest distances of the recurrence, so the table is
+// bit-identical to the entry-ordered fills — but no entry ever pays a fits
+// check or an index decode. The passes run in the order of the set's rows,
+// grouped by phase when the set has a slab-phase plan (see relaxRows).
 //
-// The pass is run-length encoded. Let j1 be c's last non-zero class: every
-// later class spans its full range 0..n_j, and class j1 spans
-// 0..n_j1-c_j1, so for each point of an odometer over classes 0..j1-1 the
-// pass is one contiguous run of (n_j1-c_j1+1)*Stride[j1] entries. Stepping
-// class j1-1 moves a run by Stride[j1-1], so the runs of one odometer point
-// over classes 0..j1-2 are evenly spaced and relaxRuns relaxes them in one
-// call: the odometer steps once per such row of runs instead of once per
-// relaxation. Runs are visited in the same ascending order as the per-entry
-// walk, so every table is bit-identical to it.
-//
-// A cancelable ctx is polled every fillCheckEvery relaxations: a row or run
-// longer than the remaining budget is split where the budget runs out. On
+// A cancelable ctx is polled every fillCheckEvery relaxations. On
 // cancellation the table is left unfilled (Opt holds partial garbage) and
 // the structured cancel error is returned.
 func (t *Table) FillSequentialCtx(ctx context.Context) error {
+	t.resetOpt()
+	f := slabFill{t: t, done: ctxDone(ctx), workers: make([]slabWorker, 1)}
+	f.workers[0].odo = make([]int32, 2*t.set.D)
+	if !f.relaxRows(&f.workers[0], 0, t.set.N, -1, 0, 0) {
+		return f.canceled(ctx)
+	}
+	t.filled = true
+	return nil
+}
+
+// resetOpt sets every entry to the config-outer sweep's start: OPT(0) = 0
+// and fillHuge elsewhere.
+func (t *Table) resetOpt() {
 	opt := t.Opt
 	for i := range opt {
 		opt[i] = fillHuge
 	}
 	opt[0] = 0
+}
+
+// slabFill is the state of one production fill, shared by its workers: the
+// table, the cancellation plumbing, each worker's scratch and the phase the
+// current pool round relaxes.
+type slabFill struct {
+	t    *Table
+	done <-chan struct{}
+	// stop is set by the first worker that sees done closed, so every other
+	// worker stops at its next poll.
+	stop    atomic.Bool
+	workers []slabWorker
+	// The current phase, written by the caller before each round: rows
+	// [r0, r1) of the set, over the slabs of the class at position pos,
+	// cut into chunks contiguous slab ranges.
+	r0, r1, pos   int
+	slabs, chunks int
+}
+
+// slabWorker is one worker's part of a production fill: the odometer digits
+// and limits of relaxRows (2·d of them) and the relaxations it did, padded so
+// two workers' counters never share a cache line.
+type slabWorker struct {
+	odo     []int32
+	relaxed int64
+	_       [32]byte
+}
+
+// canceled returns the structured cancel error of an aborted fill, carrying
+// the relaxations its workers did.
+func (f *slabFill) canceled(ctx context.Context) error {
+	err := cancel.From(ctx)
+	for i := range f.workers {
+		err.EntriesFilled += f.workers[i].relaxed
+	}
+	return err
+}
+
+// stopped is the fill's cancellation poll: it reports whether the fill was
+// stopped, stopping it first when done is closed.
+func (f *slabFill) stopped() bool {
+	if f.stop.Load() {
+		return true
+	}
+	select {
+	case <-f.done:
+		f.stop.Store(true)
+		return true
+	default:
+		return false
+	}
+}
+
+// relaxRows is the config-outer sweep over rows [r0, r1) of the table's
+// configuration set. With p >= 0 it is restricted to the slabs
+// x0 <= v < x1 of the class at position p, which none of the rows may use:
+// a row c then reads and writes only inside those slabs, so workers holding
+// disjoint slab ranges never touch the same entry. It runs on worker sw's
+// scratch and counts its relaxations there, and returns false when the fill
+// was stopped.
+//
+// Each row c relaxes the box of entries v >= c (within the slabs), run by
+// run, walking positions in stride order. Let jp be c's last non-zero
+// position, or the slab position when that comes later: every later
+// position spans its full range 0..n, so for each point of an odometer over
+// the positions before jp the pass is one contiguous run of
+// (lim_jp+1)*stride_jp entries. Stepping position jp-1 moves a run by its
+// stride, so the runs of one odometer point over the positions before jp-1
+// are evenly spaced and relaxRuns relaxes them in one call: the odometer
+// steps once per such row of runs. Runs are visited in ascending index
+// order, as the per-entry walk would visit them.
+//
+// A cancelable fill polls every fillCheckEvery relaxations: a row or run
+// longer than the remaining budget is split where the budget runs out.
+func (f *slabFill) relaxRows(sw *slabWorker, r0, r1, p int, x0, x1 int64) bool {
+	t := f.t
 	s := t.set
 	d := s.D
-	w := make([]int32, d)   // odometer over classes 0..j1-2, w = v - c
-	lim := make([]int32, d) // per-class odometer limits, Counts[j] - c_j
-	done := ctxDone(ctx)
+	opt, stride, count := t.Opt, t.lay.pstride, t.lay.pcount
+	w := sw.odo[:d]        // odometer over positions 0..jp-2, w = v - lower corner
+	lim := sw.odo[d : 2*d] // per-position odometer limits
+	if p >= 0 && x0 == 0 && x1 == count[p]+1 {
+		p = -1 // a chunk of every slab restricts nothing
+	}
+	done := f.done
 	budget := int64(fillCheckEvery)
 	var relaxed int64
-	for ci := 0; ci < s.N; ci++ {
+	for ci := r0; ci < r1; ci++ {
 		row := s.Counts[ci*d : ci*d+d]
-		j1 := d - 1
-		for j1 > 0 && row[j1] == 0 {
-			j1--
+		jp := d - 1
+		for jp > 0 && row[jp] == 0 && jp != p {
+			jp--
 		}
-		for j := 0; j < j1; j++ {
-			lim[j] = int32(t.Counts[j]) - row[j]
+		for j := 0; j < jp; j++ {
+			lim[j] = int32(count[j]) - row[j]
 			w[j] = 0
 		}
 		off := s.Offsets[ci]
-		runLen := int64(int32(t.Counts[j1])-row[j1]+1) * t.Stride[j1]
-		runs, gap := int64(1), int64(0)
-		if j1 > 0 {
-			runs, gap = int64(lim[j1-1])+1, t.Stride[j1-1]
-		}
 		base := off
+		runLim := count[jp] - int64(row[jp])
+		if p >= 0 {
+			base += x0 * stride[p]
+			if p < jp {
+				lim[p] = int32(x1 - 1 - x0)
+			} else {
+				runLim = x1 - 1 - x0
+			}
+		}
+		runLen := (runLim + 1) * stride[jp]
+		runs, gap := int64(1), int64(0)
+		if jp > 0 {
+			runs, gap = int64(lim[jp-1])+1, stride[jp-1]
+		}
 		for {
 			if work := runs * runLen; done == nil || work < budget {
 				relaxRuns(opt, base, off, runLen, gap, runs)
@@ -459,35 +566,32 @@ func (t *Table) FillSequentialCtx(ctx context.Context) error {
 						lo += n
 						relaxed += n
 						if budget -= n; budget <= 0 {
-							select {
-							case <-done:
-								err := cancel.From(ctx)
-								err.EntriesFilled = relaxed
-								return err
-							default:
+							if f.stopped() {
+								sw.relaxed += relaxed
+								return false
 							}
 							budget = fillCheckEvery
 						}
 					}
 				}
 			}
-			j := j1 - 2
-			for ; j >= 0; j-- {
-				if w[j] < lim[j] {
-					w[j]++
-					base += t.Stride[j]
+			q := jp - 2
+			for ; q >= 0; q-- {
+				if w[q] < lim[q] {
+					w[q]++
+					base += stride[q]
 					break
 				}
-				base -= int64(w[j]) * t.Stride[j]
-				w[j] = 0
+				base -= int64(w[q]) * stride[q]
+				w[q] = 0
 			}
-			if j < 0 {
+			if q < 0 {
 				break
 			}
 		}
 	}
-	t.filled = true
-	return nil
+	sw.relaxed += relaxed
+	return true
 }
 
 // relaxRuns is the config-outer kernel: for each of runs runs of runLen
@@ -497,6 +601,7 @@ func (t *Table) FillSequentialCtx(ctx context.Context) error {
 // repeated uses of the configuration chain within one run.
 //
 //lint:hotpath the config-outer relaxation, one call per row of runs of the fill
+//lint:hbimpl slab-disjoint: in a slab-parallel fill every call relaxes runs inside one worker's slab range of the phase class, which no configuration of the phase leaves (c_a = 0), so no two workers touch one entry; the pool round's join orders the phases and the tail
 func relaxRuns(opt []int32, lo, off, runLen, gap, runs int64) {
 	for ; runs > 0; runs-- {
 		hi := lo + runLen
@@ -653,18 +758,20 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
 	t.fillLevels(pfor, pool.Workers(), levels)
 	decs := newDecoders(t, pool.Workers())
 	t.Opt[0] = 0
-	for l := int32(1); l <= int32(t.NPrime); l++ {
+	// One body serves every level's round, so a round allocates nothing.
+	var l int32
+	scan := func(w, i int) {
+		if levels[i] != l {
+			return
+		}
+		idx := int64(i)
+		t.computeEntry(idx, decs[w].at(idx))
+	}
+	for l = 1; l <= int32(t.NPrime); l++ {
 		for w := range decs {
 			decs[w].reset()
 		}
-		err := pool.ForWorkerCtx(ctx, int(t.Sigma), par.RoundRobin, 0, func(w, i int) {
-			if levels[i] != l {
-				return
-			}
-			idx := int64(i)
-			t.computeEntry(idx, decs[w].at(idx))
-		})
-		if err != nil {
+		if err := pool.ForWorkerCtx(ctx, int(t.Sigma), par.RoundRobin, 0, scan); err != nil {
 			return err
 		}
 	}

@@ -1,0 +1,96 @@
+package dp
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/par"
+	"repro/pcmax"
+)
+
+// forcePlans zeroes the plan thresholds for the rest of the test, so every
+// table built from a fresh cache gets a slab-phase plan with a phase for
+// every class that saves any 2-worker time: the phased kernel then runs on
+// tables small enough to check against fillOracle.
+func forcePlans(t testing.TB) {
+	t.Helper()
+	minWork, minSave := planMinWork, phaseMinSave
+	planMinWork, phaseMinSave = 0, 0
+	t.Cleanup(func() { planMinWork, phaseMinSave = minWork, minSave })
+}
+
+// TestFillParallelRoundsAllocateNothing pins Algorithm 3's level rounds as
+// allocation-free: two tables of equal size and dimension, one with 4 levels
+// and one with 15, cost the same allocations per fill.
+func TestFillParallelRoundsAllocateNothing(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	allocs := func(counts []int) float64 {
+		tbl, err := New([]pcmax.Time{1, 2, 3, 4}, counts, 20, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := tbl.FillParallelCtx(context.Background(), pool); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs([]int{1, 1, 1, 1}), allocs([]int{0, 0, 0, 15})
+	if few != many {
+		t.Fatalf("a 4-level fill allocated %v times, a 15-level fill %v: the level rounds allocate", few, many)
+	}
+}
+
+// TestProductionFillAllocations pins the production fill's allocations: the
+// odometer scratch on the caller, and on a pool the shared state, the worker
+// slots, their odometers and the round body, however many phases run.
+func TestProductionFillAllocations(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	tbl := bigTable(t)
+	if len(tbl.lay.ends) == 0 {
+		t.Fatal("bigTable has no slab-phase plan")
+	}
+	for _, tc := range []struct {
+		name string
+		pool *par.Pool
+		want float64
+	}{
+		{"caller", nil, 1},
+		{"pool", pool, 4},
+	} {
+		got := testing.AllocsPerRun(10, func() {
+			if err := tbl.FillAutoCtx(context.Background(), tc.pool); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%s: FillAutoCtx allocated %v times, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSlabWorkerOdometersDoNotShareLines pins the padding of a pooled fill's
+// worker slots: each odometer holds its 2·d words, and at least a cache line
+// lies between the last word one worker writes and the first of the next.
+func TestSlabWorkerOdometersDoNotShareLines(t *testing.T) {
+	for d := 1; d <= 12; d++ {
+		for workers := 2; workers <= 4; workers++ {
+			sw := newSlabWorkers(d, workers)
+			for w := range sw {
+				if len(sw[w].odo) != 2*d {
+					t.Fatalf("d=%d: worker %d odometer holds %d words, want %d", d, w, len(sw[w].odo), 2*d)
+				}
+				if w == 0 {
+					continue
+				}
+				// The odometers slice one allocation, so their capacities
+				// differ by the distance between their starts.
+				if gap := cap(sw[w-1].odo) - cap(sw[w].odo) - 2*d; gap*4 < 64 {
+					t.Errorf("d=%d workers=%d: %d bytes between workers %d and %d, want a cache line", d, workers, gap*4, w-1, w)
+				}
+			}
+		}
+	}
+}

@@ -241,7 +241,9 @@ func dispatchRegion(pkg *Package, fn *types.Func, fd *ast.FuncDecl, call *ast.Ca
 	}
 	lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
 	if !ok {
-		return nil // body passed as a value; opaque to the model
+		if lit = boundFuncLit(pkg, fd, call.Args[len(call.Args)-1]); lit == nil {
+			return nil // body passed as another value; opaque to the model
+		}
 	}
 	r := &ParRegion{
 		Pkg: pkg, EnclFn: fn, EnclDecl: fd,
@@ -267,6 +269,67 @@ func dispatchRegion(pkg *Package, fn *types.Func, fd *ast.FuncDecl, call *ast.Ca
 		r.Worker = params[wIdx]
 	}
 	return r
+}
+
+// boundFuncLit resolves a dispatch body passed as a local variable to the
+// function literal bound to it: the variable must be bound exactly once in
+// the declaration, to a literal, and never have its address taken. A loop of
+// rounds builds its body once this way, so the rounds allocate nothing, and
+// the model still sees the literal.
+func boundFuncLit(pkg *Package, fd *ast.FuncDecl, e ast.Expr) *ast.FuncLit {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := pkg.Info.Uses[id].(*types.Var)
+	if !ok {
+		return nil
+	}
+	is := func(x ast.Expr) bool {
+		xid, ok := ast.Unparen(x).(*ast.Ident)
+		return ok && (pkg.Info.Defs[xid] == v || pkg.Info.Uses[xid] == v)
+	}
+	var lit *ast.FuncLit
+	binds, escapes := 0, false
+	bind := func(rhs ast.Expr) {
+		binds++
+		lit, _ = ast.Unparen(rhs).(*ast.FuncLit)
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if !is(lhs) {
+					continue
+				}
+				if len(n.Rhs) != len(n.Lhs) || n.Tok != token.DEFINE && n.Tok != token.ASSIGN {
+					escapes = true
+					continue
+				}
+				bind(n.Rhs[i])
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				if !is(name) {
+					continue
+				}
+				if i < len(n.Values) {
+					bind(n.Values[i])
+				} else {
+					binds++ // zero value, bound again later
+				}
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND && is(n.X) {
+				escapes = true
+			}
+		}
+		return true
+	})
+	if binds != 1 || escapes {
+		return nil
+	}
+	return lit
 }
 
 // paramVars resolves a function type's parameter objects in order (nil for

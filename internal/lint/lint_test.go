@@ -119,10 +119,11 @@ var fixtures = map[*Analyzer]fixture{
 	// quiet.
 	Escape: {"escape", 9},
 	// Handoff (self-parallel + spawner window, both on the write line),
-	// CASHandoff, SlotMix, Counter, Sibling, HalfLocked, the unexcused
-	// hbimpl twin and the stray directive. The mini pool and every clean
-	// package, TypedHandoff included, certify.
-	SharedWrite: {"sharedwrite", 9},
+	// CASHandoff, SlotMix, Counter, Sibling, HalfLocked, BoundBody, Window,
+	// PointerArg, the unexcused hbimpl twin and the stray directive. The
+	// mini pool and every clean package, TypedHandoff, BoundSlots and
+	// SlotPointer included, certify.
+	SharedWrite: {"sharedwrite", 12},
 	// SolveBad never polls, SolveHuge's stride overflows the bound, and
 	// SolveOpaque's guard is unprovable; the budget, modulo, mask and
 	// delegate idioms all certify.

@@ -160,8 +160,13 @@ type sumCall struct {
 	// args are the effective arguments with the method receiver prepended
 	// when the callee is a method.
 	args []ast.Expr
-	held map[*types.Var]bool
-	pos  token.Pos
+	// alias holds, per argument whose chain starts at a local bound to
+	// shared storage (opt := t.Opt), that binding: the argument reaches the
+	// callee as the alias target, not as fresh storage. Nil when no
+	// argument is such a local.
+	alias []*aliasTarget
+	held  map[*types.Var]bool
+	pos   token.Pos
 }
 
 // funcSummary is the transitive shared-access summary of one declaration.
@@ -276,6 +281,7 @@ func (s *funcSummary) add(a sumAccess) bool {
 // argument the caller allocated freshly).
 func (m *mhpModel) substitute(n *CallNode, s *funcSummary, c sumCall, cs *funcSummary, a sumAccess) (sumAccess, bool) {
 	out := a
+	whole := false
 	out.pos = a.pos
 	out.held = unionHeld(a.held, c.held)
 	if a.rootParam >= 0 {
@@ -283,6 +289,16 @@ func (m *mhpModel) substitute(n *CallNode, s *funcSummary, c sumCall, cs *funcSu
 			return out, false
 		}
 		rootParam, absVar, leaf, fresh := m.resolveSummaryRoot(n.Pkg, s.params, c.args[a.rootParam])
+		if c.alias != nil && c.alias[a.rootParam] != nil {
+			al := c.alias[a.rootParam]
+			rootParam, absVar, fresh = resolveRootVar(s.params, al.root)
+			if leaf == nil {
+				leaf = al.leaf
+			}
+			// Through a resliced binding the callee's element indexes land
+			// at unknown offsets: the access covers the whole target.
+			whole = al.resliced
+		}
 		switch {
 		case fresh:
 			return out, false
@@ -319,6 +335,9 @@ func (m *mhpModel) substitute(n *CallNode, s *funcSummary, c sumCall, cs *funcSu
 			out.mentions = nil
 		}
 	}
+	if whole {
+		out.idx, out.mentions = sumWhole, nil
+	}
 	return out, true
 }
 
@@ -327,23 +346,32 @@ func (m *mhpModel) substitute(n *CallNode, s *funcSummary, c sumCall, cs *funcSu
 // field chain off one), or a freshly allocated local. leaf is the chain's
 // leaf-most field, when any.
 func (m *mhpModel) resolveSummaryRoot(pkg *Package, params []*types.Var, arg ast.Expr) (rootParam int, abs *types.Var, leaf *types.Var, fresh bool) {
-	root, leaf, _ := peelChain(pkg, arg)
+	root, leaf, _ := argChain(pkg, arg)
 	if root == nil {
 		return -1, nil, nil, true // literals, calls: fresh or value-only
 	}
+	rootParam, abs, fresh = resolveRootVar(params, root)
+	if fresh {
+		return -1, nil, nil, true
+	}
+	return rootParam, abs, leaf, false
+}
+
+// resolveRootVar classifies a chain root in a summary context: a parameter
+// (rootParam), a package-level variable (abs), or a local, fresh by the
+// allocation assumption (locals aliasing shared state are resolved by the
+// alias map during the direct pass and recorded on the call; by the time a
+// root reaches here unresolved, it is call- or literal-allocated).
+func resolveRootVar(params []*types.Var, root *types.Var) (rootParam int, abs *types.Var, fresh bool) {
 	for i, p := range params {
 		if p != nil && p == root {
-			return i, nil, leaf, false
+			return i, nil, false
 		}
 	}
 	if root.Pkg() != nil && root.Parent() == root.Pkg().Scope() {
-		return -1, root, leaf, false
+		return -1, root, false
 	}
-	// A local: fresh by the allocation assumption (locals aliasing shared
-	// state are resolved by the alias map during the direct pass; by the
-	// time an argument reaches here unresolved, it is call- or
-	// literal-allocated).
-	return -1, nil, nil, true
+	return -1, nil, true
 }
 
 // paramMentions lists the parameter indices an expression mentions.
@@ -496,6 +524,10 @@ type aliasTarget struct {
 	root    *types.Var
 	leaf    *types.Var // leaf-most field; nil for whole-var aliases
 	indexes []ast.Expr // element selection at the binding site, e.g. &decs[w]
+	// resliced marks an alias bound through a slice expression (s :=
+	// t.Opt[lo:hi]): its elements sit at unknown offsets of the target, so
+	// an element access through it is an access to the whole target.
+	resliced bool
 }
 
 // recordAliases binds `p := &shared.chain`, `p := sharedPtr` and
@@ -517,8 +549,12 @@ func (w *accWalker) recordAliases(as *ast.AssignStmt) {
 			}
 		}
 		rhs := ast.Unparen(as.Rhs[i])
+		resliced := false
 		if un, ok := rhs.(*ast.UnaryExpr); ok && un.Op == token.AND {
 			rhs = un.X
+		} else if sl, ok := rhs.(*ast.SliceExpr); ok {
+			// A slice expression always shares its operand's storage.
+			rhs, resliced = ast.Unparen(sl.X), true
 		} else {
 			// Without an explicit &, only copying a reference (pointer,
 			// slice, map) aliases the referent; copying a value does not.
@@ -540,15 +576,19 @@ func (w *accWalker) recordAliases(as *ast.AssignStmt) {
 			if leaf == nil {
 				leaf = a.leaf
 			}
+			if a.resliced {
+				indexes = nil
+			}
 			indexes = append(append([]ast.Expr{}, a.indexes...), indexes...)
 			root = a.root
+			resliced = resliced || a.resliced
 		}
 		word := leaf
 		if word == nil {
 			word = root
 		}
 		if sharedWord(word) || w.isEnclosingLocal(word) {
-			w.ctx.alias[p] = &aliasTarget{root: root, leaf: leaf, indexes: indexes}
+			w.ctx.alias[p] = &aliasTarget{root: root, leaf: leaf, indexes: indexes, resliced: resliced}
 		}
 	}
 }
@@ -751,7 +791,16 @@ func (w *accWalker) call(call *ast.CallExpr) {
 			}
 		}
 		args = append(args, call.Args...)
-		w.calls = append(w.calls, sumCall{callee: callee, args: args, held: cloneHeld(w.held), pos: call.Pos()})
+		var alias []*aliasTarget
+		for i, a := range args {
+			if root, _, _ := argChain(pkg, a); root != nil && w.ctx.alias[root] != nil {
+				if alias == nil {
+					alias = make([]*aliasTarget, len(args))
+				}
+				alias[i] = w.ctx.alias[root]
+			}
+		}
+		w.calls = append(w.calls, sumCall{callee: callee, args: args, alias: alias, held: cloneHeld(w.held), pos: call.Pos()})
 		if !w.ctx.summaryMode {
 			w.substituteAtBoundary(callee, args, call.Pos())
 		}
@@ -888,6 +937,9 @@ func (w *accWalker) record(e ast.Expr, write, atomic bool) {
 		root = a.root
 		if leaf == nil {
 			leaf = a.leaf
+		}
+		if a.resliced {
+			indexes = nil
 		}
 		indexes = append(append([]ast.Expr{}, a.indexes...), indexes...)
 		bare = false
@@ -1037,11 +1089,12 @@ func (w *accWalker) substituteAtBoundary(callee *types.Func, args []ast.Expr, ca
 	for _, a := range s.accs {
 		id := a.id
 		var chainIndexes []ast.Expr
+		whole := false
 		if a.rootParam >= 0 {
 			if a.rootParam >= len(args) || args[a.rootParam] == nil {
 				continue
 			}
-			root, leaf, indexes := peelChain(w.pkg, args[a.rootParam])
+			root, leaf, indexes := argChain(w.pkg, args[a.rootParam])
 			if root == nil {
 				continue // fresh value
 			}
@@ -1049,6 +1102,10 @@ func (w *accWalker) substituteAtBoundary(callee *types.Func, args []ast.Expr, ca
 				root = al.root
 				if leaf == nil {
 					leaf = al.leaf
+				}
+				if al.resliced {
+					// Indexes through a sub-slice land at unknown offsets.
+					indexes, whole = nil, true
 				}
 				indexes = append(append([]ast.Expr{}, al.indexes...), indexes...)
 			}
@@ -1074,6 +1131,8 @@ func (w *accWalker) substituteAtBoundary(callee *types.Func, args []ast.Expr, ca
 		switch {
 		case a.atomic:
 			tier = tierAtomic
+		case whole:
+			tier = tierPlain // the callee's indexes sit at unknown offsets
 		case a.idx == sumParams:
 			// The boundary check: every argument the index derives from
 			// must be instance-private in the region.
@@ -1425,6 +1484,15 @@ func peelChain(pkg *Package, e ast.Expr) (root *types.Var, leaf *types.Var, inde
 			return nil, leaf, indexes
 		}
 	}
+}
+
+// argChain is peelChain for a call argument: a pointer argument &x hands
+// the callee x's storage, so its chain is x's.
+func argChain(pkg *Package, arg ast.Expr) (root *types.Var, leaf *types.Var, indexes []ast.Expr) {
+	if un, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && un.Op == token.AND {
+		arg = un.X
+	}
+	return peelChain(pkg, arg)
 }
 
 // atomicFnLocalsCache memoizes per-package locals bound to sync/atomic

@@ -102,3 +102,24 @@ func ChanJoined(g *Result) int64 {
 	<-done
 	return g.V
 }
+
+// BoundSlots is Slots with the round body built once, outside the loop of
+// rounds.
+func BoundSlots(p *par.Pool, slots []int64, rounds, items int) {
+	body := func(w, i int) {
+		slots[w]++
+	}
+	for r := 0; r < rounds; r++ {
+		p.ForWorker(items, body)
+	}
+}
+
+func bump(n *int64) { *n++ }
+
+// SlotPointer hands each worker a pointer to its own slot: the argument
+// chain &slots[w] is worker-indexed, so the callee's write is too.
+func SlotPointer(p *par.Pool, slots []int64, items int) {
+	p.ForWorker(items, func(w, i int) {
+		bump(&slots[w])
+	})
+}

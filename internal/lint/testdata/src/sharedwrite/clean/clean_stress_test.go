@@ -15,6 +15,8 @@ func TestCleanPatternsDoNotRace(t *testing.T) {
 	p := par.NewPool(4)
 	for round := 0; round < 20; round++ {
 		Slots(p, make([]int64, p.Workers()), 4096)
+		BoundSlots(p, make([]int64, p.Workers()), 2, 4096)
+		SlotPointer(p, make([]int64, p.Workers()), 4096)
 		in := make([]int64, 1024)
 		for i := range in {
 			in[i] = int64(i)

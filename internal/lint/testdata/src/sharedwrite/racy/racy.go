@@ -86,3 +86,37 @@ func HalfLocked(p *par.Pool, g *Gate, items int) {
 		_ = g.Out // the unguarded read defeats the lock
 	})
 }
+
+// BoundBody builds its round body once, outside the loop of rounds, as an
+// allocation-free caller does: the model follows the variable to the
+// literal, so the plain counter write is still caught.
+func BoundBody(p *par.Pool, rounds, items int) int {
+	total := 0
+	body := func(i int) {
+		total++ // want "write to total"
+	}
+	for r := 0; r < rounds; r++ {
+		p.For(items, body)
+	}
+	return total
+}
+
+// Window writes through a sub-slice of the shared buffer: the sub-slice's
+// elements sit at unknown offsets of buf, so the write counts against all of
+// it.
+func Window(p *par.Pool, buf []int64, items int) {
+	p.For(items, func(i int) {
+		win := buf[:1]
+		win[0]++ // want "write to buf"
+	})
+}
+
+func bump(n *int64) { *n++ }
+
+// PointerArg hands every instance the same word by pointer: the callee's
+// write lands on the caller's storage.
+func PointerArg(p *par.Pool, g *Gate, items int) {
+	p.For(items, func(i int) {
+		bump(&g.Out) // want "write to Out"
+	})
+}

@@ -26,6 +26,9 @@ func TestRacyPatternsRace(t *testing.T) {
 		_ = Counter(p, 4096)
 		Sibling(&Gate{})
 		HalfLocked(p, &Gate{}, 256)
+		_ = BoundBody(p, 2, 256)
+		Window(p, make([]int64, 2), 256)
+		PointerArg(p, &Gate{}, 256)
 	}
 	// Let the unjoined Handoff goroutines finish inside the test body so
 	// the detector observes their writes.

@@ -72,8 +72,6 @@ type round struct {
 	grain    int
 	parts    int
 	body     func(worker, i int)
-	next     *atomic.Int64 // shared cursor for Dynamic
-	done     *sync.WaitGroup
 }
 
 // Pool is a set of persistent worker goroutines. The zero value is unusable;
@@ -100,6 +98,13 @@ type Pool struct {
 
 	panicMu  sync.Mutex
 	panicked any
+
+	// The per-round barrier and Dynamic cursor. Rounds are sequential by
+	// contract, so one of each serves every round: the dispatch resets them
+	// and the caller's Wait orders the reset after the previous round's last
+	// use, which keeps a round free of allocation.
+	done sync.WaitGroup
+	next atomic.Int64
 }
 
 // NewPool starts workers goroutines (GOMAXPROCS if workers < 1).
@@ -153,7 +158,7 @@ func (p *Pool) run(w int, r round) {
 			}
 			p.panicMu.Unlock()
 		}
-		r.done.Done()
+		p.done.Done()
 	}()
 	switch r.strategy {
 	case RoundRobin:
@@ -168,7 +173,7 @@ func (p *Pool) run(w int, r round) {
 		}
 	case Dynamic:
 		for {
-			start := int(r.next.Add(int64(r.grain))) - r.grain
+			start := int(p.next.Add(int64(r.grain))) - r.grain
 			if start >= r.n {
 				return
 			}
@@ -220,9 +225,7 @@ func (p *Pool) ForWorker(n int, strategy Strategy, grain int, body func(worker, 
 			grain = 1
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(parts)
-	r := round{n: n, strategy: strategy, grain: grain, parts: parts, body: body, next: new(atomic.Int64), done: &wg}
+	r := round{n: n, strategy: strategy, grain: grain, parts: parts, body: body}
 	// Dispatch under the mutex: a concurrent Close either waits for all
 	// sends to land (workers already hold the round, so closing the feeds
 	// afterwards cannot lose it) or wins the lock first, in which case the
@@ -232,11 +235,13 @@ func (p *Pool) ForWorker(n int, strategy Strategy, grain int, body func(worker, 
 		p.mu.Unlock()
 		panic("par: For on closed Pool")
 	}
+	p.next.Store(0)
+	p.done.Add(parts)
 	for _, ch := range p.feeds[:parts] {
 		ch <- r
 	}
 	p.mu.Unlock()
-	wg.Wait()
+	p.done.Wait()
 	p.panicMu.Lock()
 	e := p.panicked
 	p.panicked = nil

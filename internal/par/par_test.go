@@ -564,3 +564,27 @@ func testCanceledRoundsLeakNothing(t *testing.T, newPool func(int) *Pool) {
 		t.Fatalf("goroutines leaked after canceled rounds: before=%d now=%d", before, now)
 	}
 }
+
+// TestRoundsAllocateNothing pins the allocation-free round: the barrier and
+// the Dynamic cursor live in the Pool, so a ForWorker round whose body was
+// built once allocates nothing, under every strategy, and ForWorkerCtx with
+// a never-canceled ctx is that same round.
+func TestRoundsAllocateNothing(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var sink atomic.Int64
+	body := func(w, i int) { sink.Add(int64(i)) }
+	for _, strategy := range Strategies {
+		if a := testing.AllocsPerRun(100, func() { p.ForWorker(64, strategy, 0, body) }); a != 0 {
+			t.Errorf("%v: ForWorker allocated %v times per round, want 0", strategy, a)
+		}
+		a := testing.AllocsPerRun(100, func() {
+			if err := p.ForWorkerCtx(context.Background(), 64, strategy, 0, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if a != 0 {
+			t.Errorf("%v: ForWorkerCtx allocated %v times per round, want 0", strategy, a)
+		}
+	}
+}

@@ -42,6 +42,9 @@ func FuzzReadText(f *testing.F) {
 		"m 1\n1125899906842625\n",
 		"m 1\nvariant r\nr 0 9223372036854775807\n5\n",
 		"m 1\nvariant w\nw 0 1 9223372036854775807\n5\n",
+		// A window line once sized a list per machine before m was capped:
+		// this input ran out of memory.
+		"m 685477581\nvariant w\nw 0 1 9223372036854775807\n5\n",
 		"m 0\n\n",
 		"m 2\nw 0 1\n5 3\n",
 		"m 2\nvariant q\n5 3\n",
@@ -102,6 +105,7 @@ func FuzzReadJSON(f *testing.F) {
 		`{"m":2,"times":[4611686018427387904,4611686018427387904,4611686018427387904]}`,
 		`{"m":1,"times":[5],"release":[9223372036854775807]}`,
 		`{"m":1,"times":[5],"windows":[[{"start":1,"end":9223372036854775807}]]}`,
+		`{"m":685477581,"times":[5],"windows":[[{"start":1,"end":9}]]}`,
 		`not json`,
 		``,
 	}

@@ -135,6 +135,10 @@ func ReadText(r io.Reader) (*Instance, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: bad machine count %q: %v", ErrBadFormat, fields[1], err)
 			}
+			// Checked before a window line sizes a list per machine.
+			if m > MaxMachines {
+				return nil, fmt.Errorf("%w (m=%d)", ErrTooManyMachines, m)
+			}
 			in.M = m
 			seenM = true
 			i = 2

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -224,5 +225,29 @@ func TestScheduleJSONAllowsUnassigned(t *testing.T) {
 	var got Schedule
 	if err := json.Unmarshal([]byte(`{"m":2,"assignment":[-1,1]}`), &got); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadersCapMachines is the regression test for an out-of-memory read:
+// a window line once sized a list per machine before m was capped, so a
+// 60-byte text with m near 7·10^8 died in make. Both readers reject m above
+// MaxMachines without sizing anything by it, and a windowed instance at the
+// cap still reads.
+func TestReadersCapMachines(t *testing.T) {
+	_, err := ReadText(strings.NewReader("m 685477581\nvariant w\nw 0 1 9223372036854775807\n5\n"))
+	if !errors.Is(err, ErrTooManyMachines) {
+		t.Fatalf("ReadText: want ErrTooManyMachines, got %v", err)
+	}
+	var got Instance
+	err = json.Unmarshal([]byte(`{"m":685477581,"times":[5],"windows":[[{"start":1,"end":9}]]}`), &got)
+	if !errors.Is(err, ErrTooManyMachines) {
+		t.Fatalf("UnmarshalJSON: want ErrTooManyMachines, got %v", err)
+	}
+	in, err := ReadText(strings.NewReader(fmt.Sprintf("m %d\nvariant w\nw %d 0 5\n5\n", MaxMachines, MaxMachines-1)))
+	if err != nil {
+		t.Fatalf("windowed instance at the cap: %v", err)
+	}
+	if in.M != MaxMachines || !in.Restricted(MaxMachines-1) {
+		t.Fatalf("read m=%d, last machine restricted %v", in.M, in.Restricted(MaxMachines-1))
 	}
 }

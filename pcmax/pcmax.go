@@ -57,6 +57,10 @@ const (
 	MaxTotalTime Time = 1 << 60
 	// MaxJobs caps the number of jobs an instance may carry.
 	MaxJobs = 1 << 30
+	// MaxMachines caps the machine count. Readers and solvers size
+	// per-machine state by it (window lists, setup times, machine loads), so
+	// an uncapped m from an untrusted file would size those allocations.
+	MaxMachines = 1 << 20
 )
 
 // Common validation errors.
@@ -67,6 +71,7 @@ var (
 	ErrTimeTooLarge    = errors.New("pcmax: time value exceeds MaxTimeValue")
 	ErrTotalTooLarge   = errors.New("pcmax: total processing time exceeds MaxTotalTime")
 	ErrTooManyJobs     = errors.New("pcmax: instance exceeds MaxJobs jobs")
+	ErrTooManyMachines = errors.New("pcmax: instance exceeds MaxMachines machines")
 )
 
 // NewInstance builds a validated instance. The job times are copied.
@@ -82,8 +87,9 @@ func NewInstance(m int, times []Time) (*Instance, error) {
 func (in *Instance) N() int { return len(in.Times) }
 
 // Validate checks that the instance is well formed and within the
-// documented caps: every time positive and at most MaxTimeValue, at most
-// MaxJobs jobs, and a total of at most MaxTotalTime. The per-iteration
+// documented caps: between 1 and MaxMachines machines, every time positive
+// and at most MaxTimeValue, at most MaxJobs jobs, and a total of at most
+// MaxTotalTime. The per-iteration
 // cap checks dominate the running sum, so the accumulation is overflow-free
 // by construction (MaxTotalTime + MaxTimeValue is far below MaxInt64).
 func (in *Instance) Validate() error {
@@ -92,6 +98,9 @@ func (in *Instance) Validate() error {
 	}
 	if in.M < 1 {
 		return fmt.Errorf("%w (m=%d)", ErrNoMachines, in.M)
+	}
+	if in.M > MaxMachines {
+		return fmt.Errorf("%w (m=%d)", ErrTooManyMachines, in.M)
 	}
 	if len(in.Times) > MaxJobs {
 		return fmt.Errorf("%w (n=%d)", ErrTooManyJobs, len(in.Times))

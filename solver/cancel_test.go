@@ -40,6 +40,8 @@ func TestPTASCancellationLatency(t *testing.T) {
 	}{
 		{"sequential", 1},
 		{"parallel", 4},
+		// The slab-parallel production fill at the benchmark's worker count.
+		{"workers-2", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := opts

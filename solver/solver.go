@@ -106,10 +106,11 @@ type PTASOptions struct {
 	// on the default LPT fallback — integer rounding otherwise leaves a
 	// small additive slack; see ALGORITHM.md §2). The paper evaluates 0.3.
 	Epsilon float64
-	// Workers is the number of workers of the paper's Parallel DP, which
-	// runs under PaperFaithful; values below 1 select GOMAXPROCS. The
-	// default production fill runs on one goroutine whatever Workers is.
-	// Every variant produces the same schedule.
+	// Workers is the number of DP workers; values below 1 select
+	// GOMAXPROCS. Above 1, the production fill runs the slab phases of
+	// large tables (at least 2^18 units of fill work) on that many
+	// goroutines and smaller tables on the caller; under PaperFaithful the
+	// Parallel DP runs on them. Every variant produces the same schedule.
 	Workers int
 	// ShortJobsLS switches the short-job placement from the paper's LPT
 	// rule to the original Hochbaum–Shmoys LS rule.
@@ -119,8 +120,9 @@ type PTASOptions struct {
 	// memoized DP (Algorithm 2) at Workers == 1, and the Parallel DP
 	// (Algorithm 3) with per-level full table scans otherwise. The pruned
 	// tables of a Sparsify solve keep the production fill, which is also the
-	// default for every table: the one-thread config-outer sweep. Schedules
-	// are identical; only the time differs.
+	// default for every table: the config-outer sweep, slab-parallel on
+	// large tables at Workers > 1. Schedules are identical; only the time
+	// differs.
 	PaperFaithful bool
 	// MaxTableEntries caps the DP table size; <= 0 uses the library default
 	// (1<<25 entries). The PTAS fails with a descriptive error when an
@@ -159,8 +161,9 @@ func DefaultPTASOptions() PTASOptions {
 // the driver's own statistics record; see core.Stats for every field.
 type PTASStats = core.Stats
 
-// PTAS runs the (1+eps)-approximation scheme, with the paper's parallel DP
-// when opts.PaperFaithful is set and opts.Workers != 1.
+// PTAS runs the (1+eps)-approximation scheme. At opts.Workers != 1 its DP
+// fills run on a pool: the production fill's slab phases, or the paper's
+// parallel DP when opts.PaperFaithful is set.
 //
 // When ctx is canceled (or its deadline expires) mid-solve, PTAS degrades
 // gracefully: it returns plain LPT's schedule (non-nil, valid, without the

@@ -119,11 +119,13 @@ func TestPTASVariantsAgree(t *testing.T) {
 }
 
 func TestPTASAdaptiveFillReportsRouting(t *testing.T) {
-	// Every default solve runs the production fill, whatever Workers is:
-	// the schedules agree and PTASStats.Auto accounts for the levels
-	// filled.
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 8, N: 60, Seed: 11})
+	// Every default solve runs the production fill. On an instance whose
+	// tables reach the slab-phase plan, a 4-worker solve runs their phases
+	// on the pool: the schedules agree, PTASStats.Auto counts those levels
+	// as parallel, and the levels sum to the 1-worker solve's.
+	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 10, N: 30, Seed: 1})
 	seq := solver.DefaultPTASOptions()
+	seq.Epsilon = 0.2
 	ref, refSt, err := solver.PTAS(context.Background(), in, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +133,10 @@ func TestPTASAdaptiveFillReportsRouting(t *testing.T) {
 	if refSt.TotalEntriesFilled == 0 {
 		t.Fatal("instance has no long jobs; pick a seed whose solve fills DP tables")
 	}
-	if refSt.Auto.LevelsInline == 0 {
-		t.Fatalf("PTASStats.Auto empty after a 1-worker solve: %+v", refSt.Auto)
+	if refSt.Auto.LevelsInline == 0 || refSt.Auto.LevelsParallel != 0 {
+		t.Fatalf("PTASStats.Auto after a 1-worker solve: %+v, want every level inline", refSt.Auto)
 	}
-	par := solver.DefaultPTASOptions()
+	par := seq
 	par.Workers = 4
 	got, st, err := solver.PTAS(context.Background(), in, par)
 	if err != nil {
@@ -143,13 +145,12 @@ func TestPTASAdaptiveFillReportsRouting(t *testing.T) {
 	if got.Makespan(in) != ref.Makespan(in) {
 		t.Fatalf("4-worker makespan %d != 1-worker %d", got.Makespan(in), ref.Makespan(in))
 	}
-	if st.Auto != refSt.Auto {
-		t.Fatalf("PTASStats.Auto %+v at 4 workers, %+v at 1: the production fill ignores Workers", st.Auto, refSt.Auto)
+	if st.Auto.LevelsParallel == 0 || st.Auto.LevelsInline+st.Auto.LevelsParallel != refSt.Auto.LevelsInline {
+		t.Fatalf("PTASStats.Auto %+v at 4 workers, %+v at 1: want the planned tables' levels on the pool", st.Auto, refSt.Auto)
 	}
 	// PaperFaithful runs the paper's per-level dispatch: no production
 	// fill levels.
-	pf := solver.DefaultPTASOptions()
-	pf.Workers = 4
+	pf := par
 	pf.PaperFaithful = true
 	_, pfSt, err := solver.PTAS(context.Background(), in, pf)
 	if err != nil {
