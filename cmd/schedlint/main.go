@@ -1,4 +1,4 @@
-// Command schedlint runs the repository's static-analysis suite: thirteen
+// Command schedlint runs the repository's static-analysis suite: twelve
 // analyzers (see internal/lint and ALGORITHM.md §9/§11/§14/§16) that
 // machine-check the concurrency, determinism and value-flow invariants the
 // scheduler depends on — deterministic RNG only through internal/rng,
@@ -9,18 +9,15 @@
 // balanced on every path, no append, interface boxing or escaping
 // allocation in //lint:hotpath kernels (escape), provably in-bounds
 // indexing in those kernels (boundsproof), provably overflow-free
-// arithmetic reachable from the //lint:parseroot readers (intoverflow),
-// every write reachable from a parallel region proven race-free under the
-// may-happen-in-parallel model (sharedwrite, with //lint:hbimpl excusing
-// synchronization the model cannot see), and every loop on a
-// solver-entry-to-//lint:hotpath path polling cancellation with a proven
-// stride of at most 2^16 iterations (cancelpoll). Lock copies are go vet's
-// copylocks check, not schedlint's.
+// arithmetic reachable from the //lint:parseroot readers (intoverflow), and
+// every loop on a solver-entry-to-//lint:hotpath path polling cancellation
+// with a proven stride of at most 2^16 iterations (cancelpoll). Lock copies
+// are go vet's copylocks check, and data races the race detector's
+// (scripts/check.sh), not schedlint's.
 //
 // Usage:
 //
-//	schedlint [-json] [-out file] [-parallel N] [-v] [-mhp-dump file]
-//	          [-time-budget d] [packages]
+//	schedlint [-json] [-out file] [-v] [-time-budget d] [packages]
 //
 // schedlint always analyzes the whole module containing the working
 // directory; package arguments (./...) are accepted for command-line
@@ -34,11 +31,8 @@
 //
 // The reason is mandatory. Malformed directives, directives naming an
 // unknown check and stale directives (suppressing nothing) are themselves
-// findings of the lintdirective check. -mhp-dump writes the
-// may-happen-in-parallel engine's region/access classification to a JSON
-// file — the auditable artifact behind sharedwrite's verdicts. -time-budget
-// fails the run (exit 3) if any single analyzer exceeds the given
-// wall-time budget.
+// findings of the lintdirective check. -time-budget fails the run (exit 3)
+// if any single analyzer exceeds the given wall-time budget.
 package main
 
 import (
@@ -62,9 +56,7 @@ func main() {
 type config struct {
 	jsonOut    bool
 	outFile    string
-	parallel   int
 	verbose    bool
-	mhpDump    string
 	timeBudget time.Duration
 }
 
@@ -76,13 +68,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var cfg config
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit findings as a JSON array")
 	fs.StringVar(&cfg.outFile, "out", "", "also write the report to this file (implies the same format as stdout)")
-	fs.IntVar(&cfg.parallel, "parallel", 0, "analysis worker goroutines (0 = GOMAXPROCS)")
 	fs.BoolVar(&cfg.verbose, "v", false, "print load and per-analyzer wall time to stderr")
-	fs.StringVar(&cfg.mhpDump, "mhp-dump", "", "write the may-happen-in-parallel region/access classification to this JSON file")
 	fs.DurationVar(&cfg.timeBudget, "time-budget", 0, "fail (exit 3) if any single analyzer exceeds this wall-time budget")
 	listChecks := fs.Bool("checks", false, "list the analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: schedlint [-json] [-out file] [-parallel N] [-v] [-mhp-dump file] [-time-budget d] [packages]\n")
+		fmt.Fprintf(stderr, "usage: schedlint [-json] [-out file] [-v] [-time-budget d] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -103,23 +93,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	loadStart := time.Now()
-	mod, err := lint.LoadModuleParallel(root, cfg.parallel)
+	mod, err := lint.LoadModuleParallel(root, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "schedlint: %v\n", err)
 		return 2
 	}
 	loadTime := time.Since(loadStart)
-	diags, timings := lint.RunOnModule(mod, analyzers, cfg.parallel)
+	diags, timings := lint.RunOnModule(mod, analyzers, 0)
 	if cfg.verbose {
 		fmt.Fprintf(stderr, "schedlint: load %8.1fms  (%d packages)\n", millis(loadTime), len(mod.Packages))
 		for _, t := range timings {
 			fmt.Fprintf(stderr, "schedlint: %-12s %8.1fms\n", t.Name, millis(t.Elapsed))
-		}
-	}
-	if cfg.mhpDump != "" {
-		if err := writeMHPDump(cfg.mhpDump, mod); err != nil {
-			fmt.Fprintf(stderr, "schedlint: %v\n", err)
-			return 2
 		}
 	}
 	if cfg.timeBudget > 0 {
@@ -158,26 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// writeMHPDump writes the MHP engine's region/access classification as
-// indented JSON — the auditable artifact behind sharedwrite's verdicts.
-func writeMHPDump(path string, mod *lint.Module) error {
-	regions := lint.MHPDumpModule(mod)
-	if regions == nil {
-		regions = []lint.MHPRegionDump{}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(regions)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 // writeReport renders the findings: one line per finding, or an indented
 // JSON array (never null — an empty run is []) when jsonOut is set.

@@ -101,13 +101,3 @@ func TestOutFile(t *testing.T) {
 		t.Errorf("-out file holds no findings")
 	}
 }
-
-// TestParallelMatchesDefault: -parallel fan-out must not change the report.
-func TestParallelMatchesDefault(t *testing.T) {
-	code1, out1, _ := runDemo(t, "-json")
-	t.Chdir(filepath.Join("..", ".."))
-	code4, out4, _ := runDemo(t, "-json", "-parallel", "4")
-	if code1 != code4 || !bytes.Equal(out1.Bytes(), out4.Bytes()) {
-		t.Errorf("-parallel changed the report (codes %d/%d)", code1, code4)
-	}
-}

@@ -92,8 +92,6 @@ type Options struct {
 	LPTFallback bool
 	// MaxTableEntries caps the DP table size; <= 0 uses dp.DefaultMaxEntries.
 	MaxTableEntries int64
-	// MaxConfigs caps configuration enumeration; <= 0 uses the conf default.
-	MaxConfigs int
 	// Sparsify enables the sparsified DP pipeline (the ptas-sparse registry
 	// algorithm): geometric grouping of the rounded size classes within a
 	// (1+Epsilon) band (see split.group) shrinks the table's index space, and
@@ -107,9 +105,10 @@ type Options struct {
 	Sparsify bool
 	// Cache optionally supplies a DP cache shared across Solve calls, so
 	// repeated solves over similar instances reuse configuration
-	// enumerations. When nil, Solve creates a per-call cache — the bisection
-	// still reuses work across its own probes (the converged target is
-	// always attempted twice, and canonical profiles repeat between probes).
+	// enumerations. When nil, Solve creates a per-call cache, which the
+	// bisection's probes share: their gcd-canonical profiles repeat across
+	// targets. (The converged target is attempted after the bisection only
+	// when no probe ran at it, so no solve looks one target up twice.)
 	// Stats.Cache reports this solve's own traffic even on a shared cache (a
 	// before/after snapshot delta).
 	Cache *dp.Cache
@@ -319,9 +318,9 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 	pool := &solvePool{workers: par.Normalize(opts.Workers)}
 	defer pool.close()
 
-	// Every probe of the bisection shares one DP cache: the converged target
-	// is always attempted twice, canonical profiles repeat across probes,
-	// and a caller-supplied cache extends the reuse across Solve calls.
+	// Every probe of the bisection shares one DP cache: gcd-canonical
+	// profiles repeat across probes, and a caller-supplied cache extends the
+	// reuse across Solve calls.
 	if opts.Cache == nil {
 		opts.Cache = dp.NewCache()
 	}
@@ -561,9 +560,9 @@ func runAttempt(ctx context.Context, in *pcmax.Instance, order []int, k int, T p
 	}
 	var tbl *dp.Table
 	if opts.Sparsify {
-		tbl, err = dp.NewSparse(sp.sizes, sp.counts, T, opts.MaxTableEntries, opts.MaxConfigs, opts.Cache, conf.DefaultSparseOptions(k))
+		tbl, err = dp.NewSparse(sp.sizes, sp.counts, T, opts.MaxTableEntries, 0, opts.Cache, conf.DefaultSparseOptions(k))
 	} else {
-		tbl, err = dp.NewCached(sp.sizes, sp.counts, T, opts.MaxTableEntries, opts.MaxConfigs, opts.Cache)
+		tbl, err = dp.NewCached(sp.sizes, sp.counts, T, opts.MaxTableEntries, 0, opts.Cache)
 	}
 	if err != nil {
 		return attemptResult{}, err

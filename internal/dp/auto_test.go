@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cancel"
 	"repro/internal/par"
@@ -128,6 +129,51 @@ func TestFillAutoMidFillCancel(t *testing.T) {
 				t.Fatalf("canceled fill left table readable: %v", err)
 			}
 		})
+	}
+}
+
+// TestFillAutoCancelDuringSlabPhases cancels a real context while a 2-worker
+// pool runs the slab phases of a planned table, at delays spread over one
+// uncanceled fill. The first worker to see the context done stops the fill
+// while the other polls, so under -race this pins the stop flag's
+// synchronization. Each fill either completes bit-identically or leaves the
+// table unfilled with the structured cancel error.
+func TestFillAutoCancelDuringSlabPhases(t *testing.T) {
+	ref := bigTable(t)
+	fillSeq(t, ref)
+	pool := par.NewPool(2)
+	defer pool.Close()
+	live, stop := context.WithCancel(context.Background())
+	start := time.Now()
+	err := bigTable(t).FillAutoCtx(live, pool)
+	span := time.Since(start)
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cuts = 16
+	canceled := 0
+	for i := range cuts {
+		tbl := bigTable(t)
+		ctx, cancelFn := context.WithCancel(context.Background())
+		timer := time.AfterFunc(span*time.Duration(i)/cuts, cancelFn)
+		err := tbl.FillAutoCtx(ctx, pool)
+		timer.Stop()
+		cancelFn()
+		switch {
+		case err == nil:
+			optEqual(t, "uncanceled FillAutoCtx", tbl.Opt, ref.Opt)
+		case errors.Is(err, cancel.ErrCanceled):
+			canceled++
+			if _, err := tbl.OptValue(); !errors.Is(err, ErrNotFilled) {
+				t.Fatalf("cut %d: canceled fill left table readable: %v", i, err)
+			}
+		default:
+			t.Fatalf("cut %d: %v", i, err)
+		}
+	}
+	if canceled == 0 {
+		t.Fatalf("no cut over the %v fill canceled it", span)
 	}
 }
 

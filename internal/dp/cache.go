@@ -10,11 +10,12 @@ import (
 
 // Cache memoizes the expensive table-independent artifact of a DP build,
 // the configuration set, across bisection iterations. Sets are keyed by the
-// *canonical profile* of the enumeration inputs (see below): the bisection
-// re-attempts its converged target (always one repeated key per solve),
+// *canonical profile* of the enumeration inputs (see below): the probes of
+// one bisection repeat canonical profiles across their targets,
 // warm-started delta solves revisit the previous solution's neighborhood,
 // and a production caller solving many similar instances repeats keys
-// freely.
+// freely. (A solve attempts its converged target after the bisection only
+// when no probe ran at it, so no solve looks one target up twice.)
 //
 // # Profile-canonical configuration keys
 //

@@ -351,7 +351,10 @@ func (dc *decoder) at(idx int64) []int32 {
 // visited by depth-first search and the minimum OPT(v-s) is collected. All
 // dependencies (smaller digit sums) must be final.
 //
-//lint:hbimpl wavefront ordering: every dependency read Opt[idx-off] targets a strictly smaller digit sum, and the fill loops separate levels with a full dispatch barrier, so each read is ordered after its write by the level boundary
+// The wavefront ordering keeps the Parallel DP race-free: every dependency
+// read Opt[idx-off] targets a strictly smaller digit sum, and the fill
+// separates levels with a full dispatch barrier, so each read is ordered
+// after its write by the level boundary.
 func (t *Table) computeEntry(idx int64, v []int32) {
 	best := int32(math.MaxInt32)
 	d := len(t.Sizes)
@@ -600,8 +603,12 @@ func (f *slabFill) relaxRows(sw *slabWorker, r0, r1, p int, x0, x1 int64) bool {
 // overlap its destination (off < runLen); the ascending order is what lets
 // repeated uses of the configuration chain within one run.
 //
+// Slab disjointness keeps a slab-parallel fill race-free: every call relaxes
+// runs inside one worker's slab range of the phase class, which no
+// configuration of the phase leaves (c_a = 0), so no two workers touch one
+// entry, and the pool round's join orders the phases and the tail.
+//
 //lint:hotpath the config-outer relaxation, one call per row of runs of the fill
-//lint:hbimpl slab-disjoint: in a slab-parallel fill every call relaxes runs inside one worker's slab range of the phase class, which no configuration of the phase leaves (c_a = 0), so no two workers touch one entry; the pool round's join orders the phases and the tail
 func relaxRuns(opt []int32, lo, off, runLen, gap, runs int64) {
 	for ; runs > 0; runs-- {
 		hi := lo + runLen

@@ -194,7 +194,7 @@ func isDirectPoll(pkg *Package, n ast.Node) bool {
 			}
 			name := sel.Sel.Name
 			if len(name) > 3 && name[len(name)-3:] == "Ctx" {
-				if _, ok := isPoolDispatch(pkg, n); ok {
+				if isPoolDispatch(pkg, n) {
 					return true
 				}
 			}
@@ -515,7 +515,7 @@ func (c *pollChecker) strideBound(e ast.Expr) (int64, bool) {
 // and returns the largest constant it is ever reset to in this declaration.
 func (c *pollChecker) budgetReset(e ast.Expr) (int64, bool) {
 	leafOf := func(x ast.Expr) *types.Var {
-		root, leaf, _ := peelChain(c.pkg, x)
+		root, leaf := peelChain(c.pkg, x)
 		if leaf != nil {
 			return leaf
 		}
@@ -562,4 +562,60 @@ func (c *pollChecker) budgetReset(e ast.Expr) (int64, bool) {
 		return 0, false
 	}
 	return best, true
+}
+
+// poolDispatches names the worker-pool dispatch functions and methods.
+var poolDispatches = map[string]bool{"For": true, "ForCtx": true, "ForWorker": true, "ForWorkerCtx": true}
+
+// isPoolDispatch reports whether the call is a worker-pool dispatch: a
+// function or method named in poolDispatches and declared in a package named
+// "par".
+func isPoolDispatch(pkg *Package, call *ast.CallExpr) bool {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel || !poolDispatches[sel.Sel.Name] {
+		return false
+	}
+	fn, isFn := pkg.Info.Uses[sel.Sel].(*types.Func)
+	return isFn && fn.Pkg() != nil && fn.Pkg().Name() == "par"
+}
+
+// peelChain resolves an access expression to its root variable and the leaf
+// field it touches (nil when the root itself is the storage). A nil root
+// means the chain starts at something unresolvable (a call result, a
+// literal).
+func peelChain(pkg *Package, e ast.Expr) (root *types.Var, leaf *types.Var) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			v, _ := pkg.Info.Uses[x].(*types.Var)
+			if v == nil {
+				v, _ = pkg.Info.Defs[x].(*types.Var)
+			}
+			if v != nil && v.IsField() && leaf == nil {
+				leaf = v
+			}
+			return v, leaf
+		case *ast.SelectorExpr:
+			if sel, ok := pkg.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+				if v, ok := sel.Obj().(*types.Var); ok && leaf == nil {
+					leaf = v
+				}
+				e = x.X
+				continue
+			}
+			// Qualified package var: pkg.V.
+			if v, ok := pkg.Info.Uses[x.Sel].(*types.Var); ok {
+				return v, leaf
+			}
+			return nil, leaf
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return nil, leaf
+		}
+	}
 }

@@ -31,7 +31,7 @@ func (d Diagnostic) String() string {
 // Analyzer is one named invariant check. Exactly one of Run and RunModule
 // is set: Run analyzers see one package at a time, RunModule analyzers see
 // the whole module at once (for interprocedural checks that chase calls
-// across package boundaries, like lockorder, leakygo and sharedwrite).
+// across package boundaries, like lockorder, leakygo and cancelpoll).
 type Analyzer struct {
 	// Name is the check identifier used in output and //lint:ignore
 	// directives.
@@ -319,7 +319,6 @@ func All() []*Analyzer {
 		IntOverflow,
 		BoundsProof,
 		Escape,
-		SharedWrite,
 		CancelPoll,
 	}
 }

@@ -118,12 +118,6 @@ var fixtures = map[*Analyzer]fixture{
 	// interface-to-interface argument and the cold-branch allocations stay
 	// quiet.
 	Escape: {"escape", 9},
-	// Handoff (self-parallel + spawner window, both on the write line),
-	// CASHandoff, SlotMix, Counter, Sibling, HalfLocked, BoundBody, Window,
-	// PointerArg, the unexcused hbimpl twin and the stray directive. The
-	// mini pool and every clean package, TypedHandoff, BoundSlots and
-	// SlotPointer included, certify.
-	SharedWrite: {"sharedwrite", 12},
 	// SolveBad never polls, SolveHuge's stride overflows the bound, and
 	// SolveOpaque's guard is unprovable; the budget, modulo, mask and
 	// delegate idioms all certify.
@@ -170,7 +164,6 @@ func TestWaitBalance(t *testing.T)  { runFixture(t, WaitBalance) }
 func TestIntOverflow(t *testing.T)  { runFixture(t, IntOverflow) }
 func TestBoundsProof(t *testing.T)  { runFixture(t, BoundsProof) }
 func TestEscape(t *testing.T)       { runFixture(t, Escape) }
-func TestSharedWrite(t *testing.T)  { runFixture(t, SharedWrite) }
 func TestCancelPoll(t *testing.T)   { runFixture(t, CancelPoll) }
 
 // TestHotAlloc pins down the sites escape reports whether or not anything

@@ -247,7 +247,7 @@ func mutexOp(pkg *Package, call *ast.CallExpr) (*types.Var, bool) {
 	default:
 		return nil, false
 	}
-	v, _ := addressedVar(pkg, sel.X)
+	v := addressedVar(pkg, sel.X)
 	if v == nil || !isMutexType(v.Type()) {
 		return nil, false
 	}
@@ -357,4 +357,24 @@ func lockName(v *types.Var) string {
 		return "field " + v.Name()
 	}
 	return v.Name()
+}
+
+// addressedVar resolves the operand of an address-of expression to the
+// variable it names: a struct field (through any selector chain) or a plain
+// identifier. Index expressions and other shapes return nil.
+func addressedVar(pkg *Package, e ast.Expr) *types.Var {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		v, _ := pkg.Info.Uses[e].(*types.Var)
+		return v
+	case *ast.SelectorExpr:
+		if sel, ok := pkg.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+			v, _ := sel.Obj().(*types.Var)
+			return v
+		}
+		// Qualified reference to another package's variable (pkg.V).
+		v, _ := pkg.Info.Uses[e.Sel].(*types.Var)
+		return v
+	}
+	return nil
 }

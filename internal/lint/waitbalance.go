@@ -70,7 +70,7 @@ func wgOp(pkg *Package, call *ast.CallExpr) (*types.Var, string) {
 	default:
 		return nil, ""
 	}
-	v, _ := addressedVar(pkg, sel.X)
+	v := addressedVar(pkg, sel.X)
 	if v == nil || !isWaitGroupType(v.Type()) {
 		return nil, ""
 	}

@@ -231,6 +231,28 @@ func testBodyPanicPropagatesAndPoolSurvives(t *testing.T, newPool func(int) *Poo
 	})
 }
 
+// TestEveryWorkerPanicsInOneRound runs one round in which every worker's
+// body panics, so the workers record their panics concurrently. Under -race
+// it pins the recording's lock; the caller re-panics one worker's value, and
+// the pool stays usable.
+func TestEveryWorkerPanicsInOneRound(t *testing.T) {
+	const workers = 4
+	p := NewPool(workers)
+	defer p.Close()
+	func() {
+		defer func() {
+			e := recover()
+			if w, ok := e.(int); !ok || w < 0 || w >= workers {
+				t.Fatalf("round re-panicked %v, want one worker's id", e)
+			}
+		}()
+		p.ForWorker(workers, RoundRobin, 0, func(w, _ int) { panic(w) })
+	}()
+	coverageCheck(t, 64, func(mark func(int)) {
+		p.For(64, Dynamic, mark)
+	})
+}
+
 func TestForOnClosedPoolPanics(t *testing.T)    { testForOnClosedPanics(t, NewPool) }
 func TestBarrierForOnClosedPanics(t *testing.T) { testForOnClosedPanics(t, NewBarrierPool) }
 

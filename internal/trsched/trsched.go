@@ -49,9 +49,6 @@ type Options struct {
 	// to multiples of max(1, eps*T/4) when the instance has more than
 	// MaxDistinctExact distinct sizes.
 	Epsilon float64
-	// MaxConfigs caps per-probe configuration enumeration; <= 0 uses
-	// conf.DefaultMaxConfigs.
-	MaxConfigs int
 	// MaxStates caps the machine-DP state space (the product of
 	// per-size-class counts+1); <= 0 uses DefaultMaxStates.
 	MaxStates int64
@@ -289,7 +286,7 @@ func probe(ctx context.Context, in *pcmax.Instance, T pcmax.Time, exact bool,
 	}
 	pst.States = states
 
-	cfgs, err := conf.Enumerate(sizes, counts, T, stride, opts.MaxConfigs)
+	cfgs, err := conf.Enumerate(sizes, counts, T, stride, 0)
 	if err != nil {
 		return nil, pst, err
 	}

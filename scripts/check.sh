@@ -1,10 +1,9 @@
 #!/bin/sh
-# Repo-wide verification: formatting, build, vet (the binaries get an
-# explicit pass so a library-only vet invocation can never silently skip
-# them), the schedlint invariant gate, the full test suite with shuffled
-# test order, then the race detector over the packages with real
-# concurrency (worker pool, parallel DP fills, exact solver, core driver,
-# solver facade). Every `go test` carries a -timeout guard so a hung test
+# Repo-wide verification: formatting, build, vet (of this module and of the
+# benchmark's own module), the schedlint invariant gate, the full test suite
+# with shuffled test order, then the race detector over the packages with
+# real concurrency (worker pool, parallel DP fills, exact solver, core
+# driver, solver facade). Every `go test` carries a -timeout guard so a hung test
 # fails the pipeline instead of wedging it. This is the gate every PR runs
 # before merging; ROADMAP.md points here.
 set -eux
@@ -23,15 +22,16 @@ go build ./...
 # vet's copylocks check is the gate against copying a lock-bearing value
 # (par.Pool, dp.Cache, solver.Session) anywhere in the module.
 go vet ./...
-go vet ./cmd/...
+# The benchmark (cmd/schedperf) is its own module, so ./... never reaches it.
+go -C cmd/schedperf vet ./...
 
 # schedlint enforces the repo's concurrency/determinism invariants with all
-# thirteen analyzers in one run: the dataflow-based concurrency checks
+# twelve analyzers in one run: the dataflow-based concurrency checks
 # (ALGORITHM.md sections 9 and 11), the value-flow provers (section 14), the
-# may-happen-in-parallel race/latency provers (section 16) and the
-# lintdirective audit of malformed, unknown and stale //lint:ignore
-# comments. Findings print grouped by check; exit 1 on any finding is a
-# hard failure.
+# cancellation-latency prover (section 16) and the lintdirective audit of
+# malformed, unknown and stale //lint:ignore comments. Findings print
+# grouped by check; exit 1 on any finding is a hard failure. Data races are
+# the race detector's, in the -race passes at the end.
 go run ./cmd/schedlint ./...
 
 go test -shuffle=on -timeout 10m ./...
@@ -61,8 +61,12 @@ go test -timeout 5m -run '^$' -fuzz 'FuzzSortedIndex' -fuzztime 5s ./pcmax
 # on the schedule and stats and meet exact.BruteForce's optimum.
 go test -timeout 5m -run '^$' -fuzz 'FuzzSolve' -fuzztime 5s ./internal/core
 
-# internal/lint rides along in the race pass: its loader and runner fan out
-# over the worker pool and must stay clean under the detector.
+# The race detector is the repo's race gate (ALGORITHM.md section 16 records
+# the mutation audit behind it): the pool's panic and cancellation paths, the
+# slab-parallel and level-parallel fills, the exact solver's workers and the
+# shared caches all have tests here that race when their synchronization is
+# removed. internal/lint rides along: its loader and runner fan out over the
+# worker pool and must stay clean under the detector.
 # internal/trsched joins it: the variant solver shares the configuration
 # enumeration with the concurrent fill paths, and ./solver's race run now
 # also covers the variant dispatch layer in front of them.

@@ -128,9 +128,6 @@ type PTASOptions struct {
 	// (1<<25 entries). The PTAS fails with a descriptive error when an
 	// instance/epsilon combination would exceed it.
 	MaxTableEntries int64
-	// MaxConfigs caps machine-configuration enumeration; <= 0 uses the
-	// library default.
-	MaxConfigs int
 	// NoLPTFallback disables returning plain LPT's schedule when it beats
 	// the PTAS construction. The fallback (on by default through
 	// DefaultPTASOptions) never hurts and is what makes the stated
@@ -186,7 +183,6 @@ func coreOptions(opts PTASOptions) core.Options {
 		Workers:         opts.Workers,
 		PaperFaithful:   opts.PaperFaithful,
 		MaxTableEntries: opts.MaxTableEntries,
-		MaxConfigs:      opts.MaxConfigs,
 		LPTFallback:     !opts.NoLPTFallback,
 		Sparsify:        opts.Sparsify,
 	}

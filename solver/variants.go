@@ -131,9 +131,6 @@ type TROptions struct {
 	// sizes for exact mode); 0 selects the default 0.3. Exact mode ignores
 	// it.
 	Epsilon float64
-	// MaxConfigs caps per-probe configuration enumeration; <= 0 uses the
-	// library default.
-	MaxConfigs int
 	// MaxStates caps the per-probe machine-DP state space; <= 0 uses
 	// trsched.DefaultMaxStates.
 	MaxStates int64
@@ -174,7 +171,6 @@ func trOptions(opts TROptions) trsched.Options {
 	}
 	return trsched.Options{
 		Epsilon:          opts.Epsilon,
-		MaxConfigs:       opts.MaxConfigs,
 		MaxStates:        opts.MaxStates,
 		MaxDistinctExact: opts.MaxDistinctExact,
 	}
