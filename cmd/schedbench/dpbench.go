@@ -82,11 +82,6 @@ type dpBenchConfig struct {
 	Out       string  // output JSON path (default benchJSONName)
 	Baseline  string  // committed BENCH_dp.json to diff against ("" = off)
 	Threshold float64 // allowed fractional slowdown before -baseline fails
-	// BaselineReport makes the -baseline diff informational: regressions are
-	// printed but never fail the run. CI uses this because its shared runners
-	// are a different host than the one that committed BENCH_dp.json, so
-	// absolute ns/op comparisons carry no cross-host signal.
-	BaselineReport bool
 	// MinSpeedup, when > 0, fails the run if any faithful production cell's
 	// speedup_vs_alg2 — measured against the same run's Algorithm 2 fill of
 	// the same table, so host speed cancels out — falls below it.
@@ -384,10 +379,7 @@ sweep:
 	}
 	if cfg.Baseline != "" {
 		if err := compareBaseline(records, cfg.Baseline, cfg.Threshold); err != nil {
-			if !cfg.BaselineReport {
-				return err
-			}
-			fmt.Printf("baseline diff is report-only; not failing: %v\n", err)
+			return err
 		}
 	}
 	if cfg.MinSpeedup > 0 {

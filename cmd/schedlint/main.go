@@ -1,19 +1,17 @@
-// Command schedlint runs the repository's static-analysis suite: twelve
-// analyzers (see internal/lint and ALGORITHM.md §9/§11/§14/§16) that
-// machine-check the concurrency, determinism and value-flow invariants the
-// scheduler depends on — deterministic RNG only through internal/rng,
-// context threaded through every blocking solver entry point, no unjoined
+// Command schedlint runs the repository's static-analysis suite: nine
+// analyzers (see internal/lint and ALGORITHM.md §9/§11/§16) that
+// machine-check the concurrency and determinism invariants the scheduler
+// depends on — deterministic RNG only through internal/rng, context
+// threaded through every blocking solver entry point, no unjoined
 // goroutines, no map iteration order leaking into results, no undocumented
 // library panics, a consistent mutex acquisition order, no unterminatable
 // goroutines reachable from exported functions, WaitGroup accounting
-// balanced on every path, no append, interface boxing or escaping
-// allocation in //lint:hotpath kernels (escape), provably in-bounds
-// indexing in those kernels (boundsproof), provably overflow-free
-// arithmetic reachable from the //lint:parseroot readers (intoverflow), and
-// every loop on a solver-entry-to-//lint:hotpath path polling cancellation
-// with a proven stride of at most 2^16 iterations (cancelpoll). Lock copies
-// are go vet's copylocks check, and data races the race detector's
-// (scripts/check.sh), not schedlint's.
+// balanced on every path, and every loop on a solver-entry-to-//lint:hotpath
+// path polling cancellation with a constant stride of at most 2^16
+// iterations (cancelpoll). Lock copies are go vet's copylocks check, data
+// races the race detector's (scripts/check.sh), and the hot kernels'
+// allocations and Validate's overflow caps are pinned by tests
+// (ALGORITHM.md §14), not by schedlint.
 //
 // Usage:
 //

@@ -52,7 +52,6 @@ func TestJSONSchema(t *testing.T) {
 	if len(findings) == 0 {
 		t.Fatalf("demo module should produce findings")
 	}
-	seen := map[string]bool{}
 	for i, f := range findings {
 		if len(f) != 5 {
 			t.Errorf("finding %d has %d fields, want 5: %v", i, len(f), f)
@@ -66,15 +65,6 @@ func TestJSONSchema(t *testing.T) {
 			if _, ok := f[key].(float64); !ok {
 				t.Errorf("finding %d: %q should be a number: %v", i, key, f[key])
 			}
-		}
-		if check, ok := f["check"].(string); ok {
-			seen[check] = true
-		}
-	}
-	// The value-flow analyzers' diagnostics go through the same schema.
-	for _, check := range []string{"boundsproof", "intoverflow", "escape"} {
-		if !seen[check] {
-			t.Errorf("demo module should produce a %s finding", check)
 		}
 	}
 }

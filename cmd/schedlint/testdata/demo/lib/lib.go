@@ -1,7 +1,6 @@
 // Package lib produces a small, stable finding set for the golden-output
-// test: a malformed suppression directive, one go statement that trips
-// both the join check and the termination check, and one finding from each
-// value-flow analyzer (boundsproof, intoverflow, escape).
+// test: a malformed suppression directive and one go statement that trips
+// both the join check and the termination check.
 package lib
 
 //lint:ignore maporder
@@ -10,29 +9,4 @@ func Spin() {
 		for {
 		}
 	}()
-}
-
-// At indexes with an unguarded parameter.
-//
-//lint:hotpath demo kernel
-func At(xs []int64, i int) int64 {
-	return xs[i]
-}
-
-// Total accumulates untrusted values with no cap.
-//
-//lint:parseroot demo decoder
-func Total(vals []int64) int64 {
-	var sum int64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum
-}
-
-// Build returns a parameter-sized buffer.
-//
-//lint:hotpath demo builder
-func Build(n int) []int64 {
-	return make([]int64, n)
 }

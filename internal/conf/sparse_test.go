@@ -154,3 +154,30 @@ func TestDefaultSparseOptionsSupportGrowsLogarithmically(t *testing.T) {
 		}
 	}
 }
+
+// kernelSink keeps the kernels' results live, so the compiler cannot drop
+// a call whose result the test would otherwise ignore.
+var kernelSink int
+
+// TestKernelsAllocateNothing pins the sparse enumeration's per-configuration
+// kernels, the dominance test and the support count, as allocation-free.
+func TestKernelsAllocateNothing(t *testing.T) {
+	sizes := []pcmax.Time{3, 5, 7}
+	counts := []int{4, 2, 3}
+	cur := []int32{2, 0, 1}
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"dominated", func() {
+			if dominated(cur, sizes, counts, 13, 20) {
+				kernelSink++
+			}
+		}},
+		{"support", func() { kernelSink += support(cur) }},
+	} {
+		if got := testing.AllocsPerRun(100, k.run); got != 0 {
+			t.Errorf("%s allocated %v times per call, want 0", k.name, got)
+		}
+	}
+}

@@ -59,6 +59,7 @@ const slabChunksPerWorker = 8
 // structured cancel error is returned. The resulting table is bit-identical
 // to every other fill variant.
 func (t *Table) FillAutoCtx(ctx context.Context, pool *par.Pool) error {
+	t.filled = false
 	t.AutoStats = AutoStats{}
 	if err := cancel.Check(ctx); err != nil {
 		return err

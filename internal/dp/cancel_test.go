@@ -39,6 +39,25 @@ func canceledCtx() context.Context {
 	return ctx
 }
 
+// fillVariant is one fill entry point, bound to a pool where it takes one.
+type fillVariant struct {
+	name string
+	fill func(tbl *Table, ctx context.Context) error
+}
+
+// fillVariants lists every fill entry point: the production fill on the
+// caller (bare and through FillAutoCtx) and on pool, the paper's Algorithm 2
+// (recursive), and its Algorithm 3 (parallel-scan) on pool.
+func fillVariants(pool *par.Pool) []fillVariant {
+	return []fillVariant{
+		{"sequential", func(tbl *Table, ctx context.Context) error { return tbl.FillSequentialCtx(ctx) }},
+		{"production-caller", func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, nil) }},
+		{"production-pool", func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool) }},
+		{"recursive", func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }},
+		{"parallel-scan", func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool) }},
+	}
+}
+
 func TestFillVariantsCancelAndRecover(t *testing.T) {
 	ref := bigTable(t)
 	fillSeq(t, ref)
@@ -50,17 +69,7 @@ func TestFillVariantsCancelAndRecover(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
 
-	variants := []struct {
-		name string
-		fill func(tbl *Table, ctx context.Context) error
-	}{
-		{"sequential", func(tbl *Table, ctx context.Context) error { return tbl.FillSequentialCtx(ctx) }},
-		{"recursive", func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }},
-		{"parallel-scan", func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool) }},
-		{"production-pool", func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool) }},
-	}
-
-	for _, v := range variants {
+	for _, v := range fillVariants(pool) {
 		t.Run(v.name, func(t *testing.T) {
 			tbl := bigTable(t)
 
@@ -91,6 +100,32 @@ func TestFillVariantsCancelAndRecover(t *testing.T) {
 				if o != ref.Opt[i] {
 					t.Fatalf("recovered Opt[%d] = %d, want %d", i, o, ref.Opt[i])
 				}
+			}
+		})
+	}
+}
+
+// TestCanceledRefillLeavesTableUnfilled pins the fills' error contract on a
+// table that was already filled: a refill that returns an error leaves the
+// table unfilled, so neither the earlier fill's values nor the aborted
+// fill's partial ones can be read.
+func TestCanceledRefillLeavesTableUnfilled(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	for _, v := range fillVariants(pool) {
+		t.Run(v.name, func(t *testing.T) {
+			tbl := bigTable(t)
+			if err := v.fill(tbl, context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.fill(tbl, canceledCtx()); !errors.Is(err, cancel.ErrCanceled) {
+				t.Fatalf("canceled refill returned %v, want the cancel error", err)
+			}
+			if opt, err := tbl.OptValue(); !errors.Is(err, ErrNotFilled) {
+				t.Errorf("OptValue after a canceled refill = %d, %v; want ErrNotFilled", opt, err)
+			}
+			if _, err := tbl.Reconstruct(); !errors.Is(err, ErrNotFilled) {
+				t.Errorf("Reconstruct after a canceled refill: %v; want ErrNotFilled", err)
 			}
 		})
 	}

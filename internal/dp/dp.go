@@ -269,8 +269,10 @@ func (t *Table) advance(v []int32, delta int64) int32 {
 	var dl int32
 	for q := len(order) - 1; q >= 0 && delta > 0; q-- {
 		i := order[q]
+		// Never taken: order permutes the d classes of Counts and v. The
+		// guard lets the compiler drop the bounds checks on counts[i] and v[i].
 		if i < 0 || i >= int64(len(v)) || i >= int64(len(counts)) {
-			return dl // never taken: order permutes the d classes of Counts and v
+			return dl
 		}
 		radix := int64(counts[i]) + 1
 		digit := delta % radix
@@ -296,8 +298,10 @@ func (t *Table) advanceOne(v []int32) int32 {
 	var dl int32
 	for q := len(order) - 1; q >= 0; q-- {
 		i := order[q]
+		// Never taken: order permutes the d classes of Counts and v. The
+		// guard lets the compiler drop the bounds checks on counts[i] and v[i].
 		if i < 0 || i >= int64(len(v)) || i >= int64(len(counts)) {
-			return dl // never taken: order permutes the d classes of Counts and v
+			return dl
 		}
 		if int(v[i]) < counts[i] {
 			v[i]++
@@ -424,6 +428,7 @@ const fillHuge = int32(1) << 30
 // cancellation the table is left unfilled (Opt holds partial garbage) and
 // the structured cancel error is returned.
 func (t *Table) FillSequentialCtx(ctx context.Context) error {
+	t.filled = false
 	t.resetOpt()
 	f := slabFill{t: t, done: ctxDone(ctx), workers: make([]slabWorker, 1)}
 	f.workers[0].odo = make([]int32, 2*t.set.D)
@@ -612,13 +617,17 @@ func (f *slabFill) relaxRows(sw *slabWorker, r0, r1, p int, x0, x1 int64) bool {
 func relaxRuns(opt []int32, lo, off, runLen, gap, runs int64) {
 	for ; runs > 0; runs-- {
 		hi := lo + runLen
+		// Neither guard is ever taken: the fill keeps every run and its
+		// source inside Opt, and both runs hold hi-lo entries. They let the
+		// compiler drop bounds checks, the first on slicing dst and the
+		// second on dst[i] in the inner loop.
 		if off < 0 || lo < off || hi < lo || hi > int64(len(opt)) {
-			return // never taken: the fill keeps every run and its source inside Opt
+			return
 		}
 		dst := opt[lo:hi]
 		src := opt[lo-off : hi-off]
 		if len(src) != len(dst) {
-			return // never taken: both runs hold hi-lo entries
+			return
 		}
 		for i, o := range src {
 			dst[i] = min(dst[i], o+1)
@@ -641,6 +650,7 @@ func (t *Table) FillRecursiveCtx(ctx context.Context) error {
 	if t.Mode == EnumSparse {
 		return ErrSparseTable
 	}
+	t.filled = false
 	for i := range t.Opt {
 		t.Opt[i] = unset
 	}
@@ -751,6 +761,7 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
 	if t.Mode == EnumSparse {
 		return ErrSparseTable
 	}
+	t.filled = false
 	if t.Sigma == 1 {
 		if err := cancel.Check(ctx); err != nil {
 			return err

@@ -71,6 +71,34 @@ func TestProductionFillAllocations(t *testing.T) {
 	}
 }
 
+// TestKernelsAllocateNothing pins the //lint:hotpath kernels, which run once
+// per table entry or row of runs, as allocation-free: the config-outer
+// relaxation, both odometer steps, and the incremental decoder on a first,
+// a forward, a backward and a repeated index each read 0 allocations per
+// call.
+func TestKernelsAllocateNothing(t *testing.T) {
+	tbl := bigTable(t)
+	last, mid := tbl.Sigma-1, tbl.Sigma/2
+	v := make([]int32, len(tbl.Stride))
+	dec := &newDecoders(tbl, 1)[0]
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"relaxRuns", func() { relaxRuns(tbl.Opt, 8, 3, 4, 16, 2) }},
+		{"advance", func() { clear(v); tbl.advance(v, last) }},
+		{"advanceOne", func() { clear(v); tbl.advanceOne(v) }},
+		{"decoder.at/first", func() { dec.reset(); dec.at(mid) }},
+		{"decoder.at/forward", func() { dec.reset(); dec.at(1); dec.at(last) }},
+		{"decoder.at/backward", func() { dec.at(last); dec.at(1) }},
+		{"decoder.at/repeated", func() { dec.at(1) }},
+	} {
+		if got := testing.AllocsPerRun(100, k.run); got != 0 {
+			t.Errorf("%s allocated %v times per call, want 0", k.name, got)
+		}
+	}
+}
+
 // TestSlabWorkerOdometersDoNotShareLines pins the padding of a pooled fill's
 // worker slots: each odometer holds its 2·d words, and at least a cache line
 // lies between the last word one worker writes and the first of the next.

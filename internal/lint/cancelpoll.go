@@ -8,15 +8,16 @@ package lint
 // channel, call ctx.Err(), dispatch through a *Ctx pool primitive, or call a
 // module function that itself polls — at least once per maxPollStride
 // iterations. Poll sites may sit behind stride guards (`i%K == 0`,
-// `i&(K-1) == 0`, or a constant-reset budget countdown `if budget <= 0`);
-// the stride K is proven with the interval lattice (constant folding plus
-// the value-flow engine's upper bound), so "polls every fillCheckEvery
-// entries" is a checked claim, not a comment.
+// `i&(K-1) == 0`, or a budget countdown `if budget <= 0` reset to K); K must
+// fold to a constant, so "polls every fillCheckEvery entries" is a checked
+// claim, not a comment.
 //
 // Loops inside the hotpath kernels themselves are exempt — the kernel is the
 // amortized unit whose cost the enclosing sweep loop's poll covers — as are
 // loops inside function literals (dispatched closures run under a *Ctx
-// primitive that owns their polling).
+// primitive that owns their polling). //lint:hotpath marks the kernels, so a
+// directive that is not part of a function's doc comment is reported: it
+// would silently drop its kernel from the targets.
 
 import (
 	"go/ast"
@@ -24,16 +25,17 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
-// maxPollStride is the largest provable poll stride accepted: 2^16
+// maxPollStride is the largest poll stride accepted: 2^16
 // iterations. The repo's strides (fillCheckEvery = 2^15, the pool's
 // cancelCheckEvery = 256) sit below it with headroom for one doubling.
 const maxPollStride = int64(1) << 16
 
 var CancelPoll = &Analyzer{
 	Name:      "cancelpoll",
-	Doc:       "every loop on a solver-to-hotpath path must poll cancellation at least once per 2^16 iterations (stride proven via the interval lattice)",
+	Doc:       "every loop on a solver-to-hotpath path must poll cancellation at least once per 2^16 iterations (constant stride)",
 	RunModule: runCancelPoll,
 }
 
@@ -41,20 +43,7 @@ func runCancelPoll(pass *ModulePass) {
 	mod := pass.Mod
 	graph := BuildCallGraph(mod)
 
-	targets := map[*types.Func]bool{}
-	for _, pkg := range mod.Packages {
-		if pkg.Types == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			fns, _ := directiveFuncs(f, isHotpathDirective)
-			for _, fd := range fns {
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					targets[fn] = true
-				}
-			}
-		}
-	}
+	targets := hotpathTargets(pass)
 	var roots []*types.Func
 	for _, n := range graph.SortedNodes() {
 		if n.Pkg.Types != nil && n.Pkg.Types.Name() == "solver" &&
@@ -82,6 +71,53 @@ func runCancelPoll(pass *ModulePass) {
 		}
 		c.checkBody(n.Decl.Body)
 	}
+}
+
+const hotpathPrefix = "//lint:hotpath"
+
+// isHotpathDirective matches a comment that is the directive prefix, alone
+// or followed by a space or tab and a reason.
+func isHotpathDirective(text string) bool {
+	rest, ok := strings.CutPrefix(text, hotpathPrefix)
+	return ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t')
+}
+
+// hotpathTargets returns the functions whose doc comment carries a
+// //lint:hotpath directive and reports every directive that is not part of
+// a function declaration's doc comment.
+func hotpathTargets(pass *ModulePass) map[*types.Func]bool {
+	targets := map[*types.Func]bool{}
+	for _, pkg := range pass.Mod.Packages {
+		if pkg.Types == nil {
+			continue
+		}
+		for _, f := range pkg.Files {
+			attached := map[*ast.Comment]bool{}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Doc == nil {
+					continue
+				}
+				for _, c := range fd.Doc.List {
+					if !isHotpathDirective(c.Text) {
+						continue
+					}
+					attached[c] = true
+					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						targets[fn] = true
+					}
+				}
+			}
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if isHotpathDirective(c.Text) && !attached[c] {
+						pass.Reportf(c.Pos(), "stray %s: the directive must be part of a function declaration's doc comment", hotpathPrefix)
+					}
+				}
+			}
+		}
+	}
+	return targets
 }
 
 // ctxParamSig reports whether any parameter is a context.Context.
@@ -179,7 +215,7 @@ func pollingFuncs(g *CallGraph) map[*types.Func]bool {
 
 // isDirectPoll recognizes a cancellation poll point: a receive from a done
 // channel (struct{} element) or from ctx.Done(), a ctx.Err() call, or a
-// *Ctx pool dispatch (which polls internally between chunks).
+// *Ctx pool dispatch (which polls internally between iterations).
 func isDirectPoll(pkg *Package, n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.UnaryExpr:
@@ -192,11 +228,8 @@ func isDirectPoll(pkg *Package, n ast.Node) bool {
 			if sel.Sel.Name == "Err" && isContextExpr(pkg, sel.X) {
 				return true
 			}
-			name := sel.Sel.Name
-			if len(name) > 3 && name[len(name)-3:] == "Ctx" {
-				if isPoolDispatch(pkg, n) {
-					return true
-				}
+			if strings.HasSuffix(sel.Sel.Name, "Ctx") && isParFunc(pkg, sel) {
+				return true
 			}
 		}
 	case *ast.RangeStmt:
@@ -239,7 +272,6 @@ type pollChecker struct {
 	polls    map[*types.Func]bool
 	root     string
 	target   string
-	vf       *valueFlow // lazy, for stride proofs
 }
 
 // checkBody recurses over statements, skipping function literals, and
@@ -272,7 +304,7 @@ func (c *pollChecker) checkLoop(loop ast.Node, body *ast.BlockStmt) {
 			c.root, c.target, maxPollStride)
 	case !bounded:
 		c.pass.Reportf(loop.Pos(),
-			"cannot bound the cancellation poll stride in this loop on the path %s -> %s: guard the poll with i%%K == 0, i&(K-1) == 0, or a constant-reset budget so the interval engine can prove K <= %d",
+			"cannot bound the cancellation poll stride in this loop on the path %s -> %s: guard the poll with i%%K == 0, i&(K-1) == 0, or a budget reset to K, for a constant K <= %d",
 			c.root, c.target, maxPollStride)
 	case stride > maxPollStride:
 		c.pass.Reportf(loop.Pos(),
@@ -310,7 +342,7 @@ func (c *pollChecker) loopObligated(body *ast.BlockStmt) bool {
 	return found
 }
 
-// bestPoll finds the poll with the smallest proven stride in the loop body.
+// bestPoll finds the poll with the smallest stride in the loop body.
 // Returns (stride, found-any-poll, found-bounded-poll).
 func (c *pollChecker) bestPoll(loop ast.Node, body *ast.BlockStmt) (int64, bool, bool) {
 	best := int64(-1)
@@ -445,11 +477,11 @@ func (c *pollChecker) condStride(cond ast.Expr) (int64, bool) {
 		case *ast.BinaryExpr:
 			switch x.Op {
 			case token.REM: // i % K == 0
-				if k, ok := c.strideBound(x.Y); ok && k > 0 {
+				if k, ok := constValue(c.pkg, x.Y); ok && k > 0 {
 					return k, true
 				}
 			case token.AND: // i & (K-1) == 0
-				if m, ok := c.strideBound(x.Y); ok && m >= 0 && m < maxPollStride {
+				if m, ok := constValue(c.pkg, x.Y); ok && m >= 0 && m < maxPollStride {
 					return m + 1, true
 				}
 			}
@@ -491,26 +523,6 @@ func constValue(pkg *Package, e ast.Expr) (int64, bool) {
 	return constant.Int64Val(tv.Value)
 }
 
-// strideBound proves an upper bound for a stride expression: constant
-// folding first, the value-flow engine's interval upper bound otherwise.
-func (c *pollChecker) strideBound(e ast.Expr) (int64, bool) {
-	if v, ok := constValue(c.pkg, e); ok {
-		return v, true
-	}
-	if c.vf == nil {
-		c.vf = buildValueFlow(c.pkg, c.decl)
-	}
-	if c.vf == nil {
-		return 0, false
-	}
-	env := c.vf.entryFact().(intervalFact)
-	iv := c.vf.evalExpr(env, e)
-	if iv.Hi.isConst() {
-		return iv.Hi.Off, true
-	}
-	return 0, false
-}
-
 // budgetReset resolves a budget countdown variable (local or field chain)
 // and returns the largest constant it is ever reset to in this declaration.
 func (c *pollChecker) budgetReset(e ast.Expr) (int64, bool) {
@@ -527,7 +539,7 @@ func (c *pollChecker) budgetReset(e ast.Expr) (int64, bool) {
 	}
 	best := int64(-1)
 	consider := func(rhs ast.Expr) {
-		if k, ok := c.strideBound(rhs); ok && k > best {
+		if k, ok := constValue(c.pkg, rhs); ok && k > best {
 			best = k
 		}
 	}
@@ -564,19 +576,11 @@ func (c *pollChecker) budgetReset(e ast.Expr) (int64, bool) {
 	return best, true
 }
 
-// poolDispatches names the worker-pool dispatch functions and methods.
-var poolDispatches = map[string]bool{"For": true, "ForCtx": true, "ForWorker": true, "ForWorkerCtx": true}
-
-// isPoolDispatch reports whether the call is a worker-pool dispatch: a
-// function or method named in poolDispatches and declared in a package named
-// "par".
-func isPoolDispatch(pkg *Package, call *ast.CallExpr) bool {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || !poolDispatches[sel.Sel.Name] {
-		return false
-	}
-	fn, isFn := pkg.Info.Uses[sel.Sel].(*types.Func)
-	return isFn && fn.Pkg() != nil && fn.Pkg().Name() == "par"
+// isParFunc reports whether the selector names a function or method
+// declared in a package named "par".
+func isParFunc(pkg *Package, sel *ast.SelectorExpr) bool {
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Name() == "par"
 }
 
 // peelChain resolves an access expression to its root variable and the leaf

@@ -26,22 +26,6 @@ type FlowProblem struct {
 	Join func(a, b Fact) Fact
 	// Transfer applies one basic block's effect to its incoming fact.
 	Transfer func(b *Block, in Fact) Fact
-	// EdgeTransfer, when set, refines a block's outgoing fact per edge
-	// before it merges into the successor. The interval analysis uses it for
-	// branch-condition refinement (the true and false edges of a guard carry
-	// different range facts) and for resolving phi arguments per predecessor.
-	EdgeTransfer func(from, to *Block, out Fact) Fact
-	// Widen, when set, accelerates convergence on lattices of unbounded
-	// height: once a block's incoming fact has been re-merged more than
-	// WidenAfter times, the merge result is widened against the previous
-	// fact instead of joined exactly. Widen must return a fact at least as
-	// large as both arguments and must reach a fixed bound in finitely many
-	// applications (the interval lattice widens to guard thresholds, then to
-	// infinity).
-	Widen func(b *Block, old, merged Fact) Fact
-	// WidenAfter is the per-block merge count that triggers Widen;
-	// 0 selects a small default.
-	WidenAfter int
 }
 
 // FlowResult holds the fixpoint facts. Blocks unreachable from the entry
@@ -61,11 +45,6 @@ func (c *CFG) Forward(p FlowProblem) *FlowResult {
 	res.In[c.Entry] = p.Entry
 	work := []*Block{c.Entry}
 	queued := map[*Block]bool{c.Entry: true}
-	widenAfter := p.WidenAfter
-	if widenAfter <= 0 {
-		widenAfter = 4
-	}
-	merges := map[*Block]int{}
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
@@ -76,26 +55,12 @@ func (c *CFG) Forward(p FlowProblem) *FlowResult {
 		}
 		res.Out[b] = out
 		for _, s := range b.Succs {
-			edge := out
-			if p.EdgeTransfer != nil {
-				edge = p.EdgeTransfer(b, s, out)
-			}
 			in, ok := res.In[s]
-			var merged Fact
-			if !ok {
-				merged = edge
-			} else {
-				merged = p.Join(in, edge)
-			}
-			if ok && merged.EqualFact(in) {
-				continue
-			}
-			if ok && p.Widen != nil {
-				if merges[s]++; merges[s] > widenAfter {
-					merged = p.Widen(s, in, merged)
-					if merged.EqualFact(in) {
-						continue
-					}
+			merged := out
+			if ok {
+				merged = p.Join(in, out)
+				if merged.EqualFact(in) {
+					continue
 				}
 			}
 			res.In[s] = merged

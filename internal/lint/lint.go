@@ -316,9 +316,6 @@ func All() []*Analyzer {
 		LockOrder,
 		LeakyGo,
 		WaitBalance,
-		IntOverflow,
-		BoundsProof,
-		Escape,
 		CancelPoll,
 	}
 }

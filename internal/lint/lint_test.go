@@ -106,22 +106,11 @@ var fixtures = map[*Analyzer]fixture{
 	LeakyGo: {"leakygo", 3},
 	// The skipped Done, and the Add inside the goroutine.
 	WaitBalance: {"waitbalance", 2},
-	// The raw sum, the reachable helper's multiply, and the stray
-	// directive; the guarded twins and the unreachable function stay quiet.
-	IntOverflow: {"intoverflow", 3},
-	// The raw index, the untracked field length, and the raw slice; every
-	// guarded twin stays quiet.
-	BoundsProof: {"boundsproof", 3},
-	// Returned literal, non-constant make, stored closure, map make,
-	// Register's append, Leaky's append, boxed argument and interface
-	// conversion, and the stray directive. The stack-local twins, Sum's
-	// interface-to-interface argument and the cold-branch allocations stay
-	// quiet.
-	Escape: {"escape", 9},
-	// SolveBad never polls, SolveHuge's stride overflows the bound, and
-	// SolveOpaque's guard is unprovable; the budget, modulo, mask and
+	// SolveBad never polls, SolveHuge's stride overflows the bound,
+	// SolveOpaque's guard is unprovable, and the stray //lint:hotpath would
+	// drop its kernel from the targets; the budget, modulo, mask and
 	// delegate idioms all certify.
-	CancelPoll: {"cancelpoll", 3},
+	CancelPoll: {"cancelpoll", 4},
 }
 
 // runFixture runs a alone over its fixture module and checks the findings
@@ -161,26 +150,7 @@ func TestNakedPanic(t *testing.T)   { runFixture(t, NakedPanic) }
 func TestLockOrder(t *testing.T)    { runFixture(t, LockOrder) }
 func TestLeakyGo(t *testing.T)      { runFixture(t, LeakyGo) }
 func TestWaitBalance(t *testing.T)  { runFixture(t, WaitBalance) }
-func TestIntOverflow(t *testing.T)  { runFixture(t, IntOverflow) }
-func TestBoundsProof(t *testing.T)  { runFixture(t, BoundsProof) }
-func TestEscape(t *testing.T)       { runFixture(t, Escape) }
 func TestCancelPoll(t *testing.T)   { runFixture(t, CancelPoll) }
-
-// TestHotAlloc pins down the sites escape reports whether or not anything
-// escapes: kernel/grow.go's append, boxed argument and interface conversion
-// in Leaky, plus its stray directive. Sum's interface-to-interface argument
-// and ColdBail's cold-branch allocations stay quiet.
-func TestHotAlloc(t *testing.T) {
-	var grow []Diagnostic
-	for _, d := range runCase(t, fixtures[Escape].dir, Escape) {
-		if d.File == "kernel/grow.go" {
-			grow = append(grow, d)
-		}
-	}
-	if len(grow) != 4 {
-		t.Errorf("want 4 diagnostics in kernel/grow.go, got %d: %v", len(grow), grow)
-	}
-}
 
 // TestSuppressionScope pins down directive scoping across analyzers: a line
 // whose go statement trips both gohygiene and leakygo, under a directive
@@ -304,7 +274,7 @@ func TestLoadModuleParallel(t *testing.T) {
 // runner: the same module analyzed with 1 and 4 workers must yield
 // bit-identical diagnostics, including their order.
 func TestParallelRunMatchesSequential(t *testing.T) {
-	for _, dir := range []string{"escape", "waitbalance", "lockorder"} {
+	for _, dir := range []string{"cancelpoll", "waitbalance", "lockorder"} {
 		mod, err := LoadModule(filepath.Join("testdata", "src", dir))
 		if err != nil {
 			t.Fatalf("LoadModule(%s): %v", dir, err)

@@ -9,3 +9,9 @@ func Entry(xs []int64, i int) int64 {
 	}
 	return xs[i] * 3
 }
+
+// A directive outside any function's doc comment marks no kernel, so it is
+// reported rather than silently ignored.
+//
+//lint:hotpath floating directive // want "stray //lint:hotpath"
+var scale = int64(2)

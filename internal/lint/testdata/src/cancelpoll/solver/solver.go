@@ -20,8 +20,8 @@ func SolveBad(ctx context.Context, xs []int64) int64 {
 	return total
 }
 
-// SolveBudget polls through the repo's countdown idiom: the interval engine
-// proves the reset constant, so the stride is checkEvery = 2^15.
+// SolveBudget polls through the repo's countdown idiom: the budget is reset
+// to the constant checkEvery, so the stride is 2^15.
 func SolveBudget(ctx context.Context, xs []int64) (int64, error) {
 	done := ctx.Done()
 	budget := int64(checkEvery)
@@ -83,8 +83,8 @@ func SolveHuge(ctx context.Context, xs []int64) int64 {
 	return total
 }
 
-// SolveOpaque guards its poll with a condition the interval engine cannot
-// bound.
+// SolveOpaque guards its poll with a condition that has no constant
+// stride.
 func SolveOpaque(ctx context.Context, xs []int64, verbose bool) int64 {
 	var total int64
 	for i := range xs { // want "cannot bound the cancellation poll stride"

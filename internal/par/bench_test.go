@@ -41,22 +41,3 @@ func BenchmarkForStrategies(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkOneShotFor measures the convenience wrapper's pool start-up cost
-// relative to a persistent pool.
-func BenchmarkOneShotFor(b *testing.B) {
-	const n = 1024
-	b.Run("one-shot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			For(4, n, Chunked, func(int) {})
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		p := NewPool(4)
-		defer p.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.For(n, Chunked, func(int) {})
-		}
-	})
-}

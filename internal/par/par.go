@@ -252,7 +252,7 @@ func (p *Pool) ForWorker(n int, strategy Strategy, grain int, body func(worker, 
 }
 
 // cancelCheckEvery is how many body iterations a worker runs between polls
-// of the context's done channel in the Ctx variants. A shared stop flag
+// of the context's done channel in ForWorkerCtx. A shared stop flag
 // makes one worker's observation stop every other worker on its next
 // iteration, so the worst-case overrun after cancellation is one iteration
 // per worker plus cancelCheckEvery iterations on the observing worker.
@@ -264,16 +264,11 @@ type pad struct {
 	_ [60]byte
 }
 
-// ForCtx is For with cooperative cancellation: when ctx is canceled, workers
-// stop claiming iterations (remaining ones are skipped), the round's barrier
-// still completes — no goroutine leaks, the pool stays usable — and the
-// structured cancellation error is returned. A nil or never-canceled ctx
-// behaves exactly like For and returns nil.
-func (p *Pool) ForCtx(ctx context.Context, n int, strategy Strategy, body func(i int)) error {
-	return p.ForWorkerCtx(ctx, n, strategy, 0, func(_, i int) { body(i) })
-}
-
-// ForWorkerCtx is ForWorker with cooperative cancellation (see ForCtx).
+// ForWorkerCtx is ForWorker with cooperative cancellation: when ctx is
+// canceled, workers stop claiming iterations (remaining ones are skipped),
+// the round's barrier still completes — no goroutine leaks, the pool stays
+// usable — and the structured cancellation error is returned. A nil or
+// never-canceled ctx behaves exactly like ForWorker and returns nil.
 func (p *Pool) ForWorkerCtx(ctx context.Context, n int, strategy Strategy, grain int, body func(worker, i int)) error {
 	if ctx == nil || ctx.Done() == nil {
 		p.ForWorker(n, strategy, grain, body)
@@ -303,25 +298,6 @@ func (p *Pool) ForWorkerCtx(ctx context.Context, n int, strategy Strategy, grain
 		return cancel.From(ctx)
 	}
 	return cancel.Check(ctx)
-}
-
-// For is the one-shot variant: it spawns workers goroutines, runs body(i)
-// for i in [0, n) with the given strategy, and waits. Use a Pool when the
-// same worker set runs many rounds.
-func For(workers, n int, strategy Strategy, body func(i int)) {
-	workers = Normalize(workers)
-	if n <= 0 {
-		return
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	p := NewPool(workers)
-	defer p.Close()
-	p.For(n, strategy, body)
 }
 
 // BarrierPool is a deprecated alias of Pool, kept for callers that still

@@ -26,11 +26,13 @@ func coverageCheck(t *testing.T, n int, run func(mark func(i int))) {
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, strategy := range Strategies {
 		for _, workers := range []int{1, 2, 3, 7, 16} {
+			p := NewPool(workers)
 			for _, n := range []int{0, 1, 2, 5, 100, 1023} {
 				coverageCheck(t, n, func(mark func(int)) {
-					For(workers, n, strategy, mark)
+					p.For(n, strategy, mark)
 				})
 			}
+			p.Close()
 		}
 	}
 }
@@ -389,9 +391,11 @@ func testSharedWritesPublished(t *testing.T, newPool func(int) *Pool) {
 
 func TestSequentialOneWorkerOrder(t *testing.T) {
 	// A single worker with RoundRobin must preserve index order.
+	p := NewPool(1)
+	defer p.Close()
 	var mu sync.Mutex
 	var order []int
-	For(1, 10, RoundRobin, func(i int) {
+	p.For(10, RoundRobin, func(i int) {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()
@@ -470,6 +474,8 @@ func TestBarrierCallerParkHandoffAcrossRounds(t *testing.T) {
 	}
 }
 
+// The ForCtx tests drive ForWorkerCtx, the pool's one cancelable round.
+
 func TestForCtxCoversEveryIndexWhenNotCanceled(t *testing.T) {
 	testForCtxCoversEveryIndex(t, NewPool)
 }
@@ -482,8 +488,8 @@ func testForCtxCoversEveryIndex(t *testing.T, newPool func(int) *Pool) {
 		p := newPool(4)
 		for _, n := range []int{0, 1, 7, 1024} {
 			coverageCheck(t, n, func(mark func(int)) {
-				if err := p.ForCtx(context.Background(), n, strategy, mark); err != nil {
-					t.Fatalf("uncanceled ForCtx: %v", err)
+				if err := p.ForWorkerCtx(context.Background(), n, strategy, 0, func(_, i int) { mark(i) }); err != nil {
+					t.Fatalf("uncanceled ForWorkerCtx: %v", err)
 				}
 			})
 		}
@@ -500,8 +506,8 @@ func testForCtxNilContext(t *testing.T, newPool func(int) *Pool) {
 	p := newPool(3)
 	defer p.Close()
 	coverageCheck(t, 100, func(mark func(int)) {
-		if err := p.ForCtx(nil, 100, Chunked, mark); err != nil {
-			t.Fatalf("nil-ctx ForCtx: %v", err)
+		if err := p.ForWorkerCtx(nil, 100, Chunked, 0, func(_, i int) { mark(i) }); err != nil {
+			t.Fatalf("nil-ctx ForWorkerCtx: %v", err)
 		}
 	})
 }
@@ -517,7 +523,7 @@ func testForCtxStopsOnCancel(t *testing.T, newPool func(int) *Pool) {
 		ctx, cancelFn := context.WithCancel(context.Background())
 		var ran atomic.Int64
 		const n = 1 << 20
-		err := p.ForCtx(ctx, n, strategy, func(i int) {
+		err := p.ForWorkerCtx(ctx, n, strategy, 0, func(_, i int) {
 			if ran.Add(1) == 64 {
 				cancelFn()
 			}
@@ -550,7 +556,7 @@ func testForCtxAlreadyCanceled(t *testing.T, newPool func(int) *Pool) {
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
 	var ran atomic.Int64
-	err := p.ForCtx(ctx, 1000, RoundRobin, func(i int) { ran.Add(1) })
+	err := p.ForWorkerCtx(ctx, 1000, RoundRobin, 0, func(_, _ int) { ran.Add(1) })
 	if !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -574,7 +580,7 @@ func testCanceledRoundsLeakNothing(t *testing.T, newPool func(int) *Pool) {
 		p := newPool(8)
 		ctx, cancelFn := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		_ = p.ForCtx(ctx, 1<<18, Dynamic, func(i int) {
+		_ = p.ForWorkerCtx(ctx, 1<<18, Dynamic, 0, func(_, _ int) {
 			if ran.Add(1) == 100 {
 				cancelFn()
 			}

@@ -4,16 +4,52 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math/big"
 	"slices"
 	"strings"
 	"testing"
 )
 
+// checkCaps is the readers' overflow oracle, written without Validate so a
+// cap deleted from Validate cannot pass it: every time, release, setup and
+// window end of an accepted instance is at most MaxTimeValue, every window
+// starts at 0 or later, and the exact total (summed in math/big, so the sum
+// itself cannot overflow) is at most MaxTotalTime.
+func checkCaps(t *testing.T, in *Instance, input string) {
+	t.Helper()
+	total := new(big.Int)
+	for j, p := range in.Times {
+		if p > MaxTimeValue {
+			t.Fatalf("accepted job %d with time %d > MaxTimeValue\ninput: %q", j, p, input)
+		}
+		total.Add(total, big.NewInt(int64(p)))
+	}
+	if total.Cmp(big.NewInt(int64(MaxTotalTime))) > 0 {
+		t.Fatalf("accepted a total of %v > MaxTotalTime\ninput: %q", total, input)
+	}
+	for j, r := range in.Release {
+		if r > MaxTimeValue {
+			t.Fatalf("accepted job %d with release %d > MaxTimeValue\ninput: %q", j, r, input)
+		}
+	}
+	for i, st := range in.Setup {
+		if st > MaxTimeValue {
+			t.Fatalf("accepted machine %d with setup %d > MaxTimeValue\ninput: %q", i, st, input)
+		}
+	}
+	for i, ws := range in.Windows {
+		for k, w := range ws {
+			if w.Start < 0 || w.End > MaxTimeValue {
+				t.Fatalf("accepted machine %d window %d [%d,%d) outside [0, MaxTimeValue]\ninput: %q", i, k, w.Start, w.End, input)
+			}
+		}
+	}
+}
+
 // FuzzReadText drives the text parser with arbitrary streams and checks the
 // format's core invariants on every accepted instance:
 //
-//  1. accepted instances validate (the parser never hands out a malformed
-//     Instance), and
+//  1. accepted instances hold the overflow caps (checkCaps), and
 //  2. the write->reparse->write cycle is a fixed point: writing the parsed
 //     instance, reading it back and writing again produces byte-identical
 //     output, so WriteText is a canonical form for everything ReadText
@@ -33,9 +69,8 @@ func FuzzReadText(f *testing.F) {
 		"m 2\nr 0 4\nr 1 2\n5 3 7 2\n",
 		"m 1\nvariant w\nw 0 0 5 10 13\n3 4\n",
 		"m 2\nvariant plain\n5 3\n",
-		// Near-MaxInt64 and cap-boundary values: every accepted instance
-		// must clear Validate's MaxTimeValue/MaxTotalTime caps, so these
-		// exercise the overflow guards at the parse boundary.
+		// Near-MaxInt64 and cap-boundary values: a reader that accepts one
+		// past a cap fails checkCaps on these seeds in plain go test.
 		"m 1\n9223372036854775807\n",
 		"m 1\n9223372036854775806 1\n",
 		"m 2\n1125899906842624 1125899906842624\n",
@@ -50,6 +85,11 @@ func FuzzReadText(f *testing.F) {
 		"m 2\nvariant q\n5 3\n",
 		"not an instance",
 		"",
+		// Near-MaxInt64 setup and release values that only the caps reject.
+		// The release seed above gives two values for one job, so its count
+		// check rejects it first.
+		"m 1\nvariant s\ns 9223372036854775807\n5\n",
+		"m 1\nvariant r\nr 9223372036854775807\n5\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -59,9 +99,7 @@ func FuzzReadText(f *testing.F) {
 		if err != nil {
 			return // rejecting is always fine; not crashing is the point
 		}
-		if verr := in.Validate(); verr != nil {
-			t.Fatalf("ReadText accepted an invalid instance: %v\ninput: %q", verr, text)
-		}
+		checkCaps(t, in, text)
 		var first bytes.Buffer
 		if err := WriteText(&first, in); err != nil {
 			t.Fatalf("WriteText failed on accepted instance: %v\ninput: %q", err, text)
@@ -84,10 +122,10 @@ func FuzzReadText(f *testing.F) {
 }
 
 // FuzzReadJSON mirrors FuzzReadText for the JSON format: every instance the
-// reader accepts must validate (in particular, clear the MaxTimeValue and
-// MaxTotalTime overflow caps), and marshal->reread->marshal must be a fixed
-// point. The seed corpus covers the plain object, every optional section,
-// malformed input, and cap-boundary values near MaxInt64.
+// reader accepts must hold the overflow caps (checkCaps), and
+// marshal->reread->marshal must be a fixed point. The seed corpus covers the
+// plain object, every optional section, malformed input, and cap-boundary
+// values near MaxInt64.
 func FuzzReadJSON(f *testing.F) {
 	seeds := []string{
 		`{"m":2,"times":[5,3,7]}`,
@@ -97,7 +135,7 @@ func FuzzReadJSON(f *testing.F) {
 		`{"m":2,"times":[5,3],"release":[0,4],"setup":[1,0],"windows":[[{"start":0,"end":40}],[{"start":2,"end":10},{"start":15,"end":60}]]}`,
 		`{"m":0,"times":[]}`,
 		`{"m":2,"times":[5,-3]}`,
-		// Cap-boundary and near-MaxInt64 values.
+		// Cap-boundary and near-MaxInt64 values, as in FuzzReadText.
 		`{"m":1,"times":[9223372036854775807]}`,
 		`{"m":1,"times":[9223372036854775806,1]}`,
 		`{"m":1,"times":[1125899906842624]}`,
@@ -108,6 +146,8 @@ func FuzzReadJSON(f *testing.F) {
 		`{"m":685477581,"times":[5],"windows":[[{"start":1,"end":9}]]}`,
 		`not json`,
 		``,
+		// A near-MaxInt64 setup value that only the setup cap rejects.
+		`{"m":1,"times":[5],"setup":[9223372036854775807]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -117,9 +157,7 @@ func FuzzReadJSON(f *testing.F) {
 		if err != nil {
 			return // rejecting is always fine; not crashing is the point
 		}
-		if verr := in.Validate(); verr != nil {
-			t.Fatalf("ReadJSON accepted an invalid instance: %v\ninput: %q", verr, data)
-		}
+		checkCaps(t, in, string(data))
 		first, err := json.Marshal(in)
 		if err != nil {
 			t.Fatalf("Marshal failed on accepted instance: %v\ninput: %q", err, data)

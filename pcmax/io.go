@@ -111,8 +111,6 @@ func parseTimeFields(fields []string, what string) ([]Time, error) {
 // they did before the sections existed. A declared "variant" line must cover
 // every feature the sections actually use (it may over-declare, so a
 // zero-valued release section under "variant r" is accepted).
-//
-//lint:parseroot text instances arrive from untrusted files
 func ReadText(r io.Reader) (*Instance, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -259,8 +257,6 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 
 // ReadJSON parses one JSON instance from r, mirroring ReadText for the JSON
 // format written by MarshalJSON. The decoded instance is validated.
-//
-//lint:parseroot JSON instances arrive from untrusted files
 func ReadJSON(r io.Reader) (*Instance, error) {
 	in := &Instance{}
 	if err := json.NewDecoder(r).Decode(in); err != nil {
@@ -271,8 +267,6 @@ func ReadJSON(r io.Reader) (*Instance, error) {
 
 // UnmarshalJSON implements json.Unmarshaler. The decoded instance is
 // validated.
-//
-//lint:parseroot JSON instances arrive from untrusted byte slices
 func (in *Instance) UnmarshalJSON(data []byte) error {
 	var ji jsonInstance
 	if err := json.Unmarshal(data, &ji); err != nil {

@@ -43,12 +43,11 @@ type Instance struct {
 
 // Validation caps. Instances arrive from untrusted files, and everything
 // downstream — bounds, bisection probes, DP table sizing — sums and scales
-// processing times as int64. The caps make that arithmetic provably
-// overflow-free: with every value at most MaxTimeValue and the running
-// total at most MaxTotalTime, any sum the solvers form stays far inside
-// the int64 range. The schedlint intoverflow analyzer checks exactly this:
-// Validate's guards are what dominate the arithmetic reachable from the
-// parse roots.
+// processing times as int64. The caps keep that arithmetic overflow-free:
+// with every value at most MaxTimeValue and the running total at most
+// MaxTotalTime, any sum the solvers form stays far inside the int64 range.
+// TestValidateCaps pins each cap at its boundary, and the reader fuzzers
+// check every accepted instance against the caps without calling Validate.
 const (
 	// MaxTimeValue caps every accepted time-like value (processing, release,
 	// setup and window bounds).

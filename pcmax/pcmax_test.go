@@ -62,6 +62,40 @@ func TestValidateNilInstance(t *testing.T) {
 	}
 }
 
+// TestValidateCaps pins each of Validate's overflow caps at its boundary: an
+// instance holding a value at the cap is accepted, one holding the value
+// one past it is rejected with the cap's error. MaxTotalTime is 1,024 times
+// MaxTimeValue, so 1,024 jobs of MaxTimeValue reach the total cap exactly
+// and 1,025 pass it.
+func TestValidateCaps(t *testing.T) {
+	jobs := func(n int) []Time {
+		times := make([]Time, n)
+		for j := range times {
+			times[j] = MaxTimeValue
+		}
+		return times
+	}
+	window := func(end Time) [][]Window { return [][]Window{{{Start: 0, End: end}}} }
+	for _, tc := range []struct {
+		name     string
+		at, past Instance
+		err      error
+	}{
+		{"job time", Instance{M: 1, Times: []Time{MaxTimeValue}}, Instance{M: 1, Times: []Time{MaxTimeValue + 1}}, ErrTimeTooLarge},
+		{"total", Instance{M: 1, Times: jobs(1024)}, Instance{M: 1, Times: jobs(1025)}, ErrTotalTooLarge},
+		{"release", Instance{M: 1, Times: []Time{1}, Release: []Time{MaxTimeValue}}, Instance{M: 1, Times: []Time{1}, Release: []Time{MaxTimeValue + 1}}, ErrBadRelease},
+		{"setup", Instance{M: 1, Times: []Time{1}, Setup: []Time{MaxTimeValue}}, Instance{M: 1, Times: []Time{1}, Setup: []Time{MaxTimeValue + 1}}, ErrBadSetup},
+		{"window end", Instance{M: 1, Times: []Time{1}, Windows: window(MaxTimeValue)}, Instance{M: 1, Times: []Time{1}, Windows: window(MaxTimeValue + 1)}, ErrBadWindow},
+	} {
+		if err := tc.at.Validate(); err != nil {
+			t.Errorf("%s at the cap: %v, want accepted", tc.name, err)
+		}
+		if err := tc.past.Validate(); !errors.Is(err, tc.err) {
+			t.Errorf("%s one past the cap: %v, want %v", tc.name, err, tc.err)
+		}
+	}
+}
+
 func TestEmptyInstanceIsValid(t *testing.T) {
 	in := &Instance{M: 2}
 	if err := in.Validate(); err != nil {

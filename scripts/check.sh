@@ -26,12 +26,13 @@ go vet ./...
 go -C cmd/schedperf vet ./...
 
 # schedlint enforces the repo's concurrency/determinism invariants with all
-# twelve analyzers in one run: the dataflow-based concurrency checks
-# (ALGORITHM.md sections 9 and 11), the value-flow provers (section 14), the
-# cancellation-latency prover (section 16) and the lintdirective audit of
-# malformed, unknown and stale //lint:ignore comments. Findings print
-# grouped by check; exit 1 on any finding is a hard failure. Data races are
-# the race detector's, in the -race passes at the end.
+# nine analyzers in one run: the dataflow-based concurrency checks
+# (ALGORITHM.md sections 9 and 11), the cancellation-latency prover
+# (section 16) and the lintdirective audit of malformed, unknown and stale
+# //lint:ignore comments. Findings print grouped by check; exit 1 on any
+# finding is a hard failure. Data races are the race detector's, in the
+# -race passes at the end; the hot kernels' allocations and Validate's
+# overflow caps are the tests' (section 14).
 go run ./cmd/schedlint ./...
 
 go test -shuffle=on -timeout 10m ./...
@@ -43,10 +44,10 @@ go test -shuffle=on -timeout 10m ./...
 go -C cmd/schedperf test -timeout 5m ./...
 
 # Fuzz smoke over both instance parsers: five seconds of random streams each
-# against the accept->validate->round-trip invariants of pcmax.FuzzReadText
-# and pcmax.FuzzReadJSON (the corpora include near-MaxInt64 values, so the
-# Validate overflow caps are exercised). Catches format-grammar regressions
-# the fixed test corpus misses.
+# against the accept->caps->round-trip invariants of pcmax.FuzzReadText and
+# pcmax.FuzzReadJSON (the caps oracle recomputes the overflow caps without
+# Validate, and the corpora include near-MaxInt64 values). Catches
+# format-grammar regressions the fixed test corpus misses.
 go test -timeout 5m -run '^$' -fuzz 'FuzzReadText' -fuzztime 5s ./pcmax
 go test -timeout 5m -run '^$' -fuzz 'FuzzReadJSON' -fuzztime 5s ./pcmax
 
