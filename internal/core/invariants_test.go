@@ -55,7 +55,7 @@ func TestLongJobLoadBound(t *testing.T) {
 
 // TestUnroundingIsDeterministic runs the same solve twice and demands
 // identical assignments, not just identical makespans: every tie-break in
-// the pipeline (bucket order, reconstruction, heap) must be stable.
+// the pipeline (bucket order, reconstruction, machine tree) must be stable.
 func TestUnroundingIsDeterministic(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 8, N: 60, Seed: 31})
 	a, _, err := Solve(context.Background(), in, Options{Epsilon: 0.3})

@@ -95,50 +95,103 @@ func TestAssignGreedyPartialOrder(t *testing.T) {
 	}
 }
 
-// naiveGreedy re-implements least-loaded assignment with a linear scan, as
-// an oracle for the heap.
-func naiveGreedy(in *pcmax.Instance, order []int) *pcmax.Schedule {
-	sched := pcmax.NewSchedule(in.M, in.N())
-	loads := make([]pcmax.Time, in.M)
-	for _, j := range order {
+// naiveGreedy is the oracle for the greedy choice, the paper's Lines 45-48:
+// each listed job goes to the machine found by scanning loads in index order
+// and keeping the first strict minimum. loads holds the machines' starting
+// loads and is advanced in place; the result is each listed job's machine,
+// in the order's positions.
+func naiveGreedy(in *pcmax.Instance, loads []pcmax.Time, order []int) []int {
+	got := make([]int, len(order))
+	for k, j := range order {
 		mi := 0
-		for i := 1; i < in.M; i++ {
+		for i := 1; i < len(loads); i++ {
 			if loads[i] < loads[mi] {
 				mi = i
 			}
 		}
 		loads[mi] += in.Times[j]
-		sched.Assignment[j] = mi
+		got[k] = mi
 	}
-	return sched
+	return got
 }
 
-func TestHeapMatchesNaiveGreedyProperty(t *testing.T) {
-	f := func(seed uint64, mRaw, nRaw uint8) bool {
-		src := rng.New(seed)
-		m := int(mRaw%10) + 1
-		n := int(nRaw%50) + 1
-		times := make([]pcmax.Time, n)
-		for j := range times {
-			times[j] = pcmax.Time(1 + src.Int64n(100))
+// checkGreedy runs AssignGreedy on a copy of sched (a partial schedule whose
+// placed jobs set the starting loads) and compares every listed job's machine
+// with naiveGreedy's, and every unlisted job's entry with its old one.
+func checkGreedy(t testing.TB, in *pcmax.Instance, sched *pcmax.Schedule, order []int) {
+	t.Helper()
+	loads := make([]pcmax.Time, in.M)
+	for j, mi := range sched.Assignment {
+		if mi >= 0 {
+			loads[mi] += in.Times[j]
 		}
-		in := &pcmax.Instance{M: m, Times: times}
-		order := make([]int, n)
-		for j := range order {
-			order[j] = j
+	}
+	want := naiveGreedy(in, loads, order)
+	got := &pcmax.Schedule{M: sched.M, Assignment: append([]int(nil), sched.Assignment...)}
+	AssignGreedy(in, got, order)
+	listed := make([]bool, in.N())
+	for k, j := range order {
+		listed[j] = true
+		if got.Assignment[j] != want[k] {
+			t.Fatalf("m=%d times=%v start=%v order=%v: job %d (the %d-th placed) on machine %d, oracle %d",
+				in.M, in.Times, sched.Assignment, order, j, k, got.Assignment[j], want[k])
 		}
-		want := naiveGreedy(in, order)
-		got := pcmax.NewSchedule(m, n)
-		AssignGreedy(in, got, order)
-		for j := range order {
-			if got.Assignment[j] != want.Assignment[j] {
-				return false
+	}
+	for j, mi := range sched.Assignment {
+		if !listed[j] && got.Assignment[j] != mi {
+			t.Fatalf("m=%d: unlisted job %d moved from %d to %d", in.M, j, mi, got.Assignment[j])
+		}
+	}
+}
+
+// randomGreedyCase draws n jobs with times in 1..maxT, places each with
+// probability 1/3 on a random machine (a partial long-job schedule) and lists
+// the rest, in LPT order when lpt is set and in input order otherwise.
+func randomGreedyCase(src *rng.Source, m, n int, maxT int64, lpt bool) (*pcmax.Instance, *pcmax.Schedule, []int) {
+	in := &pcmax.Instance{M: m, Times: make([]pcmax.Time, n)}
+	for j := range in.Times {
+		in.Times[j] = pcmax.Time(1 + src.Int64n(maxT))
+	}
+	sched := pcmax.NewSchedule(m, n)
+	var order []int
+	for j := range sched.Assignment {
+		if src.Intn(3) == 0 {
+			sched.Assignment[j] = src.Intn(m)
+		} else if !lpt {
+			order = append(order, j)
+		}
+	}
+	if lpt {
+		for _, j := range in.SortedIndex() {
+			if sched.Assignment[j] < 0 {
+				order = append(order, j)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	return in, sched, order
+}
+
+// TestGreedyMatchesNaiveProperty checks the greedy choice against the
+// first-strict-minimum scan on every m in 1..70, which covers the tree shapes
+// 2^k-1, 2^k and 2^k+1 up to 65, from empty machines and from a partial
+// schedule, with tie-heavy (1..3) and wide (1..100) times.
+func TestGreedyMatchesNaiveProperty(t *testing.T) {
+	src := rng.New(25)
+	for m := 1; m <= 70; m++ {
+		for trial := 0; trial < 12; trial++ {
+			n := 1 + src.Intn(3*m+8)
+			maxT := int64(3)
+			if trial%4 == 3 {
+				maxT = 100
+			}
+			in, sched, order := randomGreedyCase(src, m, n, maxT, trial%2 == 0)
+			if trial < 2 {
+				// From empty machines: every job listed.
+				sched = pcmax.NewSchedule(m, n)
+				order = in.SortedIndex()
+			}
+			checkGreedy(t, in, sched, order)
+		}
 	}
 }
 
@@ -222,5 +275,44 @@ func TestMoreMachinesThanJobs(t *testing.T) {
 	s := LPT(in)
 	if got := s.Makespan(in); got != 9 {
 		t.Fatalf("makespan = %d, want 9", got)
+	}
+}
+
+// TestGreedyAllocations pins the greedy passes' allocations: the tree is one
+// slice, so AssignGreedy allocates once, and RepairInPlace allocates once
+// while its loose jobs fit the eight-entry buffer on its stack.
+func TestGreedyAllocations(t *testing.T) {
+	for _, m := range []int{1, 10, 1000} {
+		n := 3*m + 8
+		in := &pcmax.Instance{M: m, Times: make([]pcmax.Time, n)}
+		keep := make([]int, n)
+		for j := range keep {
+			in.Times[j] = pcmax.Time(1 + j%7)
+			keep[j] = j % m
+		}
+		order := in.SortedIndex()
+		sched := pcmax.NewSchedule(m, n)
+		got := testing.AllocsPerRun(20, func() {
+			for j := range sched.Assignment {
+				sched.Assignment[j] = -1
+			}
+			AssignGreedy(in, sched, order)
+		})
+		if got != 1 {
+			t.Errorf("m=%d: AssignGreedy allocated %v times, want 1", m, got)
+		}
+		assign := make([]int, n)
+		for _, loose := range []int{0, 1, 8} {
+			got := testing.AllocsPerRun(20, func() {
+				copy(assign, keep)
+				for j := 0; j < loose; j++ {
+					assign[j] = -1
+				}
+				RepairInPlace(in, assign)
+			})
+			if got != 1 {
+				t.Errorf("m=%d, %d loose jobs: RepairInPlace allocated %v times, want 1", m, loose, got)
+			}
+		}
 	}
 }

@@ -34,22 +34,22 @@ func Repair(in *pcmax.Instance, keep []int) *pcmax.Schedule {
 // entry per job of in, entries in [0, M) stay, and every other job is placed
 // by the same LPT-ordered greedy pass, its entry overwritten with the machine
 // it lands on. It returns the repaired makespan (the largest machine load),
-// so the caller needs no rescan, and allocates only the machine heap and the
+// so the caller needs no rescan, and allocates only the machine tree and the
 // list of unplaced jobs. Unlike Repair, assign must hold exactly in.N()
 // entries.
 func RepairInPlace(in *pcmax.Instance, assign []int) pcmax.Time {
-	h := newMachineHeap(in.M)
+	t := newTourney(in.M)
 	var buf [8]int
 	loose := buf[:0]
 	for j, mi := range assign {
 		if mi >= 0 && mi < in.M {
-			h[mi].load += in.Times[j]
+			t.load[mi] += in.Times[j]
 		} else {
 			loose = append(loose, j)
 		}
 	}
 	if len(loose) == 0 {
-		return h.max()
+		return t.max()
 	}
 	slices.SortFunc(loose, func(a, b int) int {
 		if c := cmp.Compare(in.Times[b], in.Times[a]); c != 0 {
@@ -57,9 +57,9 @@ func RepairInPlace(in *pcmax.Instance, assign []int) pcmax.Time {
 		}
 		return cmp.Compare(a, b)
 	})
-	h.init()
+	t.build()
 	for _, j := range loose {
-		assign[j] = h.assign(in.Times[j])
+		assign[j] = t.place(in.Times[j])
 	}
-	return h.max()
+	return t.max()
 }

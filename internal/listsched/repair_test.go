@@ -1,6 +1,7 @@
 package listsched
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -111,6 +112,63 @@ func TestRepairInPlaceMatchesRepair(t *testing.T) {
 		}
 		if got := want.Makespan(in); ms != got {
 			t.Fatalf("trial %d: RepairInPlace makespan %d, schedule's %d", trial, ms, got)
+		}
+	}
+}
+
+// naiveRepair is the oracle for RepairInPlace: the kept jobs' loads summed,
+// the loose jobs in LPT order (non-increasing time, ties by index) placed by
+// naiveGreedy. It returns the repaired assignment and the largest load.
+func naiveRepair(in *pcmax.Instance, keep []int) ([]int, pcmax.Time) {
+	assign := append([]int(nil), keep...)
+	loads := make([]pcmax.Time, in.M)
+	var loose []int
+	for j, mi := range keep {
+		if mi >= 0 && mi < in.M {
+			loads[mi] += in.Times[j]
+		} else {
+			loose = append(loose, j)
+		}
+	}
+	sort.SliceStable(loose, func(a, b int) bool { return in.Times[loose[a]] > in.Times[loose[b]] })
+	for k, mi := range naiveGreedy(in, loads, loose) {
+		assign[loose[k]] = mi
+	}
+	var ms pcmax.Time
+	for _, l := range loads {
+		if l > ms {
+			ms = l
+		}
+	}
+	return assign, ms
+}
+
+// TestRepairInPlaceMatchesNaiveRepair checks RepairInPlace against the
+// naive repair on every m in 1..70 with tie-heavy times (1..3): the same
+// machine for every job and the same makespan, from keep-maps that mix kept,
+// loose and out-of-range entries.
+func TestRepairInPlaceMatchesNaiveRepair(t *testing.T) {
+	src := rng.New(52)
+	for m := 1; m <= 70; m++ {
+		for trial := 0; trial < 6; trial++ {
+			n := src.Intn(3*m + 8)
+			in := &pcmax.Instance{M: m, Times: make([]pcmax.Time, n)}
+			keep := make([]int, n)
+			for j := range keep {
+				in.Times[j] = pcmax.Time(1 + src.Int64n(3))
+				keep[j] = src.Intn(m+3) - 2
+			}
+			want, wantMS := naiveRepair(in, keep)
+			assign := append([]int(nil), keep...)
+			ms := RepairInPlace(in, assign)
+			for j := range assign {
+				if assign[j] != want[j] {
+					t.Fatalf("m=%d times=%v keep=%v: job %d on machine %d, oracle %d", m, in.Times, keep, j, assign[j], want[j])
+				}
+			}
+			if ms != wantMS {
+				t.Fatalf("m=%d: makespan %d, oracle %d", m, ms, wantMS)
+			}
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 //
 // On plain instances earliest completion time degenerates to least load with
 // identical tie-breaking, so LSGeneral/LPTGeneral route plain instances
-// through the untouched heap-based plain code path and return bit-identical
+// through the plain code path (AssignGreedy) and return bit-identical
 // schedules.
 
 // ErrNoFit reports a job that fits no machine's availability windows at any
@@ -58,7 +58,7 @@ func assignVariantGreedy(in *pcmax.Instance, sched *pcmax.Schedule, order []int)
 }
 
 // LSGeneral runs list scheduling in job input order on any instance variant.
-// Plain instances take the classic heap path and return exactly LS's
+// Plain instances take the plain greedy path and return exactly LS's
 // schedule.
 func LSGeneral(in *pcmax.Instance) (*pcmax.Schedule, error) {
 	if in.Variant() == pcmax.Plain {
@@ -79,7 +79,7 @@ func LSGeneral(in *pcmax.Instance) (*pcmax.Schedule, error) {
 // LPTGeneral runs longest-processing-time list scheduling on any instance
 // variant: the priority list is the plain LPT order (non-increasing
 // processing time, ties by job index), machines are chosen by earliest
-// completion. Plain instances take the classic heap path and return exactly
+// completion. Plain instances take the plain greedy path and return exactly
 // LPT's schedule.
 func LPTGeneral(in *pcmax.Instance) (*pcmax.Schedule, error) {
 	if in.Variant() == pcmax.Plain {

@@ -9,8 +9,9 @@ import (
 )
 
 func TestGeneralMatchesPlainBitForBit(t *testing.T) {
-	// On plain instances the general greedy must route through the classic
-	// heap path and return the identical schedule, assignment by assignment.
+	// On plain instances the general greedy must route through the plain
+	// greedy path (AssignGreedy) and return the identical schedule,
+	// assignment by assignment.
 	for seed := uint64(1); seed <= 8; seed++ {
 		in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 4, N: 30, Seed: seed})
 		ls, err := LSGeneral(in)

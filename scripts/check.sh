@@ -56,6 +56,20 @@ go test -timeout 5m -run '^$' -fuzz 'FuzzReadJSON' -fuzztime 5s ./pcmax
 # pcmax.SortedIndex's radix sort must reproduce (pcmax.FuzzSortedIndex).
 go test -timeout 5m -run '^$' -fuzz 'FuzzSortedIndex' -fuzztime 5s ./pcmax
 
+# Fuzz smoke over the greedy choice every LPT pass makes (bounds, short-job
+# pack, repair): five seconds of random machine counts, tie-heavy and wide
+# times and partial starting schedules, each placed by AssignGreedy's loser
+# tree and by the paper's first-strict-minimum scan, which must agree job for
+# job (internal/listsched.FuzzAssignGreedy).
+go test -timeout 5m -run '^$' -fuzz 'FuzzAssignGreedy' -fuzztime 5s ./internal/listsched
+
+# Fuzz smoke over the bounds that lean on other code: five seconds of small
+# instances (m <= 4, n <= 10) on which lb.FromLPT of the LPT schedule and
+# lb.FromPrevious across a random removal must stay at or below
+# exact.BruteForce's optimum, and LPT's makespan at or above it
+# (internal/lb.FuzzLowerBounds).
+go test -timeout 5m -run '^$' -fuzz 'FuzzLowerBounds' -fuzztime 5s ./internal/lb
+
 # Differential fuzz smoke over the fill switch: five seconds of random small
 # instances (m <= 4, n <= 10), each solved with the production fill and with
 # the paper's Algorithms 2 and 3 (internal/core.FuzzSolve), which must agree
