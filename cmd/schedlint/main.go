@@ -1,21 +1,18 @@
-// Command schedlint runs the repository's static-analysis suite: nine
-// analyzers (see internal/lint and ALGORITHM.md §9/§11/§16) that
-// machine-check the concurrency and determinism invariants the scheduler
-// depends on — deterministic RNG only through internal/rng, context
-// threaded through every blocking solver entry point, no unjoined
-// goroutines, no map iteration order leaking into results, no undocumented
-// library panics, a consistent mutex acquisition order, no unterminatable
-// goroutines reachable from exported functions, WaitGroup accounting
-// balanced on every path, and every loop on a solver-entry-to-//lint:hotpath
-// path polling cancellation with a constant stride of at most 2^16
-// iterations (cancelpoll). Lock copies are go vet's copylocks check, data
-// races the race detector's (scripts/check.sh), and the hot kernels'
-// allocations and Validate's overflow caps are pinned by tests
-// (ALGORITHM.md §14), not by schedlint.
+// Command schedlint runs the repository's static-analysis suite: five
+// syntactic analyzers (see internal/lint and ALGORITHM.md §9) that
+// machine-check the determinism and API invariants the scheduler depends
+// on — deterministic RNG only through internal/rng, context threaded
+// through every blocking solver entry point, no go statement outside
+// internal/par, no map iteration order leaking into results, and no
+// undocumented library panics. Lock copies are go vet's copylocks check and
+// data races the race detector's (scripts/check.sh); goroutine release,
+// lock order and cancellation poll strides are pinned by tests in par, dp
+// and exact, and the hot kernels' allocations and Validate's overflow caps
+// by tests too (ALGORITHM.md §11 and §14), not by schedlint.
 //
 // Usage:
 //
-//	schedlint [-json] [-out file] [-v] [-time-budget d] [packages]
+//	schedlint [-json] [-out file] [-v] [packages]
 //
 // schedlint always analyzes the whole module containing the working
 // directory; package arguments (./...) are accepted for command-line
@@ -29,8 +26,7 @@
 //
 // The reason is mandatory. Malformed directives, directives naming an
 // unknown check and stale directives (suppressing nothing) are themselves
-// findings of the lintdirective check. -time-budget fails the run (exit 3)
-// if any single analyzer exceeds the given wall-time budget.
+// findings of the lintdirective check.
 package main
 
 import (
@@ -52,10 +48,9 @@ func main() {
 
 // config is one schedlint invocation's parsed flags.
 type config struct {
-	jsonOut    bool
-	outFile    string
-	verbose    bool
-	timeBudget time.Duration
+	jsonOut bool
+	outFile string
+	verbose bool
 }
 
 // run is the testable entry point: parses flags, runs the suite, writes the
@@ -67,10 +62,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit findings as a JSON array")
 	fs.StringVar(&cfg.outFile, "out", "", "also write the report to this file (implies the same format as stdout)")
 	fs.BoolVar(&cfg.verbose, "v", false, "print load and per-analyzer wall time to stderr")
-	fs.DurationVar(&cfg.timeBudget, "time-budget", 0, "fail (exit 3) if any single analyzer exceeds this wall-time budget")
 	listChecks := fs.Bool("checks", false, "list the analyzers and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: schedlint [-json] [-out file] [-v] [-time-budget d] [packages]\n")
+		fmt.Fprintf(stderr, "usage: schedlint [-json] [-out file] [-v] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -91,29 +85,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	loadStart := time.Now()
-	mod, err := lint.LoadModuleParallel(root, 0)
+	mod, err := lint.LoadModule(root)
 	if err != nil {
 		fmt.Fprintf(stderr, "schedlint: %v\n", err)
 		return 2
 	}
 	loadTime := time.Since(loadStart)
-	diags, timings := lint.RunOnModule(mod, analyzers, 0)
+	diags, timings := lint.RunOnModule(mod, analyzers)
 	if cfg.verbose {
 		fmt.Fprintf(stderr, "schedlint: load %8.1fms  (%d packages)\n", millis(loadTime), len(mod.Packages))
 		for _, t := range timings {
 			fmt.Fprintf(stderr, "schedlint: %-12s %8.1fms\n", t.Name, millis(t.Elapsed))
-		}
-	}
-	if cfg.timeBudget > 0 {
-		over := false
-		for _, t := range timings {
-			if t.Elapsed > cfg.timeBudget {
-				fmt.Fprintf(stderr, "schedlint: analyzer %s spent %.1fms, over the %s budget\n", t.Name, millis(t.Elapsed), cfg.timeBudget)
-				over = true
-			}
-		}
-		if over {
-			return 3
 		}
 	}
 	if err := writeReport(stdout, cfg.jsonOut, diags); err != nil {

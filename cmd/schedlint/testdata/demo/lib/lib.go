@@ -1,6 +1,6 @@
 // Package lib produces a small, stable finding set for the golden-output
-// test: a malformed suppression directive and one go statement that trips
-// both the join check and the termination check.
+// test: a malformed suppression directive and one go statement outside
+// internal/par.
 package lib
 
 //lint:ignore maporder

@@ -46,9 +46,6 @@ type SparseOptions struct {
 	// dominance. Values < 1 are treated as 1 (singletons are always kept;
 	// the DP requires every non-zero entry to admit a candidate).
 	KeepJobs int32
-	// NoDominance disables the dominance prune, leaving only the support
-	// cap. Ablation/debug knob.
-	NoDominance bool
 }
 
 // DefaultSparseOptions derives the Jansen–Klein–Verschae-style defaults for
@@ -93,7 +90,7 @@ func (s SparseStats) Reduction() float64 {
 // class within capacity T and availability counts — i.e. whether a strictly
 // larger feasible configuration exists. sizes, counts and cur are parallel.
 //
-//lint:hotpath dominance test runs once per enumerated configuration
+// Hot path: dominance test runs once per enumerated configuration.
 func dominated(cur []int32, sizes []pcmax.Time, counts []int, w, T pcmax.Time) bool {
 	// Never taken: the parallel slices share length d. The guard lets the
 	// compiler drop the bounds checks on cur[i] and counts[i].
@@ -110,7 +107,7 @@ func dominated(cur []int32, sizes []pcmax.Time, counts []int, w, T pcmax.Time) b
 
 // support counts the distinct size classes a configuration uses.
 //
-//lint:hotpath support count runs once per enumerated configuration
+// Hot path: support count runs once per enumerated configuration.
 func support(cur []int32) int {
 	n := 0
 	for _, c := range cur {
@@ -166,7 +163,7 @@ func EnumerateSparse(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []in
 					stats.PrunedSupport++
 					return nil
 				}
-				if !opts.NoDominance && dominated(cur, sizes, counts, weight, T) {
+				if dominated(cur, sizes, counts, weight, T) {
 					stats.PrunedDominated++
 					return nil
 				}

@@ -127,23 +127,6 @@ func TestEnumerateSparseVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestEnumerateSparseNoDominance(t *testing.T) {
-	sizes, counts, T, stride := paperExample()
-	sparse, stats, err := EnumerateSparse(sizes, counts, T, stride, 0,
-		SparseOptions{MaxSupport: 1, KeepJobs: 1, NoDominance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PrunedDominated != 0 {
-		t.Fatalf("NoDominance pruned %d as dominated", stats.PrunedDominated)
-	}
-	for _, c := range sparse {
-		if c.Jobs > 1 && support(c.Counts) > 1 {
-			t.Fatalf("retained %v violates support cap", c.Counts)
-		}
-	}
-}
-
 func TestDefaultSparseOptionsSupportGrowsLogarithmically(t *testing.T) {
 	cases := []struct{ k, want int }{
 		{1, 3}, {2, 3}, {4, 4}, {10, 6}, {100, 9},

@@ -3,7 +3,6 @@ package dp
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,7 +112,7 @@ func TestFillAutoMidFillCancel(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := bigTable(t)
-			err := tbl.FillAutoCtx(newTrippingCtx(), tc.pool)
+			err := tbl.FillAutoCtx(newDyingCtx(2), tc.pool)
 			var cerr *cancel.Error
 			if !errors.As(err, &cerr) || !errors.Is(err, cancel.ErrCanceled) {
 				t.Fatalf("want a *cancel.Error matching ErrCanceled, got %v", err)
@@ -177,35 +176,6 @@ func TestFillAutoCancelDuringSlabPhases(t *testing.T) {
 	}
 }
 
-// trippingCtx is live for its first Done poll and canceled from the second
-// onward: FillAutoCtx's entry check passes, and the fill kernel dies at its
-// own first poll — a deterministic mid-fill cancellation.
-type trippingCtx struct {
-	context.Context
-	polls atomic.Int32
-	done  chan struct{}
-}
-
-func newTrippingCtx() *trippingCtx {
-	done := make(chan struct{})
-	close(done)
-	return &trippingCtx{Context: context.Background(), done: done}
-}
-
-func (c *trippingCtx) Done() <-chan struct{} {
-	if c.polls.Add(1) >= 2 {
-		return c.done
-	}
-	return nil
-}
-
-func (c *trippingCtx) Err() error {
-	if c.polls.Load() >= 2 {
-		return context.Canceled
-	}
-	return nil
-}
-
 // TestFillAutoCanceledCutoverReportsNoInlineLevels pins the stats contract:
 // a fill that dies inside the kernel must not claim its levels completed
 // inline, with or without a pool.
@@ -224,7 +194,7 @@ func TestFillAutoCanceledCutoverReportsNoInlineLevels(t *testing.T) {
 				defer pool.Close()
 			}
 			tbl := bigTable(t)
-			if err := tbl.FillAutoCtx(newTrippingCtx(), pool); !errors.Is(err, cancel.ErrCanceled) {
+			if err := tbl.FillAutoCtx(newDyingCtx(2), pool); !errors.Is(err, cancel.ErrCanceled) {
 				t.Fatalf("want ErrCanceled, got %v", err)
 			}
 			if s := tbl.AutoStats; s != (AutoStats{}) {

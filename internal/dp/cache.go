@@ -142,11 +142,6 @@ func appendConfigKey(b []byte, sizes []pcmax.Time, g pcmax.Time, counts []int, c
 	if mode == EnumSparse {
 		b = binary.AppendUvarint(b, uint64(max64(int64(sopts.MaxSupport), 0)))
 		b = binary.AppendUvarint(b, uint64(max64(int64(sopts.KeepJobs), 0)))
-		if sopts.NoDominance {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
 	}
 	b = binary.AppendUvarint(b, uint64(max64(int64(maxConfigs), 0)))
 	b = binary.AppendUvarint(b, uint64(cT))

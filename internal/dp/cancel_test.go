@@ -9,6 +9,7 @@ package dp
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cancel"
@@ -183,5 +184,126 @@ func TestNilAndBackgroundContextFillsComplete(t *testing.T) {
 		if a.Opt[i] != b.Opt[i] {
 			t.Fatalf("nil-ctx and Background fills differ at %d", i)
 		}
+	}
+}
+
+// pollStride is the fills' cancellation contract: once the context is
+// canceled, each worker of a fill does at most this many more units of work
+// before the fill stops. A unit is a relaxation of the production fill, a
+// recursion visit of Algorithm 2 and a scan iteration of Algorithm 3.
+const pollStride = 1 << 16
+
+// dyingCtx is a context whose Done channel is closed by its at-th Done call.
+type dyingCtx struct {
+	context.Context
+	at    int32
+	calls atomic.Int32
+	done  chan struct{}
+}
+
+func newDyingCtx(at int32) *dyingCtx {
+	return &dyingCtx{Context: context.Background(), at: at, done: make(chan struct{})}
+}
+
+func (c *dyingCtx) Done() <-chan struct{} {
+	if c.calls.Add(1) == c.at {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *dyingCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// strideTable returns a table every fill of which takes more than 2^17 units
+// of work: about 2^18 entries and 2.6·10^6 relaxations, and Algorithm 2's
+// first descent alone computes the 2^15+101 entries along class 0. Its
+// slab-phase plan makes classes 1 and 3 the most significant (strides
+// 65,738 and 131,476), so Algorithm 3's level 2 has odd and even entries
+// just past them: a scan that reaches those has run more than pollStride
+// iterations on a worker of one or of two, whichever worker it is.
+func strideTable(t *testing.T) *Table {
+	t.Helper()
+	tbl, err := New([]pcmax.Time{1, 2, 3, 4}, []int{1<<15 + 100, 1, 1, 1}, 5, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.SlabPhases() == 0 {
+		t.Fatalf("stride table has no slab-phase plan: the pool fill would run on the caller")
+	}
+	return tbl
+}
+
+// TestFillPollStride pins every fill's cancellation poll stride against
+// pollStride: the context dies at the Done call after which the fill's work
+// starts, so all the work the canceled fill reports was done after the
+// cancel. The production fill and Algorithm 2 report it in the cancel error
+// (as relaxations and as entries computed, each entry at least one visit).
+// Algorithm 3's context dies as its level-2 round starts (each level's
+// ForWorkerCtx makes four Done calls); it scans round-robin, so a worker that
+// computed entry i of level 2 scanned at least i/P+1 indices of that round.
+// The production fill on a pool also polls when a worker claims a chunk, so
+// it may stop before its first relaxation.
+func TestFillPollStride(t *testing.T) {
+	pool1 := par.NewPool(1)
+	defer pool1.Close()
+	pool2 := par.NewPool(2)
+	defer pool2.Close()
+	for _, tc := range []struct {
+		name string
+		// at is the fill's Done call after which its work starts.
+		at      int32
+		workers int64
+		fill    func(tbl *Table, ctx context.Context) error
+		// scan marks Algorithm 3, measured by the entries it computed;
+		// mayIdle marks a fill that may stop before any work.
+		scan, mayIdle bool
+	}{
+		{"production-caller", 2, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, nil) }, false, false},
+		{"production-pool-2", 2, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool2) }, false, true},
+		{"recursive", 1, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }, false, false},
+		{"parallel-scan-1", 7, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool1) }, true, false},
+		{"parallel-scan-2", 7, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool2) }, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			workers := tc.workers
+			tbl := strideTable(t)
+			err := tc.fill(tbl, newDyingCtx(tc.at))
+			var cerr *cancel.Error
+			if !errors.As(err, &cerr) || !errors.Is(err, cancel.ErrCanceled) {
+				t.Fatalf("want the cancel error, got %v: all of the fill ran after its context died, over the %d-unit stride", err, pollStride)
+			}
+			var done int64
+			if tc.scan {
+				scans := make([]int64, workers)
+				v := make([]int32, len(tbl.Stride))
+				for i, o := range tbl.Opt {
+					if o != 0 && sumDigits(tbl.digits(int64(i), v)) == 2 {
+						w := int64(i) % workers
+						scans[w] = max(scans[w], int64(i)/workers+1)
+					}
+				}
+				for w, n := range scans {
+					if n > pollStride {
+						t.Errorf("worker %d scanned at least %d entries after the cancel, over the %d-iteration stride", w, n, pollStride)
+					}
+					done += n
+				}
+			} else {
+				done = cerr.EntriesFilled
+				if done > workers*pollStride {
+					t.Errorf("%d units of work after the cancel on %d workers, over the %d-unit stride per worker", done, workers, pollStride)
+				}
+			}
+			if done == 0 && !tc.mayIdle {
+				t.Errorf("no work after the cancel: the context died before the fill started, so the test measured nothing")
+			}
+		})
 	}
 }

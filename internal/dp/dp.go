@@ -263,7 +263,7 @@ func sumDigits(v []int32) int32 {
 // as the remaining delta is zero, so advancing between nearby entries only
 // touches the fastest digits.
 //
-//lint:hotpath odometer advancement runs once per table entry
+// Hot path: odometer advancement runs once per table entry.
 func (t *Table) advance(v []int32, delta int64) int32 {
 	counts, order := t.Counts, t.lay.order
 	var dl int32
@@ -292,7 +292,7 @@ func (t *Table) advance(v []int32, delta int64) int32 {
 // digit-sum change. Incrementing the last entry wraps to the zero vector;
 // callers never advance past the end.
 //
-//lint:hotpath odometer increment runs once per table entry
+// Hot path: odometer increment runs once per table entry.
 func (t *Table) advanceOne(v []int32) int32 {
 	counts, order := t.Counts, t.lay.order
 	var dl int32
@@ -336,7 +336,7 @@ func (dc *decoder) reset() { dc.last = -1 }
 // use non-decreasing indices for the incremental path to engage; a backward
 // jump falls back to a full decode.
 //
-//lint:hotpath per-entry index decode on the fill loop
+// Hot path: per-entry index decode on the fill loop.
 func (dc *decoder) at(idx int64) []int32 {
 	t := dc.t
 	switch {
@@ -613,7 +613,7 @@ func (f *slabFill) relaxRows(sw *slabWorker, r0, r1, p int, x0, x1 int64) bool {
 // configuration of the phase leaves (c_a = 0), so no two workers touch one
 // entry, and the pool round's join orders the phases and the tail.
 //
-//lint:hotpath the config-outer relaxation, one call per row of runs of the fill
+// Hot path: the config-outer relaxation, one call per row of runs of the fill.
 func relaxRuns(opt []int32, lo, off, runLen, gap, runs int64) {
 	for ; runs > 0; runs-- {
 		hi := lo + runLen

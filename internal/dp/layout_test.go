@@ -71,7 +71,7 @@ func TestProductionFillAllocations(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocateNothing pins the //lint:hotpath kernels, which run once
+// TestKernelsAllocateNothing pins the hot-path kernels, which run once
 // per table entry or row of runs, as allocation-free: the config-outer
 // relaxation, both odometer steps, and the incremental decoder on a first,
 // a forward, a backward and a repeated index each read 0 allocations per

@@ -2,13 +2,13 @@ package exact
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cancel"
 	"repro/internal/lb"
 	"repro/internal/listsched"
 	"repro/internal/multifit"
+	"repro/internal/par"
 	"repro/pcmax"
 )
 
@@ -17,9 +17,11 @@ import (
 // each feasibility probe of the makespan search is parallelized by splitting
 // the search at the root. The completions of the first bin (which seed-job
 // and which maximal filling it gets) are enumerated sequentially, then the
-// resulting independent subtrees are explored by `workers` goroutines, each
-// on its own searcher state; the first goroutine to find a packing publishes
-// it and cancels the rest through a shared atomic flag.
+// resulting independent subtrees are explored as one round on a par.Pool of
+// `workers` workers, each subtree on its own searcher state; the first
+// worker to find a packing publishes it, and the remaining subtrees are
+// skipped through a shared atomic flag. The pool starts at the first probe
+// that splits and is closed before SolveParallel returns.
 //
 // The result is identical to Solve's (the same optimal makespan — though
 // possibly a different optimal schedule, since subtree completion order
@@ -58,6 +60,7 @@ func SolveParallel(ctx context.Context, in *pcmax.Instance, opts Options, worker
 		workers: workers,
 		budget:  opts.NodeLimit,
 	}
+	defer ps.close()
 	if ctx != nil {
 		ps.done = ctx.Done()
 	}
@@ -86,6 +89,8 @@ func SolveParallel(ctx context.Context, in *pcmax.Instance, opts Options, worker
 type parSearch struct {
 	in      *pcmax.Instance
 	workers int
+	// pool runs the split probes' subtrees; nil until the first one.
+	pool *par.Pool
 
 	nodes       atomic.Int64
 	budget      int64
@@ -137,50 +142,50 @@ func (ps *parSearch) feasible(c pcmax.Time) (*pcmax.Schedule, bool, bool) {
 		return s.takeSchedule(), true, false
 	}
 
-	var (
-		found    atomic.Bool
-		winner   atomic.Pointer[pcmax.Schedule]
-		wg       sync.WaitGroup
-		cursor   atomic.Int64
-		perSplit = (ps.budget - ps.nodes.Load()) / int64(len(tasks))
-	)
+	perSplit := (ps.budget - ps.nodes.Load()) / int64(len(tasks))
 	if perSplit < 1 {
 		ps.abortedFlag.Store(true)
 		return nil, false, true
 	}
-	for w := 0; w < ps.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ti := int(cursor.Add(1)) - 1
-				if ti >= len(tasks) || found.Load() || ps.abortedFlag.Load() {
-					return
-				}
-				task := tasks[ti]
-				s := newSearcher(nil, ps.in, Options{NodeLimit: perSplit})
-				s.done = ps.done
-				s.c = c
-				copy(s.used, task.used)
-				copy(s.bin, task.bin)
-				ok := s.packBin(1, task.rem)
-				ps.nodes.Add(s.nodes)
-				if s.aborted {
-					ps.abortedFlag.Store(true)
-					return
-				}
-				if ok && found.CompareAndSwap(false, true) {
-					winner.Store(s.takeSchedule())
-					return
-				}
-			}
-		}()
+	if ps.pool == nil {
+		ps.pool = par.NewPool(ps.workers)
 	}
-	wg.Wait()
+	var (
+		found  atomic.Bool
+		winner atomic.Pointer[pcmax.Schedule]
+	)
+	// Grain 1: a worker claims the next subtree when it finishes one.
+	ps.pool.ForWorker(len(tasks), par.Dynamic, 1, func(_, ti int) {
+		if found.Load() || ps.abortedFlag.Load() {
+			return
+		}
+		task := tasks[ti]
+		s := newSearcher(nil, ps.in, Options{NodeLimit: perSplit})
+		s.done = ps.done
+		s.c = c
+		copy(s.used, task.used)
+		copy(s.bin, task.bin)
+		ok := s.packBin(1, task.rem)
+		ps.nodes.Add(s.nodes)
+		if s.aborted {
+			ps.abortedFlag.Store(true)
+			return
+		}
+		if ok && found.CompareAndSwap(false, true) {
+			winner.Store(s.takeSchedule())
+		}
+	})
 	if sched := winner.Load(); sched != nil {
 		return sched, true, false
 	}
 	return nil, false, ps.abortedFlag.Load()
+}
+
+// close stops the pool if a probe started it.
+func (ps *parSearch) close() {
+	if ps.pool != nil {
+		ps.pool.Close()
+	}
 }
 
 // collectFirstBinCompletions fills tasks with every maximal completion of

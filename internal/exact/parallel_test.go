@@ -2,6 +2,7 @@ package exact
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -97,6 +98,56 @@ func TestSolveParallelWorkerCountClamped(t *testing.T) {
 	}
 	if a.Makespan(in) != b.Makespan(in) {
 		t.Fatalf("worker counts disagree: %d vs %d", a.Makespan(in), b.Makespan(in))
+	}
+}
+
+// TestSolveParallelReleasesWorkers checks that SolveParallel stops the pool
+// its split probes start, whichever way the search ends: a solve that finds
+// a packing, one whose probes all fail, one that hits NodeLimit and one that
+// is canceled. The first probe of each splits at the root, so each starts
+// the pool, and once the solve returns the goroutine count is back at its
+// baseline.
+func TestSolveParallelReleasesWorkers(t *testing.T) {
+	canceled, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		in      *pcmax.Instance
+		opts    Options
+		optimal bool
+	}{
+		{"finds-packing", context.Background(),
+			&pcmax.Instance{M: 3, Times: []pcmax.Time{67, 43, 22, 23, 73, 27, 67, 75, 50, 30, 69, 67}}, Options{}, true},
+		{"exhausts", context.Background(),
+			&pcmax.Instance{M: 4, Times: []pcmax.Time{52, 35, 33, 43, 66, 25, 41, 72, 70, 77}}, Options{}, true},
+		{"node-limit", context.Background(),
+			&pcmax.Instance{M: 4, Times: []pcmax.Time{52, 35, 33, 43, 66, 25, 41, 72, 70, 77}}, Options{NodeLimit: 20}, false},
+		{"canceled", canceled,
+			workload.MustGenerate(workload.Spec{Family: workload.U95_105, M: 10, N: 37, Seed: 1}), Options{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			sched, res, err := SolveParallel(tc.ctx, tc.in, tc.opts, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sched.Validate(tc.in); err != nil {
+				t.Fatal(err)
+			}
+			if res.Optimal != tc.optimal {
+				t.Fatalf("Optimal = %v, want %v (%+v)", res.Optimal, tc.optimal, res)
+			}
+			// Close returns once every worker is done; the goroutines may
+			// take a moment longer to exit.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if now := runtime.NumGoroutine(); now > before {
+				t.Fatalf("goroutines outlived the solve: before=%d now=%d", before, now)
+			}
+		})
 	}
 }
 

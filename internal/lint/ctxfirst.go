@@ -258,3 +258,44 @@ func contextRootCall(p *Pass, call *ast.CallExpr) string {
 	}
 	return sel.Sel.Name
 }
+
+// moduleLocal reports whether the function is declared in the module under
+// analysis (as opposed to the standard library).
+func moduleLocal(mod *Module, fn *types.Func) bool {
+	pkg := fn.Pkg()
+	if pkg == nil {
+		return false
+	}
+	path := pkg.Path()
+	return path == mod.Path || strings.HasPrefix(path, mod.Path+"/")
+}
+
+// funcSite is a declared module function's package and syntax.
+type funcSite struct {
+	pkg  *Package
+	decl *ast.FuncDecl
+}
+
+// FuncDecl resolves a function object to its declaring package and syntax,
+// or (nil, nil) when fn is not a declared module function (stdlib, or a
+// function literal). The index is built on first use.
+func (m *Module) FuncDecl(fn *types.Func) (*Package, *ast.FuncDecl) {
+	if m.funcs == nil {
+		m.funcs = map[*types.Func]funcSite{}
+		for _, pkg := range m.Packages {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					fd, ok := decl.(*ast.FuncDecl)
+					if !ok {
+						continue
+					}
+					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						m.funcs[obj] = funcSite{pkg: pkg, decl: fd}
+					}
+				}
+			}
+		}
+	}
+	site := m.funcs[fn]
+	return site.pkg, site.decl
+}

@@ -2,20 +2,17 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
 	"strings"
 )
 
-// GoHygiene guards against leaked goroutines, the failure mode behind the
-// PR-1 par.Pool Close/For race: outside internal/par (the one package whose
-// job is goroutine lifecycle management), every `go` statement must be
-// lexically paired with a join — a sync.WaitGroup.Wait, a channel receive,
-// or a range over a channel — in the same enclosing function, so no solver
-// entry point can return while its workers are still running.
+// GoHygiene keeps goroutine lifecycles in one place: outside internal/par,
+// whose Pool starts, joins and stops every worker the module runs, no
+// non-test file may contain a go statement. Code that needs parallelism
+// runs its work as a round on a par.Pool, whose dispatch returns only after
+// every body finished and whose Close waits for its workers to exit.
 var GoHygiene = &Analyzer{
 	Name: "gohygiene",
-	Doc:  "every go statement outside internal/par joins (WaitGroup.Wait or channel receive) in the same function",
+	Doc:  "no go statement outside internal/par: goroutines come from par.Pool",
 	Run:  runGoHygiene,
 }
 
@@ -24,75 +21,11 @@ func runGoHygiene(p *Pass) {
 		return
 	}
 	for _, f := range p.Files() {
-		var goStmts []*ast.GoStmt
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				goStmts = append(goStmts, g)
+				p.Reportf(g.Pos(), "go statement outside internal/par; run the work as a round on a par.Pool")
 			}
 			return true
 		})
-		for _, g := range goStmts {
-			body := enclosingFuncBody(f, g.Pos())
-			if body == nil || !hasJoin(p, body) {
-				p.Reportf(g.Pos(),
-					"go statement without a join (WaitGroup.Wait, channel receive or range) in the same function; spawn through internal/par or add an explicit barrier")
-			}
-		}
 	}
-}
-
-// enclosingFuncBody returns the body of the innermost function declaration
-// or literal whose span contains pos.
-func enclosingFuncBody(f *ast.File, pos token.Pos) *ast.BlockStmt {
-	var best *ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		var body *ast.BlockStmt
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			body = fn.Body
-		case *ast.FuncLit:
-			body = fn.Body
-		default:
-			return true
-		}
-		if body != nil && body.Pos() <= pos && pos < body.End() {
-			// Inspect visits outer functions before inner ones, so the last
-			// containing body seen is the innermost.
-			best = body
-		}
-		return true
-	})
-	return best
-}
-
-// hasJoin reports whether the function body contains a joining construct:
-// a sync.WaitGroup Wait call, a channel receive, or a range over a channel.
-func hasJoin(p *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isWaitGroupWait(p.Pkg, n) {
-				found = true
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if tv, ok := p.Pkg.Info.Types[n.X]; ok && tv.Type != nil {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }

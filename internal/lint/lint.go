@@ -7,10 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/par"
 )
 
 // Diagnostic is one finding. Positions are relative to the module root so
@@ -28,10 +25,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Check, d.Message)
 }
 
-// Analyzer is one named invariant check. Exactly one of Run and RunModule
-// is set: Run analyzers see one package at a time, RunModule analyzers see
-// the whole module at once (for interprocedural checks that chase calls
-// across package boundaries, like lockorder, leakygo and cancelpoll).
+// Analyzer is one named invariant check, run over one package at a time.
 type Analyzer struct {
 	// Name is the check identifier used in output and //lint:ignore
 	// directives.
@@ -40,8 +34,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-	// RunModule inspects the whole module in one pass.
-	RunModule func(*ModulePass)
 	// IncludeTests makes Files() also yield the package's _test.go files.
 	// Those are parsed but not type-checked, so only purely syntactic
 	// analyzers may set this.
@@ -70,32 +62,16 @@ func (p *Pass) Files() []*ast.File {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	reportAt(p.Mod, p.Analyzer.Name, pos, p.diags, format, args...)
-}
-
-// ModulePass carries one module-level analyzer's run over a whole module.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Mod      *Module
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	reportAt(p.Mod, p.Analyzer.Name, pos, p.diags, format, args...)
-}
-
-func reportAt(mod *Module, check string, pos token.Pos, diags *[]Diagnostic, format string, args ...any) {
-	position := mod.Fset.Position(pos)
+	position := p.Mod.Fset.Position(pos)
 	file := position.Filename
-	if rel, err := filepath.Rel(mod.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
+	if rel, err := filepath.Rel(p.Mod.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
 		file = filepath.ToSlash(rel)
 	}
-	*diags = append(*diags, Diagnostic{
+	*p.diags = append(*p.diags, Diagnostic{
 		File:    file,
 		Line:    position.Line,
 		Col:     position.Column,
-		Check:   check,
+		Check:   p.Analyzer.Name,
 		Message: fmt.Sprintf(format, args...),
 	})
 }
@@ -214,67 +190,35 @@ func RunAnalyzers(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	diags, _ := RunOnModule(mod, analyzers, 1)
+	diags, _ := RunOnModule(mod, analyzers)
 	return diags, nil
 }
 
-// AnalyzerTiming is the cumulative wall time one analyzer spent across its
-// work units (every package for Run analyzers, the whole module for
-// RunModule analyzers), as reported by schedlint -v.
+// AnalyzerTiming is the wall time one analyzer spent over every package, as
+// reported by schedlint -v.
 type AnalyzerTiming struct {
 	Name    string
 	Elapsed time.Duration
 }
 
-// RunOnModule runs the analyzers over an already-loaded module, fanning the
-// (analyzer, package) work units out over workers goroutines of an
-// internal/par.Pool (workers < 1 selects GOMAXPROCS). It returns the
-// surviving (non-suppressed) diagnostics, stale and malformed //lint:ignore
-// directives included, sorted by check and then by position so a report
-// lists each check's findings together. Every unit appends to its own
-// pre-assigned slot and the slots are merged in a fixed order, so the
-// result is bit-identical to a sequential run. Timings come back in
-// analyzer order.
-func RunOnModule(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnostic, []AnalyzerTiming) {
-	type unit struct {
-		a   *Analyzer
-		ai  int
-		pkg *Package // nil for a RunModule unit
-	}
-	var units []unit
+// RunOnModule runs the analyzers over an already-loaded module on the
+// calling goroutine, one analyzer at a time over every package. It returns
+// the surviving (non-suppressed) diagnostics, stale and malformed
+// //lint:ignore directives included, sorted by check and then by position
+// so a report lists each check's findings together, and each analyzer's
+// timing in analyzer order.
+func RunOnModule(mod *Module, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
+	var diags []Diagnostic
+	timings := make([]AnalyzerTiming, len(analyzers))
 	for ai, a := range analyzers {
-		if a.RunModule != nil {
-			units = append(units, unit{a: a, ai: ai})
-			continue
-		}
+		start := time.Now()
 		for _, pkg := range mod.Packages {
 			if pkg.Types == nil {
 				continue // empty directory package
 			}
-			units = append(units, unit{a: a, ai: ai, pkg: pkg})
+			a.Run(&Pass{Analyzer: a, Mod: mod, Pkg: pkg, diags: &diags})
 		}
-	}
-	workers = par.Normalize(workers)
-	var pool *par.Pool
-	if workers > 1 && len(units) > 1 {
-		pool = par.NewPool(workers)
-		defer pool.Close()
-	}
-	slots := make([][]Diagnostic, len(units))
-	nanos := make([]atomic.Int64, len(analyzers))
-	forEachIdx(pool, len(units), func(i int) {
-		u := units[i]
-		start := time.Now()
-		if u.pkg == nil {
-			u.a.RunModule(&ModulePass{Analyzer: u.a, Mod: mod, diags: &slots[i]})
-		} else {
-			u.a.Run(&Pass{Analyzer: u.a, Mod: mod, Pkg: u.pkg, diags: &slots[i]})
-		}
-		nanos[u.ai].Add(int64(time.Since(start)))
-	})
-	var diags []Diagnostic
-	for _, s := range slots {
-		diags = append(diags, s...)
+		timings[ai] = AnalyzerTiming{Name: a.Name, Elapsed: time.Since(start)}
 	}
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -298,10 +242,6 @@ func RunOnModule(mod *Module, analyzers []*Analyzer, workers int) ([]Diagnostic,
 		}
 		return a.Message < b.Message
 	})
-	timings := make([]AnalyzerTiming, len(analyzers))
-	for ai, a := range analyzers {
-		timings[ai] = AnalyzerTiming{Name: a.Name, Elapsed: time.Duration(nanos[ai].Load())}
-	}
 	return diags, timings
 }
 
@@ -313,9 +253,5 @@ func All() []*Analyzer {
 		GoHygiene,
 		MapOrder,
 		NakedPanic,
-		LockOrder,
-		LeakyGo,
-		WaitBalance,
-		CancelPoll,
 	}
 }

@@ -1,17 +1,13 @@
 // Package lint is the repository's static-analysis framework: a module
-// loader, per-function control-flow graphs with a generic dataflow engine,
-// a module-local call graph, and a set of analyzers that machine-check the
-// concurrency and determinism invariants the scheduler's correctness
-// depends on (see ALGORITHM.md §9/§11 and cmd/schedlint).
+// loader and a set of syntactic analyzers that machine-check the
+// determinism and API invariants the scheduler's correctness depends on
+// (see ALGORITHM.md §9 and cmd/schedlint).
 //
 // The framework is built on the standard library only — go/ast, go/build,
 // go/parser and go/types — honoring the repository's no-external-deps rule.
 // Stdlib imports are type-checked from GOROOT source and cached process-wide,
-// so repeated runs (and the testdata-driven tests) pay the cost once.
-// Loading fans out on internal/par.Pool: directory scanning and parsing are
-// embarrassingly parallel, and type-checking proceeds in topological waves
-// of the module-local import graph, every package of a wave checked
-// concurrently against the completed results of earlier waves.
+// so repeated runs (and the testdata-driven tests) pay the cost once. The
+// loader and the runner work on the calling goroutine.
 package lint
 
 import (
@@ -24,11 +20,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/par"
 )
 
 // Package is one type-checked package of the module under analysis.
@@ -66,12 +61,12 @@ type Module struct {
 	Packages []*Package
 
 	// funcs is the lazy function-declaration index behind FuncDecl.
-	funcs funcIndex
+	funcs map[*types.Func]funcSite
 }
 
 // sharedFset is the process-wide file set: module files and stdlib sources
 // live in one set so types.Object positions stay meaningful regardless of
-// which load produced them. token.FileSet is safe for concurrent use.
+// which load produced them.
 var sharedFset = token.NewFileSet()
 
 // stdlib package cache, shared across LoadModule calls (the testdata tests
@@ -82,32 +77,10 @@ var (
 )
 
 // LoadModule loads, parses and type-checks every package under root
-// (skipping testdata, vendor, hidden and underscore directories) on a
-// single goroutine. The module path is read from root's go.mod. Type errors
-// are hard errors: the analyzers assume a compiling tree.
+// (skipping testdata, vendor, hidden and underscore directories). The
+// module path is read from root's go.mod. Type errors are hard errors: the
+// analyzers assume a compiling tree.
 func LoadModule(root string) (*Module, error) {
-	return LoadModuleParallel(root, 1)
-}
-
-// rawPkg is one package directory after the scan/parse phase, before
-// type-checking.
-type rawPkg struct {
-	path, rel, dir string
-	files          []*ast.File
-	testFiles      []*ast.File
-	imports        []string // module-local import paths of the non-test files
-	empty          bool     // directory with only ignored files
-	err            error
-}
-
-// LoadModuleParallel is LoadModule with the scan/parse and type-check
-// phases fanned out over workers goroutines of an internal/par.Pool
-// (workers < 1 selects GOMAXPROCS, 1 keeps everything on the caller).
-// Parsing is per-directory independent; type-checking runs in topological
-// waves of the module-local import graph, so every import a checker
-// resolves is already complete. The resulting Module is identical to a
-// sequential load.
-func LoadModuleParallel(root string, workers int) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -120,28 +93,16 @@ func LoadModuleParallel(root string, workers int) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers = par.Normalize(workers)
-	var pool *par.Pool
-	if workers > 1 && len(dirs) > 1 {
-		pool = par.NewPool(workers)
-		defer pool.Close()
-	}
-
-	// Phase 1: scan and parse every package directory independently.
 	ctxt := build.Default
 	raws := make([]rawPkg, len(dirs))
-	forEachIdx(pool, len(dirs), func(i int) {
-		raws[i] = scanAndParse(&ctxt, root, modPath, dirs[i])
-	})
-	for i := range raws {
-		if raws[i].err != nil {
-			return nil, fmt.Errorf("%s: %w", raws[i].path, raws[i].err)
+	for i, dir := range dirs {
+		if raws[i], err = scanAndParse(&ctxt, root, modPath, dir); err != nil {
+			return nil, fmt.Errorf("%s: %w", raws[i].path, err)
 		}
 	}
 
-	// Phase 2: type-check in topological waves of the module-local import
-	// graph. Kahn's algorithm over the package set; a wave's packages only
-	// import completed ones, so they can check concurrently.
+	// Type-check in topological order of the module-local import graph
+	// (Kahn's algorithm), so every import a checker resolves is complete.
 	byPath := make(map[string]int, len(raws))
 	for i := range raws {
 		byPath[raws[i].path] = i
@@ -156,71 +117,51 @@ func LoadModuleParallel(root string, workers int) (*Module, error) {
 			}
 		}
 	}
-	mod := &Module{Root: root, Path: modPath, Fset: sharedFset}
-	imp := &waveImporter{modPath: modPath, pkgs: make(map[string]*Package, len(raws))}
-	var wave []int
+	var ready []int
 	for i := range raws {
 		if indeg[i] == 0 {
-			wave = append(wave, i)
+			ready = append(ready, i)
 		}
 	}
-	checked := 0
+	imp := &moduleImporter{modPath: modPath, pkgs: make(map[string]*Package, len(raws))}
 	sizes := checkerSizes()
-	for len(wave) > 0 {
-		errs := make([]error, len(wave))
-		pkgs := make([]*Package, len(wave))
-		cur := wave
-		forEachIdx(pool, len(cur), func(k int) {
-			pkgs[k], errs[k] = typeCheck(&raws[cur[k]], imp, sizes)
-		})
-		for k := range cur {
-			if errs[k] != nil {
-				return nil, fmt.Errorf("%s: %w", raws[cur[k]].path, errs[k])
-			}
+	mod := &Module{Root: root, Path: modPath, Fset: sharedFset}
+	for len(ready) > 0 {
+		i := ready[0]
+		ready = ready[1:]
+		p, err := typeCheck(&raws[i], imp, sizes)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", raws[i].path, err)
 		}
-		imp.mu.Lock()
-		for k, p := range pkgs {
-			imp.pkgs[raws[cur[k]].path] = p
-		}
-		imp.mu.Unlock()
-		checked += len(cur)
-		wave = wave[:0]
-		for _, i := range cur {
-			for _, dep := range dependents[i] {
-				if indeg[dep]--; indeg[dep] == 0 {
-					wave = append(wave, dep)
-				}
-			}
-		}
-		sort.Ints(wave)
-	}
-	if checked != len(raws) {
-		return nil, fmt.Errorf("import cycle among the module's packages")
-	}
-	for _, p := range imp.pkgs {
+		imp.pkgs[raws[i].path] = p
 		mod.Packages = append(mod.Packages, p)
+		for _, dep := range dependents[i] {
+			if indeg[dep]--; indeg[dep] == 0 {
+				ready = append(ready, dep)
+			}
+		}
+	}
+	if len(mod.Packages) != len(raws) {
+		return nil, fmt.Errorf("import cycle among the module's packages")
 	}
 	sort.Slice(mod.Packages, func(i, j int) bool { return mod.Packages[i].RelPath < mod.Packages[j].RelPath })
 	return mod, nil
 }
 
-// forEachIdx runs body(i) for every i in [0, n), fanning out on the pool
-// when one is available. Bodies communicate results through index-addressed
-// slots, so the parallel and inline paths are indistinguishable.
-func forEachIdx(pool *par.Pool, n int, body func(i int)) {
-	if pool == nil || n <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	pool.For(n, par.Dynamic, body)
+// rawPkg is one package directory after the scan/parse phase, before
+// type-checking.
+type rawPkg struct {
+	path, rel, dir string
+	files          []*ast.File
+	testFiles      []*ast.File
+	imports        []string // module-local import paths of the non-test files
+	empty          bool     // directory with only ignored files
 }
 
 // scanAndParse resolves one package directory and parses its files (tests
 // included, with comments). Build-constraint-empty directories come back
-// with empty set; all other failures land in err.
-func scanAndParse(ctxt *build.Context, root, modPath, dir string) rawPkg {
+// with empty set; all other failures are errors.
+func scanAndParse(ctxt *build.Context, root, modPath, dir string) (rawPkg, error) {
 	rel, _ := filepath.Rel(root, dir)
 	rel = filepath.ToSlash(rel)
 	if rel == "." {
@@ -235,24 +176,21 @@ func scanAndParse(ctxt *build.Context, root, modPath, dir string) rawPkg {
 	if err != nil {
 		if _, nogo := err.(*build.NoGoError); nogo {
 			r.empty = true
-			return r
+			return r, nil
 		}
-		r.err = err
-		return r
+		return r, err
 	}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			r.err = err
-			return r
+			return r, err
 		}
 		r.files = append(r.files, f)
 	}
 	for _, name := range append(append([]string{}, bp.TestGoFiles...), bp.XTestGoFiles...) {
 		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			r.err = err
-			return r
+			return r, err
 		}
 		r.testFiles = append(r.testFiles, f)
 	}
@@ -261,12 +199,12 @@ func scanAndParse(ctxt *build.Context, root, modPath, dir string) rawPkg {
 			r.imports = append(r.imports, dep)
 		}
 	}
-	return r
+	return r, nil
 }
 
-// typeCheck checks one parsed package against the completed packages of
-// earlier waves.
-func typeCheck(r *rawPkg, imp *waveImporter, sizes types.Sizes) (*Package, error) {
+// typeCheck checks one parsed package against the already checked packages
+// it imports.
+func typeCheck(r *rawPkg, imp *moduleImporter, sizes types.Sizes) (*Package, error) {
 	p := &Package{Path: r.path, RelPath: r.rel, Dir: r.dir, Files: r.files, TestFiles: r.testFiles}
 	if r.empty {
 		return p, nil
@@ -296,24 +234,20 @@ func checkerSizes() types.Sizes {
 	return sizes
 }
 
-// waveImporter implements types.Importer during wave checking: module-local
-// paths resolve against the completed packages of earlier waves (guarded by
-// mu, since a wave's checkers run concurrently), everything else is a
-// standard-library package from GOROOT source.
-type waveImporter struct {
+// moduleImporter implements types.Importer for the module's packages:
+// module-local paths resolve against the packages already checked,
+// everything else is a standard-library package from GOROOT source.
+type moduleImporter struct {
 	modPath string
-	mu      sync.Mutex
 	pkgs    map[string]*Package
 }
 
-func (w *waveImporter) Import(path string) (*types.Package, error) {
+func (w *moduleImporter) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
 	if path == w.modPath || strings.HasPrefix(path, w.modPath+"/") {
-		w.mu.Lock()
 		p := w.pkgs[path]
-		w.mu.Unlock()
 		if p == nil || p.Types == nil {
 			return nil, fmt.Errorf("module package %q not available (missing directory or import cycle)", path)
 		}
@@ -368,8 +302,10 @@ func packageDirs(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The walk returns to a directory after each of its subdirectories, so
+	// a directory can be listed more than once.
 	sort.Strings(dirs)
-	return dirs, nil
+	return slices.Compact(dirs), nil
 }
 
 // stdImporter adapts stdImport to types.Importer for checking stdlib

@@ -3,5 +3,5 @@ package leaky
 
 // Spawn leaks a goroutine. Its doc mentions nothing.
 func Spawn(f func()) {
-	go f() // want "go statement without a join"
+	go f() // want "go statement outside internal/par"
 }

@@ -3,13 +3,13 @@
 // goes quiet.
 package lib
 
-// Serve's go statement is both unjoined (gohygiene) and unterminatable
-// (leakygo). The directive suppresses gohygiene alone; the leakygo finding
-// on the same line must survive.
-func Serve() {
-	//lint:ignore gohygiene the fixture wants only the leak finding silenced-by-name
-	go func() {
-		for {
-		}
-	}()
+import "context"
+
+// Serve's go statement starts a goroutine outside internal/par (gohygiene)
+// and mints a root context in library code (ctxfirst). The directive
+// suppresses gohygiene alone; the ctxfirst finding on the same line must
+// survive.
+func Serve(f func(context.Context)) {
+	//lint:ignore gohygiene the fixture wants only the goroutine finding silenced-by-name
+	go f(context.Background())
 }

@@ -27,15 +27,11 @@ func WrongCheck(f func()) {
 	go f()
 }
 
-// Stale carries a well-formed directive that suppresses nothing: the
-// goroutine below it is joined, so gohygiene never fires and the directive
+// Stale carries a well-formed directive that suppresses nothing: the call
+// below it starts no goroutine, so gohygiene never fires and the directive
 // is dead weight, reported as a stale lintdirective finding.
 func Stale(f func()) {
-	done := make(chan struct{})
+	f()
 	//lint:ignore gohygiene this excuse outlived the finding it excused
-	go func() {
-		defer close(done)
-		f()
-	}()
-	<-done
+	f()
 }

@@ -26,7 +26,7 @@ func BenchmarkPoolRound(b *testing.B) {
 func BenchmarkForStrategies(b *testing.B) {
 	const n = 4096
 	var sink atomic.Int64
-	for _, strategy := range Strategies {
+	for _, strategy := range strategies {
 		b.Run(strategy.String(), func(b *testing.B) {
 			p := NewPool(4)
 			defer p.Close()

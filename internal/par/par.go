@@ -5,14 +5,14 @@
 //   - RoundRobin: iteration i goes to worker i mod P. This is the paper's
 //     "each of the P processors will be assigned one iteration of the for
 //     loop in a round-robin fashion" (OpenMP schedule(static,1)).
-//   - Chunked: worker w takes the contiguous block [w*n/P, (w+1)*n/P)
-//     (OpenMP schedule(static)).
 //   - Dynamic: workers repeatedly claim fixed-size chunks from an atomic
 //     counter (OpenMP schedule(dynamic,grain)).
 //
 // A Pool keeps P goroutines alive across many parallel-for rounds so that a
 // level-synchronous computation (one round per DP anti-diagonal, thousands of
-// rounds) does not pay goroutine start-up per round.
+// rounds) does not pay goroutine start-up per round. The Pool is the
+// module's only goroutine spawner: every other package runs its parallel
+// work as Pool rounds.
 package par
 
 import (
@@ -31,7 +31,6 @@ type Strategy int
 // Available scheduling strategies.
 const (
 	RoundRobin Strategy = iota
-	Chunked
 	Dynamic
 )
 
@@ -40,17 +39,12 @@ func (s Strategy) String() string {
 	switch s {
 	case RoundRobin:
 		return "round-robin"
-	case Chunked:
-		return "chunked"
 	case Dynamic:
 		return "dynamic"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
 }
-
-// Strategies lists all scheduling strategies, for ablation sweeps.
-var Strategies = []Strategy{RoundRobin, Chunked, Dynamic}
 
 // Normalize clamps a requested worker count: values below 1 become
 // GOMAXPROCS, everything else is returned unchanged. The paper's P is a free
@@ -92,12 +86,15 @@ type Pool struct {
 	running sync.WaitGroup
 
 	// mu serializes round dispatch against Close (and Close against
-	// itself); closed is only read/written under mu.
+	// itself); closed is only read/written under mu. It is the Pool's one
+	// lock, and no other lock is taken while it is held.
 	mu     sync.Mutex
 	closed bool
 
-	panicMu  sync.Mutex
-	panicked any
+	// panicked holds the current round's first body panic, boxed: the
+	// first panicking worker stores it, and the caller swaps it out once
+	// the barrier completes.
+	panicked atomic.Pointer[any]
 
 	// The per-round barrier and Dynamic cursor. Rounds are sequential by
 	// contract, so one of each serves every round: the dispatch resets them
@@ -152,23 +149,13 @@ func (p *Pool) worker(w int) {
 func (p *Pool) run(w int, r round) {
 	defer func() {
 		if e := recover(); e != nil {
-			p.panicMu.Lock()
-			if p.panicked == nil {
-				p.panicked = e
-			}
-			p.panicMu.Unlock()
+			p.recordPanic(e)
 		}
 		p.done.Done()
 	}()
 	switch r.strategy {
 	case RoundRobin:
 		for i := w; i < r.n; i += r.parts {
-			r.body(w, i)
-		}
-	case Chunked:
-		lo := w * r.n / r.parts
-		hi := (w + 1) * r.n / r.parts
-		for i := lo; i < hi; i++ {
 			r.body(w, i)
 		}
 	case Dynamic:
@@ -188,6 +175,13 @@ func (p *Pool) run(w int, r round) {
 	}
 }
 
+// recordPanic keeps e unless the round already recorded a panic. Boxing e
+// here rather than in run's deferred closure keeps the allocation on the
+// panicking path, so a round without a panic allocates nothing.
+func (p *Pool) recordPanic(e any) {
+	p.panicked.CompareAndSwap(nil, &e)
+}
+
 // For runs body(i) for every i in [0, n) across the pool's workers and waits
 // for completion. If any body call panics, For re-panics in the caller after
 // all workers finished, so the pool stays usable.
@@ -197,7 +191,7 @@ func (p *Pool) For(n int, strategy Strategy, body func(i int)) {
 
 // ForWorker is For with the executing worker's id passed to the body (for
 // per-worker scratch space) and an explicit Dynamic chunk size (grain <= 0
-// selects max(1, n/(8*workers)); the static strategies ignore it). A round
+// selects max(1, n/(8*workers)); RoundRobin ignores it). A round
 // with n < workers dispatches to only the first n workers (the idle tail is
 // never woken), and n == 1 runs inline on the caller. It panics when called
 // on a closed Pool, and re-panics a body panic in the caller once the
@@ -242,12 +236,8 @@ func (p *Pool) ForWorker(n int, strategy Strategy, grain int, body func(worker, 
 	}
 	p.mu.Unlock()
 	p.done.Wait()
-	p.panicMu.Lock()
-	e := p.panicked
-	p.panicked = nil
-	p.panicMu.Unlock()
-	if e != nil {
-		panic(e)
+	if e := p.panicked.Swap(nil); e != nil {
+		panic(*e)
 	}
 }
 

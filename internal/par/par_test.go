@@ -12,6 +12,10 @@ import (
 	"repro/internal/cancel"
 )
 
+// strategies lists every scheduling strategy, for the tests that run under
+// each.
+var strategies = []Strategy{RoundRobin, Dynamic}
+
 func coverageCheck(t *testing.T, n int, run func(mark func(i int))) {
 	t.Helper()
 	counts := make([]int64, n)
@@ -24,7 +28,7 @@ func coverageCheck(t *testing.T, n int, run func(mark func(i int))) {
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
-	for _, strategy := range Strategies {
+	for _, strategy := range strategies {
 		for _, workers := range []int{1, 2, 3, 7, 16} {
 			p := NewPool(workers)
 			for _, n := range []int{0, 1, 2, 5, 100, 1023} {
@@ -48,7 +52,7 @@ func TestBarrierForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func testForCoversEveryIndexOnce(t *testing.T, newPool func(int) *Pool) {
-	for _, strategy := range Strategies {
+	for _, strategy := range strategies {
 		for _, workers := range []int{1, 2, 5, 16} {
 			p := newPool(workers)
 			for _, n := range []int{0, 1, 7, 256} {
@@ -83,7 +87,7 @@ func TestForWorkerIDsInRange(t *testing.T)        { testForWorkerIDsInRange(t, N
 func TestBarrierForWorkerIDsInRange(t *testing.T) { testForWorkerIDsInRange(t, NewBarrierPool) }
 
 func testForWorkerIDsInRange(t *testing.T, newPool func(int) *Pool) {
-	for _, strategy := range Strategies {
+	for _, strategy := range strategies {
 		p := newPool(5)
 		var bad atomic.Int64
 		p.ForWorker(1000, strategy, 0, func(w, i int) {
@@ -108,7 +112,7 @@ func TestBarrierSmallRoundUsesOnlyNeededWorkers(t *testing.T) {
 func testSmallRoundUsesOnlyNeededWorkers(t *testing.T, newPool func(int) *Pool) {
 	// n < workers dispatches to just the first n workers: ids stay below n
 	// and coverage is exact (the idle tail never wakes).
-	for _, strategy := range Strategies {
+	for _, strategy := range strategies {
 		p := newPool(8)
 		for _, n := range []int{2, 3, 7} {
 			var bad atomic.Int64
@@ -162,26 +166,6 @@ func TestRoundRobinAssignsByModulo(t *testing.T) {
 	for i, w := range workerOf {
 		if int(w) != i%4 {
 			t.Fatalf("index %d ran on worker %d, want %d (paper's round-robin)", i, w, i%4)
-		}
-	}
-}
-
-func TestChunkedAssignsContiguousBlocks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	workerOf := make([]int32, 100)
-	p.ForWorker(100, Chunked, 0, func(w, i int) {
-		atomic.StoreInt32(&workerOf[i], int32(w))
-	})
-	for i := range workerOf {
-		want := -1
-		for w := 0; w < 4; w++ {
-			if i >= w*100/4 && i < (w+1)*100/4 {
-				want = w
-			}
-		}
-		if int(workerOf[i]) != want {
-			t.Fatalf("index %d on worker %d, want %d", i, workerOf[i], want)
 		}
 	}
 }
@@ -359,7 +343,7 @@ func TestWorkersAccessor(t *testing.T) {
 
 func TestStrategyStrings(t *testing.T) {
 	for s, want := range map[Strategy]string{
-		RoundRobin: "round-robin", Chunked: "chunked", Dynamic: "dynamic",
+		RoundRobin: "round-robin", Dynamic: "dynamic",
 	} {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q", int(s), s.String())
@@ -484,7 +468,7 @@ func TestBarrierForCtxCoversEveryIndexWhenNotCanceled(t *testing.T) {
 }
 
 func testForCtxCoversEveryIndex(t *testing.T, newPool func(int) *Pool) {
-	for _, strategy := range Strategies {
+	for _, strategy := range strategies {
 		p := newPool(4)
 		for _, n := range []int{0, 1, 7, 1024} {
 			coverageCheck(t, n, func(mark func(int)) {
@@ -506,7 +490,7 @@ func testForCtxNilContext(t *testing.T, newPool func(int) *Pool) {
 	p := newPool(3)
 	defer p.Close()
 	coverageCheck(t, 100, func(mark func(int)) {
-		if err := p.ForWorkerCtx(nil, 100, Chunked, 0, func(_, i int) { mark(i) }); err != nil {
+		if err := p.ForWorkerCtx(nil, 100, RoundRobin, 0, func(_, i int) { mark(i) }); err != nil {
 			t.Fatalf("nil-ctx ForWorkerCtx: %v", err)
 		}
 	})
@@ -517,15 +501,30 @@ func TestBarrierForCtxStopsOnCancelMidRound(t *testing.T) {
 	testForCtxStopsOnCancel(t, NewBarrierPool)
 }
 
+// pollStrideBound is ForWorkerCtx's cancellation contract: once ctx is
+// canceled, each worker runs at most this many more iterations.
+const pollStrideBound = 1 << 16
+
+// testForCtxStopsOnCancel cancels a round in its first iteration and counts,
+// per worker, the iterations that start after the cancel. Each worker's
+// share of the round is four times pollStrideBound, so a worker that polled
+// less often than the contract allows would overrun it.
 func testForCtxStopsOnCancel(t *testing.T, newPool func(int) *Pool) {
-	for _, strategy := range Strategies {
-		p := newPool(4)
+	const workers = 4
+	for _, strategy := range strategies {
+		p := newPool(workers)
 		ctx, cancelFn := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		const n = 1 << 20
-		err := p.ForWorkerCtx(ctx, n, strategy, 0, func(_, i int) {
-			if ran.Add(1) == 64 {
+		var canceled atomic.Bool
+		var after [workers]int64 // after[w] is written by worker w only
+		const n = workers * 4 * pollStrideBound
+		err := p.ForWorkerCtx(ctx, n, strategy, 0, func(w, i int) {
+			if canceled.Load() {
+				after[w]++
+			}
+			if ran.Add(1) == 1 {
 				cancelFn()
+				canceled.Store(true)
 			}
 		})
 		if !errors.Is(err, cancel.ErrCanceled) {
@@ -533,6 +532,11 @@ func testForCtxStopsOnCancel(t *testing.T, newPool func(int) *Pool) {
 		}
 		if got := ran.Load(); got >= n {
 			t.Fatalf("%v: cancellation ignored, all %d iterations ran", strategy, got)
+		}
+		for w, a := range after {
+			if a > pollStrideBound {
+				t.Fatalf("%v: worker %d ran %d iterations after the cancel, over the %d-iteration poll stride", strategy, w, a, pollStrideBound)
+			}
 		}
 		// The pool must remain usable after a canceled round.
 		coverageCheck(t, 128, func(mark func(int)) {
@@ -602,7 +606,7 @@ func TestRoundsAllocateNothing(t *testing.T) {
 	defer p.Close()
 	var sink atomic.Int64
 	body := func(w, i int) { sink.Add(int64(i)) }
-	for _, strategy := range Strategies {
+	for _, strategy := range strategies {
 		if a := testing.AllocsPerRun(100, func() { p.ForWorker(64, strategy, 0, body) }); a != 0 {
 			t.Errorf("%v: ForWorker allocated %v times per round, want 0", strategy, a)
 		}

@@ -25,14 +25,14 @@ go vet ./...
 # The benchmark (cmd/schedperf) is its own module, so ./... never reaches it.
 go -C cmd/schedperf vet ./...
 
-# schedlint enforces the repo's concurrency/determinism invariants with all
-# nine analyzers in one run: the dataflow-based concurrency checks
-# (ALGORITHM.md sections 9 and 11), the cancellation-latency prover
-# (section 16) and the lintdirective audit of malformed, unknown and stale
-# //lint:ignore comments. Findings print grouped by check; exit 1 on any
-# finding is a hard failure. Data races are the race detector's, in the
-# -race passes at the end; the hot kernels' allocations and Validate's
-# overflow caps are the tests' (section 14).
+# schedlint enforces the repo's determinism and API invariants with its five
+# syntactic analyzers in one run (ALGORITHM.md section 9), plus the
+# lintdirective audit of malformed, unknown and stale //lint:ignore
+# comments. Findings print grouped by check; exit 1 on any finding is a hard
+# failure. Data races are the race detector's, in the -race passes at the
+# end; goroutine release, lock order and the fills' cancellation poll
+# strides are tests in par, dp and exact (section 11), and the hot kernels'
+# allocations and Validate's overflow caps are tests too (section 14).
 go run ./cmd/schedlint ./...
 
 go test -shuffle=on -timeout 10m ./...
@@ -76,16 +76,15 @@ go test -timeout 5m -run '^$' -fuzz 'FuzzLowerBounds' -fuzztime 5s ./internal/lb
 # on the schedule and stats and meet exact.BruteForce's optimum.
 go test -timeout 5m -run '^$' -fuzz 'FuzzSolve' -fuzztime 5s ./internal/core
 
-# The race detector is the repo's race gate (ALGORITHM.md section 16 records
-# the mutation audit behind it): the pool's panic and cancellation paths, the
-# slab-parallel and level-parallel fills, the exact solver's workers and the
-# shared caches all have tests here that race when their synchronization is
-# removed. internal/lint rides along: its loader and runner fan out over the
-# worker pool and must stay clean under the detector.
-# internal/trsched joins it: the variant solver shares the configuration
-# enumeration with the concurrent fill paths, and ./solver's race run now
-# also covers the variant dispatch layer in front of them.
-go test -race -timeout 15m ./internal/par ./internal/dp ./internal/exact ./internal/core ./internal/lint ./internal/trsched ./solver
+# The race detector is the repo's race gate (ALGORITHM.md sections 11 and 16
+# record the mutation audits behind it): the pool's panic and cancellation
+# paths, the slab-parallel and level-parallel fills, the exact solver's
+# pool rounds and the shared caches all have tests here that race when their
+# synchronization is removed. internal/lint starts no goroutine, so it has
+# no race pass. internal/trsched joins it: the variant solver shares the
+# configuration enumeration with the concurrent fill paths, and ./solver's
+# race run also covers the variant dispatch layer in front of them.
+go test -race -timeout 15m ./internal/par ./internal/dp ./internal/exact ./internal/core ./internal/trsched ./solver
 
 # Dedicated pass over the incremental-solving layer: the session
 # differential harness (warm-vs-cold certificates, adversarial mutation
