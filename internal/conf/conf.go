@@ -116,41 +116,10 @@ func Fits(s, v []int32) bool {
 
 // SortByJobs stably re-orders configs in place by ascending Jobs (ties keep
 // enumeration order). Reconstruct depends on this order to stop its scan at
-// the first configuration placing more jobs than remain; the min in the
-// recurrence is order-independent, so Opt tables are unchanged by the
-// reordering.
+// the first configuration placing more jobs than remain. The production
+// fill depends on it too: it relaxes each configuration c only where c is
+// maximal, which leaves the exact Opt table only when c comes before every
+// c + e_j, and a Jobs-ascending order puts it there.
 func SortByJobs(configs []Config) {
 	sort.SliceStable(configs, func(a, b int) bool { return configs[a].Jobs < configs[b].Jobs })
-}
-
-// Set is a scan-optimized view of a configuration list: the same
-// configurations flattened structure-of-arrays, so the DP inner loop walks
-// one contiguous counts block instead of chasing a heap slice per Config.
-// Row i of Counts spans [i*D, (i+1)*D). A Set is immutable after NewSet and
-// safe to share between tables and goroutines.
-type Set struct {
-	// D is the number of size classes (row width of Counts).
-	D int
-	// N is the number of configurations.
-	N int
-	// Counts holds all configuration count vectors, row-major.
-	Counts []int32
-	// Offsets holds each configuration's mixed-radix table displacement.
-	Offsets []int64
-}
-
-// NewSet flattens a configuration list into a Set. d is the number of size
-// classes, which must match every configuration's dimension.
-func NewSet(configs []Config, d int) *Set {
-	s := &Set{
-		D:       d,
-		N:       len(configs),
-		Counts:  make([]int32, len(configs)*d),
-		Offsets: make([]int64, len(configs)),
-	}
-	for i := range configs {
-		copy(s.Counts[i*d:(i+1)*d], configs[i].Counts)
-		s.Offsets[i] = configs[i].Offset
-	}
-	return s
 }

@@ -208,31 +208,6 @@ func TestSortByJobsStable(t *testing.T) {
 	}
 }
 
-func TestSetMatchesConfigs(t *testing.T) {
-	sizes, counts, T, stride := paperExample()
-	configs, err := Enumerate(sizes, counts, T, stride, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortByJobs(configs)
-	set := NewSet(configs, len(sizes))
-	if set.N != len(configs) || set.D != len(sizes) {
-		t.Fatalf("set dims N=%d D=%d", set.N, set.D)
-	}
-	d := set.D
-	for i, c := range configs {
-		row := set.Counts[i*d : (i+1)*d]
-		for j := range row {
-			if row[j] != c.Counts[j] {
-				t.Fatalf("row %d = %v, want %v", i, row, c.Counts)
-			}
-		}
-		if set.Offsets[i] != c.Offset {
-			t.Fatalf("row %d offset mismatch", i)
-		}
-	}
-}
-
 func TestDefaultLimitApplied(t *testing.T) {
 	// maxConfigs <= 0 must select the default rather than zero.
 	configs, err := Enumerate([]pcmax.Time{3}, []int{2}, 10, []int64{1}, -1)

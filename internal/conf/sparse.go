@@ -121,8 +121,7 @@ func support(cur []int32) int {
 // EnumerateSparse lists the sparse subset of the non-zero configurations for
 // the given distinct sizes, availability, capacity T and table strides, in
 // lexicographic order of the count vector (the same order and Config layout
-// as Enumerate, so SortByJobs/NewSet and every DP fill path apply
-// unchanged). maxConfigs <= 0 selects DefaultMaxConfigs and bounds the
+// as Enumerate, so SortByJobs and every DP fill path apply unchanged). maxConfigs <= 0 selects DefaultMaxConfigs and bounds the
 // retained set, not the enumeration.
 func EnumerateSparse(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int64, maxConfigs int, opts SparseOptions) ([]Config, SparseStats, error) {
 	var stats SparseStats

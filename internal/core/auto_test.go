@@ -12,8 +12,9 @@ import (
 // instance whose tables reach the slab-phase plan: at any worker count it
 // produces the paper's sequential Algorithm 2 schedule, and Stats.Auto
 // accounts for every anti-diagonal level the bisection filled, inline at one
-// worker and on the pool at four, while a PaperFaithful solve reports none.
-// Every other Stats field except FillTime is the same at both worker counts.
+// worker and on the pool at four, and for the same relaxations at both,
+// while a PaperFaithful solve reports none. Every other Stats field except
+// FillTime is the same at both worker counts.
 func TestAutoFillMatchesSequential(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 10, N: 30, Seed: 1})
 	ref, refSt, err := Solve(context.Background(), in, Options{Epsilon: 0.2, PaperFaithful: true})
@@ -41,6 +42,9 @@ func TestAutoFillMatchesSequential(t *testing.T) {
 		}
 		if st.Auto.LevelsParallel == 0 || st.Auto.LevelsFused != 0 || st.Auto.LevelsInline+st.Auto.LevelsParallel != one.Auto.LevelsInline {
 			t.Fatalf("workers=%d: Stats.Auto %+v, want parallel levels summing with the inline ones to the 1-worker %d", workers, st.Auto, one.Auto.LevelsInline)
+		}
+		if st.Auto.Relaxations == 0 || st.Auto.Relaxations != one.Auto.Relaxations {
+			t.Fatalf("workers=%d: %d relaxations, 1 worker %d", workers, st.Auto.Relaxations, one.Auto.Relaxations)
 		}
 		a, b := *st, *one
 		a.FillTime, b.FillTime, a.Auto, b.Auto = 0, 0, dp.AutoStats{}, dp.AutoStats{}

@@ -64,11 +64,11 @@ type Options struct {
 	// GOMAXPROCS. At Workers > 1 the solve starts a pool of that many
 	// goroutines at its first fill that runs on one, and closes it on
 	// return. The production fill runs the slab phases of tables with at
-	// least 2^18 units of fill work (sigma·|C|) on it, and every smaller
+	// least 2^18 relaxations of fill work on it, and every smaller
 	// table on the calling goroutine, so a solve of small tables starts no
 	// pool; under PaperFaithful the paper's Parallel DP runs on it.
-	// Schedules and every Stats field except FillTime and Auto are the same
-	// at any Workers.
+	// Schedules and every Stats field except FillTime and Auto's level
+	// counters are the same at any Workers.
 	Workers int
 	// PaperFaithful fills every faithful DP table with the paper's
 	// algorithms instead of the production fill (dp.FillAutoCtx), both
@@ -168,9 +168,10 @@ type Stats struct {
 	// Auto accumulates, over all bisection probes, how dp.FillAutoCtx ran
 	// the anti-diagonal levels: LevelsParallel counts the levels of fills
 	// whose slab phases ran on the pool, LevelsInline those of fills on the
-	// caller. Under Options.PaperFaithful only the sparse tables of a
-	// Sparsify solve run dp.FillAutoCtx, so it is all-zero on faithful
-	// tables.
+	// caller, and Relaxations the entry relaxations of every fill, the same
+	// at any worker count. Under Options.PaperFaithful only the sparse
+	// tables of a Sparsify solve run dp.FillAutoCtx, so it is all-zero on
+	// faithful tables.
 	Auto dp.AutoStats
 	// UsedLPTFallback reports that plain LPT beat the PTAS construction on
 	// this instance and its schedule was returned instead. The fallback
@@ -359,6 +360,7 @@ func solve(ctx context.Context, in *pcmax.Instance, order []int, k int, opts Opt
 		stats.FillTime += res.fill
 		stats.Auto.LevelsInline += res.auto.LevelsInline
 		stats.Auto.LevelsParallel += res.auto.LevelsParallel
+		stats.Auto.Relaxations += res.auto.Relaxations
 		if res.tbl != nil {
 			stats.TotalEntriesFilled += res.tbl.Sigma
 			if opts.Profile != nil {

@@ -123,9 +123,10 @@ func FuzzSolve(f *testing.F) {
 				continue
 			}
 			// The production fill at any worker count: every stat but the
-			// fill time and the level routing, whose levels still sum up.
+			// fill time and the level routing, whose levels still sum up
+			// and whose relaxations are the same.
 			a, b := *vst, *st
-			if a.Auto.LevelsInline+a.Auto.LevelsParallel != b.Auto.LevelsInline {
+			if a.Auto.LevelsInline+a.Auto.LevelsParallel != b.Auto.LevelsInline || a.Auto.Relaxations != b.Auto.Relaxations {
 				t.Fatalf("%s, %d workers: Auto %+v, 1 worker %+v (m=%d times=%v opts=%+v)", v.name, v.workers, a.Auto, b.Auto, in.M, in.Times, opts)
 			}
 			a.FillTime, b.FillTime, a.Auto, b.Auto = 0, 0, dp.AutoStats{}, dp.AutoStats{}

@@ -21,8 +21,8 @@ import (
 )
 
 // AutoStats reports how FillAutoCtx ran the anti-diagonal levels of one
-// fill. The counters sum to NPrime (all levels except the trivial level 0)
-// on a completed fill.
+// fill and how much work it did. The level counters sum to NPrime (all
+// levels except the trivial level 0) on a completed fill.
 type AutoStats struct {
 	// LevelsInline counts the levels of a fill that ran on the calling
 	// goroutine alone: a table without a slab-phase plan, or no pool of at
@@ -35,6 +35,10 @@ type AutoStats struct {
 	// LevelsParallel counts the levels of a fill whose phases ran on the
 	// pool.
 	LevelsParallel int
+	// Relaxations counts the entry relaxations of a completed fill, summed
+	// over its workers: the pinned box of every configuration, whatever the
+	// pool (ALGORITHM.md section 7).
+	Relaxations int64
 }
 
 // slabChunksPerWorker bounds a phase round to this many chunks per worker.
@@ -44,7 +48,7 @@ const slabChunksPerWorker = 8
 
 // FillAutoCtx computes the table with the production fill. With a pool of at
 // least two workers and a table whose configuration set has a slab-phase
-// plan (fill work sigma·|C| of at least planMinWork), each phase runs as one
+// plan (pinned boxes summing to at least planMinWork), each phase runs as one
 // pool round: a worker claims a chunk of the phase class's slabs and relaxes
 // every configuration of the phase over it, and the tail of configurations
 // that use every phase class runs on the caller. Otherwise it runs
@@ -65,16 +69,18 @@ func (t *Table) FillAutoCtx(ctx context.Context, pool *par.Pool) error {
 		return err
 	}
 	if pool == nil || pool.Workers() < 2 || len(t.lay.ends) == 0 {
-		if err := t.FillSequentialCtx(ctx); err != nil {
+		n, err := t.fillCaller(ctx)
+		if err != nil {
 			return err
 		}
-		t.AutoStats.LevelsInline = t.NPrime
+		t.AutoStats = AutoStats{LevelsInline: t.NPrime, Relaxations: n}
 		return nil
 	}
-	if err := t.fillSlabs(ctx, pool); err != nil {
+	n, err := t.fillSlabs(ctx, pool)
+	if err != nil {
 		return err
 	}
-	t.AutoStats.LevelsParallel = t.NPrime
+	t.AutoStats = AutoStats{LevelsParallel: t.NPrime, Relaxations: n}
 	return nil
 }
 
@@ -85,11 +91,11 @@ func (t *Table) FillAutoCtx(ctx context.Context, pool *par.Pool) error {
 func (t *Table) SlabPhases() int { return len(t.lay.ends) }
 
 // fillSlabs runs the phases of the table's plan on the pool and the tail on
-// the caller.
-func (t *Table) fillSlabs(ctx context.Context, pool *par.Pool) error {
+// the caller, and returns the relaxations its workers did.
+func (t *Table) fillSlabs(ctx context.Context, pool *par.Pool) (int64, error) {
 	t.resetOpt()
 	workers := pool.Workers()
-	f := &slabFill{t: t, done: ctxDone(ctx), workers: newSlabWorkers(t.set.D, workers)}
+	f := &slabFill{t: t, done: ctxDone(ctx), workers: newSlabWorkers(t.set.d, workers)}
 	body := func(w, c int) { f.chunk(&f.workers[w], c) }
 	row := 0
 	for k, end := range t.lay.ends {
@@ -98,15 +104,15 @@ func (t *Table) fillSlabs(ctx context.Context, pool *par.Pool) error {
 		f.chunks = min(f.slabs, slabChunksPerWorker*workers)
 		pool.ForWorker(f.chunks, par.Dynamic, 1, body)
 		if f.stop.Load() {
-			return f.canceled(ctx)
+			return 0, f.canceled(ctx)
 		}
 		row = int(end)
 	}
-	if !f.relaxRows(&f.workers[0], row, t.set.N, -1, 0, 0) {
-		return f.canceled(ctx)
+	if !f.relaxRows(&f.workers[0], row, t.set.n, -1, 0, 0) {
+		return 0, f.canceled(ctx)
 	}
 	t.filled = true
-	return nil
+	return f.relaxed(), nil
 }
 
 // odoGap is the gap, in odometer words, between two workers' odometers: a

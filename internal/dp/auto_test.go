@@ -14,7 +14,8 @@ import (
 // TestFillAutoStatsRouting checks that AutoStats reports the routing
 // truthfully: a planned table runs its phases on a pool of at least two
 // workers and counts every level parallel; without such a pool, or without
-// a plan, every level is inline. Every fill matches the sequential fill.
+// a plan, every level is inline. Every fill matches the sequential fill and
+// relaxes the configurations' pinned boxes, whatever the routing.
 func TestFillAutoStatsRouting(t *testing.T) {
 	ref := bigTable(t)
 	fillSeq(t, ref)
@@ -43,9 +44,10 @@ func TestFillAutoStatsRouting(t *testing.T) {
 			if err := tbl.FillAutoCtx(context.Background(), tc.pool); err != nil {
 				t.Fatal(err)
 			}
-			want := AutoStats{LevelsInline: tbl.NPrime}
+			pinned, _ := boxSums(tbl)
+			want := AutoStats{LevelsInline: tbl.NPrime, Relaxations: pinned}
 			if tc.parallel {
-				want = AutoStats{LevelsParallel: tbl.NPrime}
+				want = AutoStats{LevelsParallel: tbl.NPrime, Relaxations: pinned}
 			}
 			if s := tbl.AutoStats; s != want {
 				t.Fatalf("fill routed %+v, want %+v", s, want)
@@ -65,8 +67,8 @@ func TestFillAutoStatsRouting(t *testing.T) {
 	if err := small.FillAutoCtx(context.Background(), bp); err != nil {
 		t.Fatal(err)
 	}
-	if s := small.AutoStats; s != (AutoStats{LevelsInline: small.NPrime}) {
-		t.Fatalf("unplanned table routed %+v, want all %d levels inline", s, small.NPrime)
+	if pinned, _ := boxSums(small); small.AutoStats != (AutoStats{LevelsInline: small.NPrime, Relaxations: pinned}) {
+		t.Fatalf("unplanned table routed %+v, want all %d levels inline", small.AutoStats, small.NPrime)
 	}
 }
 

@@ -60,7 +60,7 @@ type Cache struct {
 // enumerations, the sparsification counters.
 type configsEntry struct {
 	configs []conf.Config
-	set     *conf.Set
+	set     *scanSet
 	lay     layout
 	sstats  conf.SparseStats
 }
@@ -202,14 +202,17 @@ func (c *Cache) configSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma 
 	return e, nil
 }
 
-// buildConfigSet enumerates, Jobs-sorts and flattens a configuration set,
-// and gives it a slab-phase plan when the fill work sigma·|C| reaches
-// planMinWork.
+// buildConfigSet enumerates, Jobs-sorts and flattens a configuration set
+// for a table of sigma entries, pins the rows of a faithful set, and gives
+// the set a slab-phase plan when its fill work, the sum of its pinned boxes,
+// reaches planMinWork.
 func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma int64, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) (configsEntry, error) {
 	e := configsEntry{lay: newLayout(counts)}
+	pin := pins{sizes: sizes, T: T}
 	var err error
 	if mode == EnumSparse {
 		e.configs, e.sstats, err = conf.EnumerateSparse(sizes, counts, T, e.lay.stride, maxConfigs, sopts)
+		pin = pins{}
 	} else {
 		e.configs, err = conf.Enumerate(sizes, counts, T, e.lay.stride, maxConfigs)
 	}
@@ -217,11 +220,18 @@ func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma int64,
 		return configsEntry{sstats: e.sstats}, err
 	}
 	conf.SortByJobs(e.configs)
-	if sigma*int64(len(e.configs)) < planMinWork {
-		e.set = conf.NewSet(e.configs, len(sizes))
-		return e, nil
+	// The pinned boxes sum to at most sigma·|C|, so a smaller table skips
+	// the sum.
+	var work int64
+	if sigma*int64(len(e.configs)) >= planMinWork {
+		for ci := range e.configs {
+			work += pin.box(&e.configs[ci], counts)
+		}
 	}
-	phase := e.lay.plan(e.configs, counts)
-	e.set = newPhasedSet(e.configs, len(sizes), phase, &e.lay)
+	var phase []int64
+	if work >= planMinWork {
+		phase = e.lay.plan(e.configs, counts, pin)
+	}
+	e.set = newScanSet(e.configs, len(sizes), phase, &e.lay, pin)
 	return e, nil
 }

@@ -222,15 +222,17 @@ func (c *dyingCtx) Err() error {
 }
 
 // strideTable returns a table every fill of which takes more than 2^17 units
-// of work: about 2^18 entries and 2.6·10^6 relaxations, and Algorithm 2's
-// first descent alone computes the 2^15+101 entries along class 0. Its
-// slab-phase plan makes classes 1 and 3 the most significant (strides
-// 65,738 and 131,476), so Algorithm 3's level 2 has odd and even entries
-// just past them: a scan that reaches those has run more than pollStride
-// iterations on a worker of one or of two, whichever worker it is.
+// of work: about 2^19 entries, 1,577,653 relaxations of the production fill
+// (its pinned boxes; more than the 2^20 of a fillCheckEvery that large, so
+// such a stride fails on the bound), and Algorithm 2's first descent alone
+// computes the 2^15+101 entries along class 0. Its slab-phase plan makes
+// classes 3 and 1 the most significant (strides 131,476 and 65,738), so
+// Algorithm 3's level 2 has odd and even entries just past them: a scan
+// that reaches those has run more than pollStride iterations on a worker of
+// one or of two, whichever worker it is.
 func strideTable(t *testing.T) *Table {
 	t.Helper()
-	tbl, err := New([]pcmax.Time{1, 2, 3, 4}, []int{1<<15 + 100, 1, 1, 1}, 5, 0, 0)
+	tbl, err := New([]pcmax.Time{1, 2, 3, 4}, []int{1<<15 + 100, 1, 1, 3}, 5, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,17 +42,17 @@ func fillOracle(t *Table) []int32 {
 	return opt
 }
 
-// randomInstance draws a small random (sizes, counts, T) triple; tables stay
-// under a few thousand entries so the full sweep is fast.
-func randomInstance(src *rng.Source) ([]pcmax.Time, []int, pcmax.Time) {
-	d := 1 + src.Intn(4)
+// randomInstance draws a small random (sizes, counts, T) triple with at most
+// maxD classes of at most maxCount jobs each.
+func randomInstance(src *rng.Source, maxD, maxCount int) ([]pcmax.Time, []int, pcmax.Time) {
+	d := 1 + src.Intn(maxD)
 	sizes := make([]pcmax.Time, 0, d)
 	counts := make([]int, 0, d)
 	s := pcmax.Time(0)
 	for i := 0; i < d; i++ {
 		s += 1 + pcmax.Time(src.Int64n(12))
 		sizes = append(sizes, s)
-		counts = append(counts, src.Intn(5))
+		counts = append(counts, src.Intn(maxCount+1))
 	}
 	T := s + pcmax.Time(src.Int64n(35))
 	return sizes, counts, T
@@ -89,8 +89,9 @@ type diffInput struct {
 	T      pcmax.Time
 }
 
-// runShapeInputs are fixed instances for the shapes the random population
-// (d <= 4, counts <= 4) may miss: the run shapes of the config-outer kernel
+// runShapeInputs are fixed instances for the shapes the random populations
+// (d <= 4, counts <= 4, and d <= 7, counts <= 5 for the phased fill) may
+// miss: the run shapes of the config-outer kernel
 // and ten classes. packedBoundaryInputs holds the rest.
 var runShapeInputs = []diffInput{
 	// d = 1: every configuration's pass is a single run over the table.
@@ -199,7 +200,7 @@ func TestDifferentialAllFillVariants(t *testing.T) {
 	const instances = 50
 	var inputs []diffInput
 	for seed := uint64(1); seed <= instances; seed++ {
-		sizes, counts, T := randomInstance(rng.New(seed))
+		sizes, counts, T := randomInstance(rng.New(seed), 4, 4)
 		inputs = append(inputs, diffInput{fmt.Sprintf("seed %d", seed), sizes, counts, T})
 	}
 	inputs = append(inputs, runShapeInputs...)
@@ -305,12 +306,14 @@ func TestReconstructManyConfigs(t *testing.T) {
 }
 
 // TestDifferentialPhasedFill forces a slab-phase plan on every table
-// (forcePlans) and checks the phased layout over the random population,
-// runShapeInputs and packedBoundaryInputs. On each planned table the
-// production fill on the caller and on pools of 2 and 4 workers, and the
-// paper's Algorithms 2 and 3, give fillOracle's Opt array and the machines
-// Reconstruct picks on the class-order table; OPT(v) of every vector v equals
-// the class-order table's.
+// (forcePlans) and checks the phased layout over a random population of up
+// to seven classes of up to five jobs, runShapeInputs and
+// packedBoundaryInputs. On each planned table the production fill on the
+// caller and on pools of 2 and 4 workers, and the paper's Algorithms 2 and
+// 3, give fillOracle's Opt array and the machines Reconstruct picks on the
+// class-order table; OPT(v) of every vector v equals the class-order
+// table's. The population must hold rows pinned on their own phase's class,
+// which the production fill relaxes only in slab 0.
 func TestDifferentialPhasedFill(t *testing.T) {
 	pool2 := par.NewPool(2)
 	defer pool2.Close()
@@ -321,7 +324,7 @@ func TestDifferentialPhasedFill(t *testing.T) {
 	inputs := append([]diffInput(nil), runShapeInputs...)
 	inputs = append(inputs, packedBoundaryInputs...)
 	for seed := uint64(1); seed <= 200; seed++ {
-		sizes, counts, T := randomInstance(rng.New(seed))
+		sizes, counts, T := randomInstance(rng.New(seed), 7, 5)
 		inputs = append(inputs, diffInput{fmt.Sprintf("seed %d", seed), sizes, counts, T})
 	}
 	ctx := context.Background()
@@ -336,7 +339,7 @@ func TestDifferentialPhasedFill(t *testing.T) {
 		{"production-4w", pool4, true, func(tbl *Table) error { return tbl.FillAutoCtx(ctx, pool4) }},
 		{"alg3", nil, false, func(tbl *Table) error { return tbl.FillParallelCtx(ctx, pool4) }},
 	}
-	var planned, permuted int
+	var planned, permuted, slabPinned int
 	for _, in := range inputs {
 		build := func(minWork int64) *Table {
 			planMinWork = minWork
@@ -369,6 +372,7 @@ func TestDifferentialPhasedFill(t *testing.T) {
 		if len(phased.lay.ends) > 0 {
 			planned++
 		}
+		slabPinned += pinnedOnSlab(phased)
 		for q, c := range phased.lay.order {
 			if c != int64(q) {
 				permuted++
@@ -404,8 +408,11 @@ func TestDifferentialPhasedFill(t *testing.T) {
 		}
 		machinesEqual(t, in.name+": FillRecursive", recMachines, refMachines)
 	}
-	t.Logf("%d of %d tables planned, %d permuted", planned, len(inputs), permuted)
+	t.Logf("%d of %d tables planned, %d permuted, %d rows pinned on their phase's class", planned, len(inputs), permuted, slabPinned)
 	if planned < len(inputs)/2 || permuted == 0 {
 		t.Fatalf("%d of %d tables planned, %d with a permuted class order: the harness misses the phased kernel", planned, len(inputs), permuted)
+	}
+	if slabPinned == 0 {
+		t.Fatal("no row is pinned on its own phase's class: the harness misses the slab-0-only rows")
 	}
 }

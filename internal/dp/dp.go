@@ -20,8 +20,9 @@
 //
 //   - FillAutoCtx: the production kernel, a config-outer sweep: each
 //     configuration relaxes its sub-lattice as contiguous runs of the table,
-//     in ascending order. On a pool of two or more workers it runs a planned
-//     table's phases as parallel rounds over independent slabs;
+//     in ascending order, and on a faithful table only the part of it where
+//     the configuration is maximal. On a pool of two or more workers it runs
+//     a planned table's phases as parallel rounds over independent slabs;
 //     FillSequentialCtx is the same sweep on the calling goroutine.
 //   - FillRecursiveCtx: top-down memoized recursion starting from the last
 //     entry, faithful to the paper's Algorithm 2 description ("starts from
@@ -120,7 +121,8 @@ type Table struct {
 	// anti-diagonal levels.
 	NPrime int
 	// Configs are all feasible non-zero machine configurations, stably
-	// sorted by ascending Jobs (Reconstruct relies on this order).
+	// sorted by ascending Jobs (Reconstruct relies on this order, and so do
+	// the pins of the production fill, whose scan set keeps it).
 	Configs []conf.Config
 	// Opt holds OPT(v) per entry after a Fill method ran.
 	Opt []int32
@@ -137,20 +139,23 @@ type Table struct {
 	SparseStats conf.SparseStats
 
 	// set is the flat scan view of Configs the production kernel walks,
-	// its rows grouped by phase and its columns in stride order, and lay is
-	// the layout both are expressed in (shared with the cache, read-only).
-	set *conf.Set
+	// its rows grouped by phase, its columns in stride order and its pins
+	// marked, and lay is the layout both are expressed in (shared with the
+	// cache, read-only).
+	set *scanSet
 	lay layout
 
 	// Cooperative-cancellation state of an in-flight FillRecursiveCtx:
 	// solveRec polls recDone every fillCheckEvery visits (recBudget is the
-	// countdown) and records the abort in fillErr so the recursion unwinds
-	// without touching every frame; recEntries counts memoized entries for
-	// the partial-progress stats. All four are scoped to one fill call.
+	// countdown) and records the abort in recStopped so the recursion
+	// unwinds without touching every frame; recEntries counts memoized
+	// entries for the partial-progress stats. All four are scoped to one
+	// fill call. recStopped shares a word with filled, which keeps a Table
+	// in the 384-byte allocation class.
 	recDone    <-chan struct{}
 	recBudget  int64
 	recEntries int64
-	fillErr    error
+	recStopped bool
 
 	filled bool
 }
@@ -411,32 +416,42 @@ const fillHuge = int32(1) << 30
 // FillSequentialCtx fills the table with the production kernel on the
 // calling goroutine: the loop FillAutoCtx runs without a pool. It is a loop
 // interchange of the recurrence: instead of scanning the configuration list
-// per entry, each configuration c relaxes its whole sub-lattice {v : v >= c}
-// in one streaming pass,
+// per entry, each configuration c relaxes its sub-lattice {v : v >= c} in
+// one streaming pass,
 //
 //	Opt[v] = min(Opt[v], Opt[v-c] + 1),
 //
 // visiting entries in ascending index order so repeated uses of c chain
 // within the pass. This is the unbounded min-coin-change loop interchange on
-// the mixed-radix lattice: a single pass per configuration, in any order,
-// leaves the (unique) shortest distances of the recurrence, so the table is
-// bit-identical to the entry-ordered fills — but no entry ever pays a fits
-// check or an index decode. The passes run in the order of the set's rows,
-// grouped by phase when the set has a slab-phase plan (see relaxRows).
+// the mixed-radix lattice: a single pass per configuration over its whole
+// sub-lattice, in any order, leaves the (unique) shortest distances of the
+// recurrence. On a faithful set the pass covers only the entries where c is
+// maximal (its pinned box, see pins and relaxRows), which still leaves them
+// provided every row c comes before every row c + e_j; the set's rows,
+// Jobs-ascending and grouped by phase when the set has a slab-phase plan,
+// are in such an order (ALGORITHM.md section 7). So the table is
+// bit-identical to the entry-ordered fills, but no entry ever pays a fits
+// check or an index decode.
 //
 // A cancelable ctx is polled every fillCheckEvery relaxations. On
 // cancellation the table is left unfilled (Opt holds partial garbage) and
 // the structured cancel error is returned.
 func (t *Table) FillSequentialCtx(ctx context.Context) error {
+	_, err := t.fillCaller(ctx)
+	return err
+}
+
+// fillCaller is FillSequentialCtx, returning the relaxations it did.
+func (t *Table) fillCaller(ctx context.Context) (int64, error) {
 	t.filled = false
 	t.resetOpt()
 	f := slabFill{t: t, done: ctxDone(ctx), workers: make([]slabWorker, 1)}
-	f.workers[0].odo = make([]int32, 2*t.set.D)
-	if !f.relaxRows(&f.workers[0], 0, t.set.N, -1, 0, 0) {
-		return f.canceled(ctx)
+	f.workers[0].odo = make([]int32, 2*t.set.d)
+	if !f.relaxRows(&f.workers[0], 0, t.set.n, -1, 0, 0) {
+		return 0, f.canceled(ctx)
 	}
 	t.filled = true
-	return nil
+	return f.workers[0].relaxed, nil
 }
 
 // resetOpt sets every entry to the config-outer sweep's start: OPT(0) = 0
@@ -475,13 +490,20 @@ type slabWorker struct {
 	_       [32]byte
 }
 
+// relaxed returns the relaxations the fill's workers did.
+func (f *slabFill) relaxed() int64 {
+	var n int64
+	for i := range f.workers {
+		n += f.workers[i].relaxed
+	}
+	return n
+}
+
 // canceled returns the structured cancel error of an aborted fill, carrying
 // the relaxations its workers did.
 func (f *slabFill) canceled(ctx context.Context) error {
 	err := cancel.From(ctx)
-	for i := range f.workers {
-		err.EntriesFilled += f.workers[i].relaxed
-	}
+	err.EntriesFilled = f.relaxed()
 	return err
 }
 
@@ -508,23 +530,26 @@ func (f *slabFill) stopped() bool {
 // scratch and counts its relaxations there, and returns false when the fill
 // was stopped.
 //
-// Each row c relaxes the box of entries v >= c (within the slabs), run by
-// run, walking positions in stride order. Let jp be c's last non-zero
-// position, or the slab position when that comes later: every later
-// position spans its full range 0..n, so for each point of an odometer over
-// the positions before jp the pass is one contiguous run of
-// (lim_jp+1)*stride_jp entries. Stepping position jp-1 moves a run by its
-// stride, so the runs of one odometer point over the positions before jp-1
-// are evenly spaced and relaxRuns relaxes them in one call: the odometer
-// steps once per such row of runs. Runs are visited in ascending index
-// order, as the per-entry walk would visit them.
+// Each row c relaxes its pinned box: the entries v >= c (within the slabs)
+// with v_j = c_j at every position the row marks as pinned (see pins and
+// scanSet), where c is maximal. It walks the box run by run, positions in
+// stride order. Let jp be the last position that c uses or pins, or the
+// slab position when that comes later: every later position spans its full
+// range 0..n, so for each point of an odometer over the positions before jp
+// the pass is one contiguous run of (lim_jp+1)*stride_jp entries. Stepping
+// position jp-1 moves a run by its stride, so the runs of one odometer
+// point over the positions before jp-1 are evenly spaced and relaxRuns
+// relaxes them in one call: the odometer steps once per such row of runs.
+// Runs are visited in ascending index order, as the per-entry walk would
+// visit them. A row pinned on the slab class relaxes only the slab v = 0,
+// so it runs only in the chunk that holds that slab.
 //
 // A cancelable fill polls every fillCheckEvery relaxations: a row or run
 // longer than the remaining budget is split where the budget runs out.
 func (f *slabFill) relaxRows(sw *slabWorker, r0, r1, p int, x0, x1 int64) bool {
 	t := f.t
 	s := t.set
-	d := s.D
+	d := s.d
 	opt, stride, count := t.Opt, t.lay.pstride, t.lay.pcount
 	w := sw.odo[:d]        // odometer over positions 0..jp-2, w = v - lower corner
 	lim := sw.odo[d : 2*d] // per-position odometer limits
@@ -535,27 +560,31 @@ func (f *slabFill) relaxRows(sw *slabWorker, r0, r1, p int, x0, x1 int64) bool {
 	budget := int64(fillCheckEvery)
 	var relaxed int64
 	for ci := r0; ci < r1; ci++ {
-		row := s.Counts[ci*d : ci*d+d]
+		row := s.counts[ci*d : ci*d+d]
 		jp := d - 1
 		for jp > 0 && row[jp] == 0 && jp != p {
 			jp--
 		}
-		for j := 0; j < jp; j++ {
+		for j := 0; j <= jp; j++ {
 			lim[j] = int32(count[j]) - row[j]
+			if row[j] < 0 {
+				lim[j] = 0 // pinned
+			}
 			w[j] = 0
 		}
-		off := s.Offsets[ci]
+		off := s.offsets[ci]
 		base := off
-		runLim := count[jp] - int64(row[jp])
 		if p >= 0 {
-			base += x0 * stride[p]
-			if p < jp {
-				lim[p] = int32(x1 - 1 - x0)
+			if row[p] < 0 {
+				if x0 > 0 {
+					continue // the pinned box lies in slab 0
+				}
 			} else {
-				runLim = x1 - 1 - x0
+				base += x0 * stride[p]
+				lim[p] = int32(x1 - 1 - x0)
 			}
 		}
-		runLen := (runLim + 1) * stride[jp]
+		runLen := (int64(lim[jp]) + 1) * stride[jp]
 		runs, gap := int64(1), int64(0)
 		if jp > 0 {
 			runs, gap = int64(lim[jp-1])+1, stride[jp-1]
@@ -658,11 +687,11 @@ func (t *Table) FillRecursiveCtx(ctx context.Context) error {
 	t.recDone = ctxDone(ctx)
 	t.recBudget = fillCheckEvery
 	t.recEntries = 0
-	t.fillErr = nil
+	t.recStopped = false
 	t.solveRec(t.Sigma - 1)
-	interrupted := t.fillErr != nil
+	interrupted := t.recStopped
 	entries := t.recEntries
-	t.recDone, t.fillErr = nil, nil
+	t.recDone, t.recStopped = nil, false
 	if interrupted {
 		err := cancel.From(ctx)
 		err.EntriesFilled = entries
@@ -673,14 +702,14 @@ func (t *Table) FillRecursiveCtx(ctx context.Context) error {
 }
 
 func (t *Table) solveRec(idx int64) int32 {
-	if t.fillErr != nil {
+	if t.recStopped {
 		return 0
 	}
 	if t.recDone != nil {
 		if t.recBudget--; t.recBudget <= 0 {
 			select {
 			case <-t.recDone:
-				t.fillErr = cancel.ErrCanceled
+				t.recStopped = true
 				return 0
 			default:
 			}

@@ -12,22 +12,27 @@ package dp
 // in phase order, keeps each slab a contiguous range inside every block of
 // the earlier phase classes, so the runs of the config-outer kernel stay
 // intact. The layout only permutes the strides: Table.Configs, their Jobs
-// order and Reconstruct's choices are those of the class order, and since a
-// single pass per configuration in any order yields the unique
-// shortest-distance table (as in min-coin change), every table is
-// bit-identical to the class-order fill.
+// order and Reconstruct's choices are those of the class order, and every
+// table is bit-identical to the class-order fill. The production fill
+// relaxes each configuration of a faithful set only where it is maximal
+// (its pins, ALGORITHM.md section 7), which is exact only when every row c
+// comes before every row c + e_j; a phase-grouped, Jobs-ascending row order
+// keeps that, since a sub-configuration has no later first empty phase
+// class and fewer jobs.
 
 import (
 	"repro/internal/conf"
+	"repro/pcmax"
 )
 
 // The plan's two thresholds. They are variables only so that tests can zero
 // them (forcePlans) and reach the phased kernel on small tables.
 var (
-	// planMinWork is the fill work, sigma·|C|, from which a configuration
-	// set gets a slab-phase plan. A smaller table keeps the class order and
-	// fills on the calling goroutine: the first pool round of a fill pays a
-	// cross-core wake, which a smaller fill cannot repay.
+	// planMinWork is the fill work, the relaxations of the configurations'
+	// pinned boxes, from which a configuration set gets a slab-phase plan.
+	// A smaller table keeps the class order and fills on the calling
+	// goroutine: the first pool round of a fill pays a cross-core wake,
+	// which a smaller fill cannot repay.
 	planMinWork int64 = 1 << 18
 	// phaseMinSave is the least 2-worker saving, in relaxations, that earns
 	// a phase its own pool round: a round wakes the parked workers, so the
@@ -89,40 +94,78 @@ func (lay *layout) setStrides(counts []int) {
 	}
 }
 
+// pins gives each configuration of a faithful set its fit(c): the number of
+// classes whose size is at most c's slack T - weight(c). Sizes ascend, so
+// these are the classes 0..fit(c)-1, and a job of any of them still fits on
+// a machine configured as c. The production fill relaxes c only at entries
+// v with v_j = c_j for every such class, where c is maximal (ALGORITHM.md
+// section 7). The zero value, which a sparse set gets, pins nothing: a
+// sparse set is not closed under removing a job, so the exchange argument
+// behind the pins fails for it.
+type pins struct {
+	sizes []pcmax.Time
+	T     pcmax.Time
+}
+
+// pinned reports whether c pins class a, that is whether a < fit(c): a
+// job of class a fits in c's slack (sizes and c.Weight in the same units).
+func (p pins) pinned(c *conf.Config, a int) bool {
+	return a < len(p.sizes) && p.sizes[a] <= p.T-c.Weight
+}
+
+// box returns the number of entries the production fill relaxes c at over
+// classes with the given counts: its pinned box, the product over the
+// classes it does not pin of n_i - c_i + 1.
+func (p pins) box(c *conf.Config, counts []int) int64 {
+	w := int64(1)
+	for i, n := range counts {
+		if !p.pinned(c, i) {
+			w *= int64(n) - int64(c.Counts[i]) + 1
+		}
+	}
+	return w
+}
+
 // plan computes the slab-phase plan of configs (Jobs-sorted, with offsets in
 // the class order) over classes with the given counts. Greedily, phase k
 // slabs the class whose still unassigned configurations leaving it empty
 // save the most 2-worker time: with r = n_a+1 equal slabs, a phase of work W
-// takes ceil(r/2)/r of W on two workers, saving floor(r/2)/r of it. The
-// phase classes take the most significant positions in phase order, the
-// other classes follow in class order, and the strides and every
-// configuration's Offset are rewritten for the new order. plan returns each
-// configuration's phase, len(lay.ends) standing for the tail.
-func (lay *layout) plan(configs []conf.Config, counts []int) []int64 {
+// takes ceil(r/2)/r of W on two workers, saving floor(r/2)/r of it. A
+// configuration's work is its pinned box, the entries the production fill
+// relaxes it at; a configuration pinned on class a relaxes only the slab
+// v_a = 0, so it joins a's phase without adding to its saving. The phase
+// classes take the most significant positions in phase order, the other
+// classes follow in class order, and the strides and every configuration's
+// Offset are rewritten for the new order. plan returns each configuration's
+// phase, len(lay.ends) standing for the tail.
+func (lay *layout) plan(configs []conf.Config, counts []int, pin pins) []int64 {
 	n, d := len(configs), len(counts)
 	scratch := make([]int64, 2*n)
 	work, phase := scratch[:n], scratch[n:]
 	for ci := range configs {
-		w := int64(1)
-		for i, c := range configs[ci].Counts {
-			w *= int64(counts[i]) - int64(c) + 1
-		}
-		work[ci], phase[ci] = w, -1
+		work[ci], phase[ci] = pin.box(&configs[ci], counts), -1
 	}
 	var phases int64
 	for {
 		best, bestSave := -1, 0.0
 		for a := 0; a < d; a++ {
-			// A picked class saves nothing again: every configuration
+			// A picked class is not picked again: every configuration
 			// leaving it empty already has a phase.
 			var w int64
+			empty := false
 			for ci := range configs {
 				if phase[ci] < 0 && configs[ci].Counts[a] == 0 {
-					w += work[ci]
+					empty = true
+					if !pin.pinned(&configs[ci], a) {
+						w += work[ci]
+					}
 				}
 			}
+			if !empty {
+				continue
+			}
 			r := int64(counts[a]) + 1
-			if save := float64(w) * float64(r/2) / float64(r); save > bestSave {
+			if save := float64(w) * float64(r/2) / float64(r); best < 0 || save > bestSave {
 				best, bestSave = a, save
 			}
 		}
@@ -163,21 +206,41 @@ func (lay *layout) plan(configs []conf.Config, counts []int) []int64 {
 	return phase
 }
 
-// newPhasedSet flattens configs into a Set whose rows are grouped by phase
-// (stable within a phase, the tail last) and whose columns are in position
-// order, and records each phase's end row in lay.ends.
-func newPhasedSet(configs []conf.Config, d int, phase []int64, lay *layout) *conf.Set {
-	s := &conf.Set{D: d, N: len(configs), Counts: make([]int32, len(configs)*d), Offsets: make([]int64, len(configs))}
+// scanSet is the flat view of a configuration set that the production
+// kernel walks: the configurations structure-of-arrays, so the kernel reads
+// one contiguous counts block instead of chasing a heap slice per Config.
+// Row i of counts spans [i*d, (i+1)*d); its columns are in position order,
+// and a position the row pins (see pins) holds ^c_j, a negative value, so
+// the pins cost no memory of their own. offsets holds each row's table
+// displacement. A scanSet is immutable once built and shared between the
+// tables of its cache entry and their workers.
+type scanSet struct {
+	d, n    int
+	counts  []int32
+	offsets []int64
+}
+
+// newScanSet flattens configs into the scanSet of the production kernel,
+// marking each row's pins. The rows are grouped by phase (stable within a
+// phase, the tail last; a nil phase puts every row in the tail), and each
+// phase's end row is recorded in lay.ends.
+func newScanSet(configs []conf.Config, d int, phase []int64, lay *layout, pin pins) *scanSet {
+	n := len(configs)
+	s := &scanSet{d: d, n: n, counts: make([]int32, n*d), offsets: make([]int64, n)}
 	row := 0
 	for k := int64(0); k <= int64(len(lay.ends)); k++ {
 		for ci := range configs {
-			if phase[ci] != k {
+			if phase != nil && phase[ci] != k {
 				continue
 			}
 			for q, c := range lay.order {
-				s.Counts[row*d+q] = configs[ci].Counts[c]
+				x := configs[ci].Counts[c]
+				if pin.pinned(&configs[ci], int(c)) {
+					x = ^x
+				}
+				s.counts[row*d+q] = x
 			}
-			s.Offsets[row] = configs[ci].Offset
+			s.offsets[row] = configs[ci].Offset
 			row++
 		}
 		if k < int64(len(lay.ends)) {

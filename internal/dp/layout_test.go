@@ -4,14 +4,16 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/conf"
 	"repro/internal/par"
 	"repro/pcmax"
 )
 
 // forcePlans zeroes the plan thresholds for the rest of the test, so every
 // table built from a fresh cache gets a slab-phase plan with a phase for
-// every class that saves any 2-worker time: the phased kernel then runs on
-// tables small enough to check against fillOracle.
+// every class some configuration leaves empty, also one that saves no
+// 2-worker time because each such configuration is pinned on it: the phased
+// kernel then runs on tables small enough to check against fillOracle.
 func forcePlans(t testing.TB) {
 	t.Helper()
 	minWork, minSave := planMinWork, phaseMinSave
@@ -120,5 +122,90 @@ func TestSlabWorkerOdometersDoNotShareLines(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScanSetMatchesConfigs checks the scan view the production kernel walks
+// against Table.Configs, unplanned and planned, faithful and sparse: each
+// row is a configuration with its columns in position order and its
+// offset, every configuration is one row, the phases' rows leave their
+// phase's class empty, and a row marks exactly the classes below fit(c),
+// none on a sparse set.
+func TestScanSetMatchesConfigs(t *testing.T) {
+	sizes := []pcmax.Time{6, 11}
+	counts := []int{2, 3}
+	const T = 30
+	for _, tc := range []struct {
+		name            string
+		planned, sparse bool
+	}{
+		{"unplanned", false, false},
+		{"planned", true, false},
+		{"sparse-planned", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.planned {
+				forcePlans(t)
+			}
+			tbl, err := New(sizes, counts, T, 0, 0)
+			if tc.sparse {
+				tbl, err = NewSparse(sizes, counts, T, 0, 0, nil, conf.SparseOptions{MaxSupport: 2, KeepJobs: 1})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if planned := tbl.SlabPhases() > 0; planned != tc.planned {
+				t.Fatalf("planned = %v, want %v", planned, tc.planned)
+			}
+			s, d := tbl.set, tbl.set.d
+			if s.n != len(tbl.Configs) || d != len(sizes) {
+				t.Fatalf("set n=%d d=%d, want %d configurations of %d classes", s.n, d, len(tbl.Configs), len(sizes))
+			}
+			seen := make([]bool, len(tbl.Configs))
+			var marks int
+			for row := 0; row < s.n; row++ {
+				cols := s.counts[row*d : row*d+d]
+				ci := -1
+				for i, c := range tbl.Configs {
+					match := !seen[i] && c.Offset == s.offsets[row]
+					for q, cls := range tbl.lay.order {
+						x := cols[q]
+						if x < 0 {
+							x = ^x
+						}
+						match = match && x == c.Counts[cls]
+					}
+					if match {
+						ci = i
+						break
+					}
+				}
+				if ci < 0 {
+					t.Fatalf("row %d (%v, offset %d) is no configuration left", row, cols, s.offsets[row])
+				}
+				seen[ci] = true
+				var w pcmax.Time
+				for i, x := range tbl.Configs[ci].Counts {
+					w += pcmax.Time(x) * sizes[i]
+				}
+				for q, cls := range tbl.lay.order {
+					pinned := !tc.sparse && sizes[cls] <= T-w
+					if (cols[q] < 0) != pinned {
+						t.Errorf("row %d (%v): class %d marked %v, want %v", row, tbl.Configs[ci].Counts, cls, cols[q] < 0, pinned)
+					}
+					if cols[q] < 0 {
+						marks++
+					}
+				}
+				for k, end := range tbl.lay.ends {
+					if int64(row) < end && (k == 0 || int64(row) >= tbl.lay.ends[k-1]) && cols[k] != 0 && cols[k] != ^int32(0) {
+						t.Errorf("row %d of phase %d uses the phase's class", row, k)
+					}
+				}
+			}
+			if (marks > 0) == tc.sparse {
+				t.Errorf("%d pinned positions on a table with sparse = %v", marks, tc.sparse)
+			}
+		})
 	}
 }

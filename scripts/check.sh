@@ -76,6 +76,13 @@ go test -timeout 5m -run '^$' -fuzz 'FuzzLowerBounds' -fuzztime 5s ./internal/lb
 # on the schedule and stats and meet exact.BruteForce's optimum.
 go test -timeout 5m -run '^$' -fuzz 'FuzzSolve' -fuzztime 5s ./internal/core
 
+# Differential fuzz smoke over the production fill itself: five seconds of
+# random (sizes, counts, T) tables with a slab-phase plan forced on each,
+# filled on the caller and on a 2-worker pool, which must equal the
+# unpruned oracle entry for entry and relax exactly the configurations'
+# pinned boxes (internal/dp.FuzzFill).
+go test -timeout 5m -run '^$' -fuzz 'FuzzFill' -fuzztime 5s ./internal/dp
+
 # The race detector is the repo's race gate (ALGORITHM.md sections 11 and 16
 # record the mutation audits behind it): the pool's panic and cancellation
 # paths, the slab-parallel and level-parallel fills, the exact solver's
