@@ -115,11 +115,15 @@ func Fits(s, v []int32) bool {
 }
 
 // SortByJobs stably re-orders configs in place by ascending Jobs (ties keep
-// enumeration order). Reconstruct depends on this order to stop its scan at
-// the first configuration placing more jobs than remain. The production
-// fill depends on it too: it relaxes each configuration c only where c is
-// maximal, which leaves the exact Opt table only when c comes before every
-// c + e_j, and a Jobs-ascending order puts it there.
+// enumeration order, which is lexicographic). Reconstruct depends on this
+// order to stop its scan at the first configuration placing more jobs than
+// remain. The production fill depends on it too: it relaxes each
+// configuration c only where no remaining job can join c or replace one of
+// its smaller jobs, which leaves the exact Opt table only when c comes
+// before every c + e_j and every such c - e_j + e_a (j < a). Its scan set
+// keeps the Jobs order, which puts c before c + e_j, and walks each
+// equal-Jobs group backwards, lex-descending, which puts c before
+// c - e_j + e_a.
 func SortByJobs(configs []Config) {
 	sort.SliceStable(configs, func(a, b int) bool { return configs[a].Jobs < configs[b].Jobs })
 }

@@ -16,7 +16,7 @@ import (
 // while a PaperFaithful solve reports none. Every other Stats field except
 // FillTime is the same at both worker counts.
 func TestAutoFillMatchesSequential(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 10, N: 30, Seed: 1})
+	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 12, N: 39, Seed: 1})
 	ref, refSt, err := Solve(context.Background(), in, Options{Epsilon: 0.2, PaperFaithful: true})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestAutoFillMatchesSequential(t *testing.T) {
 // the caller starts none, so it allocates exactly what the 1-worker solve
 // does; a solve whose tables have slab phases starts one.
 func TestSolvePoolStartsOnFirstSlabFill(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 10, N: 30, Seed: 1})
+	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 12, N: 39, Seed: 1})
 	allocs := func(eps float64, workers int) (float64, dp.AutoStats) {
 		var auto dp.AutoStats
 		a := testing.AllocsPerRun(5, func() {

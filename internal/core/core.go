@@ -64,7 +64,7 @@ type Options struct {
 	// GOMAXPROCS. At Workers > 1 the solve starts a pool of that many
 	// goroutines at its first fill that runs on one, and closes it on
 	// return. The production fill runs the slab phases of tables with at
-	// least 2^18 relaxations of fill work on it, and every smaller
+	// least 2^16 relaxations of fill work on it, and every smaller
 	// table on the calling goroutine, so a solve of small tables starts no
 	// pool; under PaperFaithful the paper's Parallel DP runs on it.
 	// Schedules and every Stats field except FillTime and Auto's level

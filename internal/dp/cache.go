@@ -204,8 +204,9 @@ func (c *Cache) configSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma 
 
 // buildConfigSet enumerates, Jobs-sorts and flattens a configuration set
 // for a table of sigma entries, pins the rows of a faithful set, and gives
-// the set a slab-phase plan when its fill work, the sum of its pinned boxes,
-// reaches planMinWork.
+// the set a slab-phase plan when its fill work, the sum of its pinned boxes
+// before the phase rule, reaches planMinWork. The rows' final pins need the
+// plan, so newScanSet marks them after it.
 func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma int64, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) (configsEntry, error) {
 	e := configsEntry{lay: newLayout(counts)}
 	pin := pins{sizes: sizes, T: T}

@@ -222,11 +222,11 @@ func (c *dyingCtx) Err() error {
 }
 
 // strideTable returns a table every fill of which takes more than 2^17 units
-// of work: about 2^19 entries, 1,577,653 relaxations of the production fill
+// of work: about 2^19 entries, 1,577,624 relaxations of the production fill
 // (its pinned boxes; more than the 2^20 of a fillCheckEvery that large, so
 // such a stride fails on the bound), and Algorithm 2's first descent alone
-// computes the 2^15+101 entries along class 0. Its slab-phase plan makes
-// classes 3 and 1 the most significant (strides 131,476 and 65,738), so
+// computes the 2^15+101 entries along class 0. Its two-phase slab plan makes
+// classes 1 and 3 the most significant (strides 262,952 and 65,738), so
 // Algorithm 3's level 2 has odd and even entries just past them: a scan
 // that reaches those has run more than pollStride iterations on a worker of
 // one or of two, whichever worker it is.

@@ -21,9 +21,10 @@
 //   - FillAutoCtx: the production kernel, a config-outer sweep: each
 //     configuration relaxes its sub-lattice as contiguous runs of the table,
 //     in ascending order, and on a faithful table only the part of it where
-//     the configuration is maximal. On a pool of two or more workers it runs
-//     a planned table's phases as parallel rounds over independent slabs;
-//     FillSequentialCtx is the same sweep on the calling goroutine.
+//     no remaining job can join or upgrade the configuration. On a pool of
+//     two or more workers it runs a planned table's phases as parallel
+//     rounds over independent slabs; FillSequentialCtx is the same sweep on
+//     the calling goroutine.
 //   - FillRecursiveCtx: top-down memoized recursion starting from the last
 //     entry, faithful to the paper's Algorithm 2 description ("starts from
 //     the last entry of the DP-table and recursively computes the other
@@ -121,8 +122,10 @@ type Table struct {
 	// anti-diagonal levels.
 	NPrime int
 	// Configs are all feasible non-zero machine configurations, stably
-	// sorted by ascending Jobs (Reconstruct relies on this order, and so do
-	// the pins of the production fill, whose scan set keeps it).
+	// sorted by ascending Jobs, in enumeration (lexicographic) order within
+	// equal Jobs. Reconstruct relies on this order, and so do the pins of
+	// the production fill, whose scan set keeps the Jobs order and walks
+	// each equal-Jobs group backwards.
 	Configs []conf.Config
 	// Opt holds OPT(v) per entry after a Fill method ran.
 	Opt []int32
@@ -144,18 +147,6 @@ type Table struct {
 	// cache, read-only).
 	set *scanSet
 	lay layout
-
-	// Cooperative-cancellation state of an in-flight FillRecursiveCtx:
-	// solveRec polls recDone every fillCheckEvery visits (recBudget is the
-	// countdown) and records the abort in recStopped so the recursion
-	// unwinds without touching every frame; recEntries counts memoized
-	// entries for the partial-progress stats. All four are scoped to one
-	// fill call. recStopped shares a word with filled, which keeps a Table
-	// in the 384-byte allocation class.
-	recDone    <-chan struct{}
-	recBudget  int64
-	recEntries int64
-	recStopped bool
 
 	filled bool
 }
@@ -425,13 +416,15 @@ const fillHuge = int32(1) << 30
 // within the pass. This is the unbounded min-coin-change loop interchange on
 // the mixed-radix lattice: a single pass per configuration over its whole
 // sub-lattice, in any order, leaves the (unique) shortest distances of the
-// recurrence. On a faithful set the pass covers only the entries where c is
-// maximal (its pinned box, see pins and relaxRows), which still leaves them
-// provided every row c comes before every row c + e_j; the set's rows,
-// Jobs-ascending and grouped by phase when the set has a slab-phase plan,
-// are in such an order (ALGORITHM.md section 7). So the table is
-// bit-identical to the entry-ordered fills, but no entry ever pays a fits
-// check or an index decode.
+// recurrence. On a faithful set the pass covers only the entries where no
+// remaining job can join c or replace one of its smaller jobs (its pinned
+// box, see pins and relaxRows), which still leaves them provided every row
+// c comes before every row c + e_j and every row c - e_j + e_a its pins
+// allow; the set's rows, grouped by phase when the set has a slab-phase
+// plan, Jobs-ascending and lex-descending within equal Jobs, are in such an
+// order (ALGORITHM.md section 7). So the table is bit-identical to the
+// entry-ordered fills, but no entry ever pays a fits check or an index
+// decode.
 //
 // A cancelable ctx is polled every fillCheckEvery relaxations. On
 // cancellation the table is left unfilled (Opt holds partial garbage) and
@@ -532,11 +525,12 @@ func (f *slabFill) stopped() bool {
 //
 // Each row c relaxes its pinned box: the entries v >= c (within the slabs)
 // with v_j = c_j at every position the row marks as pinned (see pins and
-// scanSet), where c is maximal. It walks the box run by run, positions in
-// stride order. Let jp be the last position that c uses or pins, or the
-// slab position when that comes later: every later position spans its full
-// range 0..n, so for each point of an odometer over the positions before jp
-// the pass is one contiguous run of (lim_jp+1)*stride_jp entries. Stepping
+// scanSet), where no remaining job can join or upgrade c. It walks the box
+// run by run, positions in stride order. Let jp be the last position that
+// c uses or pins, or the slab position when that comes later: every later
+// position spans its full range 0..n, so for each point of an odometer over
+// the positions before jp the pass is one contiguous run of
+// (lim_jp+1)*stride_jp entries. Stepping
 // position jp-1 moves a run by its stride, so the runs of one odometer
 // point over the positions before jp-1 are evenly spaced and relaxRuns
 // relaxes them in one call: the odometer steps once per such row of runs.
@@ -684,66 +678,88 @@ func (t *Table) FillRecursiveCtx(ctx context.Context) error {
 		t.Opt[i] = unset
 	}
 	t.Opt[0] = 0
-	t.recDone = ctxDone(ctx)
-	t.recBudget = fillCheckEvery
-	t.recEntries = 0
-	t.recStopped = false
-	t.solveRec(t.Sigma - 1)
-	interrupted := t.recStopped
-	entries := t.recEntries
-	t.recDone, t.recStopped = nil, false
-	if interrupted {
+	r := recFill{
+		t:      t,
+		done:   ctxDone(ctx),
+		budget: fillCheckEvery,
+		digits: make([]int32, (t.NPrime+1)*len(t.Stride)),
+	}
+	r.solve(t.Sigma-1, 0)
+	if r.stopped {
 		err := cancel.From(ctx)
-		err.EntriesFilled = entries
+		err.EntriesFilled = r.entries
 		return err
 	}
 	t.filled = true
 	return nil
 }
 
-func (t *Table) solveRec(idx int64) int32 {
-	if t.recStopped {
+// recFill is the state of one FillRecursiveCtx call. solve polls done every
+// fillCheckEvery visits (budget is the countdown) and records the abort in
+// stopped, so the recursion unwinds without touching every frame; entries
+// counts the computed entries for the partial-progress stats. Each computed
+// entry takes one configuration from N, so the recursion is at most NPrime
+// deep, and digits holds one digit vector per depth: the entry computed at
+// depth k decodes into digits[k*d : (k+1)*d], which its deeper calls leave
+// alone. A fill allocates the stack once, whatever the number of entries.
+type recFill struct {
+	t       *Table
+	done    <-chan struct{}
+	budget  int64
+	entries int64
+	stopped bool
+	digits  []int32
+}
+
+// solve returns OPT of entry idx, computing it at recursion depth depth
+// when it is not memoized yet.
+func (r *recFill) solve(idx int64, depth int) int32 {
+	if r.stopped {
 		return 0
 	}
-	if t.recDone != nil {
-		if t.recBudget--; t.recBudget <= 0 {
+	if r.done != nil {
+		if r.budget--; r.budget <= 0 {
 			select {
-			case <-t.recDone:
-				t.recStopped = true
+			case <-r.done:
+				r.stopped = true
 				return 0
 			default:
 			}
-			t.recBudget = fillCheckEvery
+			r.budget = fillCheckEvery
 		}
 	}
+	t := r.t
 	if t.Opt[idx] != unset {
 		return t.Opt[idx]
 	}
-	t.recEntries++
-	v := t.digits(idx, make([]int32, len(t.Stride)))
-	best := int32(math.MaxInt32)
-	d := len(t.Sizes)
-	var rec func(dim int, weight pcmax.Time, off int64, jobs int32)
-	rec = func(dim int, weight pcmax.Time, off int64, jobs int32) {
-		if dim == d {
-			if jobs > 0 {
-				if o := t.solveRec(idx - off); o < best {
-					best = o
-				}
-			}
-			return
-		}
-		for s := int32(0); s <= v[dim]; s++ {
-			w := weight + pcmax.Time(s)*t.Sizes[dim]
-			if w > t.T {
-				break
-			}
-			rec(dim+1, w, off+int64(s)*t.Stride[dim], jobs+s)
-		}
-	}
-	rec(0, 0, 0, 0)
+	r.entries++
+	d := len(t.Stride)
+	v := t.digits(idx, r.digits[depth*d:(depth+1)*d])
+	best := r.search(idx, v, depth, 0, 0, 0, 0, math.MaxInt32)
 	t.Opt[idx] = best + 1
 	return t.Opt[idx]
+}
+
+// search enumerates the configurations s <= v of entry idx with weight(s)
+// <= T by depth-first search over the classes from dim on, the classes
+// before dim having put weight, offset off and jobs jobs into s, and
+// returns the least of best and OPT(idx - off(s)) over the non-zero ones.
+func (r *recFill) search(idx int64, v []int32, depth, dim int, weight pcmax.Time, off int64, jobs int32, best int32) int32 {
+	t := r.t
+	if dim == len(v) {
+		if jobs > 0 {
+			best = min(best, r.solve(idx-off, depth+1))
+		}
+		return best
+	}
+	for s := int32(0); s <= v[dim]; s++ {
+		w := weight + pcmax.Time(s)*t.Sizes[dim]
+		if w > t.T {
+			break
+		}
+		best = r.search(idx, v, depth, dim+1, w, off+int64(s)*t.Stride[dim], jobs+s, best)
+	}
+	return best
 }
 
 // fillLevels writes the digit sum of every entry into levels, using the

@@ -14,11 +14,14 @@ package dp
 // intact. The layout only permutes the strides: Table.Configs, their Jobs
 // order and Reconstruct's choices are those of the class order, and every
 // table is bit-identical to the class-order fill. The production fill
-// relaxes each configuration of a faithful set only where it is maximal
-// (its pins, ALGORITHM.md section 7), which is exact only when every row c
-// comes before every row c + e_j; a phase-grouped, Jobs-ascending row order
-// keeps that, since a sub-configuration has no later first empty phase
-// class and fewer jobs.
+// relaxes each configuration of a faithful set only where no remaining job
+// can join it or upgrade it (its pins, ALGORITHM.md section 7), which is
+// exact only when every row c comes before every row c + e_j and every row
+// c - e_j + e_a with j < a that its pins allow. The scan set's rows are
+// grouped by phase and, inside a phase, ordered by Jobs and within equal
+// Jobs in reverse enumeration order (lex-descending), which keeps both: an
+// added job never empties a class, a pinned swap never empties an earlier
+// phase class, and c - e_j + e_a has c's Jobs and is lex-smaller.
 
 import (
 	"repro/internal/conf"
@@ -29,11 +32,12 @@ import (
 // them (forcePlans) and reach the phased kernel on small tables.
 var (
 	// planMinWork is the fill work, the relaxations of the configurations'
-	// pinned boxes, from which a configuration set gets a slab-phase plan.
+	// pinned boxes before the phase rule, from which a configuration set
+	// gets a slab-phase plan.
 	// A smaller table keeps the class order and fills on the calling
 	// goroutine: the first pool round of a fill pays a cross-core wake,
 	// which a smaller fill cannot repay.
-	planMinWork int64 = 1 << 18
+	planMinWork int64 = 1 << 16
 	// phaseMinSave is the least 2-worker saving, in relaxations, that earns
 	// a phase its own pool round: a round wakes the parked workers, so the
 	// configurations of a smaller phase join the tail on the caller.
@@ -49,9 +53,9 @@ type layout struct {
 	// stride holds each class's mixed-radix stride.
 	stride []int64
 	// order lists the classes from the most significant stride to the
-	// least: order[q] is the class at position q. It is the identity when
-	// the set has no plan.
-	order []int64
+	// least: order[q] is the class at position q, and pos is its inverse,
+	// pos[order[q]] = q. Both are the identity when the set has no plan.
+	order, pos []int64
 	// pstride and pcount hold the stride and the count n of the class at
 	// each position: the production kernel walks positions, and the set's
 	// columns are in position order too.
@@ -67,13 +71,14 @@ type layout struct {
 // counts, with room for a plan of up to d phases in the same allocation.
 func newLayout(counts []int) layout {
 	d := len(counts)
-	buf := make([]int64, 5*d)
+	buf := make([]int64, 6*d)
 	lay := layout{
 		stride:  buf[:d:d],
 		order:   buf[d : 2*d : 2*d],
-		pstride: buf[2*d : 3*d : 3*d],
-		pcount:  buf[3*d : 4*d : 4*d],
-		ends:    buf[4*d : 4*d],
+		pos:     buf[2*d : 3*d : 3*d],
+		pstride: buf[3*d : 4*d : 4*d],
+		pcount:  buf[4*d : 5*d : 5*d],
+		ends:    buf[5*d : 5*d],
 	}
 	for q := range lay.order {
 		lay.order[q] = int64(q)
@@ -83,43 +88,75 @@ func newLayout(counts []int) layout {
 }
 
 // setStrides derives the row-major strides of the layout's class order (the
-// last class in order has stride 1) and the per-position strides and counts.
+// last class in order has stride 1), the classes' positions and the
+// per-position strides and counts.
 func (lay *layout) setStrides(counts []int) {
 	s := int64(1)
 	for q := len(lay.order) - 1; q >= 0; q-- {
 		c := lay.order[q]
-		lay.stride[c] = s
+		lay.stride[c], lay.pos[c] = s, int64(q)
 		lay.pstride[q], lay.pcount[q] = s, int64(counts[c])
 		s *= int64(counts[c]) + 1
 	}
 }
 
-// pins gives each configuration of a faithful set its fit(c): the number of
-// classes whose size is at most c's slack T - weight(c). Sizes ascend, so
-// these are the classes 0..fit(c)-1, and a job of any of them still fits on
-// a machine configured as c. The production fill relaxes c only at entries
-// v with v_j = c_j for every such class, where c is maximal (ALGORITHM.md
-// section 7). The zero value, which a sparse set gets, pins nothing: a
-// sparse set is not closed under removing a job, so the exchange argument
+// pins gives each configuration c of a faithful set the classes it pins,
+// those of which no remaining job can join c or upgrade it. c pins class a
+// when a job of class a fits in its slack T - weight(c), so that it could
+// be added, or in its slack plus the size s_j of a job of a smaller class
+// j < a that c holds, so that it could replace that job one for one. The
+// one exception is c's last job of a phase class of an earlier phase than
+// c's: swapping it out would move the configuration into that earlier
+// phase, before c in row order. The production fill relaxes c only at
+// entries v with v_a = c_a for every pinned class a (ALGORITHM.md section
+// 7). The zero value, which a sparse set gets, pins nothing: a sparse set
+// is not closed under removing or adding a job, so the exchange argument
 // behind the pins fails for it.
 type pins struct {
 	sizes []pcmax.Time
 	T     pcmax.Time
 }
 
-// pinned reports whether c pins class a, that is whether a < fit(c): a
-// job of class a fits in c's slack (sizes and c.Weight in the same units).
-func (p pins) pinned(c *conf.Config, a int) bool {
-	return a < len(p.sizes) && p.sizes[a] <= p.T-c.Weight
+// pinWalk answers, for one configuration and its classes taken in
+// ascending order, which of them it pins (sizes and c.Weight in the same
+// units). reach bounds the sizes it pins: its slack plus the size of the
+// largest job it may swap out among the classes walked so far, which is the
+// last such class, sizes being ascending.
+type pinWalk struct {
+	sizes        []pcmax.Time
+	slack, reach pcmax.Time
+}
+
+// walk starts c's pin walk at class 0.
+func (p pins) walk(c *conf.Config) pinWalk {
+	s := p.T - c.Weight
+	return pinWalk{sizes: p.sizes, slack: s, reach: s}
+}
+
+// next reports whether the configuration pins class a, the walk's next
+// class, of which it holds held jobs. early reports whether a is a phase
+// class of an earlier phase than the configuration's, whose last job it may
+// not swap out; the plan's estimate, made before the phases exist, passes
+// false.
+func (w *pinWalk) next(a int, held int32, early bool) bool {
+	if a >= len(w.sizes) {
+		return false
+	}
+	pinned := w.sizes[a] <= w.reach
+	if held > 1 || held == 1 && !early {
+		w.reach = w.slack + w.sizes[a]
+	}
+	return pinned
 }
 
 // box returns the number of entries the production fill relaxes c at over
-// classes with the given counts: its pinned box, the product over the
-// classes it does not pin of n_i - c_i + 1.
+// classes with the given counts, before the phase rule: its pinned box, the
+// product over the classes it does not pin of n_i - c_i + 1.
 func (p pins) box(c *conf.Config, counts []int) int64 {
 	w := int64(1)
+	pw := p.walk(c)
 	for i, n := range counts {
-		if !p.pinned(c, i) {
+		if !pw.next(i, c.Counts[i], false) {
 			w *= int64(n) - int64(c.Counts[i]) + 1
 		}
 	}
@@ -131,42 +168,52 @@ func (p pins) box(c *conf.Config, counts []int) int64 {
 // slabs the class whose still unassigned configurations leaving it empty
 // save the most 2-worker time: with r = n_a+1 equal slabs, a phase of work W
 // takes ceil(r/2)/r of W on two workers, saving floor(r/2)/r of it. A
-// configuration's work is its pinned box, the entries the production fill
-// relaxes it at; a configuration pinned on class a relaxes only the slab
-// v_a = 0, so it joins a's phase without adding to its saving. The phase
-// classes take the most significant positions in phase order, the other
-// classes follow in class order, and the strides and every configuration's
-// Offset are rewritten for the new order. plan returns each configuration's
-// phase, len(lay.ends) standing for the tail.
+// configuration's work is its pinned box before the phase rule, the entries
+// the production fill relaxes it at; a configuration pinned on class a
+// relaxes only the slab v_a = 0, so it joins a's phase without adding to its
+// saving. The phase classes take the most significant positions in phase
+// order, the other classes follow in class order, and the strides and every
+// configuration's Offset are rewritten for the new order. plan returns each
+// configuration's phase, len(lay.ends) standing for the tail.
 func (lay *layout) plan(configs []conf.Config, counts []int, pin pins) []int64 {
 	n, d := len(configs), len(counts)
-	scratch := make([]int64, 2*n)
-	work, phase := scratch[:n], scratch[n:]
+	scratch := make([]int64, 2*n+d)
+	work, phase, save := scratch[:n], scratch[n:2*n], scratch[2*n:]
 	for ci := range configs {
 		work[ci], phase[ci] = pin.box(&configs[ci], counts), -1
 	}
 	var phases int64
 	for {
-		best, bestSave := -1, 0.0
-		for a := 0; a < d; a++ {
-			// A picked class is not picked again: every configuration
-			// leaving it empty already has a phase.
-			var w int64
-			empty := false
-			for ci := range configs {
-				if phase[ci] < 0 && configs[ci].Counts[a] == 0 {
-					empty = true
-					if !pin.pinned(&configs[ci], a) {
-						w += work[ci]
+		// save[a] sums the work of the still unassigned configurations
+		// that leave class a empty and do not pin it, and is -1 when none
+		// leaves it empty. A picked class is not picked again: every
+		// configuration leaving it empty already has a phase.
+		for a := range save {
+			save[a] = -1
+		}
+		for ci := range configs {
+			if phase[ci] >= 0 {
+				continue
+			}
+			c := &configs[ci]
+			pw := pin.walk(c)
+			for a, x := range c.Counts {
+				if pinned := pw.next(a, x, false); x == 0 {
+					save[a] = max(save[a], 0)
+					if !pinned {
+						save[a] += work[ci]
 					}
 				}
 			}
-			if !empty {
+		}
+		best, bestSave := -1, 0.0
+		for a, w := range save {
+			if w < 0 {
 				continue
 			}
 			r := int64(counts[a]) + 1
-			if save := float64(w) * float64(r/2) / float64(r); best < 0 || save > bestSave {
-				best, bestSave = a, save
+			if s := float64(w) * float64(r/2) / float64(r); best < 0 || s > bestSave {
+				best, bestSave = a, s
 			}
 		}
 		if best < 0 || bestSave < phaseMinSave {
@@ -220,28 +267,47 @@ type scanSet struct {
 	offsets []int64
 }
 
-// newScanSet flattens configs into the scanSet of the production kernel,
-// marking each row's pins. The rows are grouped by phase (stable within a
-// phase, the tail last; a nil phase puts every row in the tail), and each
-// phase's end row is recorded in lay.ends.
+// newScanSet flattens configs (Jobs-sorted, in enumeration order within
+// equal Jobs) into the scanSet of the production kernel, marking each row's
+// pins under the phase rule. The rows are grouped by phase (the tail last; a
+// nil phase puts every row in the tail), and each phase's end row is
+// recorded in lay.ends. Inside a phase the rows keep the Jobs order, and
+// within equal Jobs a pinning set's rows run in reverse enumeration order,
+// lex-descending, so every row comes before the swaps its pins allow; a
+// sparse set pins nothing and keeps the enumeration order.
 func newScanSet(configs []conf.Config, d int, phase []int64, lay *layout, pin pins) *scanSet {
 	n := len(configs)
 	s := &scanSet{d: d, n: n, counts: make([]int32, n*d), offsets: make([]int64, n)}
+	rev := len(pin.sizes) > 0
 	row := 0
 	for k := int64(0); k <= int64(len(lay.ends)); k++ {
-		for ci := range configs {
-			if phase != nil && phase[ci] != k {
-				continue
+		for g0 := 0; g0 < n; {
+			g1 := g0 + 1
+			for g1 < n && configs[g1].Jobs == configs[g0].Jobs {
+				g1++
 			}
-			for q, c := range lay.order {
-				x := configs[ci].Counts[c]
-				if pin.pinned(&configs[ci], int(c)) {
-					x = ^x
+			for i := g0; i < g1; i++ {
+				ci := i
+				if rev {
+					ci = g0 + g1 - 1 - i
 				}
-				s.counts[row*d+q] = x
+				if phase != nil && phase[ci] != k {
+					continue
+				}
+				c := &configs[ci]
+				r := s.counts[row*d : row*d+d]
+				pw := pin.walk(c)
+				for a, x := range c.Counts {
+					q := lay.pos[a]
+					if pw.next(a, x, q < k) {
+						x = ^x
+					}
+					r[q] = x
+				}
+				s.offsets[row] = c.Offset
+				row++
 			}
-			s.offsets[row] = configs[ci].Offset
-			row++
+			g0 = g1
 		}
 		if k < int64(len(lay.ends)) {
 			lay.ends[k] = int64(row)

@@ -44,6 +44,27 @@ func TestFillParallelRoundsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestFillRecursiveAllocationsDoNotGrow pins Algorithm 2's allocations as
+// independent of the table: a fill of 16 entries and one of 4,096 entries
+// cost the same allocations, its digit stack and no per-entry scratch.
+func TestFillRecursiveAllocationsDoNotGrow(t *testing.T) {
+	allocs := func(counts []int) float64 {
+		tbl, err := New([]pcmax.Time{1, 2, 3, 4}, counts, 20, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := tbl.FillRecursiveCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs([]int{1, 1, 1, 1}), allocs([]int{7, 7, 7, 7})
+	if small != large {
+		t.Fatalf("a 16-entry fill allocated %v times, a 4,096-entry fill %v: Algorithm 2 allocates per entry", small, large)
+	}
+}
+
 // TestProductionFillAllocations pins the production fill's allocations: the
 // odometer scratch on the caller, and on a pool the shared state, the worker
 // slots, their odometers and the round body, however many phases run.
@@ -129,12 +150,15 @@ func TestSlabWorkerOdometersDoNotShareLines(t *testing.T) {
 // against Table.Configs, unplanned and planned, faithful and sparse: each
 // row is a configuration with its columns in position order and its
 // offset, every configuration is one row, the phases' rows leave their
-// phase's class empty, and a row marks exactly the classes below fit(c),
-// none on a sparse set.
+// phase's class empty, inside a phase the rows ascend in Jobs and within
+// equal Jobs descend lexicographically (a sparse set keeps the enumeration
+// order, ascending), and a row marks exactly the classes refPins gives it:
+// some by an upgrade alone, on the planned set some upgrades refused by the
+// phase rule, and none on a sparse set.
 func TestScanSetMatchesConfigs(t *testing.T) {
-	sizes := []pcmax.Time{6, 11}
-	counts := []int{2, 3}
-	const T = 30
+	sizes := []pcmax.Time{4, 6, 7}
+	counts := []int{3, 2, 2}
+	const T = 16
 	for _, tc := range []struct {
 		name            string
 		planned, sparse bool
@@ -157,12 +181,21 @@ func TestScanSetMatchesConfigs(t *testing.T) {
 			if planned := tbl.SlabPhases() > 0; planned != tc.planned {
 				t.Fatalf("planned = %v, want %v", planned, tc.planned)
 			}
-			s, d := tbl.set, tbl.set.d
+			s, d, ends := tbl.set, tbl.set.d, tbl.lay.ends
 			if s.n != len(tbl.Configs) || d != len(sizes) {
 				t.Fatalf("set n=%d d=%d, want %d configurations of %d classes", s.n, d, len(tbl.Configs), len(sizes))
 			}
+			phaseOf := func(row int) int {
+				for k, end := range ends {
+					if int64(row) < end {
+						return k
+					}
+				}
+				return len(ends)
+			}
 			seen := make([]bool, len(tbl.Configs))
-			var marks int
+			var marks, upgrades, refused int
+			var prev conf.Config
 			for row := 0; row < s.n; row++ {
 				cols := s.counts[row*d : row*d+d]
 				ci := -1
@@ -184,28 +217,63 @@ func TestScanSetMatchesConfigs(t *testing.T) {
 					t.Fatalf("row %d (%v, offset %d) is no configuration left", row, cols, s.offsets[row])
 				}
 				seen[ci] = true
+				c := tbl.Configs[ci]
+				pin := refPins(tbl, c.Counts)
 				var w pcmax.Time
-				for i, x := range tbl.Configs[ci].Counts {
+				for i, x := range c.Counts {
 					w += pcmax.Time(x) * sizes[i]
 				}
 				for q, cls := range tbl.lay.order {
-					pinned := !tc.sparse && sizes[cls] <= T-w
-					if (cols[q] < 0) != pinned {
-						t.Errorf("row %d (%v): class %d marked %v, want %v", row, tbl.Configs[ci].Counts, cls, cols[q] < 0, pinned)
+					if (cols[q] < 0) != pin[cls] {
+						t.Errorf("row %d (%v): class %d marked %v, want %v", row, c.Counts, cls, cols[q] < 0, pin[cls])
+					}
+					upgradable := false
+					for j := int64(0); j < cls; j++ {
+						upgradable = upgradable || c.Counts[j] > 0 && sizes[cls] <= T-w+sizes[j]
+					}
+					switch {
+					case cols[q] < 0 && sizes[cls] > T-w:
+						upgrades++
+					case cols[q] >= 0 && sizes[cls] > T-w && upgradable && !tc.sparse:
+						refused++
 					}
 					if cols[q] < 0 {
 						marks++
 					}
 				}
-				for k, end := range tbl.lay.ends {
-					if int64(row) < end && (k == 0 || int64(row) >= tbl.lay.ends[k-1]) && cols[k] != 0 && cols[k] != ^int32(0) {
-						t.Errorf("row %d of phase %d uses the phase's class", row, k)
+				k := phaseOf(row)
+				if k < len(ends) && c.Counts[tbl.lay.order[k]] != 0 {
+					t.Errorf("row %d of phase %d uses the phase's class", row, k)
+				}
+				if row > 0 && phaseOf(row-1) == k {
+					if prev.Jobs > c.Jobs {
+						t.Errorf("row %d (%v, %d jobs) follows %v (%d jobs) in phase %d", row, c.Counts, c.Jobs, prev.Counts, prev.Jobs, k)
+					}
+					if prev.Jobs == c.Jobs && lexLess(prev.Counts, c.Counts) != tc.sparse {
+						t.Errorf("row %d (%v) follows %v in phase %d: want lex-descending rows within equal Jobs on a faithful set, ascending on a sparse one", row, c.Counts, prev.Counts, k)
 					}
 				}
+				prev = c
 			}
 			if (marks > 0) == tc.sparse {
 				t.Errorf("%d pinned positions on a table with sparse = %v", marks, tc.sparse)
 			}
+			if !tc.sparse && upgrades == 0 {
+				t.Error("no class is pinned by an upgrade alone: the fixture does not reach the upgrade rule")
+			}
+			if (refused > 0) != (tc.planned && !tc.sparse) {
+				t.Errorf("%d upgrades refused by the phase rule, planned = %v, sparse = %v", refused, tc.planned, tc.sparse)
+			}
 		})
 	}
+}
+
+// lexLess reports whether a comes before b in lexicographic order.
+func lexLess(a, b []int32) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }

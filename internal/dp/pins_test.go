@@ -1,10 +1,10 @@
 package dp
 
 // Coverage for the production fill's pins: each configuration of a faithful
-// set relaxes only its pinned box, the entries where it is maximal. Pinning
-// leaves every table equal, so table-equality tests cannot tell a fill that
-// drops the pins, or that relaxes a pinned row on every slab chunk, from a
-// correct one; AutoStats.Relaxations can.
+// set relaxes only its pinned box, the entries where no remaining job can
+// join it or upgrade it. Pinning leaves every table equal, so table-equality
+// tests cannot tell a fill that drops the pins, or that relaxes a pinned row
+// on every slab chunk, from a correct one; AutoStats.Relaxations can.
 
 import (
 	"context"
@@ -17,23 +17,59 @@ import (
 	"repro/pcmax"
 )
 
+// refPins returns the classes configuration c of tbl pins, by the rule's
+// definition: class a is pinned when s_a fits in c's slack, or in its slack
+// plus s_j for some class j < a that c holds, unless c holds one job of j
+// and j is a phase class of an earlier phase than c's (c's phase is that of
+// the first phase class it leaves empty). A sparse table pins nothing.
+func refPins(tbl *Table, c []int32) []bool {
+	pinned := make([]bool, len(c))
+	if tbl.Mode == EnumSparse {
+		return pinned
+	}
+	phases := len(tbl.lay.ends)
+	k := phases
+	for q := phases - 1; q >= 0; q-- {
+		if c[tbl.lay.order[q]] == 0 {
+			k = q
+		}
+	}
+	early := func(j int) bool {
+		for _, cls := range tbl.lay.order[:k] {
+			if cls == int64(j) {
+				return true
+			}
+		}
+		return false
+	}
+	var w pcmax.Time
+	for i, x := range c {
+		w += pcmax.Time(x) * tbl.Sizes[i]
+	}
+	slack := tbl.T - w
+	for a := range c {
+		pinned[a] = tbl.Sizes[a] <= slack
+		for j := 0; j < a; j++ {
+			if c[j] > 0 && tbl.Sizes[a] <= slack+tbl.Sizes[j] && (c[j] > 1 || !early(j)) {
+				pinned[a] = true
+			}
+		}
+	}
+	return pinned
+}
+
 // boxSums returns the relaxations a production fill of tbl must do, the sum
-// over its configurations of the pinned box, and the sum of the unpinned
-// box {v : v >= c}. fit(c) is recomputed from the class sizes: the classes
-// 0..fit(c)-1 are those whose size fits in c's slack, and a sparse table
-// pins nothing.
+// over its configurations of the pinned box (refPins), and the sum of the
+// unpinned box {v : v >= c}.
 func boxSums(tbl *Table) (pinned, full int64) {
 	for ci := range tbl.Configs {
 		c := tbl.Configs[ci].Counts
-		var w pcmax.Time
-		for i, x := range c {
-			w += pcmax.Time(x) * tbl.Sizes[i]
-		}
+		pin := refPins(tbl, c)
 		p, f := int64(1), int64(1)
 		for i, x := range c {
 			n := int64(tbl.Counts[i]) - int64(x) + 1
 			f *= n
-			if tbl.Mode == EnumSparse || tbl.Sizes[i] > tbl.T-w {
+			if !pin[i] {
 				p *= n
 			}
 		}
@@ -41,6 +77,47 @@ func boxSums(tbl *Table) (pinned, full int64) {
 		full += f
 	}
 	return pinned, full
+}
+
+// TestPinRule checks the pin predicate class by class: a class is pinned
+// when its job fits in the configuration's slack, or when it fits in the
+// slack plus the size of a smaller job the configuration holds, except when
+// that job is the configuration's last of a phase class of an earlier phase.
+func TestPinRule(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sizes  []pcmax.Time
+		T      pcmax.Time
+		counts []int32
+		early  []bool
+		want   []bool
+	}{
+		// Slack 6: a 2 fits, a 9 fits neither the slack nor 6+2.
+		{"fit", []pcmax.Time{2, 9}, 10, []int32{2, 0}, []bool{false, false}, []bool{true, false}},
+		// Slack 7: a 9 does not fit, but it can replace a 2 (7+2).
+		{"upgrade", []pcmax.Time{2, 9}, 11, []int32{2, 0}, []bool{false, false}, []bool{true, true}},
+		// Slack 8: a 9 could replace the 4, but the 4 is the last job of
+		// a phase class of an earlier phase.
+		{"upgrade-refused", []pcmax.Time{4, 9}, 12, []int32{1, 0}, []bool{true, false}, []bool{true, false}},
+		// Two jobs of that phase class: swapping one out keeps the phase.
+		{"upgrade-keeps-phase", []pcmax.Time{4, 9}, 16, []int32{2, 0}, []bool{true, false}, []bool{true, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := conf.Config{Counts: tc.counts}
+			for i, x := range tc.counts {
+				c.Weight += pcmax.Time(x) * tc.sizes[i]
+			}
+			pw := pins{sizes: tc.sizes, T: tc.T}.walk(&c)
+			for a, x := range tc.counts {
+				if got := pw.next(a, x, tc.early[a]); got != tc.want[a] {
+					t.Errorf("class %d (size %d) pinned = %v, want %v", a, tc.sizes[a], got, tc.want[a])
+				}
+			}
+			if pw := (pins{}).walk(&c); pw.next(0, tc.counts[0], false) {
+				t.Error("the zero pins (a sparse set) pin a class")
+			}
+		})
+	}
 }
 
 // pinnedOnSlab counts the rows of tbl's slab phases that are pinned on

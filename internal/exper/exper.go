@@ -57,7 +57,7 @@ type Config struct {
 	// with level scans otherwise, both with per-entry configuration
 	// enumeration). Without it every run, wall-clock ones included, uses
 	// the production fill, which runs on the run's workers only the slab
-	// phases of tables with at least 2^18 units of fill work.
+	// phases of tables with at least 2^16 units of fill work.
 	PaperFaithful bool
 	// SkipIP skips the exact baselines entirely (used by the scaled
 	// speedup experiment, which studies DP scaling, not IP times).

@@ -108,7 +108,7 @@ type PTASOptions struct {
 	Epsilon float64
 	// Workers is the number of DP workers; values below 1 select
 	// GOMAXPROCS. Above 1, the production fill runs the slab phases of
-	// large tables (at least 2^18 units of fill work) on that many
+	// large tables (at least 2^16 units of fill work) on that many
 	// goroutines and smaller tables on the caller; under PaperFaithful the
 	// Parallel DP runs on them. Every variant produces the same schedule.
 	Workers int

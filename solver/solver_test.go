@@ -123,7 +123,7 @@ func TestPTASAdaptiveFillReportsRouting(t *testing.T) {
 	// tables reach the slab-phase plan, a 4-worker solve runs their phases
 	// on the pool: the schedules agree, PTASStats.Auto counts those levels
 	// as parallel, and the levels sum to the 1-worker solve's.
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 10, N: 30, Seed: 1})
+	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 12, N: 39, Seed: 1})
 	seq := solver.DefaultPTASOptions()
 	seq.Epsilon = 0.2
 	ref, refSt, err := solver.PTAS(context.Background(), in, seq)
