@@ -50,7 +50,7 @@ type dpRecord struct {
 	Eps      float64 `json:"eps"`
 	Enum     string  `json:"enum"` // "faithful" or "sparse" enumeration
 	Workers  int     `json:"workers"`
-	Path     string  `json:"path"` // "production", "alg2", "alg3" or "solve"
+	Path     string  `json:"path"` // "production", "alg2" or "alg3"
 	NsPerOp  int64   `json:"ns_per_op"`
 	Entries  int64   `json:"table_entries"`
 	Configs  int     `json:"configs"`
@@ -67,9 +67,12 @@ type dpRecord struct {
 	// rows the ratio -gate-speedup floors, on alg3 rows the paper's speedup
 	// axis with its Algorithm 2 as the T(1) reference.
 	SpeedupAlg2 float64 `json:"speedup_vs_alg2,omitempty"`
-	// SpeedupFaithful, on sparse rows, is the matching faithful cell's
-	// ns/op divided by this record's — the sparsification win (end-to-end
-	// on "solve" rows, per-fill on "production" rows).
+	// SpeedupFaithful, on sparse production rows, is the one-worker faithful
+	// production row's ns/op at the same (workload, family, eps) divided by
+	// this record's: the per-fill sparsification win, both sides windowed
+	// best-of fills of the table at their own pipeline's converged target.
+	// The faithful fill rows run on the primary eps only, so the extra
+	// eps arm's sparse rows carry none.
 	SpeedupFaithful float64 `json:"speedup_vs_faithful,omitempty"`
 }
 
@@ -88,9 +91,9 @@ type dpBenchConfig struct {
 	MinSpeedup float64
 	Windows    int // measurement windows per cell (more = less noise)
 	// Enum selects the enumeration modes measured: "faithful", "sparse" or
-	// "both" ("" = both). Sparse cells bench the ptas-sparse pipeline —
-	// end-to-end solves and the production fill of the grouped, pruned table
-	// at the sparse solve's converged target — next to the faithful cells.
+	// "both" ("" = both). Sparse cells bench the ptas-sparse pipeline — the
+	// production fill of the grouped, pruned table at the sparse solve's
+	// converged target — next to the faithful cells.
 	Enum string
 }
 
@@ -162,12 +165,13 @@ func measureFill(fill func() error, windows int) (int64, error) {
 // runDPBench measures every (shape, family, workers, path) cell and renders
 // the result. Table entries are identical between the paths (the
 // differential tests enforce it), so ns/op is the only varying quantity.
-// The sparse enumeration (unless -enum faithful) adds end-to-end solve cells
-// and sparse production-fill cells on the primary eps and on an extra
-// eps=0.1 arm, where sparsification pays; cells whose table exceeds the
-// budget are skipped and reported, not fatal. When ctx dies mid-sweep, the
-// cells measured so far are still rendered and the cancellation error is
-// returned.
+// Each cell's table is frozen at a solve's converged target; the solves
+// themselves are single cold samples and emit no row. The sparse
+// enumeration (unless -enum faithful) adds sparse production-fill cells on
+// the primary eps and on an extra eps=0.1 arm, where sparsification pays;
+// cells whose table exceeds the budget are skipped and reported, not fatal.
+// When ctx dies mid-sweep, the cells measured so far are still rendered and
+// the cancellation error is returned.
 func runDPBench(ctx context.Context, cores []int, eps float64, seed uint64, cfg dpBenchConfig) error {
 	cache := dp.NewCache()
 	var records []dpRecord
@@ -209,21 +213,16 @@ sweep:
 					Eps: armEps, Workers: 1,
 				}
 
+				// The faithful fill rows run on the primary eps only; the
+				// extra arm exists for the sparse rows.
 				var faithfulSt *core.Stats
-				if doFaithful {
+				if doFaithful && primary {
 					opts := core.DefaultOptions()
 					opts.Epsilon = armEps
-					opts.MaxTableEntries = budget
-					t0 := time.Now()
 					_, st, err := core.Solve(ctx, in, opts)
-					solveNs := time.Since(t0).Nanoseconds()
 					switch {
 					case err == nil:
 						faithfulSt = st
-						r := base
-						r.Enum, r.Path = "faithful", "solve"
-						r.NsPerOp, r.Entries, r.Configs = solveNs, st.TableEntries, st.Configs
-						records = append(records, r)
 					case skipTooLarge(shape, fam, armEps, "faithful", err):
 					default:
 						benchErr = err
@@ -231,9 +230,7 @@ sweep:
 					}
 				}
 
-				// The fill rows run on the primary eps only; the extra arm
-				// exists for the faithful-vs-sparse comparison.
-				if faithfulSt != nil && primary {
+				if faithfulSt != nil {
 					st := faithfulSt
 					sizes, counts, err := core.RoundedClasses(in, st.K, st.FinalT)
 					if err != nil {
@@ -292,24 +289,9 @@ sweep:
 					opts.Epsilon = armEps
 					opts.Sparsify = true
 					opts.MaxTableEntries = budget
-					t0 := time.Now()
 					_, st, err := core.Solve(ctx, in, opts)
-					solveNs := time.Since(t0).Nanoseconds()
 					switch {
 					case err == nil:
-						fc, ferr := faithfulConfigCount(in, st.K, st.FinalT)
-						if ferr != nil {
-							return ferr
-						}
-						r := base
-						r.Enum, r.Path = "sparse", "solve"
-						r.NsPerOp, r.Entries = solveNs, st.TableEntries
-						r.Configs = fc
-						r.ConfigsSparse = st.ConfigsAfterSparsification
-						if fc > 0 && st.ConfigsAfterSparsification > 0 {
-							r.ConfigReduction = float64(fc) / float64(st.ConfigsAfterSparsification)
-						}
-						records = append(records, r)
 						if st.SparseFallback {
 							fmt.Printf("note %s/%s eps=%g sparse: fell back to the faithful pipeline\n", shape.Name, fam, armEps)
 							continue
@@ -332,12 +314,16 @@ sweep:
 							}
 							return err
 						}
+						fc, err := faithfulConfigCount(in, st.K, st.FinalT)
+						if err != nil {
+							return err
+						}
 						ns, err := measureFill(func() error { return tbl.FillAutoCtx(ctx, nil) }, cfg.Windows)
 						if err != nil {
 							benchErr = err
 							break sweep
 						}
-						r = base
+						r := base
 						r.Enum, r.Path = "sparse", "production"
 						r.NsPerOp, r.Entries = ns, tbl.Sigma
 						r.Configs = fc
@@ -500,8 +486,8 @@ func compareBaseline(records []dpRecord, path string, threshold float64) error {
 
 // attachSpeedups fills SpeedupAlg2 on every faithful production and alg3
 // record from the alg2 record of the same table, and SpeedupFaithful on
-// every sparse record from the faithful cell of the same (workload, family,
-// eps, path).
+// every sparse production record from the one-worker faithful production
+// record of the same (workload, family, eps).
 func attachSpeedups(records []dpRecord) {
 	type cellKey struct {
 		w, f, path string
@@ -516,7 +502,7 @@ func attachSpeedups(records []dpRecord) {
 		switch r.Path {
 		case "alg2":
 			alg2[cellKey{r.Workload, r.Family, "", r.Eps}] = r.NsPerOp
-		case "solve", "production":
+		case "production":
 			// Sparse rows run at one worker; so does their reference.
 			if r.Workers == 1 {
 				faithful[cellKey{r.Workload, r.Family, r.Path, r.Eps}] = r.NsPerOp

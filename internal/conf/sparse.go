@@ -44,9 +44,17 @@ type SparseOptions struct {
 	// KeepJobs is the unconditional retention floor: every configuration
 	// placing at most this many jobs is kept regardless of support or
 	// dominance. Values < 1 are treated as 1 (singletons are always kept;
-	// the DP requires every non-zero entry to admit a candidate).
+	// the DP requires every non-zero entry to admit a candidate); Keep
+	// returns the floor in effect. A set that keeps every configuration of
+	// at most two jobs (Keep() >= 2, as DefaultSparseOptions does) lets the
+	// production fill write that pool's share of the table in closed form
+	// and relax only the configurations of three or more jobs (package dp).
 	KeepJobs int32
 }
+
+// Keep returns the retention floor EnumerateSparse applies: KeepJobs, or 1
+// when KeepJobs is below 1.
+func (o SparseOptions) Keep() int32 { return max(o.KeepJobs, 1) }
 
 // DefaultSparseOptions derives the Jansen–Klein–Verschae-style defaults for
 // k = ceil(1/eps): support capped at ceil(log2 k) + 2 (at least 3), with the
@@ -143,10 +151,7 @@ func EnumerateSparse(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []in
 	if maxConfigs <= 0 {
 		maxConfigs = DefaultMaxConfigs
 	}
-	keep := opts.KeepJobs
-	if keep < 1 {
-		keep = 1
-	}
+	keep := opts.Keep()
 	d := len(sizes)
 	var out []Config
 	cur := make([]int32, d)

@@ -169,9 +169,11 @@ type Stats struct {
 	// the anti-diagonal levels: LevelsParallel counts the levels of fills
 	// whose slab phases ran on the pool, LevelsInline those of fills on the
 	// caller, and Relaxations the entry relaxations of every fill, the same
-	// at any worker count. Under Options.PaperFaithful only the sparse
-	// tables of a Sparsify solve run dp.FillAutoCtx, so it is all-zero on
-	// faithful tables.
+	// at any worker count. A sparse table's fill writes its singleton-and-
+	// pair pool in closed form and relaxes only its configurations of three
+	// or more jobs, so Relaxations counts those. Under Options.PaperFaithful
+	// only the sparse tables of a Sparsify solve run dp.FillAutoCtx, so it
+	// is all-zero on faithful tables.
 	Auto dp.AutoStats
 	// UsedLPTFallback reports that plain LPT beat the PTAS construction on
 	// this instance and its schedule was returned instead. The fallback

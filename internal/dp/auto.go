@@ -36,8 +36,10 @@ type AutoStats struct {
 	// pool.
 	LevelsParallel int
 	// Relaxations counts the entry relaxations of a completed fill, summed
-	// over its workers: the pinned box of every configuration, whatever the
-	// pool (ALGORITHM.md section 7).
+	// over its workers: the pinned box of every configuration it sweeps,
+	// whatever the pool (ALGORITHM.md section 7). A sparse set that keeps
+	// every configuration of at most two jobs sweeps only those of three or
+	// more; the entries its closed-form pass writes are not relaxations.
 	Relaxations int64
 }
 
@@ -93,9 +95,11 @@ func (t *Table) SlabPhases() int { return len(t.lay.ends) }
 // fillSlabs runs the phases of the table's plan on the pool and the tail on
 // the caller, and returns the relaxations its workers did.
 func (t *Table) fillSlabs(ctx context.Context, pool *par.Pool) (int64, error) {
-	t.resetOpt()
 	workers := pool.Workers()
 	f := &slabFill{t: t, done: ctxDone(ctx), workers: newSlabWorkers(t.set.d, workers)}
+	if !f.start(&f.workers[0]) {
+		return 0, f.canceled(ctx)
+	}
 	body := func(w, c int) { f.chunk(&f.workers[w], c) }
 	row := 0
 	for k, end := range t.lay.ends {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cancel"
+	"repro/internal/conf"
 	"repro/internal/par"
 	"repro/pcmax"
 )
@@ -242,11 +243,30 @@ func strideTable(t *testing.T) *Table {
 	return tbl
 }
 
+// sparseStrideTable returns a sparse table that keeps every pair, with the
+// default sparse options of k = 10, whose closed-form pass alone writes
+// more than pollStride entries (about 2^19) and whose configurations of
+// three or more jobs have a slab-phase plan.
+func sparseStrideTable(t *testing.T) *Table {
+	t.Helper()
+	tbl, err := NewSparse([]pcmax.Time{1, 2, 3, 4}, []int{1<<15 + 100, 1, 1, 3}, 5, 0, 0, nil, conf.DefaultSparseOptions(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.set.pairs == nil || tbl.Sigma <= pollStride || tbl.SlabPhases() == 0 {
+		t.Fatalf("sparse stride table: closed form %v, sigma %d, %d slab phases; want the closed form, sigma above %d and a plan",
+			tbl.set.pairs != nil, tbl.Sigma, tbl.SlabPhases(), pollStride)
+	}
+	return tbl
+}
+
 // TestFillPollStride pins every fill's cancellation poll stride against
 // pollStride: the context dies at the Done call after which the fill's work
 // starts, so all the work the canceled fill reports was done after the
 // cancel. The production fill and Algorithm 2 report it in the cancel error
-// (as relaxations and as entries computed, each entry at least one visit).
+// (as entries the closed-form pass wrote plus relaxations, and as entries
+// computed, each entry at least one visit); on the sparse table the closed
+// form's pass alone is longer than the stride.
 // Algorithm 3's context dies as its level-2 round starts (each level's
 // ForWorkerCtx makes four Done calls); it scans round-robin, so a worker that
 // computed entry i of level 2 scanned at least i/P+1 indices of that round.
@@ -264,18 +284,24 @@ func TestFillPollStride(t *testing.T) {
 		workers int64
 		fill    func(tbl *Table, ctx context.Context) error
 		// scan marks Algorithm 3, measured by the entries it computed;
-		// mayIdle marks a fill that may stop before any work.
-		scan, mayIdle bool
+		// mayIdle marks a fill that may stop before any work; sparse fills
+		// sparseStrideTable.
+		scan, mayIdle, sparse bool
 	}{
-		{"production-caller", 2, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, nil) }, false, false},
-		{"production-pool-2", 2, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool2) }, false, true},
-		{"recursive", 1, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }, false, false},
-		{"parallel-scan-1", 7, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool1) }, true, false},
-		{"parallel-scan-2", 7, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool2) }, true, false},
+		{"production-caller", 2, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, nil) }, false, false, false},
+		{"production-pool-2", 2, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool2) }, false, true, false},
+		{"production-sparse-caller", 2, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, nil) }, false, false, true},
+		{"production-sparse-pool-2", 2, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool2) }, false, false, true},
+		{"recursive", 1, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }, false, false, false},
+		{"parallel-scan-1", 7, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool1) }, true, false, false},
+		{"parallel-scan-2", 7, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool2) }, true, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			workers := tc.workers
 			tbl := strideTable(t)
+			if tc.sparse {
+				tbl = sparseStrideTable(t)
+			}
 			err := tc.fill(tbl, newDyingCtx(tc.at))
 			var cerr *cancel.Error
 			if !errors.As(err, &cerr) || !errors.Is(err, cancel.ErrCanceled) {

@@ -422,13 +422,18 @@ const fillHuge = int32(1) << 30
 // c comes before every row c + e_j and every row c - e_j + e_a its pins
 // allow; the set's rows, grouped by phase when the set has a slab-phase
 // plan, Jobs-ascending and lex-descending within equal Jobs, are in such an
-// order (ALGORITHM.md section 7). So the table is bit-identical to the
-// entry-ordered fills, but no entry ever pays a fits check or an index
-// decode.
+// order (ALGORITHM.md section 7). A sparse set that keeps every
+// configuration of at most two jobs starts the sweep from that pool's
+// closed form, written in one ascending pass (pairPass), and relaxes only
+// its configurations of three or more jobs; its rows pin nothing, so any
+// row order still leaves the shortest distances. So the table is
+// bit-identical to the entry-ordered fills, but no entry ever pays a fits
+// check or an index decode.
 //
-// A cancelable ctx is polled every fillCheckEvery relaxations. On
-// cancellation the table is left unfilled (Opt holds partial garbage) and
-// the structured cancel error is returned.
+// A cancelable ctx is polled every fillCheckEvery relaxations, and every
+// fillCheckEvery entries of the closed-form pass. On cancellation the table
+// is left unfilled (Opt holds partial garbage) and the structured cancel
+// error is returned.
 func (t *Table) FillSequentialCtx(ctx context.Context) error {
 	_, err := t.fillCaller(ctx)
 	return err
@@ -437,18 +442,30 @@ func (t *Table) FillSequentialCtx(ctx context.Context) error {
 // fillCaller is FillSequentialCtx, returning the relaxations it did.
 func (t *Table) fillCaller(ctx context.Context) (int64, error) {
 	t.filled = false
-	t.resetOpt()
 	f := slabFill{t: t, done: ctxDone(ctx), workers: make([]slabWorker, 1)}
-	f.workers[0].odo = make([]int32, 2*t.set.d)
-	if !f.relaxRows(&f.workers[0], 0, t.set.n, -1, 0, 0) {
+	sw := &f.workers[0]
+	sw.odo = make([]int32, 2*t.set.d)
+	if !f.start(sw) || !f.relaxRows(sw, 0, t.set.n, -1, 0, 0) {
 		return 0, f.canceled(ctx)
 	}
 	t.filled = true
-	return f.workers[0].relaxed, nil
+	return sw.relaxed, nil
 }
 
-// resetOpt sets every entry to the config-outer sweep's start: OPT(0) = 0
-// and fillHuge elsewhere.
+// start writes the config-outer sweep's start into the table on worker sw:
+// the closed form of the set's singleton-and-pair pool when it has one
+// (pairPass), resetOpt's otherwise. It returns false when the fill was
+// stopped.
+func (f *slabFill) start(sw *slabWorker) bool {
+	if f.t.set.pairs != nil {
+		return f.pairPass(sw)
+	}
+	f.t.resetOpt()
+	return true
+}
+
+// resetOpt sets every entry to the config-outer sweep's start on a set
+// without a closed-form pool: OPT(0) = 0 and fillHuge elsewhere.
 func (t *Table) resetOpt() {
 	opt := t.Opt
 	for i := range opt {
@@ -467,6 +484,8 @@ type slabFill struct {
 	// worker stops at its next poll.
 	stop    atomic.Bool
 	workers []slabWorker
+	// written counts the entries the closed-form pass wrote.
+	written int64
 	// The current phase, written by the caller before each round: rows
 	// [r0, r1) of the set, over the slabs of the class at position pos,
 	// cut into chunks contiguous slab ranges.
@@ -493,10 +512,11 @@ func (f *slabFill) relaxed() int64 {
 }
 
 // canceled returns the structured cancel error of an aborted fill, carrying
-// the relaxations its workers did.
+// the entries its closed-form pass wrote and the relaxations its workers
+// did.
 func (f *slabFill) canceled(ctx context.Context) error {
 	err := cancel.From(ctx)
-	err.EntriesFilled = f.relaxed()
+	err.EntriesFilled = f.written + f.relaxed()
 	return err
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/conf"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/pcmax"
@@ -182,6 +183,24 @@ func TestEmptyTable(t *testing.T) {
 	fillPar(t, tbl2, pool)
 	if opt, err := tbl2.OptValue(); err != nil || opt != 0 {
 		t.Fatalf("parallel empty table OPT = %d, %v", opt, err)
+	}
+
+	// A sparse set that keeps every pair starts from the closed form, which
+	// has no position to run along.
+	tbl3, err := NewSparse(nil, nil, 10, 0, 0, nil, conf.SparseOptions{KeepJobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl3.set.pairs == nil {
+		t.Fatal("the empty pair-keeping table has no closed form")
+	}
+	for _, p := range []*par.Pool{nil, pool} {
+		if err := tbl3.FillAutoCtx(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		if opt, err := tbl3.OptValue(); err != nil || opt != 0 {
+			t.Fatalf("sparse empty table OPT = %d, %v", opt, err)
+		}
 	}
 }
 

@@ -21,7 +21,10 @@ package dp
 // grouped by phase and, inside a phase, ordered by Jobs and within equal
 // Jobs in reverse enumeration order (lex-descending), which keeps both: an
 // added job never empties a class, a pinned swap never empties an earlier
-// phase class, and c - e_j + e_a has c's Jobs and is lex-smaller.
+// phase class, and c - e_j + e_a has c's Jobs and is lex-smaller. A sparse
+// set pins nothing; one that keeps every configuration of at most two jobs
+// leaves them out of its rows and its plan, and the fill writes their share
+// of the table in closed form (pairs.go).
 
 import (
 	"repro/internal/conf"
@@ -172,9 +175,10 @@ func (p pins) box(c *conf.Config, counts []int) int64 {
 // the production fill relaxes it at; a configuration pinned on class a
 // relaxes only the slab v_a = 0, so it joins a's phase without adding to its
 // saving. The phase classes take the most significant positions in phase
-// order, the other classes follow in class order, and the strides and every
-// configuration's Offset are rewritten for the new order. plan returns each
-// configuration's phase, len(lay.ends) standing for the tail.
+// order, the other classes follow in class order, and the strides are
+// rewritten for the new order (the caller rewrites the Offsets, see offset).
+// plan returns each configuration's phase, len(lay.ends) standing for the
+// tail.
 func (lay *layout) plan(configs []conf.Config, counts []int, pin pins) []int64 {
 	n, d := len(configs), len(counts)
 	scratch := make([]int64, 2*n+d)
@@ -239,12 +243,7 @@ func (lay *layout) plan(configs []conf.Config, counts []int, pin pins) []int64 {
 		}
 	}
 	lay.setStrides(counts)
-	for ci := range configs {
-		var off int64
-		for i, c := range configs[ci].Counts {
-			off += int64(c) * lay.stride[i]
-		}
-		configs[ci].Offset = off
+	for ci := range phase {
 		if phase[ci] < 0 {
 			phase[ci] = phases
 		}
@@ -253,18 +252,32 @@ func (lay *layout) plan(configs []conf.Config, counts []int, pin pins) []int64 {
 	return phase
 }
 
+// offset returns the table displacement of a configuration with the given
+// class counts in the layout.
+func (lay *layout) offset(counts []int32) int64 {
+	var off int64
+	for i, c := range counts {
+		off += int64(c) * lay.stride[i]
+	}
+	return off
+}
+
 // scanSet is the flat view of a configuration set that the production
 // kernel walks: the configurations structure-of-arrays, so the kernel reads
 // one contiguous counts block instead of chasing a heap slice per Config.
 // Row i of counts spans [i*d, (i+1)*d); its columns are in position order,
 // and a position the row pins (see pins) holds ^c_j, a negative value, so
 // the pins cost no memory of their own. offsets holds each row's table
-// displacement. A scanSet is immutable once built and shared between the
-// tables of its cache entry and their workers.
+// displacement. The rows are every configuration of the set, except on a
+// set with a closed-form singleton-and-pair pool (pairs, pairs.go): its
+// rows are the configurations of three or more jobs. A scanSet is immutable
+// once built and shared between the tables of its cache entry and their
+// workers.
 type scanSet struct {
 	d, n    int
 	counts  []int32
 	offsets []int64
+	pairs   pairPool
 }
 
 // newScanSet flattens configs (Jobs-sorted, in enumeration order within
@@ -274,10 +287,21 @@ type scanSet struct {
 // recorded in lay.ends. Inside a phase the rows keep the Jobs order, and
 // within equal Jobs a pinning set's rows run in reverse enumeration order,
 // lex-descending, so every row comes before the swaps its pins allow; a
-// sparse set pins nothing and keeps the enumeration order.
-func newScanSet(configs []conf.Config, d int, phase []int64, lay *layout, pin pins) *scanSet {
-	n := len(configs)
-	s := &scanSet{d: d, n: n, counts: make([]int32, n*d), offsets: make([]int64, n)}
+// sparse set pins nothing and keeps the enumeration order. With pairs, the
+// configs leave out the set's singleton-and-pair pool, and the set carries
+// its closed form over classes of the given sizes under T, which shares the
+// offsets' allocation.
+func newScanSet(configs []conf.Config, sizes []pcmax.Time, T pcmax.Time, pairs bool, phase []int64, lay *layout, pin pins) *scanSet {
+	d, n := len(sizes), len(configs)
+	words := n
+	if pairs {
+		words += 4 * d
+	}
+	buf := make([]int64, words)
+	s := &scanSet{d: d, n: n, counts: make([]int32, n*d), offsets: buf[:n:n]}
+	if pairs {
+		s.pairs = newPairPool(sizes, T, lay, buf[n:]) // not nil, even at d = 0
+	}
 	rev := len(pin.sizes) > 0
 	row := 0
 	for k := int64(0); k <= int64(len(lay.ends)); k++ {

@@ -67,7 +67,9 @@ func TestFillRecursiveAllocationsDoNotGrow(t *testing.T) {
 
 // TestProductionFillAllocations pins the production fill's allocations: the
 // odometer scratch on the caller, and on a pool the shared state, the worker
-// slots, their odometers and the round body, however many phases run.
+// slots, their odometers and the round body, however many phases run. A
+// sparse table's closed-form pass runs on the odometer scratch and adds
+// none.
 func TestProductionFillAllocations(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
@@ -75,16 +77,20 @@ func TestProductionFillAllocations(t *testing.T) {
 	if len(tbl.lay.ends) == 0 {
 		t.Fatal("bigTable has no slab-phase plan")
 	}
+	sparse := sparseStrideTable(t)
 	for _, tc := range []struct {
 		name string
+		tbl  *Table
 		pool *par.Pool
 		want float64
 	}{
-		{"caller", nil, 1},
-		{"pool", pool, 4},
+		{"caller", tbl, nil, 1},
+		{"pool", tbl, pool, 4},
+		{"sparse-caller", sparse, nil, 1},
+		{"sparse-pool", sparse, pool, 4},
 	} {
 		got := testing.AllocsPerRun(10, func() {
-			if err := tbl.FillAutoCtx(context.Background(), tc.pool); err != nil {
+			if err := tc.tbl.FillAutoCtx(context.Background(), tc.pool); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -96,19 +102,27 @@ func TestProductionFillAllocations(t *testing.T) {
 
 // TestKernelsAllocateNothing pins the hot-path kernels, which run once
 // per table entry or row of runs, as allocation-free: the config-outer
-// relaxation, both odometer steps, and the incremental decoder on a first,
-// a forward, a backward and a repeated index each read 0 allocations per
+// relaxation, the closed-form pass over a whole sparse table and its run
+// copy, both odometer steps, and the incremental decoder on a first, a
+// forward, a backward and a repeated index each read 0 allocations per
 // call.
 func TestKernelsAllocateNothing(t *testing.T) {
 	tbl := bigTable(t)
 	last, mid := tbl.Sigma-1, tbl.Sigma/2
 	v := make([]int32, len(tbl.Stride))
 	dec := &newDecoders(tbl, 1)[0]
+	sparse, err := NewSparse(tbl.Sizes, tbl.Counts, tbl.T, 0, 0, nil, conf.SparseOptions{MaxSupport: 3, KeepJobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := slabFill{t: sparse, done: make(chan struct{}), workers: newSlabWorkers(sparse.set.d, 1)}
 	for _, k := range []struct {
 		name string
 		run  func()
 	}{
 		{"relaxRuns", func() { relaxRuns(tbl.Opt, 8, 3, 4, 16, 2) }},
+		{"pairPass", func() { pass.pairPass(&pass.workers[0]) }},
+		{"pairRun", func() { pairRun(tbl.Opt, 8, 12, 3) }},
 		{"advance", func() { clear(v); tbl.advance(v, last) }},
 		{"advanceOne", func() { clear(v); tbl.advanceOne(v) }},
 		{"decoder.at/first", func() { dec.reset(); dec.at(mid) }},
@@ -149,12 +163,14 @@ func TestSlabWorkerOdometersDoNotShareLines(t *testing.T) {
 // TestScanSetMatchesConfigs checks the scan view the production kernel walks
 // against Table.Configs, unplanned and planned, faithful and sparse: each
 // row is a configuration with its columns in position order and its
-// offset, every configuration is one row, the phases' rows leave their
-// phase's class empty, inside a phase the rows ascend in Jobs and within
-// equal Jobs descend lexicographically (a sparse set keeps the enumeration
-// order, ascending), and a row marks exactly the classes refPins gives it:
-// some by an upgrade alone, on the planned set some upgrades refused by the
-// phase rule, and none on a sparse set.
+// offset, every configuration is one row (on a sparse set that keeps every
+// pair, every configuration of three or more jobs, the rest being the
+// closed form's), the phases' rows leave their phase's class empty, inside
+// a phase the rows ascend in Jobs and within equal Jobs descend
+// lexicographically (a sparse set keeps the enumeration order, ascending),
+// and a row marks exactly the classes refPins gives it: some by an upgrade
+// alone, on the planned set some upgrades refused by the phase rule, and
+// none on a sparse set.
 func TestScanSetMatchesConfigs(t *testing.T) {
 	sizes := []pcmax.Time{4, 6, 7}
 	counts := []int{3, 2, 2}
@@ -162,10 +178,12 @@ func TestScanSetMatchesConfigs(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		planned, sparse bool
+		keep            int32
 	}{
-		{"unplanned", false, false},
-		{"planned", true, false},
-		{"sparse-planned", true, true},
+		{"unplanned", false, false, 0},
+		{"planned", true, false, 0},
+		{"sparse-planned", true, true, 1},
+		{"sparse-pairs-planned", true, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.planned {
@@ -173,7 +191,7 @@ func TestScanSetMatchesConfigs(t *testing.T) {
 			}
 			tbl, err := New(sizes, counts, T, 0, 0)
 			if tc.sparse {
-				tbl, err = NewSparse(sizes, counts, T, 0, 0, nil, conf.SparseOptions{MaxSupport: 2, KeepJobs: 1})
+				tbl, err = NewSparse(sizes, counts, T, 0, 0, nil, conf.SparseOptions{MaxSupport: 2, KeepJobs: tc.keep})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -181,9 +199,21 @@ func TestScanSetMatchesConfigs(t *testing.T) {
 			if planned := tbl.SlabPhases() > 0; planned != tc.planned {
 				t.Fatalf("planned = %v, want %v", planned, tc.planned)
 			}
+			// seen marks the configurations that are no row: none, or the
+			// closed form's pool of at most two jobs.
+			seen := make([]bool, len(tbl.Configs))
+			swept := len(tbl.Configs)
+			for i, c := range tbl.Configs {
+				if seen[i] = tc.keep >= 2 && c.Jobs <= 2; seen[i] {
+					swept--
+				}
+			}
 			s, d, ends := tbl.set, tbl.set.d, tbl.lay.ends
-			if s.n != len(tbl.Configs) || d != len(sizes) {
-				t.Fatalf("set n=%d d=%d, want %d configurations of %d classes", s.n, d, len(tbl.Configs), len(sizes))
+			if s.n != swept || d != len(sizes) || (s.pairs != nil) != (tc.keep >= 2) {
+				t.Fatalf("set n=%d d=%d closed form %v, want %d configurations of %d classes", s.n, d, s.pairs != nil, swept, len(sizes))
+			}
+			if tc.keep >= 2 && swept == 0 {
+				t.Fatal("the pair-keeping set has no configuration of three or more jobs")
 			}
 			phaseOf := func(row int) int {
 				for k, end := range ends {
@@ -193,7 +223,6 @@ func TestScanSetMatchesConfigs(t *testing.T) {
 				}
 				return len(ends)
 			}
-			seen := make([]bool, len(tbl.Configs))
 			var marks, upgrades, refused int
 			var prev conf.Config
 			for row := 0; row < s.n; row++ {

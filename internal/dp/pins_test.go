@@ -59,9 +59,12 @@ func refPins(tbl *Table, c []int32) []bool {
 }
 
 // boxSums returns the relaxations a production fill of tbl must do, the sum
-// over its configurations of the pinned box (refPins), and the sum of the
-// unpinned box {v : v >= c}.
-func boxSums(tbl *Table) (pinned, full int64) {
+// over the configurations it sweeps of the pinned box (refPins), and the sum
+// of the unpinned box {v : v >= c} over all of them. keep is the retention
+// floor a sparse tbl was built with (conf.SparseOptions.KeepJobs; 0 for a
+// faithful one): when it keeps every configuration of at most two jobs, the
+// fill writes those in closed form and sweeps only the others.
+func boxSums(tbl *Table, keep int32) (pinned, full int64) {
 	for ci := range tbl.Configs {
 		c := tbl.Configs[ci].Counts
 		pin := refPins(tbl, c)
@@ -73,7 +76,9 @@ func boxSums(tbl *Table) (pinned, full int64) {
 				p *= n
 			}
 		}
-		pinned += p
+		if tbl.Mode != EnumSparse || keep < 2 || tbl.Configs[ci].Jobs > 2 {
+			pinned += p
+		}
 		full += f
 	}
 	return pinned, full
@@ -137,7 +142,9 @@ func pinnedOnSlab(tbl *Table) int {
 // TestFillRelaxationsArePinnedBoxes pins the work of the production fill:
 // AutoStats.Relaxations equals the sum of the configurations' pinned boxes,
 // below the unpinned sum, on planned and unplanned tables, on the caller and
-// on a 2-worker pool; a sparse table relaxes its unpinned boxes.
+// on a 2-worker pool; a sparse table relaxes its unpinned boxes, and one
+// that keeps every pair only those of its configurations of three or more
+// jobs.
 func TestFillRelaxationsArePinnedBoxes(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
@@ -151,10 +158,12 @@ func TestFillRelaxationsArePinnedBoxes(t *testing.T) {
 		name   string
 		force  bool
 		sparse bool
+		keep   int32
 	}{
-		{"unplanned", false, false},
-		{"planned", true, false},
-		{"sparse-planned", true, true},
+		{"unplanned", false, false, 0},
+		{"planned", true, false, 0},
+		{"sparse-planned", true, true, 1},
+		{"sparse-pairs-planned", true, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			planMinWork = math.MaxInt64
@@ -163,7 +172,7 @@ func TestFillRelaxationsArePinnedBoxes(t *testing.T) {
 			}
 			tbl, err := New(sizes, counts, T, 0, 0)
 			if tc.sparse {
-				tbl, err = NewSparse(sizes, counts, T, 0, 0, nil, conf.SparseOptions{MaxSupport: 2, KeepJobs: 2})
+				tbl, err = NewSparse(sizes, counts, T, 0, 0, nil, conf.SparseOptions{MaxSupport: 2, KeepJobs: tc.keep})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -174,12 +183,9 @@ func TestFillRelaxationsArePinnedBoxes(t *testing.T) {
 			if !tc.sparse {
 				slabPinned += pinnedOnSlab(tbl)
 			}
-			pinned, full := boxSums(tbl)
-			if !tc.sparse && pinned >= full {
-				t.Fatalf("pinned boxes sum to %d, unpinned to %d: the table pins nothing", pinned, full)
-			}
-			if tc.sparse && pinned != full {
-				t.Fatalf("sparse table: pinned boxes sum to %d, unpinned to %d, want equal", pinned, full)
+			pinned, full := boxSums(tbl, tc.keep)
+			if equal := tc.sparse && tc.keep < 2; pinned > full || (pinned == full) != equal {
+				t.Fatalf("swept boxes sum to %d, unpinned to %d: want less on a pinning or pair-keeping table, equal on another sparse one", pinned, full)
 			}
 			for _, p := range []*par.Pool{nil, pool} {
 				if err := tbl.FillAutoCtx(context.Background(), p); err != nil {
@@ -199,23 +205,29 @@ func TestFillRelaxationsArePinnedBoxes(t *testing.T) {
 // FuzzFill fills random (sizes, counts, T) tables with the production fill,
 // with a slab-phase plan forced on every table, on the caller and on a
 // 2-worker pool, and checks each against fillOracle and each relaxation
-// count against the pinned boxes. A size is the previous one plus its step
-// (at least 1), and T is the largest size plus extra.
+// count against the swept boxes. Each input fills a faithful table and a
+// sparse one whose support cap (1-4) and retention floor (1-3) come from
+// the input. A size is the previous one plus its step (at least 1), and T
+// is the largest size plus extra; up to 80 classes, so that more than 64
+// of them, most of count 0, reach the closed form's class mask.
 func FuzzFill(f *testing.F) {
-	for _, in := range append(append([]diffInput(nil), runShapeInputs...), packedBoundaryInputs...) {
+	inputs := append(append([]diffInput(nil), runShapeInputs...), packedBoundaryInputs...)
+	for k, in := range append(inputs, sparseInputs...) {
 		steps := make([]byte, len(in.sizes))
 		counts := make([]byte, len(in.counts))
 		prev := pcmax.Time(0)
 		for i, s := range in.sizes {
 			steps[i], counts[i], prev = byte(s-prev), byte(in.counts[i]), s
 		}
-		f.Add(steps, counts, uint16(in.T-prev))
+		for keep := byte(0); keep < 3; keep++ {
+			f.Add(steps, counts, uint16(in.T-prev), byte(k%4)+4*keep)
+		}
 	}
 	forcePlans(f)
 	pool := par.NewPool(2)
 	defer pool.Close()
-	f.Fuzz(func(t *testing.T, steps, counts []byte, extra uint16) {
-		d := min(len(steps), len(counts), 10)
+	f.Fuzz(func(t *testing.T, steps, counts []byte, extra uint16, sparse byte) {
+		d := min(len(steps), len(counts), 80)
 		sizes := make([]pcmax.Time, d)
 		cnt := make([]int, d)
 		s := pcmax.Time(0)
@@ -224,23 +236,32 @@ func FuzzFill(f *testing.F) {
 			sizes[i], cnt[i] = s, int(counts[i])
 		}
 		T := max(s, 1) + pcmax.Time(extra)
-		label := fmt.Sprintf("sizes %v counts %v T %d", sizes, cnt, T)
-		tbl, err := New(sizes, cnt, T, 1<<12, 1<<10)
-		if err != nil {
-			t.Skip(err)
-		}
-		if tbl.Sigma*int64(len(tbl.Configs)) > 1<<20 {
-			t.Skip("oracle too slow")
-		}
-		oracle := fillOracle(tbl)
-		pinned, _ := boxSums(tbl)
-		for _, p := range []*par.Pool{nil, pool} {
-			if err := tbl.FillAutoCtx(context.Background(), p); err != nil {
-				t.Fatal(err)
+		sopts := sparseOptions(sparse)
+		for _, arm := range []struct {
+			name string
+			keep int32
+			new  func() (*Table, error)
+		}{
+			{"faithful", 0, func() (*Table, error) { return New(sizes, cnt, T, 1<<12, 1<<10) }},
+			{fmt.Sprintf("sparse %+v", sopts), sopts.KeepJobs, func() (*Table, error) {
+				return NewSparse(sizes, cnt, T, 1<<12, 1<<10, nil, sopts)
+			}},
+		} {
+			label := fmt.Sprintf("%s: sizes %v counts %v T %d", arm.name, sizes, cnt, T)
+			tbl, err := arm.new()
+			if err != nil || tbl.Sigma*int64(len(tbl.Configs)) > 1<<20 {
+				continue // too large for the budget or for the oracle
 			}
-			optEqual(t, fmt.Sprintf("%s, pool %v", label, p != nil), tbl.Opt, oracle)
-			if got := tbl.AutoStats.Relaxations; got != pinned {
-				t.Fatalf("%s, pool %v: %d relaxations, want the pinned boxes' %d", label, p != nil, got, pinned)
+			oracle := fillOracle(tbl)
+			swept, _ := boxSums(tbl, arm.keep)
+			for _, p := range []*par.Pool{nil, pool} {
+				if err := tbl.FillAutoCtx(context.Background(), p); err != nil {
+					t.Fatal(err)
+				}
+				optEqual(t, fmt.Sprintf("%s, pool %v", label, p != nil), tbl.Opt, oracle)
+				if got := tbl.AutoStats.Relaxations; got != swept {
+					t.Fatalf("%s, pool %v: %d relaxations, want the swept boxes' %d", label, p != nil, got, swept)
+				}
 			}
 		}
 	})

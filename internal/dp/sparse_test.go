@@ -61,6 +61,30 @@ func TestCacheKeysSeparateEnumModes(t *testing.T) {
 	}
 }
 
+// TestCacheKeysClampKeepJobs checks that the cache keys a sparse set by the
+// retention floor the enumerator applies: KeepJobs 1, 0 and -3 all keep the
+// singletons alone, so they share one entry, and 2 gets its own.
+func TestCacheKeysClampKeepJobs(t *testing.T) {
+	cache := NewCache()
+	var sets []*scanSet
+	for _, keep := range []int32{1, 0, -3, 2} {
+		tbl, err := NewSparse([]pcmax.Time{6, 11}, []int{2, 3}, 30, 0, 0, cache, conf.SparseOptions{MaxSupport: 1, KeepJobs: keep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, tbl.set)
+	}
+	if st := cache.Stats(); st.ConfigHits != 2 || st.ConfigMisses != 2 {
+		t.Fatalf("stats = %+v, want 2 hits and 2 misses: KeepJobs 0 and -3 must hit KeepJobs 1's entry", st)
+	}
+	if sets[1] != sets[0] || sets[2] != sets[0] || sets[3] == sets[0] {
+		t.Fatal("KeepJobs 0 and -3 got another set than KeepJobs 1, or 2 the same one")
+	}
+	if sets[0].pairs != nil || sets[3].pairs == nil {
+		t.Fatal("want the closed form on the KeepJobs 2 set alone")
+	}
+}
+
 // TestSparseTableStaysFeasible checks the retention floor end to end: a
 // sparse table's DP stays total (every reachable entry keeps a candidate) and
 // its reconstruction is a valid packing, even under an aggressive support

@@ -78,9 +78,11 @@ go test -timeout 5m -run '^$' -fuzz 'FuzzSolve' -fuzztime 5s ./internal/core
 
 # Differential fuzz smoke over the production fill itself: five seconds of
 # random (sizes, counts, T) tables with a slab-phase plan forced on each,
-# filled on the caller and on a 2-worker pool, which must equal the
+# one faithful and one sparse (support cap and retention floor from the
+# input), filled on the caller and on a 2-worker pool, which must equal the
 # unpruned oracle entry for entry and relax exactly the configurations'
-# pinned boxes (internal/dp.FuzzFill).
+# pinned boxes, a pair-keeping sparse table only those of its
+# configurations of three or more jobs (internal/dp.FuzzFill).
 go test -timeout 5m -run '^$' -fuzz 'FuzzFill' -fuzztime 5s ./internal/dp
 
 # The race detector is the repo's race gate (ALGORITHM.md sections 11 and 16
