@@ -419,18 +419,9 @@ type dpKey struct {
 	Eps                          float64
 }
 
-// recordKey builds the diff key, normalizing records from baselines written
-// before the sparse columns existed (no enum, no eps).
+// recordKey builds the diff key of a record.
 func recordKey(r dpRecord) dpKey {
-	enum := r.Enum
-	if enum == "" {
-		enum = "faithful"
-	}
-	e := r.Eps
-	if e == 0 {
-		e = 0.3
-	}
-	return dpKey{r.Workload, r.Family, r.Path, enum, r.Workers, e}
+	return dpKey{r.Workload, r.Family, r.Path, r.Enum, r.Workers, r.Eps}
 }
 
 // compareBaseline diffs the run's ns/op row-by-row against the committed

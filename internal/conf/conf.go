@@ -44,21 +44,33 @@ const DefaultMaxConfigs = 4 << 20
 
 // Enumerate lists every non-zero configuration for the given distinct sizes,
 // per-size availability, capacity T and table strides, in lexicographic
-// order of the count vector. maxConfigs <= 0 selects DefaultMaxConfigs.
+// order of the count vector. maxConfigs <= 0 selects DefaultMaxConfigs. It
+// is EnumerateSparse's depth-first search with the prunes off.
 func Enumerate(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int64, maxConfigs int) ([]Config, error) {
+	out, _, err := enumerate(sizes, counts, T, stride, maxConfigs, false, SparseOptions{})
+	return out, err
+}
+
+// enumerate is the one configuration search: a depth-first walk of the
+// count vectors in lexicographic order that stops each class's count where
+// the weight would pass T. With prune set it drops the configurations of
+// three or more jobs that EnumerateSparse prunes under opts, and
+// maxConfigs bounds the retained set, not the walk.
+func enumerate(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int64, maxConfigs int, prune bool, opts SparseOptions) ([]Config, SparseStats, error) {
+	var stats SparseStats
 	if len(sizes) != len(counts) || len(sizes) != len(stride) {
-		return nil, fmt.Errorf("conf: mismatched dimensions (sizes=%d counts=%d stride=%d)",
+		return nil, stats, fmt.Errorf("conf: mismatched dimensions (sizes=%d counts=%d stride=%d)",
 			len(sizes), len(counts), len(stride))
 	}
 	for i, s := range sizes {
 		if s <= 0 {
-			return nil, fmt.Errorf("conf: size class %d has non-positive size %d", i, s)
+			return nil, stats, fmt.Errorf("conf: size class %d has non-positive size %d", i, s)
 		}
 		if s > T {
-			return nil, fmt.Errorf("conf: size class %d (%d) exceeds capacity T=%d", i, s, T)
+			return nil, stats, fmt.Errorf("conf: size class %d (%d) exceeds capacity T=%d", i, s, T)
 		}
 		if counts[i] < 0 {
-			return nil, fmt.Errorf("conf: size class %d has negative count %d", i, counts[i])
+			return nil, stats, fmt.Errorf("conf: size class %d has negative count %d", i, counts[i])
 		}
 	}
 	if maxConfigs <= 0 {
@@ -73,9 +85,21 @@ func Enumerate(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int64, m
 			if jobs == 0 {
 				return nil // exclude the zero configuration
 			}
+			stats.Enumerated++
+			if prune && jobs > 2 { // the singleton-and-pair pool is never pruned
+				if opts.MaxSupport > 0 && support(cur) > opts.MaxSupport {
+					stats.PrunedSupport++
+					return nil
+				}
+				if dominated(cur, sizes, counts, weight, T) {
+					stats.PrunedDominated++
+					return nil
+				}
+			}
 			if len(out) >= maxConfigs {
 				return fmt.Errorf("%w (limit %d)", ErrTooMany, maxConfigs)
 			}
+			stats.Retained++
 			out = append(out, Config{
 				Counts: append([]int32(nil), cur...),
 				Weight: weight,
@@ -98,9 +122,9 @@ func Enumerate(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int64, m
 		return nil
 	}
 	if err := rec(0, 0, 0, 0); err != nil {
-		return nil, err
+		return nil, stats, err
 	}
-	return out, nil
+	return out, stats, nil
 }
 
 // Fits reports whether configuration counts s can be applied to entry digits

@@ -1,7 +1,6 @@
 package conf
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/pcmax"
@@ -29,36 +28,23 @@ import (
 // structural floors keep the sparse DP total and the driver's certification
 // cheap:
 //
-//   - every configuration with Jobs <= KeepJobs survives (the singleton and
+//   - every configuration of at most two jobs survives (the singleton and
 //     pair pool), so every non-zero entry retains at least one candidate and
-//     OPT stays finite everywhere;
+//     OPT stays finite everywhere, and the production fill writes the pool's
+//     share of the table in closed form and relaxes only the configurations
+//     of three or more jobs (package dp);
 //   - the full-vector entry keeps a certified escape hatch one level up: the
 //     driver (core.Solve with Options.Sparsify) re-verifies the converged
 //     target against the faithful enumeration, so over-pruning degrades to a
 //     detected fallback, never to a silently weaker guarantee.
 type SparseOptions struct {
 	// MaxSupport caps the number of distinct size classes per retained
-	// configuration; <= 0 disables the support cap. Configurations in the
-	// KeepJobs pool are exempt (their support is at most KeepJobs anyway).
+	// configuration of three or more jobs; <= 0 disables the support cap.
 	MaxSupport int
-	// KeepJobs is the unconditional retention floor: every configuration
-	// placing at most this many jobs is kept regardless of support or
-	// dominance. Values < 1 are treated as 1 (singletons are always kept;
-	// the DP requires every non-zero entry to admit a candidate); Keep
-	// returns the floor in effect. A set that keeps every configuration of
-	// at most two jobs (Keep() >= 2, as DefaultSparseOptions does) lets the
-	// production fill write that pool's share of the table in closed form
-	// and relax only the configurations of three or more jobs (package dp).
-	KeepJobs int32
 }
 
-// Keep returns the retention floor EnumerateSparse applies: KeepJobs, or 1
-// when KeepJobs is below 1.
-func (o SparseOptions) Keep() int32 { return max(o.KeepJobs, 1) }
-
 // DefaultSparseOptions derives the Jansen–Klein–Verschae-style defaults for
-// k = ceil(1/eps): support capped at ceil(log2 k) + 2 (at least 3), with the
-// singleton-and-pair pool retained.
+// k = ceil(1/eps): support capped at ceil(log2 k) + 2 (at least 3).
 func DefaultSparseOptions(k int) SparseOptions {
 	if k < 1 {
 		k = 1
@@ -67,7 +53,7 @@ func DefaultSparseOptions(k int) SparseOptions {
 	if sup < 3 {
 		sup = 3
 	}
-	return SparseOptions{MaxSupport: sup, KeepJobs: 2}
+	return SparseOptions{MaxSupport: sup}
 }
 
 // SparseStats reports what EnumerateSparse did: how many feasible non-zero
@@ -129,76 +115,9 @@ func support(cur []int32) int {
 // EnumerateSparse lists the sparse subset of the non-zero configurations for
 // the given distinct sizes, availability, capacity T and table strides, in
 // lexicographic order of the count vector (the same order and Config layout
-// as Enumerate, so SortByJobs and every DP fill path apply unchanged). maxConfigs <= 0 selects DefaultMaxConfigs and bounds the
-// retained set, not the enumeration.
+// as Enumerate, so SortByJobs and every DP fill path apply unchanged).
+// maxConfigs <= 0 selects DefaultMaxConfigs and bounds the retained set, not
+// the enumeration.
 func EnumerateSparse(sizes []pcmax.Time, counts []int, T pcmax.Time, stride []int64, maxConfigs int, opts SparseOptions) ([]Config, SparseStats, error) {
-	var stats SparseStats
-	if len(sizes) != len(counts) || len(sizes) != len(stride) {
-		return nil, stats, fmt.Errorf("conf: mismatched dimensions (sizes=%d counts=%d stride=%d)",
-			len(sizes), len(counts), len(stride))
-	}
-	for i, s := range sizes {
-		if s <= 0 {
-			return nil, stats, fmt.Errorf("conf: size class %d has non-positive size %d", i, s)
-		}
-		if s > T {
-			return nil, stats, fmt.Errorf("conf: size class %d (%d) exceeds capacity T=%d", i, s, T)
-		}
-		if counts[i] < 0 {
-			return nil, stats, fmt.Errorf("conf: size class %d has negative count %d", i, counts[i])
-		}
-	}
-	if maxConfigs <= 0 {
-		maxConfigs = DefaultMaxConfigs
-	}
-	keep := opts.Keep()
-	d := len(sizes)
-	var out []Config
-	cur := make([]int32, d)
-	var rec func(dim int, weight pcmax.Time, jobs int32, offset int64) error
-	rec = func(dim int, weight pcmax.Time, jobs int32, offset int64) error {
-		if dim == d {
-			if jobs == 0 {
-				return nil // exclude the zero configuration
-			}
-			stats.Enumerated++
-			if jobs > keep {
-				if opts.MaxSupport > 0 && support(cur) > opts.MaxSupport {
-					stats.PrunedSupport++
-					return nil
-				}
-				if dominated(cur, sizes, counts, weight, T) {
-					stats.PrunedDominated++
-					return nil
-				}
-			}
-			if len(out) >= maxConfigs {
-				return fmt.Errorf("%w (limit %d)", ErrTooMany, maxConfigs)
-			}
-			stats.Retained++
-			out = append(out, Config{
-				Counts: append([]int32(nil), cur...),
-				Weight: weight,
-				Jobs:   jobs,
-				Offset: offset,
-			})
-			return nil
-		}
-		for s := 0; s <= counts[dim]; s++ {
-			w := weight + pcmax.Time(s)*sizes[dim]
-			if w > T {
-				break // sizes are positive; larger s only grows the weight
-			}
-			cur[dim] = int32(s)
-			if err := rec(dim+1, w, jobs+int32(s), offset+int64(s)*stride[dim]); err != nil {
-				return err
-			}
-		}
-		cur[dim] = 0
-		return nil
-	}
-	if err := rec(0, 0, 0, 0); err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
+	return enumerate(sizes, counts, T, stride, maxConfigs, true, opts)
 }

@@ -50,11 +50,11 @@ func TestEnumerateSparsePaperExample(t *testing.T) {
 //
 //   - the retained set is a subsequence of the faithful set (same feasible
 //     configurations, same lexicographic order, same Weight/Jobs/Offset);
-//   - every retained configuration above the KeepJobs pool honors the
+//   - every retained configuration of three or more jobs honors the
 //     support cap;
-//   - every pruned configuration above the KeepJobs pool violates the
-//     support cap or is dominated (extensible by one more job within T);
-//   - every configuration in the KeepJobs pool is retained unconditionally;
+//   - every pruned configuration has three or more jobs and violates the
+//     support cap or is dominated (extensible by one more job within T), so
+//     the singleton-and-pair pool is retained unconditionally;
 //   - the stats partition the enumeration exactly.
 func TestEnumerateSparseVsBruteForce(t *testing.T) {
 	f := func(seed uint64, dRaw, supRaw uint8) bool {
@@ -70,7 +70,7 @@ func TestEnumerateSparseVsBruteForce(t *testing.T) {
 		}
 		T := base + pcmax.Time(src.Int64n(4*int64(base)))
 		stride := strides(counts)
-		opts := SparseOptions{MaxSupport: int(supRaw%3) + 1, KeepJobs: 2}
+		opts := SparseOptions{MaxSupport: int(supRaw%3) + 1}
 
 		full, err := Enumerate(sizes, counts, T, stride, 0)
 		if err != nil {
@@ -105,7 +105,7 @@ func TestEnumerateSparseVsBruteForce(t *testing.T) {
 			}
 			// Pruned: must be above the pool and oversupport or dominated.
 			if c.Jobs <= 2 {
-				t.Fatalf("KeepJobs pool config %v pruned", c.Counts)
+				t.Fatalf("singleton-and-pair pool config %v pruned", c.Counts)
 			}
 			if support(c.Counts) <= opts.MaxSupport &&
 				!dominated(c.Counts, sizes, counts, c.Weight, T) {

@@ -116,7 +116,7 @@ func (t *Table) fillSlabs(ctx context.Context, pool *par.Pool) (int64, error) {
 		return 0, f.canceled(ctx)
 	}
 	t.filled = true
-	return f.relaxed(), nil
+	return f.work(), nil
 }
 
 // odoGap is the gap, in odometer words, between two workers' odometers: a

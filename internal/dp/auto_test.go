@@ -44,7 +44,7 @@ func TestFillAutoStatsRouting(t *testing.T) {
 			if err := tbl.FillAutoCtx(context.Background(), tc.pool); err != nil {
 				t.Fatal(err)
 			}
-			pinned, _ := boxSums(tbl, 0)
+			pinned, _ := boxSums(tbl)
 			want := AutoStats{LevelsInline: tbl.NPrime, Relaxations: pinned}
 			if tc.parallel {
 				want = AutoStats{LevelsParallel: tbl.NPrime, Relaxations: pinned}
@@ -67,7 +67,7 @@ func TestFillAutoStatsRouting(t *testing.T) {
 	if err := small.FillAutoCtx(context.Background(), bp); err != nil {
 		t.Fatal(err)
 	}
-	if pinned, _ := boxSums(small, 0); small.AutoStats != (AutoStats{LevelsInline: small.NPrime, Relaxations: pinned}) {
+	if pinned, _ := boxSums(small); small.AutoStats != (AutoStats{LevelsInline: small.NPrime, Relaxations: pinned}) {
 		t.Fatalf("unplanned table routed %+v, want all %d levels inline", small.AutoStats, small.NPrime)
 	}
 }

@@ -129,36 +129,25 @@ func sizesGCD(sizes []pcmax.Time) pcmax.Time {
 }
 
 // appendConfigKey assembles the canonical binary configuration-set key into
-// b: enumeration mode and (when sparse) every sparsification parameter as
-// the enumerator applies it (a support cap below 0 as 0, and the retention
-// floor as sopts.Keep(), so KeepJobs 0 and 1 share a key) — a mixed-mode
-// caller, e.g. the ptas-sparse driver re-verifying its converged target with
-// a faithful table at the same profile, must never be handed the other
-// mode's configuration set — followed by the limit and the gcd-reduced
-// capacity and sizes. The layout (strides, class order and phase plan)
-// derives from counts and the enumerated set, so it carries no extra
-// information. Every component is length-prefixed or fixed-order varint, so
-// the encoding is unambiguous.
+// b: enumeration mode and (when sparse) the support cap as the enumerator
+// applies it (below 0 as 0) — a mixed-mode caller, e.g. the ptas-sparse
+// driver re-verifying its converged target with a faithful table at the
+// same profile, must never be handed the other mode's configuration set —
+// followed by the limit and the gcd-reduced capacity and sizes. The layout
+// (strides, class order and phase plan) derives from counts and the
+// enumerated set, so it carries no extra information. Every component is
+// length-prefixed or fixed-order varint, so the encoding is unambiguous.
 func appendConfigKey(b []byte, sizes []pcmax.Time, g pcmax.Time, counts []int, cT pcmax.Time, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) []byte {
 	b = append(b, byte(mode))
 	if mode == EnumSparse {
-		b = binary.AppendUvarint(b, uint64(max64(int64(sopts.MaxSupport), 0)))
-		b = binary.AppendUvarint(b, uint64(sopts.Keep()))
+		b = binary.AppendUvarint(b, uint64(max(sopts.MaxSupport, 0)))
 	}
-	b = binary.AppendUvarint(b, uint64(max64(int64(maxConfigs), 0)))
+	b = binary.AppendUvarint(b, uint64(max(maxConfigs, 0)))
 	b = binary.AppendUvarint(b, uint64(cT))
 	b = binary.AppendUvarint(b, uint64(len(sizes)))
 	for i := range sizes {
 		b = binary.AppendUvarint(b, uint64(sizes[i]/g))
 		b = binary.AppendUvarint(b, uint64(counts[i]))
-	}
-	return b
-}
-
-// max64 returns the larger of a and b.
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
 	}
 	return b
 }
@@ -208,16 +197,16 @@ func (c *Cache) configSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma 
 // for a table of sigma entries, pins the rows of a faithful set, and gives
 // the set a slab-phase plan when its fill work, the sum of its pinned boxes
 // before the phase rule, reaches planMinWork. The rows' final pins need the
-// plan, so newScanSet marks them after it. A sparse set that keeps every
-// configuration of at most two jobs fills that pool, a prefix of the Jobs
-// order, in closed form (pairs.go): its rows, its fill work and its plan
-// are those of the configurations of three or more jobs.
+// plan, so newScanSet marks them after it. A sparse set fills its
+// singleton-and-pair pool, a prefix of the Jobs order, in closed form
+// (pairs.go): its rows, its fill work and its plan are those of the
+// configurations of three or more jobs.
 func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma int64, maxConfigs int, mode EnumMode, sopts conf.SparseOptions) (configsEntry, error) {
 	e := configsEntry{lay: newLayout(counts)}
 	pin := pins{sizes: sizes, T: T}
-	pairs := mode == EnumSparse && sopts.Keep() >= 2
+	sparse := mode == EnumSparse
 	var err error
-	if mode == EnumSparse {
+	if sparse {
 		e.configs, e.sstats, err = conf.EnumerateSparse(sizes, counts, T, e.lay.stride, maxConfigs, sopts)
 		pin = pins{}
 	} else {
@@ -228,7 +217,7 @@ func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma int64,
 	}
 	conf.SortByJobs(e.configs)
 	rows := e.configs
-	for pairs && len(rows) > 0 && rows[0].Jobs <= 2 {
+	for sparse && len(rows) > 0 && rows[0].Jobs <= 2 {
 		rows = rows[1:]
 	}
 	// The pinned boxes sum to at most sigma·|C|, so a smaller table skips
@@ -246,6 +235,6 @@ func buildConfigSet(sizes []pcmax.Time, counts []int, T pcmax.Time, sigma int64,
 			e.configs[ci].Offset = e.lay.offset(e.configs[ci].Counts)
 		}
 	}
-	e.set = newScanSet(rows, sizes, T, pairs, phase, &e.lay, pin)
+	e.set = newScanSet(rows, sizes, T, sparse, phase, &e.lay, pin)
 	return e, nil
 }

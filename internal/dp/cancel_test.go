@@ -228,9 +228,9 @@ func (c *dyingCtx) Err() error {
 // such a stride fails on the bound), and Algorithm 2's first descent alone
 // computes the 2^15+101 entries along class 0. Its two-phase slab plan makes
 // classes 1 and 3 the most significant (strides 262,952 and 65,738), so
-// Algorithm 3's level 2 has odd and even entries just past them: a scan
-// that reaches those has run more than pollStride iterations on a worker of
-// one or of two, whichever worker it is.
+// Algorithm 3's level 1 has entries just past them: a scan that reaches
+// those has run more than pollStride iterations on a worker of one, and the
+// one at 262,952 on a worker of two.
 func strideTable(t *testing.T) *Table {
 	t.Helper()
 	tbl, err := New([]pcmax.Time{1, 2, 3, 4}, []int{1<<15 + 100, 1, 1, 3}, 5, 0, 0)
@@ -262,16 +262,17 @@ func sparseStrideTable(t *testing.T) *Table {
 
 // TestFillPollStride pins every fill's cancellation poll stride against
 // pollStride: the context dies at the Done call after which the fill's work
-// starts, so all the work the canceled fill reports was done after the
-// cancel. The production fill and Algorithm 2 report it in the cancel error
-// (as entries the closed-form pass wrote plus relaxations, and as entries
-// computed, each entry at least one visit); on the sparse table the closed
-// form's pass alone is longer than the stride.
-// Algorithm 3's context dies as its level-2 round starts (each level's
-// ForWorkerCtx makes four Done calls); it scans round-robin, so a worker that
-// computed entry i of level 2 scanned at least i/P+1 indices of that round.
-// The production fill on a pool also polls when a worker claims a chunk, so
-// it may stop before its first relaxation.
+// starts, so all the work the canceled fill reports in the cancel error was
+// done after the cancel: entries the closed-form pass wrote plus
+// relaxations for the production fill, and entries computed for the paper's
+// fills, each entry at least one recursion visit of Algorithm 2 and one scan
+// iteration of Algorithm 3. On the sparse table the closed form's pass
+// alone is longer than the stride. Algorithm 3 computes few entries per
+// scan iteration, so its stride is also read from the table: it scans each
+// level round-robin from index 0, so a worker that computed entry i ran at
+// least i/P+1 scan iterations after the cancel. The production fill on a
+// pool also polls when a worker claims a chunk, so it may stop before its
+// first relaxation.
 func TestFillPollStride(t *testing.T) {
 	pool1 := par.NewPool(1)
 	defer pool1.Close()
@@ -283,9 +284,9 @@ func TestFillPollStride(t *testing.T) {
 		at      int32
 		workers int64
 		fill    func(tbl *Table, ctx context.Context) error
-		// scan marks Algorithm 3, measured by the entries it computed;
-		// mayIdle marks a fill that may stop before any work; sparse fills
-		// sparseStrideTable.
+		// scan marks Algorithm 3, whose scan iterations are also read from
+		// the table; mayIdle marks a fill that may stop before any work;
+		// sparse fills sparseStrideTable.
 		scan, mayIdle, sparse bool
 	}{
 		{"production-caller", 2, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, nil) }, false, false, false},
@@ -293,8 +294,8 @@ func TestFillPollStride(t *testing.T) {
 		{"production-sparse-caller", 2, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, nil) }, false, false, true},
 		{"production-sparse-pool-2", 2, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool2) }, false, false, true},
 		{"recursive", 1, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }, false, false, false},
-		{"parallel-scan-1", 7, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool1) }, true, false, false},
-		{"parallel-scan-2", 7, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool2) }, true, false, false},
+		{"parallel-scan-1", 1, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool1) }, true, false, false},
+		{"parallel-scan-2", 1, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool2) }, true, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			workers := tc.workers
@@ -307,30 +308,20 @@ func TestFillPollStride(t *testing.T) {
 			if !errors.As(err, &cerr) || !errors.Is(err, cancel.ErrCanceled) {
 				t.Fatalf("want the cancel error, got %v: all of the fill ran after its context died, over the %d-unit stride", err, pollStride)
 			}
-			var done int64
-			if tc.scan {
-				scans := make([]int64, workers)
-				v := make([]int32, len(tbl.Stride))
-				for i, o := range tbl.Opt {
-					if o != 0 && sumDigits(tbl.digits(int64(i), v)) == 2 {
-						w := int64(i) % workers
-						scans[w] = max(scans[w], int64(i)/workers+1)
-					}
-				}
-				for w, n := range scans {
-					if n > pollStride {
-						t.Errorf("worker %d scanned at least %d entries after the cancel, over the %d-iteration stride", w, n, pollStride)
-					}
-					done += n
-				}
-			} else {
-				done = cerr.EntriesFilled
-				if done > workers*pollStride {
-					t.Errorf("%d units of work after the cancel on %d workers, over the %d-unit stride per worker", done, workers, pollStride)
-				}
+			done := cerr.EntriesFilled
+			if done > workers*pollStride {
+				t.Errorf("%d units of work after the cancel on %d workers, over the %d-unit stride per worker", done, workers, pollStride)
 			}
 			if done == 0 && !tc.mayIdle {
 				t.Errorf("no work after the cancel: the context died before the fill started, so the test measured nothing")
+			}
+			if !tc.scan {
+				return
+			}
+			for i, o := range tbl.Opt {
+				if n := int64(i)/workers + 1; o != 0 && n > pollStride {
+					t.Fatalf("worker %d computed entry %d, so it scanned at least %d entries after the cancel, over the %d-iteration stride", int64(i)%workers, i, n, pollStride)
+				}
 			}
 		})
 	}

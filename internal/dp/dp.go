@@ -422,13 +422,12 @@ const fillHuge = int32(1) << 30
 // c comes before every row c + e_j and every row c - e_j + e_a its pins
 // allow; the set's rows, grouped by phase when the set has a slab-phase
 // plan, Jobs-ascending and lex-descending within equal Jobs, are in such an
-// order (ALGORITHM.md section 7). A sparse set that keeps every
-// configuration of at most two jobs starts the sweep from that pool's
-// closed form, written in one ascending pass (pairPass), and relaxes only
-// its configurations of three or more jobs; its rows pin nothing, so any
-// row order still leaves the shortest distances. So the table is
-// bit-identical to the entry-ordered fills, but no entry ever pays a fits
-// check or an index decode.
+// order (ALGORITHM.md section 7). A sparse set starts the sweep from the
+// closed form of its singleton-and-pair pool, written in one ascending pass
+// (pairPass), and relaxes only its configurations of three or more jobs;
+// its rows pin nothing, so any row order still leaves the shortest
+// distances. So the table is bit-identical to the entry-ordered fills, but
+// no entry ever pays a fits check or an index decode.
 //
 // A cancelable ctx is polled every fillCheckEvery relaxations, and every
 // fillCheckEvery entries of the closed-form pass. On cancellation the table
@@ -449,12 +448,12 @@ func (t *Table) fillCaller(ctx context.Context) (int64, error) {
 		return 0, f.canceled(ctx)
 	}
 	t.filled = true
-	return sw.relaxed, nil
+	return sw.work, nil
 }
 
 // start writes the config-outer sweep's start into the table on worker sw:
-// the closed form of the set's singleton-and-pair pool when it has one
-// (pairPass), resetOpt's otherwise. It returns false when the fill was
+// the closed form of a sparse set's singleton-and-pair pool (pairPass), and
+// resetOpt's on a faithful set. It returns false when the fill was
 // stopped.
 func (f *slabFill) start(sw *slabWorker) bool {
 	if f.t.set.pairs != nil {
@@ -464,8 +463,8 @@ func (f *slabFill) start(sw *slabWorker) bool {
 	return true
 }
 
-// resetOpt sets every entry to the config-outer sweep's start on a set
-// without a closed-form pool: OPT(0) = 0 and fillHuge elsewhere.
+// resetOpt sets every entry to the config-outer sweep's start on a
+// faithful set: OPT(0) = 0 and fillHuge elsewhere.
 func (t *Table) resetOpt() {
 	opt := t.Opt
 	for i := range opt {
@@ -474,9 +473,10 @@ func (t *Table) resetOpt() {
 	opt[0] = 0
 }
 
-// slabFill is the state of one production fill, shared by its workers: the
-// table, the cancellation plumbing, each worker's scratch and the phase the
-// current pool round relaxes.
+// slabFill is the state of one fill, shared by its workers: the table, the
+// cancellation plumbing, each worker's scratch and, in the production fill,
+// the phase the current pool round relaxes. The paper's fills stop and count
+// their work through it too.
 type slabFill struct {
 	t    *Table
 	done <-chan struct{}
@@ -493,30 +493,33 @@ type slabFill struct {
 	slabs, chunks int
 }
 
-// slabWorker is one worker's part of a production fill: the odometer digits
-// and limits of relaxRows (2·d of them) and the relaxations it did, padded so
-// two workers' counters never share a cache line.
+// slabWorker is one worker's part of a fill: its odometer scratch (the
+// digits and limits of relaxRows, 2·d of them, or the digits of the paper's
+// fills), the work it did (relaxations in the production fill, entries
+// computed in the paper's fills) and the units of work since its last poll
+// in the paper's fills, padded so that any two workers' counters are at
+// least a cache line apart.
 type slabWorker struct {
-	odo     []int32
-	relaxed int64
-	_       [32]byte
+	odo   []int32
+	work  int64
+	since int64
+	_     [40]byte
 }
 
-// relaxed returns the relaxations the fill's workers did.
-func (f *slabFill) relaxed() int64 {
+// work returns the work the fill's workers did.
+func (f *slabFill) work() int64 {
 	var n int64
 	for i := range f.workers {
-		n += f.workers[i].relaxed
+		n += f.workers[i].work
 	}
 	return n
 }
 
 // canceled returns the structured cancel error of an aborted fill, carrying
-// the entries its closed-form pass wrote and the relaxations its workers
-// did.
+// the entries its closed-form pass wrote and the work its workers did.
 func (f *slabFill) canceled(ctx context.Context) error {
 	err := cancel.From(ctx)
-	err.EntriesFilled = f.written + f.relaxed()
+	err.EntriesFilled = f.written + f.work()
 	return err
 }
 
@@ -533,6 +536,20 @@ func (f *slabFill) stopped() bool {
 	default:
 		return false
 	}
+}
+
+// tick is the paper's fills' cancellation poll, made by worker sw once per
+// unit of work of a cancelable fill: it reports whether the fill was
+// stopped, and looks at done on sw's every-th call since its last look.
+func (f *slabFill) tick(sw *slabWorker, every int64) bool {
+	if f.stop.Load() {
+		return true
+	}
+	if sw.since++; sw.since < every {
+		return false
+	}
+	sw.since = 0
+	return f.stopped()
 }
 
 // relaxRows is the config-outer sweep over rows [r0, r1) of the table's
@@ -618,7 +635,7 @@ func (f *slabFill) relaxRows(sw *slabWorker, r0, r1, p int, x0, x1 int64) bool {
 						relaxed += n
 						if budget -= n; budget <= 0 {
 							if f.stopped() {
-								sw.relaxed += relaxed
+								sw.work += relaxed
 								return false
 							}
 							budget = fillCheckEvery
@@ -641,7 +658,7 @@ func (f *slabFill) relaxRows(sw *slabWorker, r0, r1, p int, x0, x1 int64) bool {
 			}
 		}
 	}
-	sw.relaxed += relaxed
+	sw.work += relaxed
 	return true
 }
 
@@ -686,9 +703,10 @@ func relaxRuns(opt []int32, lo, off, runLen, gap, runs int64) {
 // OptValue and Reconstruct never observe. Each computed entry re-enumerates
 // its own configurations, as computeEntry does; an EnumSparse table is
 // rejected with ErrSparseTable and left untouched. The memoized recursion
-// polls ctx every fillCheckEvery entries, and on cancellation unwinds
+// polls ctx every fillCheckEvery visits, and on cancellation unwinds
 // immediately, leaves the table unfilled (memoized values are partial
-// garbage) and returns the structured cancel error.
+// garbage) and returns the structured cancel error, carrying the entries it
+// computed.
 func (t *Table) FillRecursiveCtx(ctx context.Context) error {
 	if t.Mode == EnumSparse {
 		return ErrSparseTable
@@ -698,64 +716,37 @@ func (t *Table) FillRecursiveCtx(ctx context.Context) error {
 		t.Opt[i] = unset
 	}
 	t.Opt[0] = 0
-	r := recFill{
-		t:      t,
-		done:   ctxDone(ctx),
-		budget: fillCheckEvery,
-		digits: make([]int32, (t.NPrime+1)*len(t.Stride)),
-	}
-	r.solve(t.Sigma-1, 0)
-	if r.stopped {
-		err := cancel.From(ctx)
-		err.EntriesFilled = r.entries
-		return err
+	stack := make([]int32, (t.NPrime+1)*len(t.Stride))
+	f := slabFill{t: t, done: ctxDone(ctx), workers: []slabWorker{{odo: stack}}}
+	f.solve(t.Sigma-1, 0)
+	if f.stop.Load() {
+		return f.canceled(ctx)
 	}
 	t.filled = true
 	return nil
 }
 
-// recFill is the state of one FillRecursiveCtx call. solve polls done every
-// fillCheckEvery visits (budget is the countdown) and records the abort in
-// stopped, so the recursion unwinds without touching every frame; entries
-// counts the computed entries for the partial-progress stats. Each computed
-// entry takes one configuration from N, so the recursion is at most NPrime
-// deep, and digits holds one digit vector per depth: the entry computed at
-// depth k decodes into digits[k*d : (k+1)*d], which its deeper calls leave
-// alone. A fill allocates the stack once, whatever the number of entries.
-type recFill struct {
-	t       *Table
-	done    <-chan struct{}
-	budget  int64
-	entries int64
-	stopped bool
-	digits  []int32
-}
-
 // solve returns OPT of entry idx, computing it at recursion depth depth
-// when it is not memoized yet.
-func (r *recFill) solve(idx int64, depth int) int32 {
-	if r.stopped {
+// when it is not memoized yet. It runs Algorithm 2 on the fill's one worker:
+// its work counts the computed entries, and its odometer scratch holds one
+// digit vector per depth. Each computed entry takes one configuration from
+// N, so the recursion is at most NPrime deep, and the entry computed at
+// depth k decodes into odo[k*d : (k+1)*d], which its deeper calls leave
+// alone. A stopped fill returns at once, so the recursion unwinds without
+// another poll.
+func (f *slabFill) solve(idx int64, depth int) int32 {
+	sw := &f.workers[0]
+	if f.done != nil && f.tick(sw, fillCheckEvery) {
 		return 0
 	}
-	if r.done != nil {
-		if r.budget--; r.budget <= 0 {
-			select {
-			case <-r.done:
-				r.stopped = true
-				return 0
-			default:
-			}
-			r.budget = fillCheckEvery
-		}
-	}
-	t := r.t
+	t := f.t
 	if t.Opt[idx] != unset {
 		return t.Opt[idx]
 	}
-	r.entries++
+	sw.work++
 	d := len(t.Stride)
-	v := t.digits(idx, r.digits[depth*d:(depth+1)*d])
-	best := r.search(idx, v, depth, 0, 0, 0, 0, math.MaxInt32)
+	v := t.digits(idx, sw.odo[depth*d:(depth+1)*d])
+	best := f.search(idx, v, depth, 0, 0, 0, 0, math.MaxInt32)
 	t.Opt[idx] = best + 1
 	return t.Opt[idx]
 }
@@ -764,11 +755,11 @@ func (r *recFill) solve(idx int64, depth int) int32 {
 // <= T by depth-first search over the classes from dim on, the classes
 // before dim having put weight, offset off and jobs jobs into s, and
 // returns the least of best and OPT(idx - off(s)) over the non-zero ones.
-func (r *recFill) search(idx int64, v []int32, depth, dim int, weight pcmax.Time, off int64, jobs int32, best int32) int32 {
-	t := r.t
+func (f *slabFill) search(idx int64, v []int32, depth, dim int, weight pcmax.Time, off int64, jobs int32, best int32) int32 {
+	t := f.t
 	if dim == len(v) {
 		if jobs > 0 {
-			best = min(best, r.solve(idx-off, depth+1))
+			best = min(best, f.solve(idx-off, depth+1))
 		}
 		return best
 	}
@@ -777,30 +768,29 @@ func (r *recFill) search(idx int64, v []int32, depth, dim int, weight pcmax.Time
 		if w > t.T {
 			break
 		}
-		best = r.search(idx, v, depth, dim+1, w, off+int64(s)*t.Stride[dim], jobs+s, best)
+		best = f.search(idx, v, depth, dim+1, w, off+int64(s)*t.Stride[dim], jobs+s, best)
 	}
 	return best
 }
 
-// fillLevels writes the digit sum of every entry into levels, using the
-// given parallel-for over workers workers. It splits the table into
-// contiguous chunks, pays one division decode per chunk and advances an
-// odometer inside it.
-func (t *Table) fillLevels(pfor func(n int, body func(i int)), workers int, levels []int32) {
-	chunkLen := t.Sigma / int64(8*workers)
-	if chunkLen < 1024 {
-		chunkLen = 1024
-	}
+// scanCheckEvery is the poll stride of Algorithm 3's level scan, in scan
+// iterations of one worker. Most iterations skip an entry of another level
+// for a load and a compare, so the stride is far below fillCheckEvery.
+const scanCheckEvery = 256
+
+// fillLevels writes the digit sum of every entry into levels, on the pool.
+// It splits the table into contiguous chunks; a worker decodes a chunk's
+// first index into its slot's odometer scratch and advances the odometer
+// through the rest of the chunk.
+func (f *slabFill) fillLevels(pool *par.Pool, levels []int32) {
+	t := f.t
+	chunkLen := max(t.Sigma/int64(8*len(f.workers)), 1024)
 	nChunks := int((t.Sigma + chunkLen - 1) / chunkLen)
 	d := len(t.Stride)
-	pfor(nChunks, func(c int) {
+	pool.ForWorker(nChunks, par.RoundRobin, 0, func(w, c int) {
 		lo := int64(c) * chunkLen
-		hi := lo + chunkLen
-		if hi > t.Sigma {
-			hi = t.Sigma
-		}
-		v := make([]int32, d)
-		t.digits(lo, v)
+		hi := min(lo+chunkLen, t.Sigma)
+		v := t.digits(lo, f.workers[w].odo[:d])
 		lvl := sumDigits(v)
 		for idx := lo; idx < hi; idx++ {
 			levels[idx] = lvl
@@ -816,46 +806,44 @@ func (t *Table) fillLevels(pfor func(n int, body func(i int)), workers int, leve
 // compute the entries whose d_i is l, re-enumerating each entry's
 // configurations (Line 17). An EnumSparse table is rejected with
 // ErrSparseTable and left untouched. The pool may be reused across calls
-// and bisection iterations. ctx is checked, through the pool's
-// ForWorkerCtx, between levels and within each level's scan, so an abort
-// lands within one level's residual work. Workers stop claiming entries, the
-// level barrier still completes (no leaked goroutines, the pool stays
-// reusable) and the structured cancel error is returned with the table left
-// unfilled.
+// and bisection iterations. In every level's round each worker polls ctx
+// every scanCheckEvery scan iterations, and the first to see it done stops
+// the others through a shared flag, so an abort lands within the round of
+// the level it hits. The round still joins (no leaked goroutines, the pool
+// stays reusable), the table is left unfilled and the structured cancel
+// error is returned, carrying the entries computed.
 func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
 	if t.Mode == EnumSparse {
 		return ErrSparseTable
 	}
 	t.filled = false
-	if t.Sigma == 1 {
-		if err := cancel.Check(ctx); err != nil {
-			return err
-		}
-		t.Opt[0] = 0
-		t.filled = true
-		return nil
-	}
+	f := &slabFill{t: t, done: ctxDone(ctx), workers: newSlabWorkers(len(t.Stride), pool.Workers())}
 	// Lines 4-8: the digit sums d_i of every entry, in parallel.
 	levels := make([]int32, t.Sigma)
-	pfor := func(n int, body func(i int)) { pool.For(n, par.RoundRobin, body) }
-	t.fillLevels(pfor, pool.Workers(), levels)
-	decs := newDecoders(t, pool.Workers())
+	f.fillLevels(pool, levels)
+	decs := newDecoders(t, len(f.workers))
 	t.Opt[0] = 0
 	// One body serves every level's round, so a round allocates nothing.
 	var l int32
 	scan := func(w, i int) {
+		sw := &f.workers[w]
+		if f.done != nil && f.tick(sw, scanCheckEvery) {
+			return
+		}
 		if levels[i] != l {
 			return
 		}
 		idx := int64(i)
 		t.computeEntry(idx, decs[w].at(idx))
+		sw.work++
 	}
 	for l = 1; l <= int32(t.NPrime); l++ {
 		for w := range decs {
 			decs[w].reset()
 		}
-		if err := pool.ForWorkerCtx(ctx, int(t.Sigma), par.RoundRobin, 0, scan); err != nil {
-			return err
+		pool.ForWorker(int(t.Sigma), par.RoundRobin, 0, scan)
+		if f.stop.Load() {
+			return f.canceled(ctx)
 		}
 	}
 	t.filled = true

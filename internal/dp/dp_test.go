@@ -185,14 +185,14 @@ func TestEmptyTable(t *testing.T) {
 		t.Fatalf("parallel empty table OPT = %d, %v", opt, err)
 	}
 
-	// A sparse set that keeps every pair starts from the closed form, which
-	// has no position to run along.
-	tbl3, err := NewSparse(nil, nil, 10, 0, 0, nil, conf.SparseOptions{KeepJobs: 2})
+	// A sparse set starts from the closed form, which has no position to run
+	// along.
+	tbl3, err := NewSparse(nil, nil, 10, 0, 0, nil, conf.SparseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl3.set.pairs == nil {
-		t.Fatal("the empty pair-keeping table has no closed form")
+		t.Fatal("the empty sparse table has no closed form")
 	}
 	for _, p := range []*par.Pool{nil, pool} {
 		if err := tbl3.FillAutoCtx(context.Background(), p); err != nil {

@@ -22,9 +22,9 @@ package dp
 // Jobs in reverse enumeration order (lex-descending), which keeps both: an
 // added job never empties a class, a pinned swap never empties an earlier
 // phase class, and c - e_j + e_a has c's Jobs and is lex-smaller. A sparse
-// set pins nothing; one that keeps every configuration of at most two jobs
-// leaves them out of its rows and its plan, and the fill writes their share
-// of the table in closed form (pairs.go).
+// set pins nothing and leaves its configurations of at most two jobs out of
+// its rows and its plan: the fill writes their share of the table in closed
+// form (pairs.go).
 
 import (
 	"repro/internal/conf"
@@ -268,11 +268,11 @@ func (lay *layout) offset(counts []int32) int64 {
 // Row i of counts spans [i*d, (i+1)*d); its columns are in position order,
 // and a position the row pins (see pins) holds ^c_j, a negative value, so
 // the pins cost no memory of their own. offsets holds each row's table
-// displacement. The rows are every configuration of the set, except on a
-// set with a closed-form singleton-and-pair pool (pairs, pairs.go): its
-// rows are the configurations of three or more jobs. A scanSet is immutable
-// once built and shared between the tables of its cache entry and their
-// workers.
+// displacement. The rows are every configuration of a faithful set; a
+// sparse set's rows are its configurations of three or more jobs, and pairs
+// holds the closed form of its singleton-and-pair pool (pairs.go). A
+// scanSet is immutable once built and shared between the tables of its
+// cache entry and their workers.
 type scanSet struct {
 	d, n    int
 	counts  []int32

@@ -2,9 +2,8 @@ package dp
 
 // The closed form of the singleton-and-pair pool (ALGORITHM.md section 7).
 //
-// A sparse set that keeps every configuration of at most two jobs (its
-// retention floor conf.SparseOptions.Keep() is at least 2) holds, among its
-// moves, every feasible singleton and pair. Over those moves alone the
+// A sparse set holds, among its moves, every feasible singleton and pair:
+// conf.EnumerateSparse prunes no configuration of at most two jobs. Over those moves alone the
 // recurrence is cardinality-two bin packing, OPT2(v), and a greedy solves
 // that exactly: some optimal packing puts v's largest job L on a machine of
 // its own when it fits beside no other job, and beside v's smallest job S
@@ -27,11 +26,12 @@ import (
 	"repro/pcmax"
 )
 
-// pairPool is the closed form of a set's singleton-and-pair pool, whose
-// rows the set's scan view leaves out; it is nil on a set whose rows include
-// every configuration. The classes that hold a job (count above 0) take one
-// bit each of a vector's class mask, by rank in ascending size order; there
-// are at most 62 of them, since each at least doubles sigma. Its 4·d words
+// pairPool is the closed form of a sparse set's singleton-and-pair pool,
+// whose rows the set's scan view leaves out; it is nil on a faithful set,
+// whose rows include every configuration. The classes that hold a job
+// (count above 0) take one bit each of a vector's class mask, by rank in
+// ascending size order; there are at most 62 of them, since each at least
+// doubles sigma. Its 4·d words
 // hold, in parts' order, the mask bit of the class at each position (0 for
 // a class of count 0), then by rank the class's stride, its position, and
 // fit, the largest rank whose size fits beside its size within T (-1 when

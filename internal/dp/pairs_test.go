@@ -47,20 +47,18 @@ func sparseCounts(d int, set map[int]int) []int {
 	return counts
 }
 
-// sparseOptions maps b to a support cap of 1-4 and a retention floor of
-// 1-3: b%4 picks the cap and b/4%3 the floor.
+// sparseOptions maps b to a support cap of 1-4, b%4 + 1.
 func sparseOptions(b byte) conf.SparseOptions {
-	return conf.SparseOptions{MaxSupport: 1 + int(b%4), KeepJobs: 1 + int32(b/4%3)}
+	return conf.SparseOptions{MaxSupport: 1 + int(b%4)}
 }
 
 // TestDifferentialSparseFill checks the production fill of sparse tables
 // against fillOracle: sparseInputs, runShapeInputs and packedBoundaryInputs
-// under every support cap (1-4) and retention floor (1-3), and a random
-// population of up to seven classes of up to five jobs with a cap and a
-// floor drawn per instance. Each table is built unplanned and with a forced
-// plan and filled on the caller and on a 2-worker pool; its Opt array must
-// be the oracle's and its relaxations the swept boxes, so a table that keeps
-// every pair relaxes only its configurations of three or more jobs.
+// under every support cap (1-4), and a random population of up to seven
+// classes of up to five jobs with a cap drawn per instance. Each table is
+// built unplanned and with a forced plan and filled on the caller and on a
+// 2-worker pool; its Opt array must be the oracle's and its relaxations the
+// swept boxes, so it relaxes only its configurations of three or more jobs.
 func TestDifferentialSparseFill(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
@@ -74,7 +72,7 @@ func TestDifferentialSparseFill(t *testing.T) {
 	var cases []sparseCase
 	fixed := append(append(append([]diffInput(nil), sparseInputs...), runShapeInputs...), packedBoundaryInputs...)
 	for _, in := range fixed {
-		for b := byte(0); b < 12; b++ {
+		for b := byte(0); b < 4; b++ {
 			cases = append(cases, sparseCase{in, sparseOptions(b)})
 		}
 	}
@@ -82,10 +80,10 @@ func TestDifferentialSparseFill(t *testing.T) {
 		src := rng.New(seed)
 		sizes, counts, T := randomInstance(src, 7, 5)
 		in := diffInput{fmt.Sprintf("seed %d", seed), sizes, counts, T}
-		cases = append(cases, sparseCase{in, sparseOptions(byte(src.Intn(12)))})
+		cases = append(cases, sparseCase{in, sparseOptions(byte(src.Intn(4)))})
 	}
 
-	var closed, plannedClosed, chained int
+	var filled, planned, chained int
 	for _, c := range cases {
 		for _, force := range []bool{false, true} {
 			planMinWork, phaseMinSave = math.MaxInt64, minSave
@@ -101,7 +99,7 @@ func TestDifferentialSparseFill(t *testing.T) {
 				continue // too slow for the oracle
 			}
 			oracle := fillOracle(tbl)
-			swept, _ := boxSums(tbl, c.sopts.KeepJobs)
+			swept, _ := boxSums(tbl)
 			for _, p := range []*par.Pool{nil, pool} {
 				if err := tbl.FillAutoCtx(context.Background(), p); err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -111,22 +109,20 @@ func TestDifferentialSparseFill(t *testing.T) {
 					t.Fatalf("%s, pool %v: %d relaxations, want the swept boxes' %d", label, p != nil, got, swept)
 				}
 			}
-			if c.sopts.KeepJobs >= 2 {
-				closed++
-				if tbl.SlabPhases() > 0 {
-					plannedClosed++
-				}
-				for i, s := range tbl.Sizes {
-					if tbl.Counts[i] >= 2 && 2*s <= tbl.T {
-						chained++
-						break
-					}
+			filled++
+			if tbl.SlabPhases() > 0 {
+				planned++
+			}
+			for i, s := range tbl.Sizes {
+				if tbl.Counts[i] >= 2 && 2*s <= tbl.T {
+					chained++
+					break
 				}
 			}
 		}
 	}
-	t.Logf("%d tables, %d keep every pair (%d planned, %d with a class that pairs with itself)", 2*len(cases), closed, plannedClosed, chained)
-	if plannedClosed == 0 || closed == plannedClosed || chained == 0 {
-		t.Fatal("the population misses planned or unplanned pair-keeping tables, or same-class pairs")
+	t.Logf("%d tables, %d planned, %d with a class that pairs with itself", filled, planned, chained)
+	if planned == 0 || planned == filled || chained == 0 {
+		t.Fatal("the population misses planned or unplanned tables, or same-class pairs")
 	}
 }

@@ -18,7 +18,7 @@ func TestCacheKeysSeparateEnumModes(t *testing.T) {
 	cache := NewCache()
 	sizes := []pcmax.Time{6, 11}
 	counts := []int{2, 3}
-	sopts := conf.SparseOptions{MaxSupport: 1, KeepJobs: 1}
+	sopts := conf.SparseOptions{MaxSupport: 1}
 
 	faithful, err := NewCached(sizes, counts, 30, 0, 0, cache)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestCacheKeysSeparateEnumModes(t *testing.T) {
 		t.Fatalf("stats = %+v, want the same-parameter sparse rebuild to hit", st)
 	}
 	if _, err := NewSparse(sizes, counts, 30, 0, 0, cache,
-		conf.SparseOptions{MaxSupport: 2, KeepJobs: 1}); err != nil {
+		conf.SparseOptions{MaxSupport: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.ConfigMisses != 3 {
@@ -61,31 +61,32 @@ func TestCacheKeysSeparateEnumModes(t *testing.T) {
 	}
 }
 
-// TestCacheKeysClampKeepJobs checks that the cache keys a sparse set by the
-// retention floor the enumerator applies: KeepJobs 1, 0 and -3 all keep the
-// singletons alone, so they share one entry, and 2 gets its own.
-func TestCacheKeysClampKeepJobs(t *testing.T) {
+// TestCacheKeysClampMaxSupport checks that the cache keys a sparse set by
+// the support cap the enumerator applies: caps 0 and -3 both disable it, so
+// they share one entry, and 1 gets its own. Every sparse set carries the
+// closed form of its singleton-and-pair pool.
+func TestCacheKeysClampMaxSupport(t *testing.T) {
 	cache := NewCache()
 	var sets []*scanSet
-	for _, keep := range []int32{1, 0, -3, 2} {
-		tbl, err := NewSparse([]pcmax.Time{6, 11}, []int{2, 3}, 30, 0, 0, cache, conf.SparseOptions{MaxSupport: 1, KeepJobs: keep})
+	for _, sup := range []int{0, -3, 1} {
+		tbl, err := NewSparse([]pcmax.Time{6, 11}, []int{2, 3}, 30, 0, 0, cache, conf.SparseOptions{MaxSupport: sup})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if tbl.set.pairs == nil {
+			t.Fatalf("support cap %d: the sparse set has no closed form", sup)
+		}
 		sets = append(sets, tbl.set)
 	}
-	if st := cache.Stats(); st.ConfigHits != 2 || st.ConfigMisses != 2 {
-		t.Fatalf("stats = %+v, want 2 hits and 2 misses: KeepJobs 0 and -3 must hit KeepJobs 1's entry", st)
+	if st := cache.Stats(); st.ConfigHits != 1 || st.ConfigMisses != 2 {
+		t.Fatalf("stats = %+v, want 1 hit and 2 misses: support cap -3 must hit cap 0's entry", st)
 	}
-	if sets[1] != sets[0] || sets[2] != sets[0] || sets[3] == sets[0] {
-		t.Fatal("KeepJobs 0 and -3 got another set than KeepJobs 1, or 2 the same one")
-	}
-	if sets[0].pairs != nil || sets[3].pairs == nil {
-		t.Fatal("want the closed form on the KeepJobs 2 set alone")
+	if sets[1] != sets[0] || sets[2] == sets[0] {
+		t.Fatal("support cap -3 got another set than cap 0, or cap 1 the same one")
 	}
 }
 
-// TestSparseTableStaysFeasible checks the retention floor end to end: a
+// TestSparseTableStaysFeasible checks the retained pool end to end: a
 // sparse table's DP stays total (every reachable entry keeps a candidate) and
 // its reconstruction is a valid packing, even under an aggressive support
 // cap.
@@ -102,7 +103,7 @@ func TestSparseTableStaysFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tbl, err := NewSparse(sizes, counts, 25, 0, 0, nil, conf.SparseOptions{MaxSupport: 1, KeepJobs: 1})
+	tbl, err := NewSparse(sizes, counts, 25, 0, 0, nil, conf.SparseOptions{MaxSupport: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestPaperFillsRejectSparseTables(t *testing.T) {
 		{"parallel", func(tbl *Table) error { return tbl.FillParallelCtx(context.Background(), pool) }},
 	}
 	for _, f := range fills {
-		tbl, err := NewSparse([]pcmax.Time{5, 7, 9}, []int{3, 2, 4}, 25, 0, 0, nil, conf.SparseOptions{MaxSupport: 1, KeepJobs: 1})
+		tbl, err := NewSparse([]pcmax.Time{5, 7, 9}, []int{3, 2, 4}, 25, 0, 0, nil, conf.SparseOptions{MaxSupport: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

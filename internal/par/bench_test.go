@@ -15,7 +15,7 @@ func BenchmarkPoolRound(b *testing.B) {
 			defer p.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.For(workers, RoundRobin, func(int) {})
+				p.ForWorker(workers, RoundRobin, 0, func(int, int) {})
 			}
 		})
 	}
@@ -32,7 +32,7 @@ func BenchmarkForStrategies(b *testing.B) {
 			defer p.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.For(n, strategy, func(j int) {
+				p.ForWorker(n, strategy, 0, func(_, j int) {
 					if j == n-1 {
 						sink.Add(1)
 					}

@@ -16,13 +16,10 @@
 package par
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cancel"
 )
 
 // Strategy selects how iterations are divided among workers.
@@ -71,7 +68,7 @@ type round struct {
 // Pool is a set of persistent worker goroutines. The zero value is unusable;
 // construct with NewPool and release with Close.
 //
-// Concurrency contract: at most one For/ForWorker call may be in flight at a
+// Concurrency contract: at most one ForWorker call may be in flight at a
 // time — rounds are strictly sequential (the PTAS driver's levels are
 // barrier-separated). Close is safe to call concurrently with an in-flight
 // round and with other Close calls: it is idempotent, and the mutex around
@@ -121,7 +118,7 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Close terminates the worker goroutines and returns once they have exited.
 // Close is idempotent and safe to call concurrently with itself and with an
-// in-flight For/ForWorker round: a round that already dispatched drains
+// in-flight ForWorker round: a round that already dispatched drains
 // normally (its workers exit after finishing it), a round that has not yet
 // dispatched panics with "For on closed Pool". It must not be called from
 // inside a round's body, whose worker would then wait for itself.
@@ -182,20 +179,14 @@ func (p *Pool) recordPanic(e any) {
 	p.panicked.CompareAndSwap(nil, &e)
 }
 
-// For runs body(i) for every i in [0, n) across the pool's workers and waits
-// for completion. If any body call panics, For re-panics in the caller after
-// all workers finished, so the pool stays usable.
-func (p *Pool) For(n int, strategy Strategy, body func(i int)) {
-	p.ForWorker(n, strategy, 0, func(_, i int) { body(i) })
-}
-
-// ForWorker is For with the executing worker's id passed to the body (for
-// per-worker scratch space) and an explicit Dynamic chunk size (grain <= 0
-// selects max(1, n/(8*workers)); RoundRobin ignores it). A round
-// with n < workers dispatches to only the first n workers (the idle tail is
-// never woken), and n == 1 runs inline on the caller. It panics when called
-// on a closed Pool, and re-panics a body panic in the caller once the
-// barrier completes.
+// ForWorker runs body(w, i) for every i in [0, n) across the pool's workers,
+// w being the executing worker's id (for per-worker scratch space), and
+// waits for completion. grain is the Dynamic chunk size (grain <= 0 selects
+// max(1, n/(8*workers)); RoundRobin ignores it). A round with n < workers
+// dispatches to only the first n workers (the idle tail is never woken),
+// and n == 1 runs inline on the caller. It panics when called on a closed
+// Pool. If any body call panics, ForWorker re-panics in the caller after all
+// workers finished, so the pool stays usable.
 func (p *Pool) ForWorker(n int, strategy Strategy, grain int, body func(worker, i int)) {
 	if n <= 1 {
 		p.mu.Lock()
@@ -239,55 +230,6 @@ func (p *Pool) ForWorker(n int, strategy Strategy, grain int, body func(worker, 
 	if e := p.panicked.Swap(nil); e != nil {
 		panic(*e)
 	}
-}
-
-// cancelCheckEvery is how many body iterations a worker runs between polls
-// of the context's done channel in ForWorkerCtx. A shared stop flag
-// makes one worker's observation stop every other worker on its next
-// iteration, so the worst-case overrun after cancellation is one iteration
-// per worker plus cancelCheckEvery iterations on the observing worker.
-const cancelCheckEvery = 256
-
-// pad keeps per-worker iteration counters on distinct cache lines.
-type pad struct {
-	n uint32
-	_ [60]byte
-}
-
-// ForWorkerCtx is ForWorker with cooperative cancellation: when ctx is
-// canceled, workers stop claiming iterations (remaining ones are skipped),
-// the round's barrier still completes — no goroutine leaks, the pool stays
-// usable — and the structured cancellation error is returned. A nil or
-// never-canceled ctx behaves exactly like ForWorker and returns nil.
-func (p *Pool) ForWorkerCtx(ctx context.Context, n int, strategy Strategy, grain int, body func(worker, i int)) error {
-	if ctx == nil || ctx.Done() == nil {
-		p.ForWorker(n, strategy, grain, body)
-		return nil
-	}
-	if err := cancel.Check(ctx); err != nil {
-		return err
-	}
-	done := ctx.Done()
-	var stop atomic.Bool
-	counters := make([]pad, p.workers)
-	p.ForWorker(n, strategy, grain, func(w, i int) {
-		if stop.Load() {
-			return
-		}
-		if counters[w].n++; counters[w].n%cancelCheckEvery == 0 {
-			select {
-			case <-done:
-				stop.Store(true)
-				return
-			default:
-			}
-		}
-		body(w, i)
-	})
-	if stop.Load() {
-		return cancel.From(ctx)
-	}
-	return cancel.Check(ctx)
 }
 
 // BarrierPool is a deprecated alias of Pool, kept for callers that still

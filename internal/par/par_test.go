@@ -1,20 +1,21 @@
 package par
 
 import (
-	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/cancel"
 )
 
 // strategies lists every scheduling strategy, for the tests that run under
 // each.
 var strategies = []Strategy{RoundRobin, Dynamic}
+
+// forIndex runs body(i) for every i in [0, n) as one round of p.
+func forIndex(p *Pool, n int, strategy Strategy, body func(i int)) {
+	p.ForWorker(n, strategy, 0, func(_, i int) { body(i) })
+}
 
 func coverageCheck(t *testing.T, n int, run func(mark func(i int))) {
 	t.Helper()
@@ -33,7 +34,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 			p := NewPool(workers)
 			for _, n := range []int{0, 1, 2, 5, 100, 1023} {
 				coverageCheck(t, n, func(mark func(int)) {
-					p.For(n, strategy, mark)
+					forIndex(p, n, strategy, mark)
 				})
 			}
 			p.Close()
@@ -41,23 +42,13 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// The contract tests below take the pool constructor, so each runs twice:
-// once through NewPool and once, as a TestBarrier* test, through the
-// deprecated NewBarrierPool alias, which callers outside this module still
-// use and which must keep every guarantee the deleted barrier pool gave.
-
-func TestPoolForCoversEveryIndexOnce(t *testing.T) { testForCoversEveryIndexOnce(t, NewPool) }
-func TestBarrierForCoversEveryIndexOnce(t *testing.T) {
-	testForCoversEveryIndexOnce(t, NewBarrierPool)
-}
-
-func testForCoversEveryIndexOnce(t *testing.T, newPool func(int) *Pool) {
+func TestPoolForCoversEveryIndexOnce(t *testing.T) {
 	for _, strategy := range strategies {
 		for _, workers := range []int{1, 2, 5, 16} {
-			p := newPool(workers)
+			p := NewPool(workers)
 			for _, n := range []int{0, 1, 7, 256} {
 				coverageCheck(t, n, func(mark func(int)) {
-					p.For(n, strategy, mark)
+					forIndex(p, n, strategy, mark)
 				})
 			}
 			p.Close()
@@ -65,30 +56,40 @@ func testForCoversEveryIndexOnce(t *testing.T, newPool func(int) *Pool) {
 	}
 }
 
-func TestPoolReusedAcrossManyRounds(t *testing.T) { testReusedAcrossManyRounds(t, NewPool) }
-func TestBarrierPoolReusedAcrossManyRounds(t *testing.T) {
-	testReusedAcrossManyRounds(t, NewBarrierPool)
+// TestBarrierForCoversEveryIndexOnce checks the deprecated NewBarrierPool,
+// which callers outside this module still use: NewBarrierPool(n) is a
+// working pool of n workers.
+func TestBarrierForCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 5} {
+		p := NewBarrierPool(workers)
+		if p.Workers() != workers {
+			t.Fatalf("NewBarrierPool(%d) has %d workers", workers, p.Workers())
+		}
+		for _, strategy := range strategies {
+			coverageCheck(t, 256, func(mark func(int)) {
+				forIndex(p, 256, strategy, mark)
+			})
+		}
+		p.Close()
+	}
 }
 
-func testReusedAcrossManyRounds(t *testing.T, newPool func(int) *Pool) {
-	p := newPool(4)
+func TestPoolReusedAcrossManyRounds(t *testing.T) {
+	p := NewPool(4)
 	defer p.Close()
 	var total atomic.Int64
 	const rounds, n = 500, 37
 	for r := 0; r < rounds; r++ {
-		p.For(n, RoundRobin, func(i int) { total.Add(1) })
+		forIndex(p, n, RoundRobin, func(i int) { total.Add(1) })
 	}
 	if got := total.Load(); got != rounds*n {
 		t.Fatalf("executed %d bodies, want %d", got, rounds*n)
 	}
 }
 
-func TestForWorkerIDsInRange(t *testing.T)        { testForWorkerIDsInRange(t, NewPool) }
-func TestBarrierForWorkerIDsInRange(t *testing.T) { testForWorkerIDsInRange(t, NewBarrierPool) }
-
-func testForWorkerIDsInRange(t *testing.T, newPool func(int) *Pool) {
+func TestForWorkerIDsInRange(t *testing.T) {
 	for _, strategy := range strategies {
-		p := newPool(5)
+		p := NewPool(5)
 		var bad atomic.Int64
 		p.ForWorker(1000, strategy, 0, func(w, i int) {
 			if w < 0 || w >= 5 {
@@ -103,17 +104,10 @@ func testForWorkerIDsInRange(t *testing.T, newPool func(int) *Pool) {
 }
 
 func TestPoolSmallRoundUsesOnlyNeededWorkers(t *testing.T) {
-	testSmallRoundUsesOnlyNeededWorkers(t, NewPool)
-}
-func TestBarrierSmallRoundUsesOnlyNeededWorkers(t *testing.T) {
-	testSmallRoundUsesOnlyNeededWorkers(t, NewBarrierPool)
-}
-
-func testSmallRoundUsesOnlyNeededWorkers(t *testing.T, newPool func(int) *Pool) {
 	// n < workers dispatches to just the first n workers: ids stay below n
 	// and coverage is exact (the idle tail never wakes).
 	for _, strategy := range strategies {
-		p := newPool(8)
+		p := NewPool(8)
 		for _, n := range []int{2, 3, 7} {
 			var bad atomic.Int64
 			coverageCheck(t, n, func(mark func(int)) {
@@ -133,16 +127,9 @@ func testSmallRoundUsesOnlyNeededWorkers(t *testing.T, newPool func(int) *Pool) 
 }
 
 func TestPoolSingleIterationRunsInlineOnCaller(t *testing.T) {
-	testSingleIterationRunsInlineOnCaller(t, NewPool)
-}
-func TestBarrierSingleIterationRunsInlineOnCaller(t *testing.T) {
-	testSingleIterationRunsInlineOnCaller(t, NewBarrierPool)
-}
-
-func testSingleIterationRunsInlineOnCaller(t *testing.T, newPool func(int) *Pool) {
 	// n == 1 must run on the calling goroutine: an unsynchronized local
 	// write would be a reported race otherwise (run with -race).
-	p := newPool(4)
+	p := NewPool(4)
 	defer p.Close()
 	ran := 0
 	p.ForWorker(1, Dynamic, 0, func(w, i int) {
@@ -190,14 +177,7 @@ func TestDynamicGrainRespected(t *testing.T) {
 }
 
 func TestBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
-	testBodyPanicPropagatesAndPoolSurvives(t, NewPool)
-}
-func TestBarrierBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
-	testBodyPanicPropagatesAndPoolSurvives(t, NewBarrierPool)
-}
-
-func testBodyPanicPropagatesAndPoolSurvives(t *testing.T, newPool func(int) *Pool) {
-	p := newPool(3)
+	p := NewPool(3)
 	defer p.Close()
 	func() {
 		defer func() {
@@ -205,7 +185,7 @@ func testBodyPanicPropagatesAndPoolSurvives(t *testing.T, newPool func(int) *Poo
 				t.Fatal("panic in body did not propagate")
 			}
 		}()
-		p.For(10, RoundRobin, func(i int) {
+		forIndex(p, 10, RoundRobin, func(i int) {
 			if i == 7 {
 				panic("boom")
 			}
@@ -213,7 +193,7 @@ func testBodyPanicPropagatesAndPoolSurvives(t *testing.T, newPool func(int) *Poo
 	}()
 	// The pool must still work.
 	coverageCheck(t, 20, func(mark func(int)) {
-		p.For(20, Dynamic, mark)
+		forIndex(p, 20, Dynamic, mark)
 	})
 }
 
@@ -235,15 +215,12 @@ func TestEveryWorkerPanicsInOneRound(t *testing.T) {
 		p.ForWorker(workers, RoundRobin, 0, func(w, _ int) { panic(w) })
 	}()
 	coverageCheck(t, 64, func(mark func(int)) {
-		p.For(64, Dynamic, mark)
+		forIndex(p, 64, Dynamic, mark)
 	})
 }
 
-func TestForOnClosedPoolPanics(t *testing.T)    { testForOnClosedPanics(t, NewPool) }
-func TestBarrierForOnClosedPanics(t *testing.T) { testForOnClosedPanics(t, NewBarrierPool) }
-
-func testForOnClosedPanics(t *testing.T, newPool func(int) *Pool) {
-	p := newPool(2)
+func TestForOnClosedPoolPanics(t *testing.T) {
+	p := NewPool(2)
 	p.Close()
 	for _, n := range []int{0, 1, 10} {
 		func() {
@@ -252,7 +229,7 @@ func testForOnClosedPanics(t *testing.T, newPool func(int) *Pool) {
 					t.Fatalf("For(%d) on closed pool: recover = %v", n, r)
 				}
 			}()
-			p.For(n, RoundRobin, func(int) {})
+			forIndex(p, n, RoundRobin, func(int) {})
 		}()
 	}
 }
@@ -263,18 +240,10 @@ func TestCloseIdempotent(t *testing.T) {
 	p.Close() // must not panic
 }
 
-func TestCloseConcurrentlyIdempotent(t *testing.T) { testCloseConcurrentlyIdempotent(t, NewPool) }
-func TestBarrierCloseIdempotentAndConcurrent(t *testing.T) {
-	p := NewBarrierPool(2)
-	p.Close()
-	p.Close() // must not panic
-	testCloseConcurrentlyIdempotent(t, NewBarrierPool)
-}
-
-func testCloseConcurrentlyIdempotent(t *testing.T, newPool func(int) *Pool) {
+func TestCloseConcurrentlyIdempotent(t *testing.T) {
 	// Many goroutines racing Close must close the feeds exactly once.
 	for rep := 0; rep < 50; rep++ {
-		p := newPool(3)
+		p := NewPool(3)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -293,20 +262,15 @@ func testCloseConcurrentlyIdempotent(t *testing.T, newPool func(int) *Pool) {
 // dispatched before Close won the mutex) or panics with the descriptive
 // "For on closed Pool" — never the runtime's "send on closed channel".
 func TestCloseDuringRoundsNeverSendsOnClosedChannel(t *testing.T) {
-	testCloseDuringRounds(t, NewPool)
-}
-func TestBarrierCloseDuringRoundsDrains(t *testing.T) { testCloseDuringRounds(t, NewBarrierPool) }
-
-func testCloseDuringRounds(t *testing.T, newPool func(int) *Pool) {
 	for rep := 0; rep < 100; rep++ {
-		p := newPool(2)
+		p := NewPool(2)
 		roundsDone := make(chan any, 1)
 		go func() {
 			var recovered any
 			func() {
 				defer func() { recovered = recover() }()
 				for i := 0; i < 1000; i++ {
-					p.For(8, RoundRobin, func(int) {})
+					forIndex(p, 8, RoundRobin, func(int) {})
 				}
 			}()
 			roundsDone <- recovered
@@ -354,18 +318,13 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-func TestNoDataRacesUnderSharedWrites(t *testing.T) { testSharedWritesPublished(t, NewPool) }
-func TestBarrierSharedWritesPublishedByBarrier(t *testing.T) {
-	testSharedWritesPublished(t, NewBarrierPool)
-}
-
-func testSharedWritesPublished(t *testing.T, newPool func(int) *Pool) {
+func TestNoDataRacesUnderSharedWrites(t *testing.T) {
 	// Run with -race: each index writes its own slot; the WaitGroup barrier
 	// must publish all writes to the caller.
-	p := newPool(8)
+	p := NewPool(8)
 	defer p.Close()
 	out := make([]int, 4096)
-	p.For(len(out), Dynamic, func(i int) { out[i] = i * i })
+	forIndex(p, len(out), Dynamic, func(i int) { out[i] = i * i })
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d after barrier", i, v)
@@ -379,7 +338,7 @@ func TestSequentialOneWorkerOrder(t *testing.T) {
 	defer p.Close()
 	var mu sync.Mutex
 	var order []int
-	p.For(10, RoundRobin, func(i int) {
+	forIndex(p, 10, RoundRobin, func(i int) {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()
@@ -407,27 +366,22 @@ func closeWithin(t *testing.T, p *Pool) {
 	}
 }
 
-func TestCloseStopsWorkerGoroutines(t *testing.T) { testCloseStopsWorkers(t, NewPool) }
-func TestBarrierCloseStopsResidentGoroutines(t *testing.T) {
-	testCloseStopsWorkers(t, NewBarrierPool)
-}
-
-// testCloseStopsWorkers checks that Close returns once its pool's workers
-// have exited, whether they were idle or just back from a round: right after
-// the last Close the goroutine count is back at its baseline, give or take
-// the closeWithin helpers still winding down.
-func testCloseStopsWorkers(t *testing.T, newPool func(int) *Pool) {
+// TestCloseStopsWorkerGoroutines checks that Close returns once its pool's
+// workers have exited, whether they were idle or just back from a round:
+// right after the last Close the goroutine count is back at its baseline,
+// give or take the closeWithin helpers still winding down.
+func TestCloseStopsWorkerGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pools := make([]*Pool, 8)
 	for i := range pools {
-		pools[i] = newPool(8)
+		pools[i] = NewPool(8)
 	}
 	if during := runtime.NumGoroutine(); during < before+32 {
 		t.Fatalf("expected worker goroutines to start: before=%d during=%d", before, during)
 	}
 	for i, p := range pools {
 		if i%2 == 0 {
-			p.For(1024, Dynamic, func(int) {})
+			forIndex(p, 1024, Dynamic, func(int) {})
 		}
 		closeWithin(t, p)
 	}
@@ -436,11 +390,11 @@ func testCloseStopsWorkers(t *testing.T, newPool func(int) *Pool) {
 	}
 }
 
-// TestBarrierCallerParkHandoffAcrossRounds checks that every dispatch
-// returns only after all bodies of its round ran, also when the workers
-// other than worker 0 finish long after it.
+// TestBarrierCallerParkHandoffAcrossRounds checks the round barrier: every
+// dispatch returns only after all bodies of its round ran, also when the
+// workers other than worker 0 finish long after it.
 func TestBarrierCallerParkHandoffAcrossRounds(t *testing.T) {
-	p := NewBarrierPool(4)
+	p := NewPool(4)
 	defer p.Close()
 	const rounds, n = 300, 8
 	var ran atomic.Int64
@@ -458,149 +412,9 @@ func TestBarrierCallerParkHandoffAcrossRounds(t *testing.T) {
 	}
 }
 
-// The ForCtx tests drive ForWorkerCtx, the pool's one cancelable round.
-
-func TestForCtxCoversEveryIndexWhenNotCanceled(t *testing.T) {
-	testForCtxCoversEveryIndex(t, NewPool)
-}
-func TestBarrierForCtxCoversEveryIndexWhenNotCanceled(t *testing.T) {
-	testForCtxCoversEveryIndex(t, NewBarrierPool)
-}
-
-func testForCtxCoversEveryIndex(t *testing.T, newPool func(int) *Pool) {
-	for _, strategy := range strategies {
-		p := newPool(4)
-		for _, n := range []int{0, 1, 7, 1024} {
-			coverageCheck(t, n, func(mark func(int)) {
-				if err := p.ForWorkerCtx(context.Background(), n, strategy, 0, func(_, i int) { mark(i) }); err != nil {
-					t.Fatalf("uncanceled ForWorkerCtx: %v", err)
-				}
-			})
-		}
-		p.Close()
-	}
-}
-
-func TestForCtxNilContextBehavesLikeFor(t *testing.T) { testForCtxNilContext(t, NewPool) }
-func TestBarrierForCtxNilContextBehavesLikeFor(t *testing.T) {
-	testForCtxNilContext(t, NewBarrierPool)
-}
-
-func testForCtxNilContext(t *testing.T, newPool func(int) *Pool) {
-	p := newPool(3)
-	defer p.Close()
-	coverageCheck(t, 100, func(mark func(int)) {
-		if err := p.ForWorkerCtx(nil, 100, RoundRobin, 0, func(_, i int) { mark(i) }); err != nil {
-			t.Fatalf("nil-ctx ForWorkerCtx: %v", err)
-		}
-	})
-}
-
-func TestForCtxStopsOnCancel(t *testing.T) { testForCtxStopsOnCancel(t, NewPool) }
-func TestBarrierForCtxStopsOnCancelMidRound(t *testing.T) {
-	testForCtxStopsOnCancel(t, NewBarrierPool)
-}
-
-// pollStrideBound is ForWorkerCtx's cancellation contract: once ctx is
-// canceled, each worker runs at most this many more iterations.
-const pollStrideBound = 1 << 16
-
-// testForCtxStopsOnCancel cancels a round in its first iteration and counts,
-// per worker, the iterations that start after the cancel. Each worker's
-// share of the round is four times pollStrideBound, so a worker that polled
-// less often than the contract allows would overrun it.
-func testForCtxStopsOnCancel(t *testing.T, newPool func(int) *Pool) {
-	const workers = 4
-	for _, strategy := range strategies {
-		p := newPool(workers)
-		ctx, cancelFn := context.WithCancel(context.Background())
-		var ran atomic.Int64
-		var canceled atomic.Bool
-		var after [workers]int64 // after[w] is written by worker w only
-		const n = workers * 4 * pollStrideBound
-		err := p.ForWorkerCtx(ctx, n, strategy, 0, func(w, i int) {
-			if canceled.Load() {
-				after[w]++
-			}
-			if ran.Add(1) == 1 {
-				cancelFn()
-				canceled.Store(true)
-			}
-		})
-		if !errors.Is(err, cancel.ErrCanceled) {
-			t.Fatalf("%v: want ErrCanceled, got %v", strategy, err)
-		}
-		if got := ran.Load(); got >= n {
-			t.Fatalf("%v: cancellation ignored, all %d iterations ran", strategy, got)
-		}
-		for w, a := range after {
-			if a > pollStrideBound {
-				t.Fatalf("%v: worker %d ran %d iterations after the cancel, over the %d-iteration poll stride", strategy, w, a, pollStrideBound)
-			}
-		}
-		// The pool must remain usable after a canceled round.
-		coverageCheck(t, 128, func(mark func(int)) {
-			p.For(128, strategy, mark)
-		})
-		p.Close()
-		cancelFn()
-	}
-}
-
-func TestForCtxAlreadyCanceledRunsNothing(t *testing.T) {
-	testForCtxAlreadyCanceled(t, NewPool)
-}
-func TestBarrierForCtxAlreadyCanceledRunsNothing(t *testing.T) {
-	testForCtxAlreadyCanceled(t, NewBarrierPool)
-}
-
-func testForCtxAlreadyCanceled(t *testing.T, newPool func(int) *Pool) {
-	p := newPool(4)
-	defer p.Close()
-	ctx, cancelFn := context.WithCancel(context.Background())
-	cancelFn()
-	var ran atomic.Int64
-	err := p.ForWorkerCtx(ctx, 1000, RoundRobin, 0, func(_, _ int) { ran.Add(1) })
-	if !errors.Is(err, cancel.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("%d iterations ran on a dead context", ran.Load())
-	}
-}
-
-func TestCanceledForCtxLeaksNoGoroutines(t *testing.T) { testCanceledRoundsLeakNothing(t, NewPool) }
-func TestBarrierCanceledRoundsLeakNoGoroutines(t *testing.T) {
-	testCanceledRoundsLeakNothing(t, NewBarrierPool)
-}
-
-// testCanceledRoundsLeakNothing is the abort-leak regression guard: a round
-// canceled mid-flight must still complete its barrier, and Close must then
-// return, with every worker exited, within 5 s.
-func testCanceledRoundsLeakNothing(t *testing.T, newPool func(int) *Pool) {
-	before := runtime.NumGoroutine()
-	const trials = 10
-	for trial := 0; trial < trials; trial++ {
-		p := newPool(8)
-		ctx, cancelFn := context.WithCancel(context.Background())
-		var ran atomic.Int64
-		_ = p.ForWorkerCtx(ctx, 1<<18, Dynamic, 0, func(_, _ int) {
-			if ran.Add(1) == 100 {
-				cancelFn()
-			}
-		})
-		closeWithin(t, p)
-		cancelFn()
-	}
-	if now := runtime.NumGoroutine(); now > before+trials {
-		t.Fatalf("goroutines leaked after canceled rounds: before=%d now=%d", before, now)
-	}
-}
-
 // TestRoundsAllocateNothing pins the allocation-free round: the barrier and
 // the Dynamic cursor live in the Pool, so a ForWorker round whose body was
-// built once allocates nothing, under every strategy, and ForWorkerCtx with
-// a never-canceled ctx is that same round.
+// built once allocates nothing, under every strategy.
 func TestRoundsAllocateNothing(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
@@ -609,14 +423,6 @@ func TestRoundsAllocateNothing(t *testing.T) {
 	for _, strategy := range strategies {
 		if a := testing.AllocsPerRun(100, func() { p.ForWorker(64, strategy, 0, body) }); a != 0 {
 			t.Errorf("%v: ForWorker allocated %v times per round, want 0", strategy, a)
-		}
-		a := testing.AllocsPerRun(100, func() {
-			if err := p.ForWorkerCtx(context.Background(), 64, strategy, 0, body); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if a != 0 {
-			t.Errorf("%v: ForWorkerCtx allocated %v times per round, want 0", strategy, a)
 		}
 	}
 }

@@ -135,10 +135,3 @@ func Speedup(p *Profile, workers int, barrierNs float64) (float64, error) {
 	}
 	return float64(one) / float64(many), nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

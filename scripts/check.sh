@@ -78,21 +78,22 @@ go test -timeout 5m -run '^$' -fuzz 'FuzzSolve' -fuzztime 5s ./internal/core
 
 # Differential fuzz smoke over the production fill itself: five seconds of
 # random (sizes, counts, T) tables with a slab-phase plan forced on each,
-# one faithful and one sparse (support cap and retention floor from the
-# input), filled on the caller and on a 2-worker pool, which must equal the
-# unpruned oracle entry for entry and relax exactly the configurations'
-# pinned boxes, a pair-keeping sparse table only those of its
-# configurations of three or more jobs (internal/dp.FuzzFill).
+# one faithful and one sparse (support cap from the input), filled on the
+# caller and on a 2-worker pool, which must equal the unpruned oracle entry
+# for entry and relax exactly the configurations' pinned boxes, a sparse
+# table only those of its configurations of three or more jobs
+# (internal/dp.FuzzFill).
 go test -timeout 5m -run '^$' -fuzz 'FuzzFill' -fuzztime 5s ./internal/dp
 
 # The race detector is the repo's race gate (ALGORITHM.md sections 11 and 16
-# record the mutation audits behind it): the pool's panic and cancellation
-# paths, the slab-parallel and level-parallel fills, the exact solver's
-# pool rounds and the shared caches all have tests here that race when their
-# synchronization is removed. internal/lint starts no goroutine, so it has
-# no race pass. internal/trsched joins it: the variant solver shares the
-# configuration enumeration with the concurrent fill paths, and ./solver's
-# race run also covers the variant dispatch layer in front of them.
+# record the mutation audits behind it): the pool's panic and cursor paths,
+# the fills' shared stop flag and per-worker slots (slab-parallel and
+# level-parallel), the exact solver's pool rounds and the shared caches all
+# have tests here that race when their synchronization is removed.
+# internal/lint starts no goroutine, so it has no race pass.
+# internal/trsched joins it: the variant solver shares the configuration
+# enumeration with the concurrent fill paths, and ./solver's race run also
+# covers the variant dispatch layer in front of them.
 go test -race -timeout 15m ./internal/par ./internal/dp ./internal/exact ./internal/core ./internal/trsched ./solver
 
 # Dedicated pass over the incremental-solving layer: the session
