@@ -321,18 +321,3 @@ func BenchmarkExactTriplets(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationMultiFitHeuristic compares the FFD and BFD inner packing
-// rules under MultiFit's capacity search.
-func BenchmarkAblationMultiFitHeuristic(b *testing.B) {
-	in := speedupInstance(b, workload.U1_100, 20, 100)
-	for _, h := range []multifit.Heuristic{multifit.FFD, multifit.BFD} {
-		b.Run(h.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := multifit.SolveHeuristic(context.Background(), in, h); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

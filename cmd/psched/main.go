@@ -14,8 +14,9 @@
 // instance's variant (ptas on plain instances, ptas-tr on setup/window
 // instances, lpt otherwise). Selecting an algorithm that does not support
 // the instance's variant fails with a descriptive error. -deadline bounds
-// the whole solve through context cancellation; an interrupted solve prints
-// the fallback schedule when the algorithm provides one.
+// the whole solve through context cancellation, and -exact-timeout each
+// exact and ip solve; an interrupted solve prints the fallback schedule (the
+// exact solvers' best incumbent) when the algorithm provides one.
 //
 // The instance format is the one written by cmd/instgen:
 //
@@ -89,13 +90,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		defer cancel()
 	}
 
-	opts := solver.Options{Exact: solver.ExactOptions{TimeLimit: *timeout}}
+	var opts solver.Options
 	opts.PTAS = solver.DefaultPTASOptions()
 	opts.PTAS.Epsilon = *eps
 	opts.TR = solver.TROptions{Epsilon: *eps}
 
 	if *algo == "all" {
-		return compareAll(ctx, stdout, in, opts)
+		return compareAll(ctx, stdout, in, opts, *timeout)
 	}
 	name := *algo
 	if name == "auto" {
@@ -103,7 +104,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "auto: instance variant %s, selected %s\n", in.Variant(), name)
 	}
 
-	sched, rep, err := solver.Solve(ctx, name, in, opts)
+	sched, rep, err := solve(ctx, name, in, opts, *timeout)
 	if err != nil {
 		if !errors.Is(err, solver.ErrCanceled) || sched == nil {
 			return err
@@ -153,7 +154,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *ratio {
 		refName := referenceAlgorithm(in)
-		_, exRep, err := solver.Solve(ctx, refName, in, opts)
+		_, exRep, err := solve(ctx, refName, in, opts, *timeout)
 		if err != nil && !errors.Is(err, solver.ErrCanceled) {
 			return err
 		}
@@ -165,6 +166,19 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			refName, exRep.Exact.Makespan, qual, sched.Ratio(in, exRep.Exact.Makespan))
 	}
 	return nil
+}
+
+// solve runs the named algorithm through the registry under ctx, narrowed
+// for the exact and ip solvers by exactTimeout when it is positive. A solve
+// that runs into that deadline returns its incumbent next to an error
+// matching solver.ErrDeadline.
+func solve(ctx context.Context, name string, in *pcmax.Instance, opts solver.Options, exactTimeout time.Duration) (*pcmax.Schedule, solver.Report, error) {
+	if (name == "exact" || name == "ip") && exactTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, exactTimeout)
+		defer cancel()
+	}
+	return solver.Solve(ctx, name, in, opts)
 }
 
 // referenceAlgorithm picks the certified-optimal reference for ratio
@@ -185,9 +199,9 @@ func referenceAlgorithm(in *pcmax.Instance) string {
 // otherwise). Algorithms that fail (e.g. sahni beyond its machine budget),
 // don't support the instance's variant, or run into the deadline are logged
 // as such instead of aborting the table.
-func compareAll(ctx context.Context, stdout io.Writer, in *pcmax.Instance, opts solver.Options) error {
+func compareAll(ctx context.Context, stdout io.Writer, in *pcmax.Instance, opts solver.Options, exactTimeout time.Duration) error {
 	refName := referenceAlgorithm(in)
-	refSched, res, err := solver.Solve(ctx, refName, in, opts)
+	refSched, res, err := solve(ctx, refName, in, opts, exactTimeout)
 	if err != nil && !errors.Is(err, solver.ErrCanceled) {
 		return err
 	}
@@ -217,7 +231,7 @@ func compareAll(ctx context.Context, stdout io.Writer, in *pcmax.Instance, opts 
 		if name == refName {
 			sched, rep = refSched, res // don't pay the reference solve twice
 		} else {
-			sched, rep, err = solver.Solve(ctx, name, in, opts)
+			sched, rep, err = solve(ctx, name, in, opts, exactTimeout)
 		}
 		switch {
 		case errors.Is(err, solver.ErrUnsupportedVariant):

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
+	"repro/pcmax"
 )
 
 func writeInstance(t *testing.T, content string) string {
@@ -125,5 +128,29 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 	if decoded.Algorithm != "lpt" || decoded.Makespan != 7 || len(decoded.Schedule.Assignment) != 3 {
 		t.Fatalf("decoded %+v", decoded)
+	}
+}
+
+// TestRunExactTimeoutShowsIncumbent runs the exact and ip solvers into
+// -exact-timeout on an instance neither finishes before its first context
+// poll: psched reports the interruption, shows the incumbent and exits
+// cleanly.
+func TestRunExactTimeoutShowsIncumbent(t *testing.T) {
+	var inst strings.Builder
+	in := workload.MustGenerate(workload.Spec{Family: workload.U95_105, M: 10, N: 37, Seed: 1})
+	if err := pcmax.WriteText(&inst, in); err != nil {
+		t.Fatal(err)
+	}
+	path := writeInstance(t, inst.String())
+	for _, algo := range []string{"exact", "ip"} {
+		var out strings.Builder
+		if err := run([]string{"-algo", algo, "-exact-timeout", "1ns", path}, nil, &out); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		for _, want := range []string{algo + ": interrupted", "best incumbent shown", algo + " makespan:"} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("%s output missing %q:\n%s", algo, want, out.String())
+			}
+		}
 	}
 }

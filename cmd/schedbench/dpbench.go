@@ -5,9 +5,9 @@
 // per-entry enumeration: Algorithm 2 (FillRecursiveCtx) at one worker and
 // Algorithm 3 (FillParallelCtx) at every worker count above one, on the pool
 // the production row of that count uses.
-// Results print as a table and, with -json, land in BENCH_dp.json for
-// regression tracking; -baseline diffs the run against a committed
-// BENCH_dp.json and fails on regressions beyond -baseline-threshold.
+// Results print as a table and, with -json, land in BENCH_dp.json;
+// -gate-speedup fails the run when a production cell's same-run speedup
+// over Algorithm 2 falls below a floor.
 package main
 
 import (
@@ -81,10 +81,8 @@ const benchJSONName = "BENCH_dp.json"
 
 // dpBenchConfig carries the dp subcommand's flags.
 type dpBenchConfig struct {
-	WriteJSON bool    // write the records to Out
-	Out       string  // output JSON path (default benchJSONName)
-	Baseline  string  // committed BENCH_dp.json to diff against ("" = off)
-	Threshold float64 // allowed fractional slowdown before -baseline fails
+	WriteJSON bool   // write the records to Out
+	Out       string // output JSON path (default benchJSONName)
 	// MinSpeedup, when > 0, fails the run if any faithful production cell's
 	// speedup_vs_alg2 — measured against the same run's Algorithm 2 fill of
 	// the same table, so host speed cancels out — falls below it.
@@ -363,11 +361,6 @@ sweep:
 		}
 		fmt.Printf("wrote %s (%d records)\n", out, len(records))
 	}
-	if cfg.Baseline != "" {
-		if err := compareBaseline(records, cfg.Baseline, cfg.Threshold); err != nil {
-			return err
-		}
-	}
 	if cfg.MinSpeedup > 0 {
 		return gateSpeedup(records, cfg.MinSpeedup)
 	}
@@ -378,10 +371,9 @@ sweep:
 // production cell must fill its table at least min times as fast as this
 // same run's Algorithm 2 (the paper's recursion with per-entry enumeration)
 // on the same table. Both sides of the ratio come from the same process on
-// the same host, measured back to back, so runner speed and load cancel out
-// — unlike the cross-host ns/op diff of -baseline, a failure here means the
-// production kernel itself regressed toward the cost of the paper's
-// recursion. A run with no production cell to check fails too: a gate that
+// the same host, measured back to back, so runner speed and load cancel out:
+// a failure here means the production kernel itself regressed toward the
+// cost of the paper's recursion. A run with no production cell to check fails too: a gate that
 // checks nothing cannot catch a regression.
 func gateSpeedup(records []dpRecord, min float64) error {
 	var failures []string
@@ -408,69 +400,6 @@ func gateSpeedup(records []dpRecord, min float64) error {
 			fmt.Println(f)
 		}
 		return fmt.Errorf("%d production cells below the %.2fx same-run speedup floor", len(failures), min)
-	}
-	return nil
-}
-
-// dpKey identifies a benchmark cell across runs for baseline diffing.
-type dpKey struct {
-	Workload, Family, Path, Enum string
-	Workers                      int
-	Eps                          float64
-}
-
-// recordKey builds the diff key of a record.
-func recordKey(r dpRecord) dpKey {
-	return dpKey{r.Workload, r.Family, r.Path, r.Enum, r.Workers, r.Eps}
-}
-
-// compareBaseline diffs the run's ns/op row-by-row against the committed
-// baseline JSON and returns a non-nil error (for a nonzero exit) when any
-// shared cell regressed by more than the threshold fraction. Cells present
-// on only one side are reported but never fail the gate, so adding or
-// retiring benchmark cells does not break CI.
-func compareBaseline(records []dpRecord, path string, threshold float64) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base []dpRecord
-	if err := json.Unmarshal(blob, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	baseNs := make(map[dpKey]int64, len(base))
-	for _, r := range base {
-		baseNs[recordKey(r)] = r.NsPerOp
-	}
-	var regressions []string
-	compared, missing := 0, 0
-	for _, r := range records {
-		k := recordKey(r)
-		bns, ok := baseNs[k]
-		if !ok {
-			missing++
-			continue
-		}
-		delete(baseNs, k)
-		if bns <= 0 || r.NsPerOp <= 0 {
-			continue
-		}
-		compared++
-		ratio := float64(r.NsPerOp) / float64(bns)
-		if ratio > 1+threshold {
-			regressions = append(regressions,
-				fmt.Sprintf("  %s/%s wrk=%d path=%s: %d -> %d ns/op (%.2fx > %.2fx allowed)",
-					k.Workload, k.Family, k.Workers, k.Path, bns, r.NsPerOp, ratio, 1+threshold))
-		}
-	}
-	fmt.Printf("\nbaseline %s: %d cells compared, %d new, %d retired, %d regressions (threshold %.0f%%)\n",
-		path, compared, missing, len(baseNs), len(regressions), threshold*100)
-	if len(regressions) > 0 {
-		sort.Strings(regressions)
-		for _, r := range regressions {
-			fmt.Println(r)
-		}
-		return fmt.Errorf("%d benchmark cells regressed beyond %.0f%% vs %s", len(regressions), threshold*100, path)
 	}
 	return nil
 }

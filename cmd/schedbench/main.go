@@ -46,8 +46,6 @@ func run(args []string) error {
 		csv      = fs.Bool("csv", false, "render tables as CSV")
 		jsonOut  = fs.Bool("json", false, "dp: also write results to the -out file")
 		jsonPath = fs.String("out", benchJSONName, "dp: output path for -json")
-		baseline = fs.String("baseline", "", "dp: diff ns/op against this committed BENCH_dp.json and exit nonzero on regressions")
-		baseTol  = fs.Float64("baseline-threshold", 0.30, "dp: allowed fractional slowdown vs -baseline before failing")
 		gateSpd  = fs.Float64("gate-speedup", 0, "dp: fail when any production cell's same-run speedup_vs_alg2 falls below this floor; delta: floor on speedup_vs_cold (0 = off)")
 		windows  = fs.Int("windows", 5, "dp: measurement windows per cell (lower = faster, noisier)")
 		steps    = fs.Int("steps", 12, "delta: 1-job mutations per stream")
@@ -184,8 +182,6 @@ func run(args []string) error {
 		return runDPBench(ctx, cfg.Cores, cfg.Epsilon, cfg.Seed, dpBenchConfig{
 			WriteJSON:  *jsonOut,
 			Out:        *jsonPath,
-			Baseline:   *baseline,
-			Threshold:  *baseTol,
 			MinSpeedup: *gateSpd,
 			Windows:    *windows,
 			Enum:       *enum,

@@ -48,8 +48,10 @@ func main() {
 	var sched *pcmax.Schedule
 	if in.N() <= 40 {
 		// Small queue: prove the optimum.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		var res solver.ExactResult
-		sched, res, err = solver.Exact(context.Background(), in, solver.ExactOptions{TimeLimit: 5 * time.Second})
+		sched, res, err = solver.Exact(ctx, in, solver.ExactOptions{})
+		cancel()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -22,7 +22,9 @@ func main() {
 	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 20, N: 100, Seed: 7})
 	fmt.Println(in)
 
-	_, res, err := solver.Exact(context.Background(), in, solver.ExactOptions{TimeLimit: time.Minute})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	_, res, err := solver.Exact(ctx, in, solver.ExactOptions{})
+	cancel()
 	if err != nil {
 		log.Fatal(err)
 	}

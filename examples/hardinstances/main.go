@@ -31,9 +31,9 @@ func main() {
 		// The IP-shaped solver (what a MIP does to this model): time-boxed,
 		// may fail to prove optimality.
 		start := time.Now()
-		_, ipRes, err := solver.ExactIP(context.Background(), in, solver.ExactOptions{
-			NodeLimit: 5_000_000, TimeLimit: 10 * time.Second,
-		})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, ipRes, err := solver.ExactIP(ctx, in, solver.ExactOptions{NodeLimit: 5_000_000})
+		cancel()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +45,9 @@ func main() {
 
 		// The strong exact solver with parallel probes.
 		start = time.Now()
-		_, exRes, err := solver.Exact(context.Background(), in, solver.ExactOptions{Workers: 4, TimeLimit: 10 * time.Second})
+		ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
+		_, exRes, err := solver.Exact(ctx, in, solver.ExactOptions{Workers: 4})
+		cancel()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,7 +26,9 @@ func TestGuaranteeAcrossFamiliesAndEpsilons(t *testing.T) {
 			}
 			for rep := 0; rep < 3; rep++ {
 				in := workload.MustGenerate(workload.Spec{Family: fam, M: m, N: n, Seed: 555 + uint64(rep)})
-				_, res, err := solver.Exact(context.Background(), in, solver.ExactOptions{TimeLimit: 20 * time.Second})
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				_, res, err := solver.Exact(ctx, in, solver.ExactOptions{})
+				cancel()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -35,7 +35,9 @@ func TestEndToEndPipeline(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			exactSched, res, err := solver.Exact(context.Background(), loaded, solver.ExactOptions{TimeLimit: 20 * time.Second})
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			exactSched, res, err := solver.Exact(ctx, loaded, solver.ExactOptions{})
+			cancel()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 // Package binpack implements first-fit bin packing with fixed capacity.
 // It is the substrate under MultiFit (Coffman, Garey, Johnson — the MF
-// algorithm discussed in the paper's related work) and under the exact
-// solver's feasibility heuristics.
+// algorithm discussed in the paper's related work).
 package binpack
 
 import (
@@ -53,46 +52,16 @@ func FirstFit(items []pcmax.Time, capacity pcmax.Time) (Result, error) {
 	return res, nil
 }
 
-// BestFit packs the items in the given order: each item goes into the
-// feasible bin with the least remaining space (ties toward the lowest
-// index), opening a new bin when none fits.
-func BestFit(items []pcmax.Time, capacity pcmax.Time) (Result, error) {
-	res := Result{Assign: make([]int, len(items))}
-	var space []pcmax.Time
-	for i, t := range items {
-		if t <= 0 {
-			return Result{}, fmt.Errorf("binpack: item %d has non-positive size %d", i, t)
-		}
-		if t > capacity {
-			return Result{}, fmt.Errorf("%w (item %d size %d, capacity %d)", ErrItemTooLarge, i, t, capacity)
-		}
-		best := -1
-		for b := range space {
-			if space[b] >= t && (best < 0 || space[b] < space[best]) {
-				best = b
-			}
-		}
-		if best < 0 {
-			space = append(space, capacity-t)
-			res.Assign[i] = len(space) - 1
-		} else {
-			space[best] -= t
-			res.Assign[i] = best
-		}
-	}
-	res.Bins = len(space)
-	return res, nil
-}
-
-// decreasing runs pack on the items sorted by non-increasing size (stably,
-// ties by index); Assign still refers to the original item order.
-func decreasing(items []pcmax.Time, capacity pcmax.Time, pack func([]pcmax.Time, pcmax.Time) (Result, error)) (Result, error) {
+// FirstFitDecreasing sorts the items by non-increasing size (stably, ties
+// by index) and runs FirstFit; Assign still refers to the original item
+// order.
+func FirstFitDecreasing(items []pcmax.Time, capacity pcmax.Time) (Result, error) {
 	order := sortedDesc(items)
 	reordered := make([]pcmax.Time, len(items))
 	for k, i := range order {
 		reordered[k] = items[i]
 	}
-	inner, err := pack(reordered, capacity)
+	inner, err := FirstFit(reordered, capacity)
 	if err != nil {
 		return Result{}, err
 	}
@@ -101,34 +70,6 @@ func decreasing(items []pcmax.Time, capacity pcmax.Time, pack func([]pcmax.Time,
 		res.Assign[i] = inner.Assign[k]
 	}
 	return res, nil
-}
-
-// FirstFitDecreasing sorts the items by non-increasing size and runs
-// FirstFit.
-func FirstFitDecreasing(items []pcmax.Time, capacity pcmax.Time) (Result, error) {
-	return decreasing(items, capacity, FirstFit)
-}
-
-// BestFitDecreasing sorts the items by non-increasing size and runs BestFit.
-func BestFitDecreasing(items []pcmax.Time, capacity pcmax.Time) (Result, error) {
-	return decreasing(items, capacity, BestFit)
-}
-
-// FitsFFD reports whether first-fit-decreasing packs the items into at most
-// maxBins bins of the given capacity. It is the feasibility test that
-// MultiFit binary-searches over.
-func FitsFFD(items []pcmax.Time, capacity pcmax.Time, maxBins int) (bool, error) {
-	if maxBins < 0 {
-		return false, fmt.Errorf("binpack: negative bin limit %d", maxBins)
-	}
-	res, err := FirstFitDecreasing(items, capacity)
-	if err != nil {
-		if errors.Is(err, ErrItemTooLarge) {
-			return false, nil
-		}
-		return false, err
-	}
-	return res.Bins <= maxBins, nil
 }
 
 // sortedDesc returns item indices by non-increasing size, ties by index, so

@@ -118,26 +118,6 @@ func TestFFDDeterministicTies(t *testing.T) {
 	}
 }
 
-func TestFitsFFD(t *testing.T) {
-	items := []pcmax.Time{7, 5, 3, 2}
-	ok, err := FitsFFD(items, 10, 2)
-	if err != nil || !ok {
-		t.Fatalf("FitsFFD(10,2) = %v, %v; want true", ok, err)
-	}
-	ok, err = FitsFFD(items, 10, 1)
-	if err != nil || ok {
-		t.Fatalf("FitsFFD(10,1) = %v, %v; want false", ok, err)
-	}
-	// Oversized item: infeasible, not an error.
-	ok, err = FitsFFD([]pcmax.Time{11}, 10, 5)
-	if err != nil || ok {
-		t.Fatalf("FitsFFD oversized = %v, %v; want false, nil", ok, err)
-	}
-	if _, err = FitsFFD(items, 10, -1); err == nil {
-		t.Fatal("want error for negative bin limit")
-	}
-}
-
 func TestPackingValidProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8, capRaw uint16) bool {
 		src := rng.New(seed)
@@ -200,11 +180,11 @@ func TestFitsFFDMonotoneInCapacityProperty(t *testing.T) {
 		lo, hi := mx, sum
 		for lo < hi {
 			c := lo + (hi-lo)/2
-			ok, err := FitsFFD(items, c, maxBins)
+			res, err := FirstFitDecreasing(items, c)
 			if err != nil {
 				return false
 			}
-			if ok {
+			if res.Bins <= maxBins {
 				hi = c
 			} else {
 				lo = c + 1
@@ -215,80 +195,6 @@ func TestFitsFFDMonotoneInCapacityProperty(t *testing.T) {
 			return false
 		}
 		return res.Bins <= maxBins
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBestFitPrefersTightestBin(t *testing.T) {
-	// Bins after 7, 5 at cap 10: spaces 3 and 5. Item 3 goes to the tighter
-	// bin (space 3) under best fit, but to the first bin under first fit —
-	// identical here; distinguish with spaces 5 and 3: items 5, 7, then 3.
-	items := []pcmax.Time{5, 7, 3}
-	res, err := BestFit(items, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// spaces: bin0 = 5, bin1 = 3; item 3 must land in bin1 (space 3).
-	if res.Assign[2] != 1 {
-		t.Fatalf("best fit put item 2 in bin %d, want 1", res.Assign[2])
-	}
-	// First fit, by contrast, uses bin0.
-	ff, err := FirstFit(items, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.Assign[2] != 0 {
-		t.Fatalf("first fit put item 2 in bin %d, want 0", ff.Assign[2])
-	}
-}
-
-func TestBestFitErrors(t *testing.T) {
-	if _, err := BestFit([]pcmax.Time{11}, 10); !errors.Is(err, ErrItemTooLarge) {
-		t.Fatalf("want ErrItemTooLarge, got %v", err)
-	}
-	if _, err := BestFit([]pcmax.Time{0}, 10); err == nil {
-		t.Fatal("want non-positive error")
-	}
-}
-
-func TestBestFitDecreasingValidProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8, capRaw uint16) bool {
-		src := rng.New(seed)
-		capacity := pcmax.Time(capRaw%200) + 10
-		n := int(nRaw % 40)
-		items := make([]pcmax.Time, n)
-		for i := range items {
-			items[i] = pcmax.Time(1 + src.Int64n(int64(capacity)))
-		}
-		res, err := BestFitDecreasing(items, capacity)
-		if err != nil {
-			return false
-		}
-		loads := make([]pcmax.Time, res.Bins)
-		for i, b := range res.Assign {
-			if n == 0 {
-				break
-			}
-			if b < 0 || b >= res.Bins {
-				return false
-			}
-			loads[b] += items[i]
-		}
-		for _, l := range loads {
-			if l > capacity || l == 0 {
-				return false
-			}
-		}
-		// Any-fit bound: all but one bin more than half full.
-		halfOrLess := 0
-		for _, l := range loads {
-			if 2*l <= capacity {
-				halfOrLess++
-			}
-		}
-		return halfOrLess <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

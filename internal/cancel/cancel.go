@@ -1,14 +1,16 @@
 // Package cancel is the shared cancellation vocabulary of the solve path.
-// Every layer — the solver facade, the core PTAS driver, the DP fills, the
-// parallel substrate and the auxiliary solvers — converts a dead
-// context.Context into the same structured error through this package, so a
+// Every layer that stops on a dead context.Context — the solver facade and
+// its registry, the core PTAS driver, the DP fills and the auxiliary solvers
+// — converts it into the same structured error through this package, so a
 // caller can test errors.Is(err, cancel.ErrCanceled) (or ErrDeadline) no
-// matter which layer noticed the cancellation first.
+// matter which layer noticed the cancellation first. The branch-and-bound
+// solvers of package exact keep a MIP solver's contract instead (the
+// incumbent with Optimal == false and a nil error); the solver registry
+// converts their interruption.
 //
 // The package distinguishes two ways a solve ends early:
 //
-//   - ErrDeadline: the context's deadline passed (context.DeadlineExceeded),
-//     including deadlines installed by the exact solvers' TimeLimit shims.
+//   - ErrDeadline: the context's deadline passed (context.DeadlineExceeded).
 //   - ErrCanceled: every other cancellation (an explicit CancelFunc, a parent
 //     context dying, ...).
 //
@@ -21,14 +23,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrCanceled reports that a solve was interrupted by its context.
 var ErrCanceled = errors.New("solve canceled")
 
-// ErrDeadline reports that a solve ran past its context deadline (or legacy
-// TimeLimit). It wraps ErrCanceled.
+// ErrDeadline reports that a solve ran past its context deadline. It wraps
+// ErrCanceled.
 var ErrDeadline = fmt.Errorf("%w: deadline exceeded", ErrCanceled)
 
 // Error is the structured cancellation failure returned by the solve path.
@@ -92,19 +93,4 @@ func Check(ctx context.Context) error {
 	default:
 		return nil
 	}
-}
-
-// WithTimeout installs d as a context deadline when d > 0 and returns the
-// context unchanged (with a no-op CancelFunc) otherwise. It is the shim that
-// converts the exact solvers' legacy TimeLimit option fields into context
-// deadlines.
-func WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		//lint:ignore ctxfirst canonical nil-ctx normalization at the API boundary, not a minted root for new work
-		ctx = context.Background()
-	}
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
 }

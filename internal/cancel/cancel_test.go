@@ -78,17 +78,3 @@ func TestErrorCarriesPartialStats(t *testing.T) {
 		t.Fatalf("partial stats lost: %+v", got)
 	}
 }
-
-func TestWithTimeoutShim(t *testing.T) {
-	ctx, done := WithTimeout(context.Background(), 0)
-	done()
-	if err := Check(ctx); err != nil {
-		t.Fatalf("no-op shim must not cancel: %v", err)
-	}
-	ctx, done = WithTimeout(context.Background(), time.Nanosecond)
-	defer done()
-	<-ctx.Done()
-	if err := Check(ctx); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("want ErrDeadline, got %v", err)
-	}
-}

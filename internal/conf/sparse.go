@@ -70,15 +70,6 @@ type SparseStats struct {
 	PrunedDominated int
 }
 
-// Reduction returns Enumerated/Retained, the config-count shrink factor
-// (1 when nothing was pruned or the set is empty).
-func (s SparseStats) Reduction() float64 {
-	if s.Retained == 0 || s.Enumerated == 0 {
-		return 1
-	}
-	return float64(s.Enumerated) / float64(s.Retained)
-}
-
 // dominated reports whether the configuration held in cur (weight w, visited
 // left-to-right over all d classes) can be extended by one more job of any
 // class within capacity T and availability counts — i.e. whether a strictly

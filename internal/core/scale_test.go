@@ -37,7 +37,9 @@ func TestSmokePaperScale(t *testing.T) {
 			if seq.Makespan(in) != parSched.Makespan(in) {
 				t.Fatalf("parallel makespan %d != sequential %d", parSched.Makespan(in), seq.Makespan(in))
 			}
-			_, res, err := exact.Solve(context.Background(), in, exact.Options{TimeLimit: 30 * time.Second})
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			_, res, err := exact.Solve(ctx, in, exact.Options{})
+			cancel()
 			if err != nil {
 				t.Fatalf("exact: %v", err)
 			}

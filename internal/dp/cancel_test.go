@@ -9,6 +9,7 @@ package dp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -267,10 +268,12 @@ func sparseStrideTable(t *testing.T) *Table {
 // relaxations for the production fill, and entries computed for the paper's
 // fills, each entry at least one recursion visit of Algorithm 2 and one scan
 // iteration of Algorithm 3. On the sparse table the closed form's pass
-// alone is longer than the stride. Algorithm 3 computes few entries per
-// scan iteration, so its stride is also read from the table: it scans each
-// level round-robin from index 0, so a worker that computed entry i ran at
-// least i/P+1 scan iterations after the cancel. The production fill on a
+// alone is longer than the stride. Algorithm 3's arms measure its level
+// scans (scanAfterLevels; TestFillLevelsPolls measures the digit-sum pass
+// before them). It computes few entries per scan iteration, so its stride
+// is also read from the table: it scans each level round-robin from index
+// 0, so a worker that computed entry i ran at least i/P+1 scan iterations
+// after the cancel. The production fill on a
 // pool also polls when a worker claims a chunk, so it may stop before its
 // first relaxation.
 func TestFillPollStride(t *testing.T) {
@@ -294,8 +297,8 @@ func TestFillPollStride(t *testing.T) {
 		{"production-sparse-caller", 2, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, nil) }, false, false, true},
 		{"production-sparse-pool-2", 2, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillAutoCtx(ctx, pool2) }, false, false, true},
 		{"recursive", 1, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillRecursiveCtx(ctx) }, false, false, false},
-		{"parallel-scan-1", 1, 1, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool1) }, true, false, false},
-		{"parallel-scan-2", 1, 2, func(tbl *Table, ctx context.Context) error { return tbl.FillParallelCtx(ctx, pool2) }, true, false, false},
+		{"parallel-scan-1", 1, 1, func(tbl *Table, ctx context.Context) error { return scanAfterLevels(tbl, ctx, pool1) }, true, false, false},
+		{"parallel-scan-2", 1, 2, func(tbl *Table, ctx context.Context) error { return scanAfterLevels(tbl, ctx, pool2) }, true, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			workers := tc.workers
@@ -322,6 +325,54 @@ func TestFillPollStride(t *testing.T) {
 				if n := int64(i)/workers + 1; o != 0 && n > pollStride {
 					t.Fatalf("worker %d computed entry %d, so it scanned at least %d entries after the cancel, over the %d-iteration stride", int64(i)%workers, i, n, pollStride)
 				}
+			}
+		})
+	}
+}
+
+// scanAfterLevels fills the table with Algorithm 3 as FillParallelCtx does,
+// but writes the digit sums before it reads ctx, so that ctx's first Done
+// call is the level scans' and a context that dies there stops the scans.
+func scanAfterLevels(tbl *Table, ctx context.Context, pool *par.Pool) error {
+	f := &slabFill{t: tbl, workers: newSlabWorkers(len(tbl.Stride), pool.Workers())}
+	levels := make([]int32, tbl.Sigma)
+	f.fillLevels(pool, levels)
+	f.done = ctxDone(ctx)
+	if !f.scanLevels(pool, levels) {
+		return f.canceled(ctx)
+	}
+	return nil
+}
+
+// TestFillLevelsPolls pins the poll stride of Algorithm 3's digit-sum pass:
+// with the fill's context dead before the pass starts, each worker writes
+// at most pollStride of strideTable's 525,904 digit sums, and the pass
+// reports that it stopped.
+func TestFillLevelsPolls(t *testing.T) {
+	dead, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			pool := par.NewPool(workers)
+			defer pool.Close()
+			tbl := strideTable(t)
+			f := &slabFill{t: tbl, done: ctxDone(dead), workers: newSlabWorkers(len(tbl.Stride), workers)}
+			levels := make([]int32, tbl.Sigma)
+			for i := range levels {
+				levels[i] = -1
+			}
+			if f.fillLevels(pool, levels) {
+				t.Error("the pass reported every digit sum written under a dead context")
+			}
+			written := 0
+			for _, l := range levels {
+				if l >= 0 {
+					written++
+				}
+			}
+			if written > workers*pollStride {
+				t.Errorf("%d of %d digit sums written after the cancel on %d workers, over the %d-entry stride per worker",
+					written, len(levels), workers, pollStride)
 			}
 		})
 	}

@@ -778,11 +778,13 @@ func (f *slabFill) search(idx int64, v []int32, depth, dim int, weight pcmax.Tim
 // for a load and a compare, so the stride is far below fillCheckEvery.
 const scanCheckEvery = 256
 
-// fillLevels writes the digit sum of every entry into levels, on the pool.
-// It splits the table into contiguous chunks; a worker decodes a chunk's
-// first index into its slot's odometer scratch and advances the odometer
-// through the rest of the chunk.
-func (f *slabFill) fillLevels(pool *par.Pool, levels []int32) {
+// fillLevels writes the digit sum of every entry into levels, on the pool,
+// and reports whether it wrote them all. It splits the table into
+// contiguous chunks; a worker decodes a chunk's first index into its slot's
+// odometer scratch and advances the odometer through the rest of the chunk.
+// A cancelable fill's workers poll at the start of each chunk and every
+// fillCheckEvery entries inside it.
+func (f *slabFill) fillLevels(pool *par.Pool, levels []int32) bool {
 	t := f.t
 	chunkLen := max(t.Sigma/int64(8*len(f.workers)), 1024)
 	nChunks := int((t.Sigma + chunkLen - 1) / chunkLen)
@@ -792,11 +794,17 @@ func (f *slabFill) fillLevels(pool *par.Pool, levels []int32) {
 		hi := min(lo+chunkLen, t.Sigma)
 		v := t.digits(lo, f.workers[w].odo[:d])
 		lvl := sumDigits(v)
-		for idx := lo; idx < hi; idx++ {
-			levels[idx] = lvl
-			lvl += t.advanceOne(v)
+		for lo < hi {
+			if f.done != nil && f.stopped() {
+				return
+			}
+			for end := min(lo+fillCheckEvery, hi); lo < end; lo++ {
+				levels[lo] = lvl
+				lvl += t.advanceOne(v)
+			}
 		}
 	})
+	return !f.stop.Load()
 }
 
 // FillParallelCtx computes the table with the paper's Parallel DP
@@ -806,12 +814,13 @@ func (f *slabFill) fillLevels(pool *par.Pool, levels []int32) {
 // compute the entries whose d_i is l, re-enumerating each entry's
 // configurations (Line 17). An EnumSparse table is rejected with
 // ErrSparseTable and left untouched. The pool may be reused across calls
-// and bisection iterations. In every level's round each worker polls ctx
-// every scanCheckEvery scan iterations, and the first to see it done stops
-// the others through a shared flag, so an abort lands within the round of
-// the level it hits. The round still joins (no leaked goroutines, the pool
-// stays reusable), the table is left unfilled and the structured cancel
-// error is returned, carrying the entries computed.
+// and bisection iterations. The digit-sum pass polls ctx as fillLevels
+// says. In every level's round each worker polls ctx every scanCheckEvery
+// scan iterations, and the first to see it done stops the others through a
+// shared flag, so an abort lands within the round of the level it hits. The
+// round still joins (no leaked goroutines, the pool stays reusable), the
+// table is left unfilled and the structured cancel error is returned,
+// carrying the entries computed.
 func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
 	if t.Mode == EnumSparse {
 		return ErrSparseTable
@@ -820,7 +829,17 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
 	f := &slabFill{t: t, done: ctxDone(ctx), workers: newSlabWorkers(len(t.Stride), pool.Workers())}
 	// Lines 4-8: the digit sums d_i of every entry, in parallel.
 	levels := make([]int32, t.Sigma)
-	f.fillLevels(pool, levels)
+	if !f.fillLevels(pool, levels) || !f.scanLevels(pool, levels) {
+		return f.canceled(ctx)
+	}
+	t.filled = true
+	return nil
+}
+
+// scanLevels runs Algorithm 3's level rounds on the pool over the digit
+// sums in levels, and reports whether it computed every level.
+func (f *slabFill) scanLevels(pool *par.Pool, levels []int32) bool {
+	t := f.t
 	decs := newDecoders(t, len(f.workers))
 	t.Opt[0] = 0
 	// One body serves every level's round, so a round allocates nothing.
@@ -843,11 +862,10 @@ func (t *Table) FillParallelCtx(ctx context.Context, pool *par.Pool) error {
 		}
 		pool.ForWorker(int(t.Sigma), par.RoundRobin, 0, scan)
 		if f.stop.Load() {
-			return f.canceled(ctx)
+			return false
 		}
 	}
-	t.filled = true
-	return nil
+	return true
 }
 
 // LevelSizes returns q_l for l = 0..sum(counts): the number of table entries

@@ -3,7 +3,6 @@ package exact
 import (
 	"context"
 
-	"repro/internal/cancel"
 	"repro/internal/listsched"
 	"repro/pcmax"
 )
@@ -28,8 +27,6 @@ func SolveAssignment(ctx context.Context, in *pcmax.Instance, opts Options) (*pc
 	if opts.NodeLimit <= 0 {
 		opts.NodeLimit = DefaultNodeLimit
 	}
-	ctx, cancelTL := cancel.WithTimeout(ctx, opts.TimeLimit)
-	defer cancelTL()
 	res := Result{LowerBound: in.LowerBound()} // the LP relaxation bound
 	if in.N() == 0 {
 		res.Optimal = true

@@ -19,21 +19,19 @@
 //   - a branch dies when the unassigned total exceeds the capacity of the
 //     remaining bins.
 //
-// Search effort is bounded by node and wall-clock limits; when a limit
-// triggers, the best incumbent is returned with Optimal=false, mirroring a
-// MIP solver hitting its time limit.
+// Search effort is bounded by a node limit and by ctx; when either stops
+// the search, the best incumbent is returned with Optimal=false, mirroring
+// a MIP solver hitting its time limit.
 package exact
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/cancel"
 	"repro/internal/lb"
 	"repro/internal/listsched"
 	"repro/internal/multifit"
+	"repro/internal/par"
 	"repro/pcmax"
 )
 
@@ -42,12 +40,6 @@ type Options struct {
 	// NodeLimit caps decision nodes over the whole solve; <= 0 selects
 	// DefaultNodeLimit.
 	NodeLimit int64
-	// TimeLimit caps wall-clock time; <= 0 means no limit. It is a
-	// back-compat shim over context deadlines (the solvers install it with
-	// context.WithTimeout on the caller's ctx); new callers should pass a
-	// context with a deadline instead. Either way an expired clock stops
-	// the search and the best incumbent is returned with Optimal == false.
-	TimeLimit time.Duration
 	// DisableMultiFitIncumbent drops the MultiFit upper bound and keeps
 	// only LPT (ablation of the incumbent choice).
 	DisableMultiFitIncumbent bool
@@ -60,8 +52,8 @@ const DefaultNodeLimit = 50_000_000
 // Result reports how the solve went.
 type Result struct {
 	Makespan pcmax.Time
-	// Optimal is true when Makespan is proved optimal; false when a node or
-	// time limit interrupted the proof.
+	// Optimal is true when Makespan is proved optimal; false when the node
+	// limit or ctx interrupted the proof.
 	Optimal bool
 	// Nodes is the number of decision nodes explored.
 	Nodes int64
@@ -70,12 +62,9 @@ type Result struct {
 	LowerBound pcmax.Time
 }
 
-// ErrLimit is wrapped into errors reported by strict callers when a limit
-// interrupted the proof of optimality.
-var ErrLimit = errors.New("exact: search limit reached before optimality was proved")
-
 // Solve returns an optimal schedule for the instance (or the best incumbent
-// with Result.Optimal == false when limits interrupt the proof).
+// with Result.Optimal == false when a limit interrupts the proof). It is
+// SolveParallel on one worker.
 //
 // Cancellation mirrors a MIP solver's time limit: when ctx dies mid-search
 // the best incumbent is returned with Optimal == false and a nil error — a
@@ -83,17 +72,32 @@ var ErrLimit = errors.New("exact: search limit reached before optimality was pro
 // interruption surfaced as an error should test ctx after the call (the
 // solver registry does exactly that).
 func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedule, Result, error) {
+	return SolveParallel(ctx, in, opts, 1)
+}
+
+// SolveParallel is Solve with each feasibility probe split at the root
+// across workers, in the spirit of the paper's program of parallelizing
+// algorithms for NP-hard problems. A probe enumerates the completions of the
+// first bin (the largest job and a maximal filling) sequentially; when there
+// are several, it explores the resulting independent subtrees as one round
+// on a par.Pool of `workers` workers, each subtree on its own searcher
+// state, and the first worker to find a packing publishes it while the
+// remaining subtrees are skipped through a shared atomic flag. A probe that
+// does not split, and every probe at one worker, runs on the solve's own
+// searcher. The pool starts at the first probe that splits and is closed
+// before SolveParallel returns.
+//
+// The optimal makespan is Solve's; the optimal schedule may differ, since
+// subtree completion order varies, and so may a node-limited result.
+func SolveParallel(ctx context.Context, in *pcmax.Instance, opts Options, workers int) (*pcmax.Schedule, Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, Result{}, err
 	}
 	if opts.NodeLimit <= 0 {
 		opts.NodeLimit = DefaultNodeLimit
 	}
-	ctx, cancelTL := cancel.WithTimeout(ctx, opts.TimeLimit)
-	defer cancelTL()
-	n := in.N()
 	res := Result{LowerBound: lb.Best(in)}
-	if n == 0 {
+	if in.N() == 0 {
 		res.Optimal = true
 		return pcmax.NewSchedule(in.M, 0), res, nil
 	}
@@ -111,19 +115,23 @@ func Solve(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedu
 		return best, res, nil
 	}
 
-	s := newSearcher(ctx, in, opts)
+	s := newSearcher(ctx, in, opts.NodeLimit)
+	s.workers = workers
+	defer func() {
+		if s.pool != nil {
+			s.pool.Close()
+		}
+	}()
 	lo, hi := res.LowerBound, res.Makespan
 	// Invariant: a schedule with makespan hi is known (best); lo <= OPT.
-	for lo < hi {
+	// A split probe may find a packing in the round in which a subtree
+	// aborts: its schedule is kept.
+	for lo < hi && !s.aborted {
 		c := lo + (hi-lo)/2
-		ok := s.feasible(c)
-		if s.aborted {
-			break
-		}
-		if ok {
+		if s.feasible(c) {
 			hi = c
 			best = s.takeSchedule()
-		} else {
+		} else if !s.aborted {
 			lo = c + 1
 		}
 	}
@@ -151,9 +159,14 @@ type searcher struct {
 	nodeLimit int64
 	done      <-chan struct{} // context cancellation, polled by tick
 	aborted   bool
+
+	// workers is the number of workers a probe may split across, and pool
+	// runs the split probes' rounds; nil until the first one.
+	workers int
+	pool    *par.Pool
 }
 
-func newSearcher(ctx context.Context, in *pcmax.Instance, opts Options) *searcher {
+func newSearcher(ctx context.Context, in *pcmax.Instance, nodeLimit int64) *searcher {
 	order := in.SortedIndex()
 	times := make([]pcmax.Time, len(order))
 	for p, j := range order {
@@ -167,7 +180,7 @@ func newSearcher(ctx context.Context, in *pcmax.Instance, opts Options) *searche
 		used:      make([]bool, len(order)),
 		bin:       make([]int, len(order)),
 		m:         in.M,
-		nodeLimit: opts.NodeLimit,
+		nodeLimit: nodeLimit,
 	}
 	if ctx != nil {
 		s.done = ctx.Done()
@@ -187,8 +200,9 @@ func (s *searcher) feasible(c pcmax.Time) bool {
 		return false
 	}
 	s.c = c
-	for p := range s.used {
-		s.used[p] = false
+	clear(s.used)
+	if tasks := s.split(); len(tasks) > 1 {
+		return s.round(tasks)
 	}
 	return s.packBin(0, s.total)
 }
@@ -295,6 +309,50 @@ func (s *searcher) fillBin(b, from int, space, rem pcmax.Time) bool {
 		return false
 	}
 	return s.fillBin(b, q, space, rem)
+}
+
+// collectCompletions mirrors fillBin on bin 0, but records each maximal
+// completion in tasks where fillBin would open the next bin. It reports
+// false when the fan-out exceeded maxRootTasks.
+func (s *searcher) collectCompletions(from int, space, rem pcmax.Time, tasks *[]rootTask) bool {
+	p := from
+	for p < len(s.times) && (s.used[p] || s.times[p] > space) {
+		p++
+	}
+	if p == len(s.times) {
+		if len(*tasks) >= maxRootTasks {
+			return false
+		}
+		*tasks = append(*tasks, rootTask{
+			used: append([]bool(nil), s.used...),
+			bin:  append([]int(nil), s.bin...),
+			rem:  rem,
+		})
+		return true
+	}
+	t := s.times[p]
+	s.used[p] = true
+	s.bin[p] = 0
+	if !s.collectCompletions(p+1, space-t, rem-t, tasks) {
+		s.used[p] = false
+		return false
+	}
+	s.used[p] = false
+	q := p + 1
+	for q < len(s.times) && (s.used[q] || s.times[q] == t) {
+		q++
+	}
+	fitsLater := false
+	for r := q; r < len(s.times); r++ {
+		if !s.used[r] && s.times[r] <= space {
+			fitsLater = true
+			break
+		}
+	}
+	if !fitsLater {
+		return true
+	}
+	return s.collectCompletions(q, space, rem, tasks)
 }
 
 // takeSchedule converts the searcher's packing into a schedule.

@@ -98,15 +98,39 @@ func TestSolveNodeLimitReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestSolveTimeLimit bounds each exact solver with a context deadline, the
+// one way to limit their wall-clock time: each returns a valid incumbent
+// with a nil error well within a few seconds.
 func TestSolveTimeLimit(t *testing.T) {
 	in := workload.MustGenerate(workload.Spec{Family: workload.U95_105, M: 10, N: 37, Seed: 3})
-	start := time.Now()
-	_, _, err := Solve(context.Background(), in, Options{TimeLimit: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("time limit ignored: took %v", time.Since(start))
+	for _, tc := range []struct {
+		name  string
+		solve func(context.Context, *pcmax.Instance, Options) (*pcmax.Schedule, Result, error)
+	}{
+		{"solve", Solve},
+		{"parallel-2", func(ctx context.Context, in *pcmax.Instance, opts Options) (*pcmax.Schedule, Result, error) {
+			return SolveParallel(ctx, in, opts, 2)
+		}},
+		{"assignment", SolveAssignment},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancelFn := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancelFn()
+			start := time.Now()
+			sched, res, err := tc.solve(ctx, in, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(start); took > 5*time.Second {
+				t.Fatalf("deadline ignored: took %v", took)
+			}
+			if err := sched.Validate(in); err != nil {
+				t.Fatal(err)
+			}
+			if res.Makespan != sched.Makespan(in) {
+				t.Fatalf("result/schedule mismatch: %d vs %d", res.Makespan, sched.Makespan(in))
+			}
+		})
 	}
 }
 
@@ -285,7 +309,9 @@ func TestPaperScaleFamiliesSolveQuickly(t *testing.T) {
 			n = 2*m + 1
 		}
 		in := workload.MustGenerate(workload.Spec{Family: fam, M: m, N: n, Seed: 77})
-		_, res, err := Solve(context.Background(), in, Options{TimeLimit: 20 * time.Second})
+		ctx, cancelFn := context.WithTimeout(context.Background(), 20*time.Second)
+		_, res, err := Solve(ctx, in, Options{})
+		cancelFn()
 		if err != nil {
 			t.Fatalf("%v: %v", fam, err)
 		}

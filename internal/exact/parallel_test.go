@@ -47,7 +47,9 @@ func TestSolveParallelOnTriplets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, res, err := SolveParallel(context.Background(), in, Options{TimeLimit: 30 * time.Second}, 4)
+		ctx, cancelFn := context.WithTimeout(context.Background(), 30*time.Second)
+		_, res, err := SolveParallel(ctx, in, Options{}, 4)
+		cancelFn()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,11 +158,12 @@ func TestCollectCompletionsCoverage(t *testing.T) {
 	// maximal completions are {6,4(first)} and {6,3}; excluding both 4s and
 	// the 3 would leave the bin non-maximal, so exactly 2 tasks.
 	in := &pcmax.Instance{M: 2, Times: []pcmax.Time{6, 4, 4, 3}}
-	s := newSearcher(nil, in, Options{NodeLimit: 1 << 30})
+	s := newSearcher(nil, in, 1<<30)
+	s.workers = 2
 	s.c = 10
-	var tasks []rootTask
-	if ok := collectFirstBinCompletions(s, &tasks); !ok {
-		t.Fatal("overflow on a tiny instance")
+	tasks := s.split()
+	if tasks == nil {
+		t.Fatal("no split on a tiny instance")
 	}
 	if len(tasks) != 2 {
 		t.Fatalf("got %d root tasks, want 2", len(tasks))

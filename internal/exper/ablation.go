@@ -61,7 +61,7 @@ func (cfg Config) RunAblations(ctx context.Context) (*AblationResult, error) {
 		var total float64
 		var worst pcmax.Time
 		for _, in := range instances {
-			actx, cancel := cfg.algoCtx(ctx)
+			actx, cancel := cfg.algoCtx(ctx, "ptas")
 			t0 := time.Now()
 			sched, _, err := core.Solve(actx, in, opts)
 			cancel()
@@ -111,14 +111,13 @@ func (cfg Config) RunAblations(ctx context.Context) (*AblationResult, error) {
 		}
 		var total float64
 		for _, in := range instances {
-			actx, cancel := cfg.algoCtx(ctx)
+			actx, cancel := cfg.algoCtx(ctx, "exact")
 			t0 := time.Now()
 			// DisableMultiFitIncumbent is likewise internal-only; the exact
 			// solver's MIP contract turns a timeout into a bounded run, so
 			// the cell stays usable.
 			_, _, err := exact.Solve(actx, in, exact.Options{
 				NodeLimit:                cfg.ExactNodeLimit,
-				TimeLimit:                cfg.ExactTimeLimit,
 				DisableMultiFitIncumbent: disable,
 			})
 			cancel()

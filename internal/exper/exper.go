@@ -40,7 +40,9 @@ type Config struct {
 	Epsilon float64
 	// Seed is the base RNG seed; instance (type, rep) derives from it.
 	Seed uint64
-	// ExactNodeLimit / ExactTimeLimit bound each exact solve.
+	// ExactNodeLimit caps the search nodes of each exact and IP solve, and
+	// ExactTimeLimit puts a context deadline on each (0 = none; the tighter
+	// of it and AlgoTimeout applies).
 	ExactNodeLimit int64
 	ExactTimeLimit time.Duration
 	// AlgoTimeout bounds every individual algorithm invocation with a
@@ -92,13 +94,24 @@ func (cfg *Config) out() io.Writer {
 	return os.Stdout
 }
 
-// algoCtx returns the context bounding one algorithm invocation: ctx
-// narrowed by an AlgoTimeout deadline when set, ctx unchanged otherwise.
+// timeout returns the deadline of one invocation of the named algorithm
+// (0 = none): AlgoTimeout, or ExactTimeLimit for the exact and IP solvers
+// when it is set and tighter.
+func (cfg *Config) timeout(name string) time.Duration {
+	d := cfg.AlgoTimeout
+	if (name == "exact" || name == "ip") && cfg.ExactTimeLimit > 0 && (d <= 0 || cfg.ExactTimeLimit < d) {
+		d = cfg.ExactTimeLimit
+	}
+	return d
+}
+
+// algoCtx returns the context bounding one invocation of the named
+// algorithm: ctx narrowed by its timeout when set, ctx unchanged otherwise.
 // The harness never mints a root context; cancelling the context a Run*
 // entry point was given aborts the whole experiment cooperatively.
-func (cfg *Config) algoCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if cfg.AlgoTimeout > 0 {
-		return context.WithTimeout(ctx, cfg.AlgoTimeout)
+func (cfg *Config) algoCtx(ctx context.Context, name string) (context.Context, context.CancelFunc) {
+	if d := cfg.timeout(name); d > 0 {
+		return context.WithTimeout(ctx, d)
 	}
 	return ctx, func() {}
 }
@@ -111,22 +124,20 @@ func (cfg *Config) algoCtx(ctx context.Context) (context.Context, context.Cancel
 // next to the ErrCanceled-matching error and decides whether the cell is
 // usable.
 func (cfg *Config) runAlgo(ctx context.Context, name string, in *pcmax.Instance, opts solver.Options) (*pcmax.Schedule, solver.Report, error) {
-	ctx, cancel := cfg.algoCtx(ctx)
+	ctx, cancel := cfg.algoCtx(ctx, name)
 	defer cancel()
 	sched, rep, err := solver.Solve(ctx, name, in, opts)
 	if err != nil && errors.Is(err, solver.ErrCanceled) {
 		fmt.Fprintf(os.Stderr, "exper: %s timed out after %v on m=%d n=%d\n",
-			name, cfg.AlgoTimeout, in.M, in.N())
+			name, cfg.timeout(name), in.M, in.N())
 	}
 	return sched, rep, err
 }
 
-// exactLimits packages the exact-solver bounds as registry options.
+// exactLimits packages the exact-solver node limit as registry options;
+// runAlgo applies ExactTimeLimit.
 func (cfg *Config) exactLimits() solver.Options {
-	return solver.Options{Exact: solver.ExactOptions{
-		NodeLimit: cfg.ExactNodeLimit,
-		TimeLimit: cfg.ExactTimeLimit,
-	}}
+	return solver.Options{Exact: solver.ExactOptions{NodeLimit: cfg.ExactNodeLimit}}
 }
 
 // ptasOptions packages the harness's PTAS configuration for registry
@@ -188,7 +199,7 @@ func (cfg *Config) measure(ctx context.Context, in *pcmax.Instance) (*measuremen
 	// still runs under the per-algorithm timeout.
 	profile := &simsched.Profile{}
 	copts := core.Options{Epsilon: cfg.Epsilon, Workers: 1, Profile: profile, PaperFaithful: cfg.PaperFaithful}
-	seqCtx, cancelSeq := cfg.algoCtx(ctx)
+	seqCtx, cancelSeq := cfg.algoCtx(ctx, "ptas")
 	t0 := time.Now()
 	seqSched, seqStats, err := core.Solve(seqCtx, in, copts)
 	cancelSeq()

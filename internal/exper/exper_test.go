@@ -226,3 +226,26 @@ func TestRunAlgoTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTimeoutPicksTheTighterDeadline pins which deadline bounds each
+// invocation: AlgoTimeout for every algorithm, and for the exact and IP
+// solvers ExactTimeLimit when it is set and tighter.
+func TestTimeoutPicksTheTighterDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		algo, exact time.Duration
+		want        map[string]time.Duration
+	}{
+		{0, 0, map[string]time.Duration{"ptas": 0, "exact": 0, "ip": 0}},
+		{0, time.Second, map[string]time.Duration{"ptas": 0, "exact": time.Second, "ip": time.Second}},
+		{2 * time.Second, time.Second, map[string]time.Duration{"ptas": 2 * time.Second, "exact": time.Second, "ip": time.Second}},
+		{time.Second, 2 * time.Second, map[string]time.Duration{"ptas": time.Second, "exact": time.Second, "ip": time.Second}},
+		{time.Second, 0, map[string]time.Duration{"ptas": time.Second, "exact": time.Second, "ip": time.Second}},
+	} {
+		cfg := Config{AlgoTimeout: tc.algo, ExactTimeLimit: tc.exact}
+		for name, want := range tc.want {
+			if got := cfg.timeout(name); got != want {
+				t.Errorf("AlgoTimeout %v, ExactTimeLimit %v: timeout(%q) = %v, want %v", tc.algo, tc.exact, name, got, want)
+			}
+		}
+	}
+}

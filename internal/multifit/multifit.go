@@ -6,9 +6,8 @@
 //
 // The classical formulation runs k bisection iterations over real-valued
 // capacities, giving a makespan of at most (1.22 + 2^-k) OPT. Processing
-// times here are integers, so the capacity search runs to full convergence
-// by default, which dominates any fixed k; SolveIterations provides the
-// classical truncated variant for comparison benchmarks.
+// times here are integers, so the capacity search runs to full convergence,
+// which dominates any fixed k.
 package multifit
 
 import (
@@ -21,57 +20,12 @@ import (
 	"repro/pcmax"
 )
 
-// Heuristic selects the inner packing rule the capacity search drives.
-type Heuristic int
-
-const (
-	// FFD is first-fit decreasing, the classical MultiFit inner heuristic
-	// with the proven (1.22 + 2^-k) bound.
-	FFD Heuristic = iota
-	// BFD is best-fit decreasing; it never uses more bins than FFD on the
-	// same capacity in practice and serves as an ablation of the inner
-	// heuristic choice.
-	BFD
-)
-
-// String names the heuristic.
-func (h Heuristic) String() string {
-	switch h {
-	case FFD:
-		return "FFD"
-	case BFD:
-		return "BFD"
-	default:
-		return fmt.Sprintf("Heuristic(%d)", int(h))
-	}
-}
-
 // Solve runs MultiFit to convergence and returns the schedule built by FFD
 // at the smallest capacity it found feasible. ctx is checked between
 // capacity probes (one probe is a single O(n log n) packing, so the abort
 // latency is one packing pass); a cancellation surfaces as the structured
 // cancel error with no schedule.
 func Solve(ctx context.Context, in *pcmax.Instance) (*pcmax.Schedule, error) {
-	return solve(ctx, in, -1, FFD)
-}
-
-// SolveHeuristic is Solve with an explicit inner packing heuristic.
-func SolveHeuristic(ctx context.Context, in *pcmax.Instance, h Heuristic) (*pcmax.Schedule, error) {
-	if h != FFD && h != BFD {
-		return nil, fmt.Errorf("multifit: unknown heuristic %v", h)
-	}
-	return solve(ctx, in, -1, h)
-}
-
-// SolveIterations runs the classical k-iteration MultiFit. k must be >= 1.
-func SolveIterations(ctx context.Context, in *pcmax.Instance, k int) (*pcmax.Schedule, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("multifit: iteration count %d < 1", k)
-	}
-	return solve(ctx, in, k, FFD)
-}
-
-func solve(ctx context.Context, in *pcmax.Instance, maxIter int, h Heuristic) (*pcmax.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,41 +44,22 @@ func solve(ctx context.Context, in *pcmax.Instance, maxIter int, h Heuristic) (*
 	if hi < lo {
 		hi = lo
 	}
-	pack := binpack.FirstFitDecreasing
-	if h == BFD {
-		pack = binpack.BestFitDecreasing
-	}
-	fits := func(c pcmax.Time) (bool, error) {
-		res, err := pack(in.Times, c)
-		if err != nil {
-			if errors.Is(err, binpack.ErrItemTooLarge) {
-				return false, nil
-			}
-			return false, err
-		}
-		return res.Bins <= in.M, nil
-	}
-	iter := 0
 	for lo < hi {
 		if err := cancel.Check(ctx); err != nil {
 			return nil, err
 		}
-		if maxIter > 0 && iter >= maxIter {
-			break
-		}
-		iter++
 		c := lo + (hi-lo)/2
-		ok, err := fits(c)
-		if err != nil {
+		res, err := binpack.FirstFitDecreasing(in.Times, c)
+		switch {
+		case err == nil && res.Bins <= in.M:
+			hi = c
+		case err == nil || errors.Is(err, binpack.ErrItemTooLarge):
+			lo = c + 1
+		default:
 			return nil, err
 		}
-		if ok {
-			hi = c
-		} else {
-			lo = c + 1
-		}
 	}
-	res, err := pack(in.Times, hi)
+	res, err := binpack.FirstFitDecreasing(in.Times, hi)
 	if err != nil {
 		return nil, err
 	}

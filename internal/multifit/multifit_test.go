@@ -66,40 +66,6 @@ func TestSolveRejectsInvalidInstance(t *testing.T) {
 	}
 }
 
-func TestSolveIterationsRejectsBadK(t *testing.T) {
-	in := &pcmax.Instance{M: 2, Times: []pcmax.Time{1, 2}}
-	if _, err := multifit.SolveIterations(context.Background(), in, 0); err == nil {
-		t.Fatal("want error for k=0")
-	}
-}
-
-func TestIterationsConvergeToFullSolve(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 5, N: 40, Seed: 3})
-	full, err := multifit.Solve(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough iterations must match the converged search exactly.
-	k40, err := multifit.SolveIterations(context.Background(), in, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Makespan(in) != k40.Makespan(in) {
-		t.Fatalf("40 iterations %d != converged %d", k40.Makespan(in), full.Makespan(in))
-	}
-	// Few iterations are valid schedules too, possibly worse.
-	k1, err := multifit.SolveIterations(context.Background(), in, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k1.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-	if k1.Makespan(in) < full.Makespan(in) {
-		t.Fatalf("truncated search beat the converged one: %d < %d", k1.Makespan(in), full.Makespan(in))
-	}
-}
-
 func TestKnownBoundAgainstOptimumProperty(t *testing.T) {
 	// MultiFit run to convergence is within 13/11 of optimal (Yue's bound);
 	// assert the looser classical 1.22 against brute force.
@@ -147,67 +113,5 @@ func TestBeatsLPTOnAdversarialFamily(t *testing.T) {
 		if lpt := listsched.LPT(in).Makespan(in); mf.Makespan(in) >= lpt {
 			t.Fatalf("m=%d: MultiFit %d did not beat LPT %d", m, mf.Makespan(in), lpt)
 		}
-	}
-}
-
-func TestHeuristicVariantsBothValid(t *testing.T) {
-	in := workload.MustGenerate(workload.Spec{Family: workload.U1_100, M: 6, N: 50, Seed: 4})
-	ffd, err := multifit.SolveHeuristic(context.Background(), in, multifit.FFD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfd, err := multifit.SolveHeuristic(context.Background(), in, multifit.BFD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ffd.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-	if err := bfd.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-	if ffd.Makespan(in) < in.LowerBound() || bfd.Makespan(in) < in.LowerBound() {
-		t.Fatal("makespan below lower bound")
-	}
-}
-
-func TestHeuristicUnknownRejected(t *testing.T) {
-	in := &pcmax.Instance{M: 2, Times: []pcmax.Time{1, 2}}
-	if _, err := multifit.SolveHeuristic(context.Background(), in, multifit.Heuristic(9)); err == nil {
-		t.Fatal("want unknown-heuristic error")
-	}
-}
-
-func TestHeuristicStrings(t *testing.T) {
-	if multifit.FFD.String() != "FFD" || multifit.BFD.String() != "BFD" {
-		t.Fatal("heuristic names changed")
-	}
-	if multifit.Heuristic(9).String() == "" {
-		t.Fatal("unknown heuristic should render")
-	}
-}
-
-func TestBFDWithinBoundProperty(t *testing.T) {
-	f := func(seed uint64, mRaw, nRaw uint8) bool {
-		src := rng.New(seed)
-		m := int(mRaw%4) + 1
-		n := int(nRaw%10) + 1
-		times := make([]pcmax.Time, n)
-		for j := range times {
-			times[j] = pcmax.Time(1 + src.Int64n(60))
-		}
-		in := &pcmax.Instance{M: m, Times: times}
-		s, err := multifit.SolveHeuristic(context.Background(), in, multifit.BFD)
-		if err != nil || s.Validate(in) != nil {
-			return false
-		}
-		opt, err := exact.BruteForce(in)
-		if err != nil {
-			return false
-		}
-		return float64(s.Makespan(in)) <= 1.25*float64(opt.Makespan(in))+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -125,10 +125,3 @@ func (src *Source) Shuffle(xs []int64) {
 		xs[i], xs[j] = xs[j], xs[i]
 	}
 }
-
-// Split derives an independent child generator. The child stream is a
-// deterministic function of the parent's current state, so seeding one
-// parent and splitting per task keeps whole experiment suites reproducible.
-func (src *Source) Split() *Source {
-	return New(src.Uint64() ^ 0xd2b74407b1ce6e93)
-}

@@ -202,27 +202,3 @@ func TestShufflePreservesMultiset(t *testing.T) {
 		t.Fatalf("Shuffle changed contents: %v", xs)
 	}
 }
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(29)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("%d/100 collisions between parent and child", same)
-	}
-}
-
-func TestSplitDeterministic(t *testing.T) {
-	a := New(31).Split()
-	b := New(31).Split()
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("Split is not deterministic")
-		}
-	}
-}

@@ -1,12 +1,7 @@
-// Package stats provides the small statistical and reporting toolkit used by
-// the experiment harness: summaries over repetition sets, speedup series,
-// and fixed-width/CSV table rendering.
+// Package stats provides the small reporting toolkit used by the experiment
+// harness: the mean over repetition sets, float formatting and
+// fixed-width/CSV table rendering.
 package stats
-
-import (
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -18,111 +13,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Median returns the median (average of the middle pair for even lengths),
-// or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
-// Stdev returns the sample standard deviation (n-1 denominator), or 0 for
-// fewer than two samples.
-func Stdev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Min returns the minimum, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// GeoMean returns the geometric mean of positive samples; non-positive
-// samples make it return 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Summary bundles the descriptive statistics of one sample set.
-type Summary struct {
-	N                   int
-	Mean, Median, Stdev float64
-	Min, Max            float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		Stdev:  Stdev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-	}
-}
-
-// Speedups divides the baseline by each measurement: the paper's speedup
-// definition ("ratio of the running time of the sequential PTAS and the
-// running time of the parallel approximation algorithm"). Non-positive
-// measurements yield 0 entries.
-func Speedups(baseline float64, times []float64) []float64 {
-	out := make([]float64, len(times))
-	for i, t := range times {
-		if t > 0 {
-			out[i] = baseline / t
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,77 +21,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if !almost(Median([]float64{5, 1, 3}), 3) {
-		t.Fatal("odd median")
-	}
-	if !almost(Median([]float64{4, 1, 3, 2}), 2.5) {
-		t.Fatal("even median")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Median sorted the input: %v", xs)
-	}
-}
-
-func TestStdev(t *testing.T) {
-	// Sample stdev of {2,4,4,4,5,5,7,9} is 2.138... (population 2); sample
-	// uses n-1: variance 32/7.
-	got := Stdev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almost(got*got, 32.0/7.0) {
-		t.Fatalf("Stdev^2 = %v, want 32/7", got*got)
-	}
-	if Stdev([]float64{5}) != 0 || Stdev(nil) != 0 {
-		t.Fatal("stdev of <2 samples must be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max = %v/%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty min/max")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if !almost(GeoMean([]float64{1, 4}), 2) {
-		t.Fatal("geomean of {1,4}")
-	}
-	if GeoMean([]float64{2, 0}) != 0 {
-		t.Fatal("geomean with zero sample")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("geomean of empty")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || !almost(s.Mean, 2) || !almost(s.Median, 2) || !almost(s.Min, 1) || !almost(s.Max, 3) {
-		t.Fatalf("summary %+v", s)
-	}
-}
-
-func TestSpeedups(t *testing.T) {
-	got := Speedups(10, []float64{10, 5, 2, 0})
-	want := []float64{1, 2, 5, 0}
-	for i := range want {
-		if !almost(got[i], want[i]) {
-			t.Fatalf("speedups = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMeanWithinMinMaxProperty(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {
@@ -101,24 +31,7 @@ func TestMeanWithinMinMaxProperty(t *testing.T) {
 			xs[i] = float64(r)
 		}
 		m := Mean(xs)
-		return m >= Min(xs)-1e-9 && m <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMedianWithinMinMaxProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-		}
-		m := Median(xs)
-		return m >= Min(xs)-1e-9 && m <= Max(xs)+1e-9
+		return m >= slices.Min(xs)-1e-9 && m <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

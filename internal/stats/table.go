@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // Table is a simple fixed-width text table with an optional CSV rendering,
@@ -99,21 +98,6 @@ func (t *Table) RenderCSV(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// FmtDuration renders a duration with three significant digits, stable
-// across magnitudes (µs to minutes), for table cells.
-func FmtDuration(d time.Duration) string {
-	switch {
-	case d < time.Microsecond:
-		return fmt.Sprintf("%dns", d.Nanoseconds())
-	case d < time.Millisecond:
-		return fmt.Sprintf("%.2fµs", float64(d.Nanoseconds())/1e3)
-	case d < time.Second:
-		return fmt.Sprintf("%.2fms", float64(d.Nanoseconds())/1e6)
-	default:
-		return fmt.Sprintf("%.3fs", d.Seconds())
-	}
 }
 
 // FmtFloat renders a float with the given number of decimals.

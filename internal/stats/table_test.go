@@ -3,7 +3,6 @@ package stats
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTableRenderAligned(t *testing.T) {
@@ -57,21 +56,6 @@ func TestTableRenderCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, `"with""quote"`) {
 		t.Fatalf("quote cell not escaped: %s", out)
-	}
-}
-
-func TestFmtDuration(t *testing.T) {
-	cases := map[time.Duration]string{
-		500 * time.Nanosecond:   "500ns",
-		1500 * time.Nanosecond:  "1.50µs",
-		2500 * time.Microsecond: "2.50ms",
-		1500 * time.Millisecond: "1.500s",
-		90 * time.Second:        "90.000s",
-	}
-	for d, want := range cases {
-		if got := FmtDuration(d); got != want {
-			t.Fatalf("FmtDuration(%v) = %q, want %q", d, got, want)
-		}
 	}
 }
 

@@ -56,7 +56,9 @@ func TestTripletsOptimumIsB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, res, err := exact.Solve(context.Background(), in, exact.Options{TimeLimit: 20 * time.Second})
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		_, res, err := exact.Solve(ctx, in, exact.Options{})
+		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,22 +182,54 @@ func TestRegistryLookupMiss(t *testing.T) {
 	}
 }
 
+// TestRegistryMarksInterrupted checks the registry's interruption path. A
+// PTAS that runs into its deadline returns its fallback with the structured
+// error. The exact and IP solvers keep a MIP solver's contract themselves
+// (the incumbent, Optimal == false, a nil error), and the registry turns a
+// dead context into the same error: neither finishes this instance before
+// its first context poll.
 func TestRegistryMarksInterrupted(t *testing.T) {
-	in, opts := slowInstance(t)
-	alg, err := solver.Lookup("ptas")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	sched, rep, err := alg.Solve(ctx, in, solver.Options{PTAS: opts})
-	if !errors.Is(err, solver.ErrCanceled) {
-		t.Fatalf("error %v does not match solver.ErrCanceled", err)
-	}
-	if !rep.Interrupted {
-		t.Fatal("report not marked interrupted")
-	}
-	if sched == nil || rep.Makespan == 0 {
-		t.Fatalf("interrupted report lost the fallback: sched=%v makespan=%d", sched, rep.Makespan)
+	t.Run("ptas", func(t *testing.T) {
+		in, opts := slowInstance(t)
+		alg, err := solver.Lookup("ptas")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		sched, rep, err := alg.Solve(ctx, in, solver.Options{PTAS: opts})
+		if !errors.Is(err, solver.ErrCanceled) {
+			t.Fatalf("error %v does not match solver.ErrCanceled", err)
+		}
+		if !rep.Interrupted {
+			t.Fatal("report not marked interrupted")
+		}
+		if sched == nil || rep.Makespan == 0 {
+			t.Fatalf("interrupted report lost the fallback: sched=%v makespan=%d", sched, rep.Makespan)
+		}
+	})
+	in := workload.MustGenerate(workload.Spec{Family: workload.U95_105, M: 10, N: 37, Seed: 1})
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"exact", "ip"} {
+		t.Run(name, func(t *testing.T) {
+			alg, err := solver.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, rep, err := alg.Solve(dead, in, solver.Options{})
+			if !errors.Is(err, solver.ErrCanceled) {
+				t.Fatalf("error %v does not match solver.ErrCanceled", err)
+			}
+			if !rep.Interrupted {
+				t.Fatal("report not marked interrupted")
+			}
+			if err := sched.Validate(in); err != nil {
+				t.Fatalf("interrupted report lost the incumbent: %v", err)
+			}
+			if rep.Exact == nil || rep.Exact.Optimal {
+				t.Fatalf("want a non-optimal exact result, got %+v", rep.Exact)
+			}
+		})
 	}
 }

@@ -22,9 +22,8 @@
 // interrupted solve returns an error matching ErrCanceled (and ErrDeadline
 // when a deadline caused it); PTAS additionally degrades gracefully,
 // returning plain LPT's schedule next to the error so callers still get a
-// valid (if unguaranteed) answer. The exact solvers' legacy TimeLimit option
-// fields remain as thin shims over context deadlines and are deprecated in
-// favor of ctx.
+// valid (if unguaranteed) answer. The exact solvers have no time option: a
+// deadline on ctx is their time limit.
 //
 // The named-dispatch layer lives in registry.go: every algorithm is also
 // reachable through Registry by name via the uniform Algorithm interface.
@@ -32,7 +31,6 @@ package solver
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/cancel"
 	"repro/internal/core"
@@ -48,9 +46,8 @@ import (
 var (
 	// ErrCanceled matches every context-interrupted solve.
 	ErrCanceled = cancel.ErrCanceled
-	// ErrDeadline matches solves interrupted by a context deadline
-	// (including the exact solvers' legacy TimeLimit shims); it wraps
-	// ErrCanceled.
+	// ErrDeadline matches solves interrupted by a context deadline; it
+	// wraps ErrCanceled.
 	ErrDeadline = cancel.ErrDeadline
 )
 
@@ -196,13 +193,6 @@ func coreOptions(opts PTASOptions) core.Options {
 type ExactOptions struct {
 	// NodeLimit caps search nodes; <= 0 uses the library default.
 	NodeLimit int64
-	// TimeLimit caps wall-clock time; <= 0 means unlimited.
-	//
-	// Deprecated: TimeLimit is a back-compat shim over context deadlines;
-	// new callers should pass a deadline on ctx instead. Either way the
-	// best incumbent is returned with Optimal == false when the clock runs
-	// out.
-	TimeLimit time.Duration
 	// Workers > 1 parallelizes each feasibility probe by racing the
 	// first-bin subtrees across that many goroutines (an extension in the
 	// paper's future-work direction). The optimal makespan is unchanged;
@@ -210,36 +200,17 @@ type ExactOptions struct {
 	Workers int
 }
 
-// ExactResult reports the exact solve outcome.
-type ExactResult struct {
-	Makespan pcmax.Time
-	// Optimal is false when a limit interrupted the optimality proof; the
-	// returned schedule is then the best incumbent found.
-	Optimal    bool
-	Nodes      int64
-	LowerBound pcmax.Time
-}
+// ExactResult reports the exact solve outcome: the makespan, whether it is
+// proved optimal (false when a limit interrupted the proof; the schedule is
+// then the best incumbent found), the nodes searched and the lower bound.
+type ExactResult = exact.Result
 
 // Exact computes an optimal schedule by branch-and-bound (the repository's
 // substitute for the paper's CPLEX IP baseline). A context cancellation
 // behaves like a MIP solver's time limit: the best incumbent is returned
 // with Optimal == false and a nil error.
 func Exact(ctx context.Context, in *pcmax.Instance, opts ExactOptions) (*pcmax.Schedule, ExactResult, error) {
-	eopts := exact.Options{NodeLimit: opts.NodeLimit, TimeLimit: opts.TimeLimit}
-	var (
-		sched *pcmax.Schedule
-		res   exact.Result
-		err   error
-	)
-	if opts.Workers > 1 {
-		sched, res, err = exact.SolveParallel(ctx, in, eopts, opts.Workers)
-	} else {
-		sched, res, err = exact.Solve(ctx, in, eopts)
-	}
-	if err != nil {
-		return nil, ExactResult{}, err
-	}
-	return sched, ExactResult(res), nil
+	return exact.SolveParallel(ctx, in, exact.Options{NodeLimit: opts.NodeLimit}, opts.Workers)
 }
 
 // ExactIP solves the instance with a branch-and-bound over the assignment
@@ -251,27 +222,14 @@ func Exact(ctx context.Context, in *pcmax.Instance, opts ExactOptions) (*pcmax.S
 // stronger. Cancellation semantics match Exact's (incumbent, Optimal ==
 // false, nil error).
 func ExactIP(ctx context.Context, in *pcmax.Instance, opts ExactOptions) (*pcmax.Schedule, ExactResult, error) {
-	sched, res, err := exact.SolveAssignment(ctx, in, exact.Options{NodeLimit: opts.NodeLimit, TimeLimit: opts.TimeLimit})
-	if err != nil {
-		return nil, ExactResult{}, err
-	}
-	return sched, ExactResult(res), nil
+	return exact.SolveAssignment(ctx, in, exact.Options{NodeLimit: opts.NodeLimit})
 }
 
 // SahniOptions configures Sahni, the fixed-m dynamic-programming scheme
-// from the paper's related work.
-type SahniOptions struct {
-	// Epsilon selects the approximation: 0 is exact (integer loads keep the
-	// state space finite), > 0 is a (1+Epsilon)-approximation with a
-	// quantized state space.
-	Epsilon float64
-	// MaxStates bounds the DP state set per job; <= 0 uses the library
-	// default. Exceeding it returns an error: the scheme is only practical
-	// for small m.
-	MaxStates int
-	// MaxMachines bounds m; <= 0 uses the library default (5).
-	MaxMachines int
-}
+// from the paper's related work: Epsilon 0 is exact, > 0 a
+// (1+Epsilon)-approximation; MaxStates and MaxMachines bound the state set
+// and m (<= 0 selects the library defaults). See sahni.Options.
+type SahniOptions = sahni.Options
 
 // Sahni schedules the instance with Sahni's fixed-m dynamic program: exact
 // for Epsilon == 0, a (1+Epsilon)-approximation otherwise. Complementary to
@@ -280,9 +238,5 @@ type SahniOptions struct {
 // sweep and within large sweeps; a cancellation surfaces as an error
 // matching ErrCanceled.
 func Sahni(ctx context.Context, in *pcmax.Instance, opts SahniOptions) (*pcmax.Schedule, error) {
-	return sahni.Solve(ctx, in, sahni.Options{
-		Epsilon:     opts.Epsilon,
-		MaxStates:   opts.MaxStates,
-		MaxMachines: opts.MaxMachines,
-	})
+	return sahni.Solve(ctx, in, opts)
 }

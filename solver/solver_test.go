@@ -197,7 +197,9 @@ func TestPTASTableBudgetError(t *testing.T) {
 
 func TestExactOptimalAndOrdered(t *testing.T) {
 	in := sampleInstance()
-	s, res, err := solver.Exact(context.Background(), in, solver.ExactOptions{TimeLimit: 10 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s, res, err := solver.Exact(ctx, in, solver.ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

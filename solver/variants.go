@@ -142,27 +142,11 @@ type TROptions struct {
 // DefaultTROptions mirrors the PTAS default coarseness.
 func DefaultTROptions() TROptions { return TROptions{Epsilon: 0.3} }
 
-// TRStats reports what one TimeRestricted run did; see trsched.Stats.
-type TRStats struct {
-	// Iterations counts bisection probes.
-	Iterations int
-	// LB and UB bracket the initial bisection interval.
-	LB, UB pcmax.Time
-	// FinalT is the smallest certified-feasible target found.
-	FinalT pcmax.Time
-	// Configs counts the configurations enumerated at the final feasible
-	// probe.
-	Configs int
-	// States is the machine-DP state-space size at the final feasible probe.
-	States int64
-	// SizeClasses is the number of distinct (possibly rounded) sizes.
-	SizeClasses int
-	// Exact reports exact mode: FinalT is the certified optimal makespan.
-	Exact bool
-	// UsedLPTFallback reports that the generalized-LPT incumbent was
-	// returned because no probe beat it (grouped mode only).
-	UsedLPTFallback bool
-}
+// TRStats reports what one TimeRestricted run did: bisection probes, the
+// initial bracket, the final target, the final probe's configurations,
+// states and size classes, and which mode and fallback applied. It is the
+// solver's own statistics record; see trsched.Stats for every field.
+type TRStats = trsched.Stats
 
 // trOptions resolves the effective TR options so the zero value works.
 func trOptions(opts TROptions) trsched.Options {
@@ -186,8 +170,7 @@ func trOptions(opts TROptions) trsched.Options {
 // an exact plain bisection); release times are not.
 func TimeRestricted(ctx context.Context, in *pcmax.Instance, opts TROptions) (*pcmax.Schedule, *TRStats, error) {
 	sched, st, err := trsched.Solve(ctx, in, trOptions(opts))
-	tst := TRStats(st)
-	return sched, &tst, err
+	return sched, &st, err
 }
 
 // BruteForceVariant computes a certified-optimal schedule for any instance
@@ -195,11 +178,7 @@ func TimeRestricted(ctx context.Context, in *pcmax.Instance, opts TROptions) (*p
 // oracle — the reference optimum for the variant guarantee tests — not a
 // production solver; see exact.BruteForceMaxJobs.
 func BruteForceVariant(ctx context.Context, in *pcmax.Instance) (*pcmax.Schedule, ExactResult, error) {
-	sched, res, err := exact.BruteForceVariant(ctx, in)
-	if err != nil {
-		return nil, ExactResult{}, err
-	}
-	return sched, ExactResult(res), nil
+	return exact.BruteForceVariant(ctx, in)
 }
 
 func init() {
